@@ -83,6 +83,7 @@ from .mc_oracle import (
     McComparison,
     McEstimate,
     compare,
+    estimate_disparities,
     estimate_disparity,
     estimate_variance_naive,
     tree_sum,

@@ -8,7 +8,11 @@ group's cost matrix.
 
 Response and evaluation functions accept either a single vector or a
 stack of row vectors, so Monte Carlo callers can push whole populations
-through the same code path that handles one agent.
+through the same code path that handles one agent. Responses contract
+a stack of n rows through its transpose: one wide (d, d) @ (d, n)
+product instead of n skinny row products. The result is the transpose
+of a contiguous (d, n) array, so the realized-quantity contractions
+that follow also read contiguous columns.
 """
 
 import enum
@@ -51,8 +55,9 @@ def standard_normals(stream, shape):
     Uniforms are midpoints (k + 0.5) / 2^53 over 53-bit integers, so the
     output is bit-stable and never hits the distribution tails' infinities.
     """
-    k = stream.integers(0, 2**53, size=shape)
-    return ndtri((k + 0.5) / _TWO_53)
+    u = stream.integers(0, 2**53, size=shape) + 0.5
+    u /= _TWO_53
+    return ndtri(u, out=u)
 
 
 def signal_weight(prior_scale, sigma):
@@ -151,10 +156,15 @@ def sample_signal(rule, sigma, stream):
     return Signal(rule + sigma * z, float(sigma))
 
 
+def _times_inverse(group, rows):
+    """rows @ A^-1, computed as (A^-T @ rows^T)^T over contiguous columns."""
+    return (group.cost.inverse.T @ rows.T).T
+
+
 def naive_best_response(group, signal):
     """Optimal feature change for an agent that trusts the signal outright."""
     _check_rows(signal.values, group.cost.dim, "signal")
-    return signal.values @ group.cost.inverse
+    return _times_inverse(group, signal.values)
 
 
 def bayesian_posterior(group, prior_scale, signal):
@@ -177,7 +187,7 @@ def bayesian_posterior(group, prior_scale, signal):
 def bayesian_best_response(group, posterior):
     """Optimal feature change against the posterior mean score rule."""
     _check_rows(np.asarray(posterior.mean), group.cost.dim, "posterior mean")
-    return posterior.mean @ group.cost.inverse
+    return _times_inverse(group, posterior.mean)
 
 
 def realized_quantities(group, rule, dx):

@@ -32,7 +32,7 @@ from .closed_form import (
 )
 from .errors import Error, ParseError, ZeroStderrMismatch
 from .linalg_core import CostMatrix, Projection
-from .mc_oracle import compare, estimate_disparity
+from .mc_oracle import compare, estimate_disparities
 from .regimes import (
     RegionLabel,
     UtilityCase,
@@ -253,11 +253,21 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
-def _sweep_sigmas(loaded, points_override=None):
+def _points(args, minimum, default=None):
+    """The --points value, or ``default`` when absent; too few points is a parse error."""
+    if args.points is None:
+        return default
+    if args.points < minimum:
+        _fail("--points", f"need at least {minimum}, got {args.points}")
+    return args.points
+
+
+def _sweep_sigmas(loaded, points=None, default_points=241):
     cfg = loaded.sweep
+    if points is None:
+        points = default_points if cfg is None else cfg.points
     if cfg is None:
-        return sigma_grid(loaded.scenario, points=points_override or 241)
-    points = points_override or cfg.points
+        return sigma_grid(loaded.scenario, points=points)
     if cfg.spacing == "log":
         return np.geomspace(cfg.sigma_lo, cfg.sigma_hi, points)
     return np.linspace(cfg.sigma_lo, cfg.sigma_hi, points)
@@ -278,16 +288,25 @@ def _g5(x):
 _SVG_COLORS = ("#1f6feb", "#d1242f", "#2da44e", "#9a6700")
 
 
-def render_svg(sigmas, curves, title):
-    """Minimal deterministic line chart: log x, linear y, dashed zero line.
+def render_svg(sigmas, curves, title, spacing="log"):
+    """Minimal deterministic line chart: linear y, dashed zero line.
 
     ``curves`` is a sequence of (name, values) pairs over the shared grid.
+    The x axis follows the grid's ``spacing``: "log" puts ticks at whole
+    decades, "linear" at quarters of the range, which may start at zero.
     """
     width, height = 720.0, 460.0
     ml, mr, mt, mb = 70.0, 24.0, 34.0, 52.0
     inner_w = width - ml - mr
     inner_h = height - mt - mb
-    lx = [math.log10(float(s)) for s in sigmas]
+    if spacing == "log":
+        lx = [math.log10(float(s)) for s in sigmas]
+        decades = range(math.ceil(lx[0] - 1e-9), math.floor(lx[-1] + 1e-9) + 1)
+        ticks = [(float(k), f"1e{k}") for k in decades]
+    else:
+        lx = [float(s) for s in sigmas]
+        quarters = (lx[0] + f * (lx[-1] - lx[0]) for f in (0.0, 0.25, 0.5, 0.75, 1.0))
+        ticks = [(v, f"{v:.3g}") for v in quarters]
     x_lo, x_hi = lx[0], lx[-1]
     all_vals = [float(v) for _, values in curves for v in values if math.isfinite(v)]
     y_lo = min(all_vals + [0.0])
@@ -319,17 +338,15 @@ def render_svg(sigmas, curves, title):
     parts.append(f'<line x1="{ml:.2f}" y1="{mt + inner_h:.2f}" x2="{ml + inner_w:.2f}" y2="{mt + inner_h:.2f}" {axis}/>')
     parts.append(f'<line x1="{ml:.2f}" y1="{mt:.2f}" x2="{ml:.2f}" y2="{mt + inner_h:.2f}" {axis}/>')
 
-    first_decade = math.ceil(x_lo - 1e-9)
-    last_decade = math.floor(x_hi + 1e-9)
-    for k in range(first_decade, last_decade + 1):
-        x = sx(float(k))
+    for v, label in ticks:
+        x = sx(v)
         parts.append(
             f'<line x1="{x:.2f}" y1="{mt + inner_h:.2f}" x2="{x:.2f}" '
             f'y2="{mt + inner_h + 5:.2f}" {axis}/>'
         )
         parts.append(
             f'<text x="{x:.2f}" y="{mt + inner_h + 20:.2f}" font-family="sans-serif" '
-            f'font-size="11" fill="#222222" text-anchor="middle">1e{k}</text>'
+            f'font-size="11" fill="#222222" text-anchor="middle">{label}</text>'
         )
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = y_lo + frac * (y_hi - y_lo)
@@ -452,8 +469,9 @@ def _sweep_rows(loaded, points_override=None):
 
 def cmd_sweep(args, out=None):
     out = sys.stdout if out is None else out
+    points = _points(args, 2)
     loaded = load_scenario(args.scenario)
-    rows = _sweep_rows(loaded, args.points)
+    rows = _sweep_rows(loaded, points)
     lines = [CSV_HEADER]
     for s, fs, fu, reg_s, reg_u in rows:
         lines.append(f"{_g17(s)},{_g17(fs)},{_g17(fu)},{reg_s},{reg_u},,,")
@@ -472,6 +490,7 @@ def cmd_sweep(args, out=None):
                 ("utility disparity", [r[2] for r in rows]),
             ],
             name,
+            "log" if loaded.sweep is None else loaded.sweep.spacing,
         )
         _write_text(args.out_svg, svg)
         print(f"wrote {args.out_svg}", file=out)
@@ -561,6 +580,7 @@ def cmd_classify(args, out=None):
 
 def cmd_verify(args, out=None):
     out = sys.stdout if out is None else out
+    points = _points(args, 1, default=6)
     loaded = load_scenario(args.scenario)
     if loaded.mc is None and (args.n is None or args.seed is None):
         _fail("/mc", "verify needs an mc block or both --n and --seed")
@@ -568,25 +588,21 @@ def cmd_verify(args, out=None):
     n = args.n if args.n is not None else loaded.mc.n
     seed = args.seed if args.seed is not None else loaded.mc.seed
     z_max = loaded.mc.z_max if loaded.mc is not None else 4.0
-    points = args.points or 6
     u = noise_unit(sc)
     sigmas = [0.0] + [float(s) for s in np.geomspace(1e-3 * u, 1e3 * u, points)]
-    jobs = [(metric, s) for s in sigmas for metric in (Metric.SCORE, Metric.UTILITY)]
+    rows = []
+    for sigma, estimates in zip(sigmas, estimate_disparities(sc, sigmas, n, seed)):
+        for metric in (Metric.SCORE, Metric.UTILITY):
+            try:
+                result = compare(disparity_value(sc, metric, sigma), estimates[metric], z_max)
+            except ZeroStderrMismatch as exc:
+                result = exc
+            rows.append((metric, sigma, result))
 
-    def run(job):
-        metric, sigma = job
-        analytic = disparity_value(sc, metric, sigma)
-        estimate = estimate_disparity(sc, metric, sigma, n, seed)
-        try:
-            return compare(analytic, estimate, z_max)
-        except ZeroStderrMismatch as exc:
-            return exc
-
-    results = _parallel_map(run, jobs)
     print(f"verification: n={n}, seed={seed}, z_max={_g5(z_max)}", file=out)
     print("  metric   sigma         analytic       mc_mean        stderr       z      status", file=out)
     failures = 0
-    for (metric, sigma), result in zip(jobs, results):
+    for metric, sigma, result in rows:
         if isinstance(result, ZeroStderrMismatch):
             failures += 1
             print(f"  {metric.value:<8} {_g5(sigma):<12}  exact-mode mismatch: {result}", file=out)
@@ -609,9 +625,10 @@ def cmd_verify(args, out=None):
 
 def cmd_bounds(args, out=None):
     out = sys.stdout if out is None else out
+    points = _points(args, 2)
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
-    sigmas = _sweep_sigmas(loaded, args.points) if loaded.sweep else sigma_grid(sc, points=args.points or 21)
+    sigmas = _sweep_sigmas(loaded, points, default_points=21)
 
     def row(sigma):
         s = float(sigma)

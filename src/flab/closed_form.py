@@ -383,8 +383,9 @@ def overlap_proxy(sc):
     return math.sqrt(kahan_dot(diff, diff))
 
 
-def _shared_cost_norm(sc):
-    return float(np.abs(sc.cost1.eigenvalues).max())
+def _shared_cost_floor(sc):
+    """Smallest eigenvalue of the shared cost A, so that ||A^-1||_2 = 1 / floor."""
+    return float(sc.cost1.eigenvalues.min())
 
 
 def score_overlap_bound(sc, sigma):
@@ -393,7 +394,7 @@ def score_overlap_bound(sc, sigma):
     _require_equal_costs(sc, "score_overlap_bound")
     w = signal_weight(sc.prior.scale, sigma)
     rule_norm = math.sqrt(kahan_dot(sc.rule, sc.rule))
-    return (1.0 - w) / _shared_cost_norm(sc) * rule_norm * overlap_proxy(sc)
+    return (1.0 - w) / _shared_cost_floor(sc) * rule_norm * overlap_proxy(sc)
 
 
 def utility_overlap_bound(sc, sigma):
@@ -403,7 +404,7 @@ def utility_overlap_bound(sc, sigma):
     _require_commuting(sc, "utility_overlap_bound")
     w = signal_weight(sc.prior.scale, sigma)
     rule_norm = math.sqrt(kahan_dot(sc.rule, sc.rule))
-    return 0.5 * (1.0 - w) ** 2 / _shared_cost_norm(sc) * rule_norm * overlap_proxy(sc)
+    return 0.5 * (1.0 - w) ** 2 / _shared_cost_floor(sc) * rule_norm * overlap_proxy(sc)
 
 
 def noise_unit(sc):

@@ -4,6 +4,15 @@ The estimators here deliberately never call the closed-form evaluators:
 each draw runs the per-agent pipeline (signal, best response, realized
 score and cost) and averages the group difference. Agreement with the
 analytic module is therefore evidence, not circularity.
+
+`estimate_disparities` draws the (sample, group, coordinate) normals of a
+seed once and reuses them at every noise level. Each level then runs one
+respond-and-realize pass per group, which yields both the score and the
+utility differences. The draws are held as one contiguous (d, n) column
+stack per group, so the agents' stacked contractions run as wide products.
+The work is single-threaded and every reduction has a fixed shape, so an
+estimate depends only on (scenario, sigma, n, seed): a batched estimate is
+bit-identical to a one-level `estimate_disparity` call.
 """
 
 import math
@@ -69,71 +78,107 @@ def tree_sum(values):
     return float(buf[0])
 
 
-def _mean_and_stderr(diffs, n):
+def _mean_and_variance(diffs, n):
     mean = tree_sum(diffs) / n
     resid = diffs - mean
-    var = tree_sum(resid * resid) / (n - 1)
-    return mean, math.sqrt(var) / math.sqrt(n)
+    return mean, tree_sum(resid * resid) / (n - 1)
 
 
-def _responses(sc, signal1, signal2):
-    from .closed_form import NaivePrior
-
-    g1 = sc.group_params(1)
-    g2 = sc.group_params(2)
-    if isinstance(sc.prior, NaivePrior):
-        return naive_best_response(g1, signal1), naive_best_response(g2, signal2)
-    scale = sc.prior.scale
-    post1 = bayesian_posterior(g1, scale, signal1)
-    post2 = bayesian_posterior(g2, scale, signal2)
-    return bayesian_best_response(g1, post1), bayesian_best_response(g2, post2)
-
-
-def _metric_diff(sc, metric, signal1, signal2):
-    dx1, dx2 = _responses(sc, signal1, signal2)
-    r1 = realized_quantities(sc.group_params(1), sc.rule, dx1)
-    r2 = realized_quantities(sc.group_params(2), sc.rule, dx2)
-    if metric is Metric.SCORE:
-        return r1.score_gain - r2.score_gain
-    return r1.utility_gain - r2.utility_gain
-
-
-def estimate_disparity(sc, metric, sigma, n, seed):
-    """Estimate a group disparity from n independent signal draws.
-
-    Both groups see independent noise; draws are indexed (sample, group,
-    coordinate) off one counter-based stream, so estimates at different
-    noise levels share random numbers. At sigma = 0 the pipeline is
-    deterministic and a single evaluation with zero standard error is
-    returned.
-    """
-    metric = Metric(metric)
-    sigma = float(sigma)
-    if sigma < 0.0:
-        raise NegativeSigma(f"sigma must be nonnegative, got {sigma}")
+def _check_inputs(sigmas, n):
+    sigmas = [float(s) for s in sigmas]
+    for sigma in sigmas:
+        if sigma < 0.0:
+            raise NegativeSigma(f"sigma must be nonnegative, got {sigma}")
     n = int(n)
     if n < _MIN_SAMPLES:
         raise Error(f"need at least {_MIN_SAMPLES} samples, got {n}")
+    return sigmas, n
 
-    if sigma == 0.0:
-        s1 = Signal(sc.rule, 0.0)
-        s2 = Signal(sc.rule, 0.0)
-        value = float(_metric_diff(sc, metric, s1, s2))
-        return McEstimate(value, 0.0, n, int(seed), metric, sigma)
 
-    stream = normal_stream(seed, (_STREAM_KEY,))
-    z = standard_normals(stream, (n, 2, sc.dim))
-    s1 = Signal(sc.rule + sigma * z[:, 0, :], sigma)
-    s2 = Signal(sc.rule + sigma * z[:, 1, :], sigma)
-    diffs = _metric_diff(sc, metric, s1, s2)
-    mean, stderr = _mean_and_stderr(diffs, n)
-    return McEstimate(mean, stderr, n, int(seed), metric, sigma)
+def _realized(sc, group_id, sigma, columns):
+    """Realized quantities of one group's agents at noise level sigma.
+
+    Agent i of group g sees the signal rule + sigma * columns[g - 1][:, i].
+    With ``columns`` None, one noiseless agent stands for the whole group.
+    """
+    from .closed_form import NaivePrior
+
+    group = sc.group_params(group_id)
+    values = sc.rule if columns is None else sc.rule + sigma * columns[group_id - 1].T
+    signal = Signal(values, sigma)
+    if isinstance(sc.prior, NaivePrior):
+        dx = naive_best_response(group, signal)
+    else:
+        dx = bayesian_best_response(group, bayesian_posterior(group, sc.prior.scale, signal))
+    return realized_quantities(group, sc.rule, dx)
+
+
+def _group_differences(sc, sigma, columns):
+    """Score-gain and utility-gain differences, group 1 minus group 2."""
+    r1 = _realized(sc, 1, sigma, columns)
+    r2 = _realized(sc, 2, sigma, columns)
+    return r1.score_gain - r2.score_gain, r1.utility_gain - r2.utility_gain
+
+
+def _disparity_samples(sc, sigmas, n, seed):
+    """Yield the (score, utility) group differences at each noise level.
+
+    Every positive level reuses one draw of shape (n, 2, d). Its
+    (sample, group, coordinate) order fixes which normals each agent
+    sees, and it is copied once into a contiguous (d, n) column stack per
+    group. Zero noise runs the deterministic single-agent path and yields
+    scalars.
+    """
+    columns = None
+    for sigma in sigmas:
+        if sigma == 0.0:
+            yield _group_differences(sc, sigma, None)
+            continue
+        if columns is None:
+            z = standard_normals(normal_stream(seed, (_STREAM_KEY,)), (n, 2, sc.dim))
+            columns = np.ascontiguousarray(z.transpose(1, 2, 0))
+            del z  # the passes below read only the column copy
+        yield _group_differences(sc, sigma, columns)
+
+
+def estimate_disparities(sc, sigmas, n, seed):
+    """Estimate both group disparities at each noise level from one draw.
+
+    Returns one {Metric: McEstimate} mapping per entry of ``sigmas``, in
+    order. Both groups see independent noise, and all noise levels share
+    the same random numbers. At sigma = 0 the pipeline is deterministic
+    and a single evaluation with zero standard error is returned.
+    """
+    sigmas, n = _check_inputs(sigmas, n)
+    seed = int(seed)
+    out = []
+    for sigma, diffs in zip(sigmas, _disparity_samples(sc, sigmas, n, seed)):
+        by_metric = {}
+        for metric, d in zip((Metric.SCORE, Metric.UTILITY), diffs):
+            if sigma == 0.0:
+                mean, stderr = float(d), 0.0
+            else:
+                mean, var = _mean_and_variance(d, n)
+                stderr = math.sqrt(var) / math.sqrt(n)
+            by_metric[metric] = McEstimate(mean, stderr, n, seed, metric, sigma)
+        out.append(by_metric)
+    return out
+
+
+def estimate_disparity(sc, metric, sigma, n, seed):
+    """Estimate one group disparity from n independent signal draws.
+
+    The same estimate `estimate_disparities` returns for this noise level.
+    """
+    metric = Metric(metric)
+    return estimate_disparities(sc, [sigma], n, seed)[0][metric]
 
 
 def estimate_variance_naive(sc, sigma, n, seed):
     """Estimate the variance of the naive score-gain difference.
 
-    The standard error uses the chi-square approximation for a sample
+    The differences are the ones `estimate_disparities` averages. The
+    standard error uses the chi-square approximation for a sample
     variance, s^2 * sqrt(2 / (n - 1)).
     """
     from .closed_form import NaivePrior
@@ -143,24 +188,11 @@ def estimate_variance_naive(sc, sigma, n, seed):
             f"variance estimate is for the naive prior, scenario has "
             f"{type(sc.prior).__name__}"
         )
-    sigma = float(sigma)
-    if sigma < 0.0:
-        raise NegativeSigma(f"sigma must be nonnegative, got {sigma}")
-    n = int(n)
-    if n < _MIN_SAMPLES:
-        raise Error(f"need at least {_MIN_SAMPLES} samples, got {n}")
-
+    (sigma,), n = _check_inputs([sigma], n)
     if sigma == 0.0:
         return McEstimate(0.0, 0.0, n, int(seed), Metric.SCORE, sigma)
-
-    stream = normal_stream(seed, (_STREAM_KEY,))
-    z = standard_normals(stream, (n, 2, sc.dim))
-    s1 = Signal(sc.rule + sigma * z[:, 0, :], sigma)
-    s2 = Signal(sc.rule + sigma * z[:, 1, :], sigma)
-    diffs = _metric_diff(sc, Metric.SCORE, s1, s2)
-    mean = tree_sum(diffs) / n
-    resid = diffs - mean
-    var = tree_sum(resid * resid) / (n - 1)
+    score_diffs, _ = next(_disparity_samples(sc, [sigma], n, seed))
+    _, var = _mean_and_variance(score_diffs, n)
     return McEstimate(var, var * math.sqrt(2.0 / (n - 1)), n, int(seed), Metric.SCORE, sigma)
 
 

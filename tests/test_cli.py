@@ -176,6 +176,44 @@ class TestSweepCommand:
         assert rc == 2
         assert "FLAB_THREADS" in capsys.readouterr().err
 
+    def test_linear_grid_from_zero_plots_linear_axis(self, tmp_path):
+        body = variant(sweep={"sigma_min": 0.0, "sigma_max": 10.0, "points": 11, "spacing": "linear"})
+        out_svg = tmp_path / "plot.svg"
+        path = write_scenario(tmp_path, body)
+        assert cli.main(["sweep", path, "--out-csv", str(tmp_path / "c.csv"), "--out-svg", str(out_svg)]) == 0
+        root = ET.parse(out_svg).getroot()
+        labels = [e.text for e in root.iter() if e.tag.endswith("text") and e.get("text-anchor") == "middle"]
+        assert labels == ["0", "2.5", "5", "7.5", "10", "noise scale"]
+        for poly in (e for e in root.iter() if e.tag.endswith("polyline")):
+            xs = [float(p.split(",")[0]) for p in poly.get("points").split()]
+            steps = np.diff(xs)
+            assert len(xs) == 11
+            assert np.allclose(steps, steps[0], atol=0.011)
+
+
+class TestPointsOption:
+    @pytest.mark.parametrize(
+        "command, points",
+        [("sweep", "1"), ("sweep", "0"), ("bounds", "1"), ("bounds", "-3"), ("verify", "0")],
+    )
+    def test_too_few_points_rejected_before_any_output(self, command, points, tmp_path, capsys):
+        scenario = TestBoundsCommand.EQUAL if command == "bounds" else REF
+        argv = [command, write_scenario(tmp_path, scenario), "--points", points]
+        if command == "sweep":
+            argv += ["--out-csv", str(tmp_path / "c.csv"), "--out-svg", str(tmp_path / "p.svg")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--points" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "c.csv").exists() and not (tmp_path / "p.svg").exists()
+
+    def test_smallest_accepted_counts(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, REF)
+        assert cli.main(["sweep", path, "--points", "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert cli.main(["verify", path, "--points", "1", "--n", "2000", "--seed", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 4 + 1
+
 
 class TestClassifyCommand:
     def test_naive(self, tmp_path, capsys):
@@ -221,6 +259,11 @@ class TestVerifyCommand:
         path = write_scenario(tmp_path, body)
         assert cli.main(["verify", path, "--n", "5000", "--seed", "7"]) == 0
         assert "n=5000, seed=7" in capsys.readouterr().out
+
+    def test_ignores_thread_setting(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FLAB_THREADS", "many")
+        assert cli.main(["verify", write_scenario(tmp_path, REF)]) == 0
+        assert "all comparisons passed" in capsys.readouterr().out
 
     def test_missing_mc_block_rejected(self, tmp_path):
         body = variant()

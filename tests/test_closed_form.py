@@ -260,14 +260,15 @@ class TestOverlapBounds:
         assert overlap_proxy(equal_cost) == 0.5
 
     def test_score_bound_reference(self, equal_cost):
-        # |F_s| = 0.25 (1-w) against bound 0.27951 (1-w)
+        # |F_s| = 0.25 (1-w) against bound |rule| |overlap| ||A^-1|| (1-w)
+        # = 1.11803 * 0.5 * 1 (1-w), as the smallest cost eigenvalue is 1
         for sigma in (0.1, 1.0, 10.0):
             w = signal_weight(1.0, sigma)
             fs = score_disparity_projected(equal_cost, sigma)
             assert abs(fs) == pytest.approx(0.25 * (1.0 - w), rel=1e-12)
             bound = score_overlap_bound(equal_cost, sigma)
             assert bound == pytest.approx(
-                0.2795084971874737 * (1.0 - w), rel=1e-12
+                0.5590169943749474 * (1.0 - w), rel=1e-12
             )
             assert abs(fs) <= bound
 
@@ -277,9 +278,36 @@ class TestOverlapBounds:
             fu = utility_disparity_projected(equal_cost, sigma)
             bound = utility_overlap_bound(equal_cost, sigma)
             assert bound == pytest.approx(
-                0.13975424859373686 * (1.0 - w) ** 2, rel=1e-12
+                0.2795084971874737 * (1.0 - w) ** 2, rel=1e-12
             )
             assert abs(fu) <= bound + 1e-15
+
+    def test_bounds_hold_for_anisotropic_shared_costs(self):
+        # projectors spanned by cost eigenvectors commute with the inverse
+        # cost; the bounds scale with ||A^-1|| = 1 / (smallest eigenvalue)
+        def sym(m):
+            return 0.5 * (m + m.T)
+
+        rng = np.random.default_rng(2024)
+        worst = math.inf
+        for _ in range(100):
+            d = int(rng.integers(2, 5))
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            cost = CostMatrix(sym((q * rng.uniform(0.4, 3.0, size=d)) @ q.T))
+            p1, p2 = (
+                Projection(sym(q[:, keep] @ q[:, keep].T))
+                for keep in (rng.random(d) < 0.5, rng.random(d) < 0.5)
+            )
+            gam = float(rng.uniform(0.3, 3.0))
+            sc = Scenario(rng.normal(size=d), cost, cost, ProjectedPrior(p1, p2, gam))
+            for sigma in np.geomspace(1e-3 * max(gam, 1.0), 1e3 * max(gam, 1.0), 21):
+                s = float(sigma)
+                worst = min(
+                    worst,
+                    score_overlap_bound(sc, s) - abs(score_disparity_projected(sc, s)),
+                    utility_overlap_bound(sc, s) - abs(utility_disparity_projected(sc, s)),
+                )
+        assert worst >= -1e-12
 
     def test_identical_subspaces_give_zero(self):
         cost = CostMatrix(np.diag([2.0, 1.0]))

@@ -1,0 +1,60 @@
+"""Golden SHA-256 digests of CLI outputs on the committed scenarios.
+
+The digests pin output bytes across refactors: `verify` stdout at each
+scenario's own n and seed, the `sweep` CSV and SVG files, and the
+`bounds` table. A change that moves them on purpose records the old and
+new digests in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from flab import cli
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+VERIFY = {
+    "reference_naive": "260225e67e3e29730beb68ce590e5205d3187f69f55de8527afbda240fd44011",
+    "reference_common": "bc5c82b7d42bafd94b550cf7ec8a2c5df6b967494d28116ff6d56143bfbfd59a",
+    "reference_projected": "d09a552ffedd7c01f2f17e2e78b272c04ada7b7191323a1c200d176c302b6350",
+    "two_crossings": "50c9902fab2fb20d41feb9bfdb45f606cff843dbc53856a349c5302cd6fe16f6",
+}
+
+# sha256 of the CSV bytes followed by the SVG bytes
+SWEEP = {
+    "reference_naive": "be93aab84b7b2c5394f0c1f252f10539f5573c820ad1227592df27c8fdee01ff",
+    "reference_common": "79926e4d0863958dab1cc3b7da026fe314f24910c60f5205cb448b0e0fe508ad",
+    "reference_projected": "cb0ce0671fc01185d5a66c7b567897e48856cbec0fd526f6abd9995218f1ed72",
+    "two_crossings": "0a4f5960f55186dd1789fb12fa8792692b01e7c8dfa45326e37256e8bffead0f",
+    "equal_costs_bounds": "33ef2f51022ad58439435a30a0036ab5110e5aa3f38ed89682c16fd510986682",
+}
+
+BOUNDS = {
+    "equal_costs_bounds": "63a6acbd74be41a0dbe01d6c68e81807656e41158f7813bf4582cc6fcd559518",
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_stdout(name, capsys):
+    assert cli.main(["verify", str(SCENARIOS / f"{name}.json")]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == VERIFY[name]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_sweep_files(name, tmp_path):
+    csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    path = str(SCENARIOS / f"{name}.json")
+    assert cli.main(["sweep", path, "--out-csv", str(csv), "--out-svg", str(svg)]) == 0
+    assert _sha256(csv.read_bytes() + svg.read_bytes()) == SWEEP[name]
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_bounds_stdout(name, capsys):
+    assert cli.main(["bounds", str(SCENARIOS / f"{name}.json")]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == BOUNDS[name]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flab.agents import Metric
+from flab.agents import Metric, normal_stream, signal_weight, standard_normals
 from flab.closed_form import (
     CommonPrior,
     NaivePrior,
@@ -17,7 +17,9 @@ from flab.closed_form import (
 from flab.errors import Error, NegativeSigma, WrongPriorKind, ZeroStderrMismatch
 from flab.linalg_core import CostMatrix, Projection
 from flab.mc_oracle import (
+    _STREAM_KEY,
     compare,
+    estimate_disparities,
     estimate_disparity,
     estimate_variance_naive,
     tree_sum,
@@ -41,6 +43,34 @@ def common():
         CostMatrix(np.diag([4.0, 3.0])),
         CommonPrior(np.array([0.5, 2.0]), 1.0),
     )
+
+
+@pytest.fixture
+def projected():
+    prior = ProjectedPrior(Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0)
+    return Scenario(
+        RULE, CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])), prior
+    )
+
+
+def row_pipeline_reference(sc, metric, sigma, n, seed):
+    """One (metric, sigma) estimate the way a per-call oracle on row stacks computes it."""
+    z = standard_normals(normal_stream(seed, (_STREAM_KEY,)), (n, 2, sc.dim))
+    gains = []
+    for g in (1, 2):
+        group = sc.group_params(g)
+        belief = sc.rule + sigma * z[:, g - 1, :]
+        if not isinstance(sc.prior, NaivePrior):
+            w = signal_weight(sc.prior.scale, sigma)
+            belief = group.prior_mean + w * (belief - group.prior_mean)
+        dx = belief @ group.cost.inverse
+        score = dx @ sc.rule
+        cost = 0.5 * np.einsum("ij,jk,ik->i", dx, group.cost.matrix, dx)
+        gains.append(score if metric is Metric.SCORE else score - cost)
+    diffs = gains[0] - gains[1]
+    mean = tree_sum(diffs) / n
+    resid = diffs - mean
+    return mean, math.sqrt(tree_sum(resid * resid) / (n - 1)) / math.sqrt(n)
 
 
 class TestTreeSum:
@@ -117,7 +147,42 @@ class TestEstimates:
         assert a.mean == b.mean
 
 
+class TestBatchedEstimates:
+    SIGMAS = (0.0, 0.25, 1.0, 4.0)
+
+    def test_equals_per_call_estimates_bit_for_bit(self, naive, common, projected):
+        for sc in (naive, common, projected):
+            batch = estimate_disparities(sc, self.SIGMAS, 5000, 11)
+            assert len(batch) == len(self.SIGMAS)
+            for sigma, by_metric in zip(self.SIGMAS, batch):
+                for metric in (Metric.SCORE, Metric.UTILITY):
+                    one = estimate_disparity(sc, metric, sigma, 5000, 11)
+                    assert by_metric[metric] == one
+
+    def test_order_of_noise_levels_does_not_matter(self, common):
+        forward = estimate_disparities(common, self.SIGMAS, 5000, 11)
+        backward = estimate_disparities(common, self.SIGMAS[::-1], 5000, 11)
+        assert forward == backward[::-1]
+
+    def test_matches_row_pipeline_reference_bit_for_bit(self, naive, common, projected):
+        for sc in (naive, common, projected):
+            batch = estimate_disparities(sc, self.SIGMAS[1:], 5000, 11)
+            for sigma, by_metric in zip(self.SIGMAS[1:], batch):
+                for metric in (Metric.SCORE, Metric.UTILITY):
+                    est = by_metric[metric]
+                    assert (est.mean, est.stderr) == row_pipeline_reference(sc, metric, sigma, 5000, 11)
+
+    def test_negative_sigma_anywhere_rejected(self, naive):
+        with pytest.raises(NegativeSigma):
+            estimate_disparities(naive, [0.5, -1.0], 2000, 0)
+
+
 class TestVarianceEstimator:
+    def test_keeps_its_bits(self, naive):
+        est = estimate_variance_naive(naive, 1.0, 100000, 42)
+        assert est.mean == float.fromhex("0x1.2f2abb665d0fdp-1")
+        assert est.stderr == float.fromhex("0x1.5b166521c2f80p-9")
+
     def test_matches_analytic_law(self, naive):
         est = estimate_variance_naive(naive, 1.0, 100000, 42)
         truth = score_variance_naive(naive, 1.0)
