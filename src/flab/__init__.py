@@ -17,9 +17,7 @@ from .agents import (
     bayesian_posterior,
     naive_best_response,
     normal_stream,
-    posterior_variance,
     realized_quantities,
-    sample_signal,
     signal_weight,
     standard_normals,
 )
@@ -31,7 +29,6 @@ from .closed_form import (
     NaivePrior,
     ProjectedPrior,
     Scenario,
-    disparity_constants,
     disparity_curve,
     disparity_value,
     neutrality_sigma_naive,
@@ -75,7 +72,6 @@ from .linalg_core import (
     SpanRelation,
     definiteness,
     jacobi_eigh,
-    spectral_norm,
     subspace_relation,
     sym_sqrt,
 )

@@ -16,7 +16,6 @@ that follow also read contiguous columns.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,36 +59,36 @@ def standard_normals(stream, shape):
     return ndtri(u, out=u)
 
 
+def noise_scales(sigma):
+    """sigma as a float array; a negative entry anywhere raises NegativeSigma."""
+    s = np.asarray(sigma, dtype=float)
+    negative = s[s < 0.0]
+    if negative.size:
+        raise NegativeSigma(f"noise scale {negative[0]} is negative")
+    return s
+
+
+def scalar_or_array(values):
+    """A 0-d result as a float; any other shape as the array itself."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def signal_weight(prior_scale, sigma):
     """Posterior weight on the signal relative to the prior.
 
+    ``sigma`` is a scalar or an array; each entry is weighted on its own.
     Equals 1 at zero noise and 0 for a dogmatic (zero-scale) prior; both
     endpoints are returned exactly rather than through the generic ratio.
     """
-    if sigma < 0.0:
-        raise NegativeSigma(f"noise scale {sigma} is negative")
+    s = noise_scales(sigma)
     if prior_scale < 0.0:
         raise Error(f"prior scale {prior_scale} is negative")
-    if sigma == 0.0 and prior_scale == 0.0:
-        raise DegeneratePrior("prior scale and noise scale are both zero")
-    if sigma == 0.0:
-        return 1.0
     if prior_scale == 0.0:
-        return 0.0
+        if np.any(s == 0.0):
+            raise DegeneratePrior("prior scale and noise scale are both zero")
+        return scalar_or_array(np.zeros_like(s))
     g2 = prior_scale * prior_scale
-    s2 = sigma * sigma
-    return g2 / (g2 + s2)
-
-
-def posterior_variance(prior_scale, sigma):
-    """Isotropic posterior variance scale."""
-    if sigma == 0.0 or prior_scale == 0.0:
-        return 0.0
-    if math.isinf(sigma):
-        return prior_scale * prior_scale
-    g2 = prior_scale * prior_scale
-    s2 = sigma * sigma
-    return s2 * g2 / (s2 + g2)
+    return scalar_or_array(np.where(s == 0.0, 1.0, g2 / (g2 + s * s)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +109,9 @@ class Signal:
 
 @dataclass(frozen=True, eq=False)
 class Posterior:
-    """Gaussian posterior summary: mean rows, shared variance, signal weight."""
+    """Posterior summary: mean rows and the signal weight behind them."""
 
     mean: np.ndarray
-    variance: float
     weight: float
 
 
@@ -147,15 +145,6 @@ def _check_rows(values, dim, what):
         raise DimensionMismatch(f"{what} shape {values.shape} for dimension {dim}")
 
 
-def sample_signal(rule, sigma, stream):
-    """Draw one signal around the scoring rule at the given noise scale."""
-    rule = np.asarray(rule, dtype=float)
-    if sigma < 0.0:
-        raise NegativeSigma(f"noise scale {sigma} is negative")
-    z = standard_normals(stream, rule.shape)
-    return Signal(rule + sigma * z, float(sigma))
-
-
 def _times_inverse(group, rows):
     """rows @ A^-1, computed as (A^-T @ rows^T)^T over contiguous columns."""
     return (group.cost.inverse.T @ rows.T).T
@@ -181,7 +170,7 @@ def bayesian_posterior(group, prior_scale, signal):
         mean = np.broadcast_to(group.prior_mean, signal.values.shape).copy()
     else:
         mean = group.prior_mean + w * (signal.values - group.prior_mean)
-    return Posterior(mean, posterior_variance(prior_scale, signal.sigma), w)
+    return Posterior(mean, w)
 
 
 def bayesian_best_response(group, posterior):
@@ -193,7 +182,7 @@ def bayesian_best_response(group, posterior):
 def realized_quantities(group, rule, dx):
     """Score gain, quadratic cost, and net utility gain of a feature change.
 
-    A single vector uses compensated scalar arithmetic; stacked rows use a
+    A single vector uses exactly rounded scalar sums; stacked rows use a
     fixed einsum contraction per row. Both are deterministic.
     """
     from .linalg_core import kahan_dot, quad_form

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,13 +186,20 @@ def _parse_sweep(node):
     return SweepConfig(lo, hi, points, spacing)
 
 
+def _check_mc(n, seed, n_at, seed_at):
+    """Reject fewer samples than the oracle needs, or a negative seed."""
+    if n < 1000:
+        _fail(n_at, f"need at least 1000 samples, got {n}")
+    if seed < 0:
+        _fail(seed_at, f"must be nonnegative, got {seed}")
+
+
 def _parse_mc(node):
     _check_keys(node, "/mc", required=("n", "seed"), optional=("z_max",))
     n = _integer(node["n"], "/mc/n")
     seed = _integer(node["seed"], "/mc/seed")
     z_max = _number(node.get("z_max", 4.0), "/mc/z_max")
-    if n < 1000:
-        _fail("/mc/n", f"need at least 1000 samples, got {n}")
+    _check_mc(n, seed, "/mc/n", "/mc/seed")
     if z_max <= 0.0:
         _fail("/mc/z_max", f"must be positive, got {z_max}")
     return McConfig(n, seed, z_max)
@@ -228,29 +234,6 @@ def load_scenario(path):
     mc = _parse_mc(root["mc"]) if "mc" in root else None
     scenario = Scenario(rule, cost1, cost2, prior, label=label)
     return LoadedScenario(scenario, sweep, mc, label)
-
-
-def _worker_count():
-    raw = os.environ.get("FLAB_THREADS", "0").strip()
-    try:
-        count = int(raw)
-    except ValueError:
-        _fail("FLAB_THREADS", f"expected an integer, got '{raw}'")
-    if count < 0:
-        _fail("FLAB_THREADS", f"cannot be negative, got {count}")
-    if count == 0:
-        count = os.cpu_count() or 1
-    return max(1, count)
-
-
-def _parallel_map(fn, items):
-    """Evaluate fn over items, preserving order regardless of scheduling."""
-    items = list(items)
-    workers = min(_worker_count(), max(len(items), 1))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _points(args, minimum, default=None):
@@ -454,41 +437,28 @@ def cmd_validate(args, out=None):
     return _EXIT_OK
 
 
-def _sweep_rows(loaded, points_override=None):
-    sc = loaded.scenario
-    sigmas = _sweep_sigmas(loaded, points_override)
-
-    def row(sigma):
-        s = float(sigma)
-        fs = disparity_value(sc, Metric.SCORE, s)
-        fu = disparity_value(sc, Metric.UTILITY, s)
-        return s, fs, fu, label_region(fs), label_region(fu)
-
-    return _parallel_map(row, sigmas)
-
-
 def cmd_sweep(args, out=None):
     out = sys.stdout if out is None else out
     points = _points(args, 2)
     loaded = load_scenario(args.scenario)
-    rows = _sweep_rows(loaded, points)
+    grid = _sweep_sigmas(loaded, points)
+    scores = disparity_value(loaded.scenario, Metric.SCORE, grid).tolist()
+    utilities = disparity_value(loaded.scenario, Metric.UTILITY, grid).tolist()
+    sigmas = grid.tolist()
     lines = [CSV_HEADER]
-    for s, fs, fu, reg_s, reg_u in rows:
-        lines.append(f"{_g17(s)},{_g17(fs)},{_g17(fu)},{reg_s},{reg_u},,,")
+    for s, fs, fu in zip(sigmas, scores, utilities):
+        lines.append(f"{_g17(s)},{_g17(fs)},{_g17(fu)},{label_region(fs)},{label_region(fu)},,,")
     csv_text = "\n".join(lines) + "\n"
     if args.out_csv:
         _write_text(args.out_csv, csv_text)
-        print(f"wrote {args.out_csv} ({len(rows)} rows)", file=out)
+        print(f"wrote {args.out_csv} ({len(sigmas)} rows)", file=out)
     else:
         out.write(csv_text)
     if args.out_svg:
         name = loaded.label or os.path.basename(args.scenario)
         svg = render_svg(
-            [r[0] for r in rows],
-            [
-                ("score disparity", [r[1] for r in rows]),
-                ("utility disparity", [r[2] for r in rows]),
-            ],
+            sigmas,
+            [("score disparity", scores), ("utility disparity", utilities)],
             name,
             "log" if loaded.sweep is None else loaded.sweep.spacing,
         )
@@ -498,10 +468,12 @@ def cmd_sweep(args, out=None):
 
 
 def _print_matrix_report(report, out):
+    """Print a certificate and its checks; True when every check passed."""
     print(f"  {report.name}: label {report.label}, "
           f"{'holds' if report.guaranteed else 'no guarantee'}", file=out)
     for desc, ok in report.checks:
         print(f"    - {desc}: {'yes' if ok else 'NO'}", file=out)
+    return all(ok for _, ok in report.checks)
 
 
 def cmd_classify(args, out=None):
@@ -520,6 +492,7 @@ def cmd_classify(args, out=None):
             print("  utility: MonotoneDecreasing, no crossing", file=out)
         return _EXIT_OK
 
+    passed = []  # one entry per internal cross-check; any False exits 4
     if isinstance(sc.prior, CommonPrior):
         shape = classify_score_bayes(sc)
         line = f"  score: {shape.trend}"
@@ -529,23 +502,25 @@ def cmd_classify(args, out=None):
         regime = classify_utility_bayes(sc)
     else:
         regime = classify_utility_projected(sc)
-        _print_matrix_report(exploitation_condition_projected(sc), out)
+        passed.append(_print_matrix_report(exploitation_condition_projected(sc), out))
         neutral = neutrality_condition_projected(sc)
-        _print_matrix_report(neutral.report, out)
+        passed.append(_print_matrix_report(neutral.report, out))
         if neutral.sigma is not None:
             print(f"    crossing at {_g5(neutral.sigma)}", file=out)
-        _print_matrix_report(monotonicity_condition_projected(sc), out)
+        passed.append(_print_matrix_report(monotonicity_condition_projected(sc), out))
         try:
             matrix_report = classify_utility_projected_matrix(sc)
         except AssumptionViolated as exc:
             print(f"  rule-agnostic utility verdict: not applicable ({exc})", file=out)
         else:
+            passed.append(matrix_report.samples_agree)
             print(
                 f"  rule-agnostic utility verdict: {matrix_report.verdict} "
                 f"(sampled rules agree: {'yes' if matrix_report.samples_agree else 'NO'})",
                 file=out,
             )
 
+    passed.append(regime.count_matches)
     line = f"  utility: {regime.case}, critical scale {_g5(regime.critical_scale)}"
     if regime.case is UtilityCase.NON_MONOTONE:
         line += f", minimum at {_g5(regime.sigma_min)} (value {_g5(regime.minimum_value)})"
@@ -575,7 +550,7 @@ def cmd_classify(args, out=None):
         f"{label_region(_utility_limit(c))} in the limit",
         file=out,
     )
-    return _EXIT_OK
+    return _EXIT_OK if all(passed) else _EXIT_VERIFY
 
 
 def cmd_verify(args, out=None):
@@ -587,6 +562,7 @@ def cmd_verify(args, out=None):
     sc = loaded.scenario
     n = args.n if args.n is not None else loaded.mc.n
     seed = args.seed if args.seed is not None else loaded.mc.seed
+    _check_mc(n, seed, "--n", "--seed")  # the mc block passed these checks on load
     z_max = loaded.mc.z_max if loaded.mc is not None else 4.0
     u = noise_unit(sc)
     sigmas = [0.0] + [float(s) for s in np.geomspace(1e-3 * u, 1e3 * u, points)]
@@ -628,20 +604,16 @@ def cmd_bounds(args, out=None):
     points = _points(args, 2)
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
-    sigmas = _sweep_sigmas(loaded, points, default_points=21)
-
-    def row(sigma):
-        s = float(sigma)
-        fs = disparity_value(sc, Metric.SCORE, s)
-        fu = disparity_value(sc, Metric.UTILITY, s)
-        bs = score_overlap_bound(sc, s)
-        bu = utility_overlap_bound(sc, s)
-        return s, abs(fs), bs, bs - abs(fs), abs(fu), bu, bu - abs(fu)
-
-    rows = _parallel_map(row, sigmas)
+    grid = _sweep_sigmas(loaded, points, default_points=21)
+    score = np.abs(disparity_value(sc, Metric.SCORE, grid))
+    utility = np.abs(disparity_value(sc, Metric.UTILITY, grid))
+    score_bound = score_overlap_bound(sc, grid)
+    utility_bound = utility_overlap_bound(sc, grid)
+    columns = (grid, score, score_bound, score_bound - score,
+               utility, utility_bound, utility_bound - utility)
     print("  sigma        |score|      score_bound  slack        |utility|    utility_bound  slack", file=out)
     worst = math.inf
-    for s, afs, bs, slack_s, afu, bu, slack_u in rows:
+    for s, afs, bs, slack_s, afu, bu, slack_u in zip(*(c.tolist() for c in columns)):
         worst = min(worst, slack_s, slack_u)
         print(
             f"  {_g5(s):<12} {afs:<12.6g} {bs:<12.6g} {slack_s:<12.3e} "

@@ -2,9 +2,11 @@
 
 A `Scenario` fixes the scoring rule, one positive-definite cost matrix per
 group, and a prior specification. Everything else in the module is a pure
-scalar function of a scenario: equilibrium score and utility disparities
-as functions of the noise scale, the exact zero-noise and infinite-noise
+function of a scenario: equilibrium score and utility disparities as
+functions of the noise scale, the exact zero-noise and infinite-noise
 values, and the overlap bounds available when both groups share one cost.
+A noise scale may be a float or an array; each array element equals the
+float call bit for bit, so a whole grid is evaluated in one call.
 
 Common-prior and projected-prior disparities are evaluated through one
 shared routine over the same five derived constants, so the algebraic
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import GroupParams, Metric, signal_weight
+from .agents import GroupParams, Metric, noise_scales, scalar_or_array, signal_weight
 from .errors import (
     AssumptionViolated,
     CostsDiffer,
@@ -273,20 +275,24 @@ def _require_equal_costs(sc, op_name):
         raise CostsDiffer(f"{op_name}: cost matrices differ by {defect:.3e}")
 
 
+def _exact_at_zero(sigma, exact, level):
+    """level, with the exact zero-noise value wherever sigma is zero."""
+    return scalar_or_array(np.where(np.asarray(sigma, dtype=float) == 0.0, exact, level))
+
+
 def _score_level(constants, scale, sigma):
     w = signal_weight(scale, sigma)
-    if sigma == 0.0:
-        return constants.rule_sq
-    return (1.0 - w) * constants.cross + w * constants.rule_sq
+    level = (1.0 - w) * constants.cross + w * constants.rule_sq
+    return _exact_at_zero(sigma, constants.rule_sq, level)
 
 
 def _utility_level(constants, scale, sigma):
     w = signal_weight(scale, sigma)
-    if sigma == 0.0:
-        return 0.5 * constants.rule_sq
+    s = np.asarray(sigma, dtype=float)
     tail = constants.cross - constants.prior_sq / 2.0
-    spread = constants.mismatch + sigma * sigma * constants.trace_gap
-    return -(w * w / 2.0) * spread + w * constants.mismatch + tail
+    spread = constants.mismatch + s * s * constants.trace_gap
+    level = -(w * w / 2.0) * spread + w * constants.mismatch + tail
+    return _exact_at_zero(sigma, 0.5 * constants.rule_sq, level)
 
 
 def _score_limit(constants):
@@ -297,11 +303,6 @@ def _utility_limit(constants):
     return constants.cross - constants.prior_sq / 2.0
 
 
-def disparity_constants(sc):
-    """The precomputed scalar constants of a scenario."""
-    return sc.constants
-
-
 def score_disparity_naive(sc):
     """Equilibrium score disparity for naive agents; independent of noise."""
     _require_prior(sc, NaivePrior, "score_disparity_naive")
@@ -310,18 +311,16 @@ def score_disparity_naive(sc):
 
 def score_variance_naive(sc, sigma):
     """Variance of the per-draw score difference between groups."""
-    if sigma < 0.0:
-        raise Error(f"noise scale {sigma} is negative")
-    return sigma * sigma * quad_form(sc.rule, sc._variance_matrix)
+    s = noise_scales(sigma)
+    return scalar_or_array(s * s * quad_form(sc.rule, sc._variance_matrix))
 
 
 def utility_disparity_naive(sc, sigma):
     """Utility disparity for naive agents: half the score gap minus a noise tax."""
     _require_prior(sc, NaivePrior, "utility_disparity_naive")
-    if sigma < 0.0:
-        raise Error(f"noise scale {sigma} is negative")
+    s = noise_scales(sigma)
     c = sc.constants
-    return 0.5 * (c.rule_sq - sigma * sigma * c.trace_gap)
+    return scalar_or_array(0.5 * (c.rule_sq - s * s * c.trace_gap))
 
 
 def neutrality_sigma_naive(sc):
@@ -383,18 +382,18 @@ def overlap_proxy(sc):
     return math.sqrt(kahan_dot(diff, diff))
 
 
-def _shared_cost_floor(sc):
-    """Smallest eigenvalue of the shared cost A, so that ||A^-1||_2 = 1 / floor."""
-    return float(sc.cost1.eigenvalues.min())
+def _overlap_bound(sc, factor):
+    """factor |rule| |overlap| ||A^-1||_2 for the shared cost A, with ||A^-1||_2 = 1 / min eig A."""
+    floor = float(sc.cost1.eigenvalues.min())
+    rule_norm = math.sqrt(kahan_dot(sc.rule, sc.rule))
+    return scalar_or_array(factor / floor * rule_norm * overlap_proxy(sc))
 
 
 def score_overlap_bound(sc, sigma):
     """Upper bound on |score disparity| when both groups share one cost."""
     _require_prior(sc, ProjectedPrior, "score_overlap_bound")
     _require_equal_costs(sc, "score_overlap_bound")
-    w = signal_weight(sc.prior.scale, sigma)
-    rule_norm = math.sqrt(kahan_dot(sc.rule, sc.rule))
-    return (1.0 - w) / _shared_cost_floor(sc) * rule_norm * overlap_proxy(sc)
+    return _overlap_bound(sc, 1.0 - signal_weight(sc.prior.scale, sigma))
 
 
 def utility_overlap_bound(sc, sigma):
@@ -402,9 +401,7 @@ def utility_overlap_bound(sc, sigma):
     _require_prior(sc, ProjectedPrior, "utility_overlap_bound")
     _require_equal_costs(sc, "utility_overlap_bound")
     _require_commuting(sc, "utility_overlap_bound")
-    w = signal_weight(sc.prior.scale, sigma)
-    rule_norm = math.sqrt(kahan_dot(sc.rule, sc.rule))
-    return 0.5 * (1.0 - w) ** 2 / _shared_cost_floor(sc) * rule_norm * overlap_proxy(sc)
+    return _overlap_bound(sc, 0.5 * (1.0 - signal_weight(sc.prior.scale, sigma)) ** 2)
 
 
 def noise_unit(sc):
@@ -422,7 +419,7 @@ def disparity_value(sc, metric, sigma):
     """Evaluate the analytic disparity of the scenario's own prior kind."""
     if isinstance(sc.prior, NaivePrior):
         if metric is Metric.SCORE:
-            return score_disparity_naive(sc)
+            return scalar_or_array(np.full(noise_scales(sigma).shape, score_disparity_naive(sc)))
         return utility_disparity_naive(sc, sigma)
     if isinstance(sc.prior, CommonPrior):
         if metric is Metric.SCORE:
@@ -452,7 +449,7 @@ def disparity_curve(sc, metric, sigmas=None, points=241):
     """
     kind = _KIND_TABLE[(type(sc.prior), metric)]
     grid = sigma_grid(sc, points=points) if sigmas is None else np.asarray(sigmas, float)
-    values = np.array([disparity_value(sc, metric, float(s)) for s in grid])
+    values = disparity_value(sc, metric, grid)
     c = sc.constants
     if metric is Metric.SCORE:
         at_zero = c.rule_sq

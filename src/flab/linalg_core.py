@@ -51,29 +51,29 @@ def check_symmetric(matrix):
     return a
 
 
-def kahan_sum(values):
-    """Compensated sum of an iterable of floats, in iteration order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def _exact_sum(terms):
+    """Exactly rounded sum of a list of floats.
+
+    ``math.fsum`` raises where the total overflows or meets inf - inf;
+    there the plain float sum gives the IEEE inf or nan instead.
+    """
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
 
 
 def kahan_dot(x, y):
-    """Compensated inner product of two equal-length vectors."""
+    """Exactly rounded inner product of two equal-length vectors (``math.fsum``)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch(f"dot of shapes {x.shape} and {y.shape}")
-    return kahan_sum(float(a) * float(b) for a, b in zip(x, y))
+    return _exact_sum((x * y).tolist())
 
 
 def quad_form(x, matrix, y=None):
-    """x'My via compensated summation over the d^2 terms, row-major order."""
+    """x'My as the exactly rounded sum (``math.fsum``) of the d^2 terms x_i M_ij y_j."""
     a = _as_square(matrix)
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
@@ -81,12 +81,7 @@ def quad_form(x, matrix, y=None):
         raise DimensionMismatch(
             f"quadratic form of shapes {x.shape}, {a.shape}, {y.shape}"
         )
-    terms = (
-        float(x[i]) * float(a[i, j]) * float(y[j])
-        for i in range(a.shape[0])
-        for j in range(a.shape[1])
-    )
-    return kahan_sum(terms)
+    return _exact_sum((x[:, None] * a * y).ravel().tolist())
 
 
 def jacobi_eigh(matrix):
@@ -205,17 +200,11 @@ def definiteness(matrix):
     return _label_eigenvalues(w)
 
 
-def spectral_norm(matrix):
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    w, _ = jacobi_eigh(matrix)
-    return float(np.abs(w).max())
-
-
 def sym_sqrt(matrix):
     """Symmetric PSD square root.
 
     Eigenvalues in [-1e-9 * ||M||, 0] are clamped to zero; anything below
-    the clamp raises NotPSD. ||M|| is the spectral norm.
+    the clamp raises NotPSD. ||M|| is the largest absolute eigenvalue.
     """
     w, v = jacobi_eigh(matrix)
     bound = 1e-9 * float(np.abs(w).max())

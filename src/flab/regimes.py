@@ -87,8 +87,10 @@ def _bisect(fn, lo, hi, f_lo):
 def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     """Locate zeros of a curve on a log grid over [sigma_lo, sigma_hi].
 
-    Sign changes between adjacent grid points are refined by bisection
-    until the bracket is below 1e-12 relative width. Grid points where the
+    ``curve_fn`` must accept an array: the whole grid is evaluated in one
+    call, and bisection then calls it with single floats. Sign changes
+    between adjacent grid points are refined by bisection until the
+    bracket is below 1e-12 relative width. Grid points where the
     curve is tiny (|value| < 1e-11) but never changes sign are reported
     separately as tangential contacts rather than counted as roots.
     """
@@ -97,7 +99,7 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise InvalidBracket(f"need finite 0 < lo < hi, got ({sigma_lo}, {sigma_hi})")
     grid = np.geomspace(lo, hi, points)
-    vals = [float(curve_fn(float(s))) for s in grid]
+    vals = np.asarray(curve_fn(grid), dtype=float).tolist()
     crossings = []
     change = [False] * (len(grid) - 1)
     for i in range(len(grid) - 1):

@@ -13,9 +13,7 @@ from flab.agents import (
     bayesian_posterior,
     naive_best_response,
     normal_stream,
-    posterior_variance,
     realized_quantities,
-    sample_signal,
     signal_weight,
     standard_normals,
 )
@@ -75,11 +73,6 @@ class TestSignalWeight:
         with pytest.raises(NegativeSigma):
             signal_weight(1.0, -0.5)
 
-    def test_posterior_variance(self):
-        assert posterior_variance(1.0, 1.0) == 0.5
-        assert posterior_variance(2.0, 0.0) == 0.0
-        assert posterior_variance(2.0, math.inf) == 4.0
-
 
 class TestResponses:
     def test_naive_response_reference_values(self, group_one):
@@ -93,7 +86,6 @@ class TestResponses:
         post = bayesian_posterior(group_one, 1.0, signal)
         assert post.weight == 0.5
         assert np.array_equal(post.mean, np.array([0.75, 1.25]))
-        assert post.variance == 0.5
         dx = bayesian_best_response(group_one, post)
         assert np.array_equal(dx, np.array([0.375, 1.25]))
 
@@ -155,15 +147,6 @@ class TestResponses:
             out = realized_quantities(group_one, rule, dx)
             assert batch_out.score_gain[i] == pytest.approx(out.score_gain, rel=1e-15)
             assert batch_out.cost[i] == pytest.approx(out.cost, rel=1e-15)
-
-    def test_sampled_signal_uses_stream(self):
-        rule = np.array([1.0, 0.5])
-        s1 = sample_signal(rule, 0.3, normal_stream(4))
-        s2 = sample_signal(rule, 0.3, normal_stream(4))
-        assert np.array_equal(s1.values, s2.values)
-        assert s1.sigma == 0.3
-        z = standard_normals(normal_stream(4), rule.shape)
-        assert np.array_equal(s1.values, rule + 0.3 * z)
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 """CLI tests: parsing, exit codes, file emission, determinism."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -170,12 +171,6 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().split("\n")[1:]
         assert all(line.split(",")[3] == str(RegionLabel.NEUTRALITY) for line in lines)
 
-    def test_threads_env_garbage_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FLAB_THREADS", "many")
-        rc = cli.main(["sweep", write_scenario(tmp_path, REF)])
-        assert rc == 2
-        assert "FLAB_THREADS" in capsys.readouterr().err
-
     def test_linear_grid_from_zero_plots_linear_axis(self, tmp_path):
         body = variant(sweep={"sigma_min": 0.0, "sigma_max": 10.0, "points": 11, "spacing": "linear"})
         out_svg = tmp_path / "plot.svg"
@@ -230,21 +225,56 @@ class TestClassifyCommand:
         assert "5.2035" in out
         assert "predicted 1, match" in out
 
+    PROJECTED = variant(
+        prior={
+            "kind": "projected",
+            "subspace1": [[1.0, 0.0], [0.0, 0.0]],
+            "subspace2": [[1.0, 0.0], [0.0, 1.0]],
+            "scale": 1.0,
+        }
+    )
+
     def test_projected_report(self, tmp_path, capsys):
-        body = variant(
-            prior={
-                "kind": "projected",
-                "subspace1": [[1.0, 0.0], [0.0, 0.0]],
-                "subspace2": [[1.0, 0.0], [0.0, 1.0]],
-                "scale": 1.0,
-            }
-        )
-        assert cli.main(["classify", write_scenario(tmp_path, body)]) == 0
+        assert cli.main(["classify", write_scenario(tmp_path, self.PROJECTED)]) == 0
         out = capsys.readouterr().out
         assert "NonMonotone" in out
         assert "1.4832" in out
         assert "Exploitation throughout" in out
         assert "not applicable" in out
+
+    def test_root_count_mismatch_exits_4(self, tmp_path, capsys, monkeypatch):
+        from flab.regimes import classify_utility_bayes as true_classifier
+
+        def miscounted(sc):
+            regime = true_classifier(sc)
+            return dataclasses.replace(regime, predicted_roots=regime.predicted_roots + 1, count_matches=False)
+
+        monkeypatch.setattr(cli, "classify_utility_bayes", miscounted)
+        body = variant(prior={"kind": "common", "mean": [0.5, 2.0], "scale": 2.0})
+        assert cli.main(["classify", write_scenario(tmp_path, body)]) == 4
+        assert "MISMATCH" in capsys.readouterr().out
+
+    def test_failed_certificate_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        from flab.regimes import monotonicity_condition_projected as true_condition
+
+        def failing(sc):
+            return dataclasses.replace(true_condition(sc), checks=(("forced check", False),))
+
+        monkeypatch.setattr(cli, "monotonicity_condition_projected", failing)
+        assert cli.main(["classify", write_scenario(tmp_path, self.PROJECTED)]) == 4
+        assert "- forced check: NO" in capsys.readouterr().out
+
+    def test_sampled_rule_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):
+        from flab.linalg_core import Definiteness
+        from flab.regimes import MatrixVerdict, ProjectedMatrixReport
+
+        def disagreeing(sc):
+            psd = Definiteness.PSD
+            return ProjectedMatrixReport(psd, psd, psd, MatrixVerdict.MONOTONE_ALL, 50, False)
+
+        monkeypatch.setattr(cli, "classify_utility_projected_matrix", disagreeing)
+        assert cli.main(["classify", write_scenario(tmp_path, self.PROJECTED)]) == 4
+        assert "sampled rules agree: NO" in capsys.readouterr().out
 
 
 class TestVerifyCommand:
@@ -264,6 +294,21 @@ class TestVerifyCommand:
         monkeypatch.setenv("FLAB_THREADS", "many")
         assert cli.main(["verify", write_scenario(tmp_path, REF)]) == 0
         assert "all comparisons passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, pointer",
+        [(["--seed", "-1"], "--seed"), (["--n", "500"], "--n"), (["--n", "999", "--seed", "3"], "--n")],
+    )
+    def test_bad_flags_are_parse_errors(self, flags, pointer, tmp_path, capsys):
+        assert cli.main(["verify", write_scenario(tmp_path, REF), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {pointer}:")
+        assert captured.out == ""
+
+    def test_negative_seed_in_mc_block_rejected(self, tmp_path, capsys):
+        body = variant(mc={"n": 20000, "seed": -1})
+        assert cli.main(["verify", write_scenario(tmp_path, body)]) == 2
+        assert "/mc/seed" in capsys.readouterr().err
 
     def test_missing_mc_block_rejected(self, tmp_path):
         body = variant()

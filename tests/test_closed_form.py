@@ -7,6 +7,7 @@ running this package.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from flab.closed_form import (
     NaivePrior,
     ProjectedPrior,
     Scenario,
-    disparity_constants,
     disparity_curve,
     disparity_value,
     neutrality_sigma_naive,
@@ -40,7 +40,9 @@ from flab.closed_form import (
 from flab.errors import (
     AssumptionViolated,
     CostsDiffer,
+    DegeneratePrior,
     DimensionMismatch,
+    NegativeSigma,
     NonCommuting,
     WrongPriorKind,
 )
@@ -106,9 +108,6 @@ class TestScenarioConstruction:
         assert c.cross == c.prior_limit
         assert c.prior_sq == c.prior_limit
         assert c.mismatch == pytest.approx(c.rule_sq - c.prior_limit, rel=1e-14)
-
-    def test_disparity_constants_op(self, common):
-        assert disparity_constants(common) is common.constants
 
     def test_rejects_equal_costs_without_projection(self, costs):
         with pytest.raises(AssumptionViolated):
@@ -372,3 +371,93 @@ class TestCurves:
             w = signal_weight(1.0, sigma)
             expect = -0.5 * w * w * sigma * sigma * sc.trace_gap
             assert utility_disparity_bayes(sc, sigma) == pytest.approx(expect, rel=1e-13)
+
+
+def _same_bits(array, scalars):
+    return array.dtype == np.float64 and array.tobytes() == np.array(scalars).tobytes()
+
+
+def _weight(scale, sigma):
+    return 0.0 if scale == 0.0 else scale * scale / (scale * scale + sigma * sigma)
+
+
+def _loop_value(sc, metric, sigma):
+    """The disparity formulas in Python float arithmetic, one noise scale at a time."""
+    c = sc.constants
+    if isinstance(sc.prior, NaivePrior):
+        return c.rule_sq if metric is Metric.SCORE else 0.5 * (c.rule_sq - sigma * sigma * c.trace_gap)
+    if sigma == 0.0:
+        return c.rule_sq if metric is Metric.SCORE else 0.5 * c.rule_sq
+    w = _weight(sc.prior.scale, sigma)
+    if metric is Metric.SCORE:
+        return (1.0 - w) * c.cross + w * c.rule_sq
+    spread = c.mismatch + sigma * sigma * c.trace_gap
+    return -(w * w / 2.0) * spread + w * c.mismatch + (c.cross - c.prior_sq / 2.0)
+
+
+def _loop_bounds(sc, sigma):
+    """Both overlap bounds in Python float arithmetic at one noise scale."""
+    w = 1.0 if sigma == 0.0 else _weight(sc.prior.scale, sigma)
+    floor = float(sc.cost1.eigenvalues.min())
+    rule_norm = math.sqrt(math.fsum(float(r) * float(r) for r in sc.rule))
+    proxy = overlap_proxy(sc)
+    return (1.0 - w) / floor * rule_norm * proxy, 0.5 * (1.0 - w) ** 2 / floor * rule_norm * proxy
+
+
+class TestArrayEvaluation:
+    """An array of noise scales gives exactly the per-element scalar calls,
+    and both give exactly the per-point float arithmetic of the formulas."""
+
+    SIGMAS = np.concatenate([[0.0, 1e-300, 0.5, 1.0, 7.25, 1e150], np.geomspace(1e-3, 1e3, 97)])
+
+    @pytest.mark.parametrize("kind", ["naive", "common", "projected"])
+    @pytest.mark.parametrize("metric", [Metric.SCORE, Metric.UTILITY])
+    def test_disparity_value_matches_scalar_calls(self, kind, metric, request):
+        sc = request.getfixturevalue(kind)
+        scalars = [disparity_value(sc, metric, float(s)) for s in self.SIGMAS]
+        assert all(type(v) is float for v in scalars)
+        assert _same_bits(np.array(scalars), [_loop_value(sc, metric, float(s)) for s in self.SIGMAS])
+        assert _same_bits(disparity_value(sc, metric, self.SIGMAS), scalars)
+        grid = self.SIGMAS.reshape(1, -1)
+        assert disparity_value(sc, metric, grid).shape == grid.shape
+        assert _same_bits(disparity_curve(sc, metric, sigmas=self.SIGMAS).values, scalars)
+
+    def test_overlap_bounds_match_scalar_calls(self):
+        from flab.cli import load_scenario
+
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "equal_costs_bounds.json"
+        sc = load_scenario(str(path)).scenario
+        loop = [_loop_bounds(sc, float(s)) for s in self.SIGMAS]
+        for i, bound in enumerate((score_overlap_bound, utility_overlap_bound)):
+            scalars = [bound(sc, float(s)) for s in self.SIGMAS]
+            assert all(type(v) is float for v in scalars)
+            assert _same_bits(np.array(scalars), [pair[i] for pair in loop])
+            assert _same_bits(bound(sc, self.SIGMAS), scalars)
+
+    def test_zero_prior_scale_is_exact(self, costs):
+        sc = Scenario(RULE, costs[0], costs[1], CommonPrior(PRIOR_MEAN, 0.0))
+        sigmas = self.SIGMAS[1:]
+        assert np.all(disparity_value(sc, Metric.SCORE, sigmas) == sc.constants.cross)
+        loop = [_loop_value(sc, Metric.UTILITY, float(s)) for s in sigmas]
+        assert _same_bits(disparity_value(sc, Metric.UTILITY, sigmas), loop)
+
+    @pytest.mark.parametrize("kind", ["naive", "common", "projected"])
+    @pytest.mark.parametrize("metric", [Metric.SCORE, Metric.UTILITY])
+    def test_negative_sigma_anywhere_rejected(self, kind, metric, request):
+        sc = request.getfixturevalue(kind)
+        with pytest.raises(NegativeSigma):
+            disparity_value(sc, metric, np.array([0.0, 1.0, -1e-9, 2.0]))
+
+    def test_negative_sigma_rejected_by_bounds(self):
+        cost = CostMatrix(np.diag([2.0, 1.0]))
+        prior = ProjectedPrior(Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0)
+        sc = Scenario(RULE, cost, cost, prior)
+        for bound in (score_overlap_bound, utility_overlap_bound):
+            with pytest.raises(NegativeSigma):
+                bound(sc, np.array([1.0, -2.0]))
+
+    def test_degenerate_zero_noise_anywhere_rejected(self, costs):
+        sc = Scenario(RULE, costs[0], costs[1], CommonPrior(PRIOR_MEAN, 0.0))
+        for metric in (Metric.SCORE, Metric.UTILITY):
+            with pytest.raises(DegeneratePrior):
+                disparity_value(sc, metric, np.array([1.0, 0.0, 2.0]))

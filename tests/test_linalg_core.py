@@ -1,7 +1,5 @@
 """Linear-algebra kernel tests against numpy oracles and hand values."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -22,10 +20,8 @@ from flab.linalg_core import (
     definiteness,
     jacobi_eigh,
     kahan_dot,
-    kahan_sum,
     max_norm,
     quad_form,
-    spectral_norm,
     subspace_relation,
     sym_sqrt,
 )
@@ -39,19 +35,6 @@ def random_symmetric(rng, d, scale=1.0):
 def random_spd(rng, d, lo=0.4, hi=3.0):
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     return q @ np.diag(rng.uniform(lo, hi, size=d)) @ q.T
-
-
-def power_iteration_norm(m, iters=500):
-    rng = np.random.default_rng(7)
-    v = rng.normal(size=m.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = m @ (m @ v)
-        n = np.linalg.norm(w)
-        if n == 0.0:
-            return 0.0
-        v = w / n
-    return math.sqrt(float(v @ (m @ (m @ v))))
 
 
 class TestJacobi:
@@ -108,19 +91,6 @@ class TestDefiniteness:
         assert definiteness(np.diag([1.0, 1e-5])) is Definiteness.PD
 
 
-class TestSpectralNorm:
-    def test_matches_power_iteration(self):
-        rng = np.random.default_rng(23)
-        for d in (2, 3, 5):
-            for _ in range(10):
-                m = random_symmetric(rng, d)
-                ref = power_iteration_norm(m)
-                assert spectral_norm(m) == pytest.approx(ref, rel=1e-8, abs=1e-10)
-
-    def test_known_value(self):
-        assert spectral_norm(np.diag([-3.0, 2.0])) == 3.0
-
-
 class TestSymSqrt:
     def test_square_recovers_input(self):
         rng = np.random.default_rng(31)
@@ -146,15 +116,18 @@ class TestSymSqrt:
 
 
 class TestCompensatedSums:
-    def test_kahan_sum_matches_fsum(self):
-        rng = np.random.default_rng(5)
-        values = list(rng.normal(size=500) * 10.0 ** rng.integers(-8, 8, size=500))
-        assert kahan_sum(values) == pytest.approx(math.fsum(values), rel=1e-13)
-
     def test_kahan_dot(self):
         x = np.array([1e8, 1.0, -1e8])
         y = np.array([1.0, 0.5, 1.0])
         assert kahan_dot(x, y) == 0.5
+
+    def test_overflow_gives_ieee_values(self):
+        # each term is finite, but the total overflows
+        big = np.array([1e154, 1e154])
+        assert kahan_dot(big, big) == np.inf
+        assert quad_form(big, np.eye(2)) == np.inf
+        with np.errstate(over="ignore"):
+            assert np.isnan(kahan_dot(np.array([1e200, 1e200]), np.array([1e200, -1e200])))
 
     def test_quad_form_matches_direct(self):
         rng = np.random.default_rng(17)

@@ -85,6 +85,17 @@ class TestFindRoots:
         scan = find_roots(lambda x: 1.0 + x, 0.1, 10.0)
         assert scan.crossings == ()
 
+    def test_grid_evaluated_in_one_call(self):
+        shapes = []
+
+        def curve(x):
+            shapes.append(np.shape(x))
+            return x - 1.1
+
+        find_roots(curve, 0.5, 2.0, points=101)
+        assert shapes[0] == (101,)
+        assert len(shapes) > 1 and all(s == () for s in shapes[1:])
+
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, math.inf)])
     def test_invalid_brackets(self, lo, hi):
         with pytest.raises(InvalidBracket):
