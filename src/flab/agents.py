@@ -25,6 +25,7 @@ from scipy.special import ndtri
 from .errors import DegeneratePrior, DimensionMismatch, Error, NegativeSigma
 
 _TWO_53 = float(2**53)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class Metric(enum.Enum):
@@ -51,11 +52,15 @@ def normal_stream(seed, key=()):
 def standard_normals(stream, shape):
     """Standard normal draws via inverse CDF on the counter stream.
 
-    Uniforms are midpoints (k + 0.5) / 2^53 over 53-bit integers, so the
-    output is bit-stable and never hits the distribution tails' infinities.
+    Each 53-bit integer k becomes the uniform (k + 0.5) / 2^53, rounded to
+    a double. Below 2^52 that is the exact midpoint; above it k + 0.5 rounds
+    to an even integer, and k = 2^53 - 1 rounds up to u = 1, where the
+    inverse CDF is +inf. That one value is clamped to the largest double
+    below 1, so every draw is finite and a function of k alone.
     """
     u = stream.integers(0, 2**53, size=shape) + 0.5
     u /= _TWO_53
+    np.minimum(u, _BELOW_ONE, out=u)
     return ndtri(u, out=u)
 
 
@@ -88,7 +93,9 @@ def signal_weight(prior_scale, sigma):
             raise DegeneratePrior("prior scale and noise scale are both zero")
         return scalar_or_array(np.zeros_like(s))
     g2 = prior_scale * prior_scale
-    return scalar_or_array(np.where(s == 0.0, 1.0, g2 / (g2 + s * s)))
+    with np.errstate(over="ignore"):  # an overflowing sigma^2 gives the limit weight 0
+        weight = g2 / (g2 + s * s)
+    return scalar_or_array(np.where(s == 0.0, 1.0, weight))
 
 
 @dataclass(frozen=True, eq=False)

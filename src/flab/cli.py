@@ -29,7 +29,7 @@ from .closed_form import (
     sigma_grid,
     utility_overlap_bound,
 )
-from .errors import Error, ParseError, ZeroStderrMismatch
+from .errors import Error, NonFinite, ParseError, ZeroStderrMismatch
 from .linalg_core import CostMatrix, Projection
 from .mc_oracle import compare, estimate_disparities
 from .regimes import (
@@ -609,8 +609,13 @@ def cmd_bounds(args, out=None):
     utility = np.abs(disparity_value(sc, Metric.UTILITY, grid))
     score_bound = score_overlap_bound(sc, grid)
     utility_bound = utility_overlap_bound(sc, grid)
-    columns = (grid, score, score_bound, score_bound - score,
-               utility, utility_bound, utility_bound - utility)
+    score_slack = score_bound - score
+    utility_slack = utility_bound - utility
+    for name, slack in (("score", score_slack), ("utility", utility_slack)):
+        bad = np.flatnonzero(~np.isfinite(slack))
+        if bad.size:  # a nan would pass any comparison with the tolerance below
+            raise NonFinite(f"{name} slack at sigma={_g5(grid[bad[0]])} is {slack[bad[0]]}")
+    columns = (grid, score, score_bound, score_slack, utility, utility_bound, utility_slack)
     print("  sigma        |score|      score_bound  slack        |utility|    utility_bound  slack", file=out)
     worst = math.inf
     for s, afs, bs, slack_s, afu, bu, slack_u in zip(*(c.tolist() for c in columns)):

@@ -289,9 +289,14 @@ def _score_level(constants, scale, sigma):
 def _utility_level(constants, scale, sigma):
     w = signal_weight(scale, sigma)
     s = np.asarray(sigma, dtype=float)
-    tail = constants.cross - constants.prior_sq / 2.0
-    spread = constants.mismatch + s * s * constants.trace_gap
-    level = -(w * w / 2.0) * spread + w * constants.mismatch + tail
+    tail = _utility_limit(constants)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = constants.mismatch + s * s * constants.trace_gap
+        level = -(w * w / 2.0) * spread + w * constants.mismatch + tail
+    # Where the spread overflows, the weight is about prior_scale^2 / sigma^2
+    # and the level equals its infinite-noise limit; the formula would give
+    # 0 * inf = nan there.
+    level = np.where(np.isfinite(spread), level, tail)
     return _exact_at_zero(sigma, 0.5 * constants.rule_sq, level)
 
 

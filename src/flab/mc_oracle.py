@@ -6,13 +6,17 @@ score and cost) and averages the group difference. Agreement with the
 analytic module is therefore evidence, not circularity.
 
 `estimate_disparities` draws the (sample, group, coordinate) normals of a
-seed once and reuses them at every noise level. Each level then runs one
-respond-and-realize pass per group, which yields both the score and the
-utility differences. The draws are held as one contiguous (d, n) column
-stack per group, so the agents' stacked contractions run as wide products.
-The work is single-threaded and every reduction has a fixed shape, so an
-estimate depends only on (scenario, sigma, n, seed): a batched estimate is
-bit-identical to a one-level `estimate_disparity` call.
+seed once and reuses them at every noise level. They stay resident as one
+(group, coordinate, agent) column stack, 16 d bytes per agent. Everything
+after the draw runs on aligned blocks of `_BLOCK` agents: each noise level
+pushes one block at a time through the respond-and-realize pipeline and
+writes the score and utility differences into two length-n vectors, a
+further 16 bytes per agent, which are reduced block by block. The counter
+stream makes a block-by-block draw equal one big draw, and zero padding
+adds exactly 0, so the blocked tree sums equal `tree_sum` over the whole
+vector. The work is single-threaded and every reduction has a fixed shape,
+so an estimate depends only on (scenario, sigma, n, seed): a batched
+estimate is bit-identical to a one-level `estimate_disparity` call.
 """
 
 import math
@@ -34,6 +38,7 @@ from .errors import Error, NegativeSigma, WrongPriorKind, ZeroStderrMismatch
 
 _STREAM_KEY = 101
 _MIN_SAMPLES = 1000
+_BLOCK = 2**16  # agents per block; a power of two, so blocks align with the sum tree
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,34 @@ def tree_sum(values):
     return float(buf[0])
 
 
+def _blocked_tree_sum(values, term):
+    """tree_sum(term(values)), with term applied to one aligned block at a time.
+
+    A vector of at most one block is summed whole. A longer one is cut at
+    multiples of `_BLOCK`, each block's terms are zero-padded to `_BLOCK`
+    and tree-summed, and the block totals are tree-summed in turn. These
+    are the partial sums of the whole-vector tree, so the total is
+    bit-identical to it, and term's output never exceeds one block.
+    """
+    if values.size <= _BLOCK:
+        return tree_sum(term(values))
+    totals = []
+    for lo in range(0, values.size, _BLOCK):
+        block = term(values[lo : lo + _BLOCK])
+        if block.size < _BLOCK:
+            block = np.concatenate((block, np.zeros(_BLOCK - block.size)))
+        totals.append(tree_sum(block))
+    return tree_sum(totals)
+
+
 def _mean_and_variance(diffs, n):
-    mean = tree_sum(diffs) / n
-    resid = diffs - mean
-    return mean, tree_sum(resid * resid) / (n - 1)
+    mean = _blocked_tree_sum(diffs, lambda block: block) / n
+
+    def squared_residuals(block):
+        resid = block - mean
+        return resid * resid
+
+    return mean, _blocked_tree_sum(diffs, squared_residuals) / (n - 1)
 
 
 def _check_inputs(sigmas, n):
@@ -120,14 +149,30 @@ def _group_differences(sc, sigma, columns):
     return r1.score_gain - r2.score_gain, r1.utility_gain - r2.utility_gain
 
 
+def _draw_columns(dim, n, seed):
+    """The seed's normals as a contiguous (group, coordinate, agent) stack.
+
+    The (sample, group, coordinate) order of one draw of shape (n, 2, d)
+    fixes which normals each agent sees. The counter stream yields the same
+    numbers block by block, so each block is drawn and transposed straight
+    into its columns and no full-length copy is built.
+    """
+    columns = np.empty((2, dim, n))
+    stream = normal_stream(seed, (_STREAM_KEY,))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        columns[:, :, lo:hi] = standard_normals(stream, (hi - lo, 2, dim)).transpose(1, 2, 0)
+    return columns
+
+
 def _disparity_samples(sc, sigmas, n, seed):
     """Yield the (score, utility) group differences at each noise level.
 
-    Every positive level reuses one draw of shape (n, 2, d). Its
-    (sample, group, coordinate) order fixes which normals each agent
-    sees, and it is copied once into a contiguous (d, n) column stack per
-    group. Zero noise runs the deterministic single-agent path and yields
-    scalars.
+    Every positive level reuses one draw and runs the agents one aligned
+    block at a time, writing into two length-n vectors. The same two
+    vectors are yielded at every level and overwritten by the next, so a
+    consumer reduces them before it advances. Zero noise runs the
+    deterministic single-agent path and yields scalars.
     """
     columns = None
     for sigma in sigmas:
@@ -135,10 +180,12 @@ def _disparity_samples(sc, sigmas, n, seed):
             yield _group_differences(sc, sigma, None)
             continue
         if columns is None:
-            z = standard_normals(normal_stream(seed, (_STREAM_KEY,)), (n, 2, sc.dim))
-            columns = np.ascontiguousarray(z.transpose(1, 2, 0))
-            del z  # the passes below read only the column copy
-        yield _group_differences(sc, sigma, columns)
+            columns = _draw_columns(sc.dim, n, seed)
+            score, utility = np.empty(n), np.empty(n)
+        for lo in range(0, n, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            score[block], utility[block] = _group_differences(sc, sigma, columns[:, :, block])
+        yield score, utility
 
 
 def estimate_disparities(sc, sigmas, n, seed):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from flab.agents import (
     GroupParams,
@@ -48,6 +49,20 @@ class TestStreams:
     def test_shape_is_respected(self):
         z = standard_normals(normal_stream(5), (7, 2, 3))
         assert z.shape == (7, 2, 3)
+
+    def test_largest_integer_gives_finite_draw(self):
+        class Stub:
+            def integers(self, low, high, size):
+                assert (low, high) == (0, 2**53)
+                return np.array([2**53 - 1, 0, 2**52 + 1]).reshape(size)
+
+        z = standard_normals(Stub(), (3,))
+        below_one = float.fromhex("0x1.fffffffffffffp-1")
+        assert z[0] == ndtri(below_one)
+        assert math.isfinite(z[0]) and z[0] > 8.0
+        # every other integer keeps its unclamped uniform
+        assert z[1] == ndtri(0.5 / 2**53)
+        assert z[2] == ndtri((2**52 + 2) / 2**53)
 
 
 class TestSignalWeight:

@@ -2,13 +2,21 @@
 
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flab import cli
+from flab.mc_oracle import _BLOCK
 from flab.regimes import RegionLabel, label_region
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 REF = {
     "label": "reference",
@@ -32,6 +40,29 @@ def variant(**changes):
     body = json.loads(json.dumps(REF))
     body.update(changes)
     return body
+
+
+def committed_with_sweep(name, sigma_min, sigma_max, points):
+    body = json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+    body["sweep"] = {"sigma_min": sigma_min, "sigma_max": sigma_max, "points": points}
+    return body
+
+
+def outputs_per_blas_thread_count(args, out_files=()):
+    """stdout plus the named output files of `flab *args`, run as a fresh process
+    under OPENBLAS_NUM_THREADS=1 and =2."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    results = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from flab.cli import main; sys.exit(main(sys.argv[1:]))", *args],
+            env=env, capture_output=True, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        results.append(proc.stdout + b"".join(Path(f).read_bytes() for f in out_files))
+    return results
 
 
 class TestParsing:
@@ -138,16 +169,20 @@ class TestSweepCommand:
             assert cells[3] == str(label_region(fs))
             assert cells[4] == str(label_region(fu))
 
-    def test_byte_determinism_across_thread_counts(self, tmp_path, monkeypatch):
-        path = write_scenario(tmp_path, REF)
-        texts = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("FLAB_THREADS", threads)
-            out_csv = tmp_path / f"out{threads}.csv"
-            out_svg = tmp_path / f"out{threads}.svg"
-            assert cli.main(["sweep", path, "--out-csv", str(out_csv), "--out-svg", str(out_svg)]) == 0
-            texts.append(out_csv.read_bytes() + out_svg.read_bytes())
-        assert texts[0] == texts[1]
+    def test_byte_determinism_across_thread_counts(self, tmp_path):
+        out_csv, out_svg = str(tmp_path / "out.csv"), str(tmp_path / "out.svg")
+        args = ["sweep", write_scenario(tmp_path, REF), "--out-csv", out_csv, "--out-svg", out_svg]
+        one, two = outputs_per_blas_thread_count(args, (out_csv, out_svg))
+        assert one == two
+        assert cli.CSV_HEADER.encode() in one
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noise_keeps_finite_limits(self, tmp_path, capsys):
+        body = committed_with_sweep("reference_common", 1e-3, 1e200, 41)
+        assert cli.main(["sweep", write_scenario(tmp_path, body)]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 41
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")[:3])
 
     def test_svg_well_formed(self, tmp_path):
         path = write_scenario(tmp_path, REF)
@@ -290,10 +325,12 @@ class TestVerifyCommand:
         assert cli.main(["verify", path, "--n", "5000", "--seed", "7"]) == 0
         assert "n=5000, seed=7" in capsys.readouterr().out
 
-    def test_ignores_thread_setting(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FLAB_THREADS", "many")
-        assert cli.main(["verify", write_scenario(tmp_path, REF)]) == 0
-        assert "all comparisons passed" in capsys.readouterr().out
+    def test_ignores_thread_setting(self, tmp_path):
+        # more than one block of agents, so the blocked passes and sums run
+        args = ["verify", write_scenario(tmp_path, REF), "--n", str(_BLOCK + 1000), "--points", "2"]
+        one, two = outputs_per_blas_thread_count(args)
+        assert one == two
+        assert b"all comparisons passed" in one
 
     @pytest.mark.parametrize(
         "flags, pointer",
@@ -353,6 +390,30 @@ class TestBoundsCommand:
 
     def test_unequal_costs_rejected(self, tmp_path):
         assert cli.main(["bounds", write_scenario(tmp_path, REF)]) == 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noise_gives_finite_slacks(self, tmp_path, capsys):
+        body = committed_with_sweep("equal_costs_bounds", 1e150, 1e200, 11)
+        assert cli.main(["bounds", write_scenario(tmp_path, body)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        rows = [line.split() for line in lines[1:-2]]
+        assert len(rows) == 11
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        assert lines[-1] == "all bounds hold"
+
+    def test_nan_slack_is_a_failed_check(self, tmp_path, monkeypatch, capsys):
+        from flab.closed_form import utility_overlap_bound as true_bound
+
+        def nan_at_last_point(sc, sigma):
+            bound = true_bound(sc, sigma)
+            bound[-1] = np.nan
+            return bound
+
+        monkeypatch.setattr(cli, "utility_overlap_bound", nan_at_last_point)
+        assert cli.main(["bounds", write_scenario(tmp_path, self.EQUAL)]) == 3
+        captured = capsys.readouterr()
+        assert "all bounds hold" not in captured.out
+        assert captured.err.startswith("error: utility slack at sigma=")
 
     def test_shrunk_bound_trips_exit_code(self, tmp_path, monkeypatch, capsys):
         from flab.closed_form import score_overlap_bound as true_bound

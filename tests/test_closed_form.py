@@ -181,6 +181,7 @@ class TestCommonPriorFormulas:
         assert score_disparity_bayes(common, 0.0) == c.rule_sq
         assert utility_disparity_bayes(common, 0.0) == 0.5 * c.rule_sq
 
+    @pytest.mark.filterwarnings("error")
     def test_infinity_limits(self, common):
         c = common.constants
         big = 1e6 * noise_unit(common)
@@ -188,6 +189,10 @@ class TestCommonPriorFormulas:
         limit = c.cross - 0.5 * c.prior_sq
         assert limit == pytest.approx(-0.5729166666666666, rel=1e-13)
         assert utility_disparity_bayes(common, big) == pytest.approx(limit, rel=1e-6)
+        # sigma^2 overflows: the limits exactly, with no overflow warning
+        huge = np.array([1e154, 1e160, 1e200, np.finfo(float).max])
+        assert np.all(score_disparity_bayes(common, huge) == c.cross)
+        assert np.all(utility_disparity_bayes(common, huge) == limit)
 
     def test_matched_prior_utility_value(self, costs):
         sc = Scenario(RULE, costs[0], costs[1], CommonPrior(RULE.copy(), 1.0))
@@ -217,6 +222,7 @@ class TestProjectedFormulas:
             7.0 / 24.0, rel=1e-13
         )
 
+    @pytest.mark.filterwarnings("error")
     def test_utility_limit(self, projected):
         big = 1e6
         c = projected.constants
@@ -225,6 +231,7 @@ class TestProjectedFormulas:
         assert utility_disparity_projected(projected, big) == pytest.approx(
             limit, rel=1e-6
         )
+        assert utility_disparity_projected(projected, 1e200) == limit
 
     def test_unknown_rule_prior_limit(self, costs):
         prior = ProjectedPrior(Projection.zero(2), Projection.identity(2), 1.0)

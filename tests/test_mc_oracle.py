@@ -1,6 +1,7 @@
 """Monte Carlo estimator tests: determinism, calibration, mutation alarm."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from flab.closed_form import (
 from flab.errors import Error, NegativeSigma, WrongPriorKind, ZeroStderrMismatch
 from flab.linalg_core import CostMatrix, Projection
 from flab.mc_oracle import (
+    _BLOCK,
     _STREAM_KEY,
+    _blocked_tree_sum,
     compare,
     estimate_disparities,
     estimate_disparity,
@@ -53,17 +56,34 @@ def projected():
     )
 
 
-def row_pipeline_reference(sc, metric, sigma, n, seed):
-    """One (metric, sigma) estimate the way a per-call oracle on row stacks computes it."""
+@pytest.fixture
+def common_d8():
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(8, 8))
+    cost1 = m @ m.T / 8.0 + np.eye(8)
+    cost2 = cost1 + np.diag(rng.uniform(0.5, 1.5, size=8))
+    prior = CommonPrior(rng.normal(size=8), 1.5)
+    return Scenario(rng.normal(size=8), CostMatrix(cost1), CostMatrix(cost2), prior)
+
+
+def reference_pipeline(sc, metric, sigma, n, seed, columns=False):
+    """One (metric, sigma) estimate computed on whole-length arrays, with no blocks.
+
+    By default agents are (n, d) row stacks, as a per-call oracle held them.
+    With ``columns`` they are the transpose of a contiguous (d, n) stack, the
+    oracle's own layout: its contractions round like the oracle's at every d,
+    while the row layout agrees with it at d = 2 only.
+    """
     z = standard_normals(normal_stream(seed, (_STREAM_KEY,)), (n, 2, sc.dim))
     gains = []
     for g in (1, 2):
         group = sc.group_params(g)
-        belief = sc.rule + sigma * z[:, g - 1, :]
+        noise = np.ascontiguousarray(z[:, g - 1, :].T).T if columns else z[:, g - 1, :]
+        belief = sc.rule + sigma * noise
         if not isinstance(sc.prior, NaivePrior):
             w = signal_weight(sc.prior.scale, sigma)
             belief = group.prior_mean + w * (belief - group.prior_mean)
-        dx = belief @ group.cost.inverse
+        dx = (group.cost.inverse.T @ belief.T).T if columns else belief @ group.cost.inverse
         score = dx @ sc.rule
         cost = 0.5 * np.einsum("ij,jk,ik->i", dx, group.cost.matrix, dx)
         gains.append(score if metric is Metric.SCORE else score - cost)
@@ -92,6 +112,41 @@ class TestTreeSum:
     def test_rejects_matrices(self):
         with pytest.raises(Error):
             tree_sum(np.zeros((2, 2)))
+
+
+class TestBlocks:
+    SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 2**20)
+
+    def test_blocked_sum_equals_tree_sum(self):
+        rng = np.random.default_rng(4)
+        for size in self.SIZES:
+            v = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size=size)
+            assert _blocked_tree_sum(v, lambda block: block) == tree_sum(v)
+            assert _blocked_tree_sum(v, np.square) == tree_sum(v * v)
+            # the sign of an all-zero total follows the padded whole-vector tree too
+            zeros = np.full(size, -0.0)
+            assert _blocked_tree_sum(zeros, lambda block: block).hex() == tree_sum(zeros).hex()
+
+    @pytest.mark.parametrize("n", [5000, 2 * _BLOCK, 2 * _BLOCK + 7],
+                             ids=["part_block", "whole_blocks", "blocks_and_remainder"])
+    def test_matches_unblocked_reference(self, n, naive, common, projected, common_d8):
+        for sc in (naive, common, projected, common_d8):
+            batch = estimate_disparities(sc, [0.0, 0.7], n, 3)
+            for metric in (Metric.SCORE, Metric.UTILITY):
+                est = batch[1][metric]
+                expected = reference_pipeline(sc, metric, 0.7, n, 3, columns=True)
+                assert (est.mean, est.stderr) == expected
+
+    def test_peak_memory_per_agent(self, common):
+        n = 2**20
+        tracemalloc.start()
+        try:
+            estimate_disparities(common, [0.0, 0.5, 2.0], n, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # resident: 32 B of draws and 16 B of differences per agent, plus one block's temporaries
+        assert peak <= 72 * n
 
 
 class TestEstimates:
@@ -170,7 +225,7 @@ class TestBatchedEstimates:
             for sigma, by_metric in zip(self.SIGMAS[1:], batch):
                 for metric in (Metric.SCORE, Metric.UTILITY):
                     est = by_metric[metric]
-                    assert (est.mean, est.stderr) == row_pipeline_reference(sc, metric, sigma, 5000, 11)
+                    assert (est.mean, est.stderr) == reference_pipeline(sc, metric, sigma, 5000, 11)
 
     def test_negative_sigma_anywhere_rejected(self, naive):
         with pytest.raises(NegativeSigma):
