@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegeneratePrior, DimensionMismatch, Error, NegativeSigma
+from .linalg_core import kahan_dot, quad_form
 
 _TWO_53 = float(2**53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -192,8 +193,6 @@ def realized_quantities(group, rule, dx):
     A single vector uses exactly rounded scalar sums; stacked rows use a
     fixed einsum contraction per row. Both are deterministic.
     """
-    from .linalg_core import kahan_dot, quad_form
-
     rule = np.asarray(rule, dtype=float)
     dx = np.asarray(dx, dtype=float)
     _check_rows(dx, group.cost.dim, "feature change")

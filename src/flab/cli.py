@@ -21,6 +21,8 @@ from .closed_form import (
     NaivePrior,
     ProjectedPrior,
     Scenario,
+    _score_limit,
+    _utility_limit,
     disparity_value,
     neutrality_sigma_naive,
     noise_unit,
@@ -29,7 +31,7 @@ from .closed_form import (
     sigma_grid,
     utility_overlap_bound,
 )
-from .errors import Error, NonFinite, ParseError, ZeroStderrMismatch
+from .errors import AssumptionViolated, Error, NonFinite, ParseError, ZeroStderrMismatch
 from .linalg_core import CostMatrix, Projection
 from .mc_oracle import compare, estimate_disparities
 from .regimes import (
@@ -39,12 +41,12 @@ from .regimes import (
     classify_utility_bayes,
     classify_utility_projected,
     classify_utility_projected_matrix,
+    critical_prior_scale,
     exploitation_condition_projected,
     label_region,
     monotonicity_condition_projected,
     neutrality_condition_projected,
 )
-from .errors import AssumptionViolated
 
 CSV_HEADER = "sigma,score_disparity,utility_disparity,score_region,utility_region,mc_mean,mc_stderr,z"
 
@@ -264,6 +266,13 @@ def _g5(x):
     return f"{float(x):.5g}"
 
 
+def _require_finite(name, values, grid):
+    """Raise NonFinite naming the first noise scale where ``values`` is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFinite(f"{name} at sigma={_g5(grid[bad[0]])} is {values[bad[0]]}")
+
+
 # --------------------------------------------------------------------------
 # SVG emission
 
@@ -408,17 +417,14 @@ def cmd_validate(args, out=None):
         print(f"  score disparity (all noise levels): {_g5(score_disparity_naive(sc))}", file=out)
         if sc.trace_gap > 0.0:
             print(f"  utility crossing: {_g5(neutrality_sigma_naive(sc))}", file=out)
-    elif isinstance(sc.prior, CommonPrior):
+        return _EXIT_OK
+    if isinstance(sc.prior, CommonPrior):
         print(f"  prior: common, scale {_g5(sc.prior.scale)}", file=out)
         print(
             f"  gap-metric constants: rule {_g5(c.rule_sq)}, prior {_g5(c.prior_sq)}, "
             f"cross {_g5(c.cross)}, mismatch {_g5(c.mismatch)}",
             file=out,
         )
-        from .regimes import critical_prior_scale
-
-        if sc.trace_gap > 0.0:
-            print(f"  critical prior scale: {_g5(critical_prior_scale(sc))}", file=out)
     else:
         print(f"  prior: projected, scale {_g5(sc.prior.scale)}", file=out)
         print(
@@ -430,10 +436,8 @@ def cmd_validate(args, out=None):
             file=out,
         )
         print(f"  commutation defect: {sc.commute_defect:.3e}", file=out)
-        from .regimes import critical_prior_scale
-
-        if sc.trace_gap > 0.0:
-            print(f"  critical prior scale: {_g5(critical_prior_scale(sc))}", file=out)
+    if sc.trace_gap > 0.0:
+        print(f"  critical prior scale: {_g5(critical_prior_scale(sc))}", file=out)
     return _EXIT_OK
 
 
@@ -442,9 +446,11 @@ def cmd_sweep(args, out=None):
     points = _points(args, 2)
     loaded = load_scenario(args.scenario)
     grid = _sweep_sigmas(loaded, points)
-    scores = disparity_value(loaded.scenario, Metric.SCORE, grid).tolist()
-    utilities = disparity_value(loaded.scenario, Metric.UTILITY, grid).tolist()
-    sigmas = grid.tolist()
+    scores = disparity_value(loaded.scenario, Metric.SCORE, grid)
+    utilities = disparity_value(loaded.scenario, Metric.UTILITY, grid)
+    _require_finite("score disparity", scores, grid)
+    _require_finite("utility disparity", utilities, grid)
+    scores, utilities, sigmas = scores.tolist(), utilities.tolist(), grid.tolist()
     lines = [CSV_HEADER]
     for s, fs, fu in zip(sigmas, scores, utilities):
         lines.append(f"{_g17(s)},{_g17(fs)},{_g17(fu)},{label_region(fs)},{label_region(fu)},,,")
@@ -534,8 +540,6 @@ def cmd_classify(args, out=None):
     )
 
     c = sc.constants
-    from .closed_form import _score_limit, _utility_limit
-
     score_zero = label_region(c.rule_sq)
     score_inf = label_region(_score_limit(c))
     if score_zero is score_inf and score_zero is not RegionLabel.NEUTRALITY:
@@ -611,10 +615,9 @@ def cmd_bounds(args, out=None):
     utility_bound = utility_overlap_bound(sc, grid)
     score_slack = score_bound - score
     utility_slack = utility_bound - utility
-    for name, slack in (("score", score_slack), ("utility", utility_slack)):
-        bad = np.flatnonzero(~np.isfinite(slack))
-        if bad.size:  # a nan would pass any comparison with the tolerance below
-            raise NonFinite(f"{name} slack at sigma={_g5(grid[bad[0]])} is {slack[bad[0]]}")
+    # a nan would pass any comparison with the tolerance below
+    _require_finite("score slack", score_slack, grid)
+    _require_finite("utility slack", utility_slack, grid)
     columns = (grid, score, score_bound, score_slack, utility, utility_bound, utility_slack)
     print("  sigma        |score|      score_bound  slack        |utility|    utility_bound  slack", file=out)
     worst = math.inf

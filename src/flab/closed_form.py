@@ -17,6 +17,7 @@ identity rather than a coincidence of two formulas.
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +126,19 @@ class DisparityCurve:
     value_at_infinity: float
 
 
+class GapMatrix:
+    """A between-group gap matrix, its symmetric part, and that part's
+    definiteness label, which costs an eigensolve and is computed on first use."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.sym = 0.5 * (raw + raw.T)
+
+    @cached_property
+    def label(self):
+        return definiteness(self.sym)
+
+
 def response_gap(cost1, cost2):
     """Difference of inverse costs, symmetrized."""
     g = cost1.inverse - cost2.inverse
@@ -139,7 +153,9 @@ class Scenario:
     first's (their difference must be positive definite; an exactly zero
     difference is admitted only for projected priors, where the equal-cost
     overlap bounds apply) and precomputes the derived constants used by
-    every formula.
+    every formula. A projected prior also gets its known-side gap
+    A1^-1 P1 - A2^-1 P2 and unknown-side gap A1^-1 (I - P1) - A2^-1 (I - P2)
+    as `known_gap` and `unknown_gap` (None for the other priors).
     """
 
     rule: np.ndarray
@@ -170,20 +186,19 @@ class Scenario:
             )
         object.__setattr__(self, "cost_gap_label", cost_gap_label)
 
-        gap = response_gap(self.cost1, self.cost2)
         if cost_gap_label is Definiteness.ZERO:
-            gap = np.zeros((d, d))
-            gap_sqrt = np.zeros((d, d))
-        else:
-            gap_sqrt = sym_sqrt(gap)
-        object.__setattr__(self, "gap", gap)
-        trace_gap = self.cost1.trace_inverse - self.cost2.trace_inverse
-        if cost_gap_label is Definiteness.ZERO:
+            gap = gap_sqrt = np.zeros((d, d))
             trace_gap = 0.0
+        else:
+            gap = response_gap(self.cost1, self.cost2)
+            gap_sqrt = sym_sqrt(gap)
+            trace_gap = self.cost1.trace_inverse - self.cost2.trace_inverse
+        object.__setattr__(self, "gap", gap)
 
         kv_rule = gap_sqrt @ rule
         rule_sq = kahan_dot(kv_rule, kv_rule)
 
+        known = unknown = None
         if isinstance(self.prior, NaivePrior):
             constants = DisparityConstants(rule_sq=rule_sq, trace_gap=trace_gap)
             means = (np.zeros(d), np.zeros(d))
@@ -210,8 +225,12 @@ class Scenario:
             p2 = self.prior.subspace2
             if p1.dim != d:
                 raise DimensionMismatch(f"projector dim {p1.dim} for dimension {d}")
-            known = self.cost1.inverse @ p1.matrix - self.cost2.inverse @ p2.matrix
-            prior_limit = quad_form(rule, known)
+            eye = np.eye(d)
+            known = GapMatrix(self.cost1.inverse @ p1.matrix - self.cost2.inverse @ p2.matrix)
+            unknown = GapMatrix(
+                self.cost1.inverse @ (eye - p1.matrix) - self.cost2.inverse @ (eye - p2.matrix)
+            )
+            prior_limit = quad_form(rule, known.raw)
             constants = DisparityConstants(
                 rule_sq=rule_sq,
                 trace_gap=trace_gap,
@@ -232,6 +251,8 @@ class Scenario:
         object.__setattr__(self, "constants", constants)
         object.__setattr__(self, "prior_means", means)
         object.__setattr__(self, "commute_defect", commute_defect)
+        object.__setattr__(self, "known_gap", known)
+        object.__setattr__(self, "unknown_gap", unknown)
         sq = self.cost1.inverse @ self.cost1.inverse + self.cost2.inverse @ self.cost2.inverse
         object.__setattr__(self, "_variance_matrix", 0.5 * (sq + sq.T))
 
@@ -325,7 +346,8 @@ def utility_disparity_naive(sc, sigma):
     _require_prior(sc, NaivePrior, "utility_disparity_naive")
     s = noise_scales(sigma)
     c = sc.constants
-    return scalar_or_array(0.5 * (c.rule_sq - s * s * c.trace_gap))
+    with np.errstate(over="ignore"):  # unbounded below; an overflow gives -inf
+        return scalar_or_array(0.5 * (c.rule_sq - s * s * c.trace_gap))
 
 
 def neutrality_sigma_naive(sc):

@@ -1,10 +1,11 @@
 """Small dense symmetric linear algebra with validated semantic wrappers.
 
-Everything here targets matrices of a handful of rows: eigendecomposition
-is a hand-rolled cyclic Jacobi iteration so that results are bit-identical
-across platforms and thread counts, and the wrapper types (`CostMatrix`,
-`Projection`) validate their defining properties on construction instead
-of trusting callers.
+Everything here targets small dense matrices, up to a few dozen rows:
+eigendecomposition is a hand-rolled cyclic Jacobi iteration, each rotation
+applied to whole rows and columns with elementwise numpy arithmetic, so
+that results are bit-identical across platforms and thread counts. The
+wrapper types (`CostMatrix`, `Projection`) validate their defining
+properties on construction instead of trusting callers.
 
 All functions are pure and all wrapper instances are immutable, so values
 can be shared freely between threads.
@@ -84,6 +85,13 @@ def quad_form(x, matrix, y=None):
     return _exact_sum((x[:, None] * a * y).ravel().tolist())
 
 
+def _rotate(x, y, c, s):
+    """x, y = c*x - s*y, s*x + c*y in place, elementwise (no matmul, so no reordering)."""
+    x0 = x.copy()
+    x[:] = c * x0 - s * y
+    y[:] = s * x0 + c * y
+
+
 def jacobi_eigh(matrix):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -104,7 +112,7 @@ def jacobi_eigh(matrix):
     Sweeps run over the strict upper triangle in fixed row-major order and
     stop once the off-diagonal Frobenius mass falls below 1e-13 times the
     Frobenius norm of the input, so the result is deterministic down to the
-    last bit for a given input.
+    last bit for a given input. A rotation updates whole rows and columns.
     """
     a = check_symmetric(matrix).copy()
     a = 0.5 * (a + a.T)
@@ -136,23 +144,11 @@ def jacobi_eigh(matrix):
                     t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
+                _rotate(a[:, p], a[:, q], c, s)
+                _rotate(a[p], a[q], c, s)
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
+                _rotate(v[:, p], v[:, q], c, s)
     else:
         raise Error("Jacobi iteration failed to converge")
     w = a.diagonal().copy()
@@ -269,6 +265,7 @@ class Projection:
         self.matrix = _freeze(p)
         self.dim = p.shape[0]
         self.rank = int(round(float(np.sum(w))))
+        self._complement = None
 
     @classmethod
     def from_span(cls, vectors, dim=None):
@@ -307,8 +304,10 @@ class Projection:
         return cls(np.zeros((dim, dim)))
 
     def complement(self):
-        """Projector onto the orthogonal complement."""
-        return Projection(np.eye(self.dim) - self.matrix)
+        """Projector onto the orthogonal complement, built on first use and kept."""
+        if self._complement is None:
+            self._complement = Projection(np.eye(self.dim) - self.matrix)
+        return self._complement
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"

@@ -34,6 +34,7 @@ from .agents import (
     realized_quantities,
     standard_normals,
 )
+from .closed_form import NaivePrior
 from .errors import Error, NegativeSigma, WrongPriorKind, ZeroStderrMismatch
 
 _STREAM_KEY = 101
@@ -130,8 +131,6 @@ def _realized(sc, group_id, sigma, columns):
     Agent i of group g sees the signal rule + sigma * columns[g - 1][:, i].
     With ``columns`` None, one noiseless agent stands for the whole group.
     """
-    from .closed_form import NaivePrior
-
     group = sc.group_params(group_id)
     values = sc.rule if columns is None else sc.rule + sigma * columns[group_id - 1].T
     signal = Signal(values, sigma)
@@ -228,8 +227,6 @@ def estimate_variance_naive(sc, sigma, n, seed):
     standard error uses the chi-square approximation for a sample
     variance, s^2 * sqrt(2 / (n - 1)).
     """
-    from .closed_form import NaivePrior
-
     if not isinstance(sc.prior, NaivePrior):
         raise WrongPriorKind(
             f"variance estimate is for the naive prior, scenario has "

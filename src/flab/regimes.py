@@ -20,6 +20,7 @@ from .closed_form import (
     ProjectedPrior,
     _require_commuting,
     _require_prior,
+    neutrality_sigma_score_bayes,
     noise_unit,
     score_disparity_projected,
     utility_disparity_bayes,
@@ -161,8 +162,6 @@ def classify_score_bayes(sc):
     reports whether the prior's gap-metric norm is dominated by the rule's,
     the certificate for a non-increasing curve.
     """
-    from .closed_form import neutrality_sigma_score_bayes
-
     _require_prior(sc, CommonPrior, "classify_score_bayes")
     c = sc.constants
     tol = SIGN_TOL * (1.0 + abs(c.cross) + abs(c.rule_sq))
@@ -290,7 +289,7 @@ def two_root_region_check(sc):
     return sc.prior.scale > max(thr_a, thr_b)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MatrixConditionReport:
     """Definiteness evidence for one structural condition.
 
@@ -299,29 +298,9 @@ class MatrixConditionReport:
     """
 
     name: str
-    matrix: np.ndarray
     label: Definiteness
     guaranteed: bool
     checks: tuple
-
-
-def _known_matrix(sc):
-    p1 = sc.prior.subspace1
-    p2 = sc.prior.subspace2
-    return sc.cost1.inverse @ p1.matrix - sc.cost2.inverse @ p2.matrix
-
-
-def _unknown_matrix(sc):
-    p1 = sc.prior.subspace1
-    p2 = sc.prior.subspace2
-    return (
-        sc.cost1.inverse @ p1.complement().matrix
-        - sc.cost2.inverse @ p2.complement().matrix
-    )
-
-
-def _sym(m):
-    return 0.5 * (m + m.T)
 
 
 def _is_identity(p):
@@ -340,8 +319,7 @@ def exploitation_condition_projected(sc):
     group to know the whole space.
     """
     _require_prior(sc, ProjectedPrior, "exploitation_condition_projected")
-    s = _sym(_known_matrix(sc))
-    lab = definiteness(s)
+    lab = sc.known_gap.label
     guaranteed = lab in _SEMI_POSITIVE
     checks = []
     if guaranteed:
@@ -357,7 +335,7 @@ def exploitation_condition_projected(sc):
     if lab is Definiteness.PD:
         checks.append(("first projector is the identity", _is_identity(sc.prior.subspace1)))
     return MatrixConditionReport(
-        "score exploitation at every noise scale", s, lab, guaranteed, tuple(checks)
+        "score exploitation at every noise scale", lab, guaranteed, tuple(checks)
     )
 
 
@@ -375,8 +353,7 @@ def neutrality_condition_projected(sc):
     verified alongside.
     """
     _require_prior(sc, ProjectedPrior, "neutrality_condition_projected")
-    s = _sym(_known_matrix(sc))
-    lab = definiteness(s)
+    lab = sc.known_gap.label
     guaranteed = lab is Definiteness.ND
     checks = []
     sigma = None
@@ -393,7 +370,7 @@ def neutrality_condition_projected(sc):
         )
     return NeutralityCondition(
         MatrixConditionReport(
-            "score neutrality for every rule", s, lab, guaranteed, tuple(checks)
+            "score neutrality for every rule", lab, guaranteed, tuple(checks)
         ),
         sigma,
     )
@@ -408,8 +385,7 @@ def monotonicity_condition_projected(sc):
     projector to vanish outright.
     """
     _require_prior(sc, ProjectedPrior, "monotonicity_condition_projected")
-    s = _sym(_unknown_matrix(sc))
-    lab = definiteness(s)
+    lab = sc.unknown_gap.label
     checks = []
     if lab in _SEMI_POSITIVE:
         rel = subspace_relation(sc.prior.subspace1, sc.prior.subspace2)
@@ -433,7 +409,7 @@ def monotonicity_condition_projected(sc):
         checks.append(("second projector is zero", _is_zero(sc.prior.subspace2)))
         checks.append(("first projector is nonzero", not _is_zero(sc.prior.subspace1)))
     return MatrixConditionReport(
-        "score disparity trend", s, lab, lab is not Definiteness.INDEFINITE, tuple(checks)
+        "score disparity trend", lab, lab is not Definiteness.INDEFINITE, tuple(checks)
     )
 
 
@@ -481,19 +457,17 @@ def classify_utility_projected_matrix(sc, stream=None, samples=50):
     if scale <= 0.0:
         raise Error("matrix classification needs a positive prior scale")
 
-    known = _sym(_known_matrix(sc))
-    known_label = definiteness(known)
+    known_label = sc.known_gap.label
     if known_label not in _SEMI_POSITIVE:
         raise AssumptionViolated(
             f"known-subspace gap must be positive semidefinite, got {known_label}"
         )
-    unknown = _sym(_unknown_matrix(sc))
-    unknown_label = definiteness(unknown)
+    unknown_label = sc.unknown_gap.label
     if unknown_label is Definiteness.INDEFINITE:
         raise AssumptionViolated("unknown-subspace gap is indefinite")
 
     d = sc.dim
-    split = (2.0 / c.trace_gap) * unknown - scale * scale * np.eye(d)
+    split = (2.0 / c.trace_gap) * sc.unknown_gap.sym - scale * scale * np.eye(d)
     split_label = definiteness(split)
     if split_label in _SEMI_POSITIVE:
         verdict = MatrixVerdict.MONOTONE_ALL
@@ -507,8 +481,6 @@ def classify_utility_projected_matrix(sc, stream=None, samples=50):
     agree = True
     checked = 0
     band = 1e-8 * (1.0 + scale * scale)
-    gap = sc.gap
-    known_raw = _known_matrix(sc)
     if verdict is not MatrixVerdict.INDETERMINATE:
         for _ in range(samples):
             v = standard_normals(stream, d)
@@ -517,7 +489,7 @@ def classify_utility_projected_matrix(sc, stream=None, samples=50):
                 continue
             v = v / norm
             margin = (2.0 / c.trace_gap) * (
-                quad_form(v, gap) - quad_form(v, known_raw)
+                quad_form(v, sc.gap) - quad_form(v, sc.known_gap.raw)
             ) - scale * scale
             checked += 1
             if verdict is MatrixVerdict.MONOTONE_ALL and margin < -band:

@@ -169,6 +169,16 @@ class TestSweepCommand:
             assert cells[3] == str(label_region(fs))
             assert cells[4] == str(label_region(fu))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_naive_utility_is_a_typed_error(self, tmp_path, capsys):
+        body = committed_with_sweep("reference_naive", 1.0, 1e200, 11)
+        out_csv = tmp_path / "out.csv"
+        assert cli.main(["sweep", write_scenario(tmp_path, body), "--out-csv", str(out_csv)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: utility disparity at sigma=1e+160 is -inf\n"
+        assert captured.out == ""
+        assert not out_csv.exists()
+
     def test_byte_determinism_across_thread_counts(self, tmp_path):
         out_csv, out_svg = str(tmp_path / "out.csv"), str(tmp_path / "out.svg")
         args = ["sweep", write_scenario(tmp_path, REF), "--out-csv", out_csv, "--out-svg", out_svg]
@@ -276,6 +286,45 @@ class TestClassifyCommand:
         assert "1.4832" in out
         assert "Exploitation throughout" in out
         assert "not applicable" in out
+
+    def test_eigensolves_per_classify(self, tmp_path, capsys, monkeypatch):
+        from flab import linalg_core
+        from flab.regimes import (
+            exploitation_condition_projected,
+            monotonicity_condition_projected,
+            neutrality_condition_projected,
+        )
+
+        calls = []
+        true_eigh = linalg_core.jacobi_eigh
+
+        def counted(matrix):
+            calls.append(1)
+            return true_eigh(matrix)
+
+        monkeypatch.setattr(linalg_core, "jacobi_eigh", counted)
+        assert cli.main(["classify", str(SCENARIOS / "reference_projected.json")]) == 0
+        # two costs, two projectors, the cost gap and its square root on load,
+        # then one label for each of the two gap matrices
+        assert len(calls) == 8
+
+        first_knows_all = dict(
+            self.PROJECTED["prior"], subspace1=[[1.0, 0.0], [0.0, 1.0]], subspace2=[[1.0, 0.0], [0.0, 0.0]]
+        )
+        certificates = (
+            exploitation_condition_projected,
+            neutrality_condition_projected,
+            monotonicity_condition_projected,
+        )
+        paths = (str(SCENARIOS / "reference_projected.json"), write_scenario(tmp_path, variant(prior=first_knows_all)))
+        for path in paths:
+            sc = cli.load_scenario(path).scenario
+            first = [certificate(sc) for certificate in certificates]
+            before = len(calls)
+            for certificate in certificates:
+                certificate(sc)
+            assert len(calls) == before
+        assert first[0].guaranteed  # so the second scenario's check built both complements
 
     def test_root_count_mismatch_exits_4(self, tmp_path, capsys, monkeypatch):
         from flab.regimes import classify_utility_bayes as true_classifier

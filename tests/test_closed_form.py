@@ -46,7 +46,7 @@ from flab.errors import (
     NonCommuting,
     WrongPriorKind,
 )
-from flab.linalg_core import CostMatrix, Projection, max_norm
+from flab.linalg_core import CostMatrix, Definiteness, Projection, definiteness, max_norm
 
 RULE = np.array([1.0, 0.5])
 PRIOR_MEAN = np.array([0.5, 2.0])
@@ -108,6 +108,23 @@ class TestScenarioConstruction:
         assert c.cross == c.prior_limit
         assert c.prior_sq == c.prior_limit
         assert c.mismatch == pytest.approx(c.rule_sq - c.prior_limit, rel=1e-14)
+
+    def test_projected_gap_matrices(self, projected, naive, common):
+        p1, p2 = projected.prior.subspace1, projected.prior.subspace2
+        inv1, inv2 = projected.cost1.inverse, projected.cost2.inverse
+        known, unknown = projected.known_gap, projected.unknown_gap
+        assert np.array_equal(known.raw, inv1 @ p1.matrix - inv2 @ p2.matrix)
+        assert np.array_equal(
+            unknown.raw, inv1 @ p1.complement().matrix - inv2 @ p2.complement().matrix
+        )
+        for gap in (known, unknown):
+            assert np.array_equal(gap.sym, 0.5 * (gap.raw + gap.raw.T))
+            assert "label" not in vars(gap)  # no eigensolve until a label is asked for
+            assert gap.label is definiteness(gap.sym)
+        # known = diag(1/2 - 1/4, 0 - 1/3), unknown = diag(0, 1)
+        assert known.label is Definiteness.INDEFINITE
+        assert unknown.label is Definiteness.PSD
+        assert naive.known_gap is None and common.unknown_gap is None
 
     def test_rejects_equal_costs_without_projection(self, costs):
         with pytest.raises(AssumptionViolated):

@@ -1,5 +1,7 @@
 """Linear-algebra kernel tests against numpy oracles and hand values."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,95 @@ class TestJacobi:
         w, v = jacobi_eigh(m)
         assert np.abs(np.sort(w) - np.diag(m)).max() <= 1e-12
         assert max_norm(v.T @ v - np.eye(3)) <= 1e-12
+
+
+def per_element_jacobi_eigh(matrix):
+    """Cyclic Jacobi that rotates one entry at a time in scalar arithmetic.
+
+    The reference for `jacobi_eigh`: same sweep order, same rotation angle
+    and same stopping rule, with every row and column update spelled out
+    as a loop over its entries.
+    """
+    a = np.array(matrix, dtype=float)
+    a = 0.5 * (a + a.T)
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return a.diagonal().copy(), v
+    scale = float(np.sqrt(np.sum(a * a)))
+    if scale == 0.0:
+        return np.zeros(n), v
+    tol = 1e-13 * scale
+    off_mask = ~np.eye(n, dtype=bool)
+    for _ in range(100):
+        if math.sqrt(float(np.sum(a[off_mask] ** 2))) < tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(diff) > 1e12 * abs(apq):
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                for k in range(n):
+                    akp = a[k, p]
+                    akq = a[k, q]
+                    a[k, p] = c * akp - s * akq
+                    a[k, q] = s * akp + c * akq
+                for k in range(n):
+                    apk = a[p, k]
+                    aqk = a[q, k]
+                    a[p, k] = c * apk - s * aqk
+                    a[q, k] = s * apk + c * aqk
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                for k in range(n):
+                    vkp = v[k, p]
+                    vkq = v[k, q]
+                    v[k, p] = c * vkp - s * vkq
+                    v[k, q] = s * vkp + c * vkq
+    else:
+        raise AssertionError("reference Jacobi did not converge")
+    w = a.diagonal().copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+def assert_same_bits(m):
+    w, v = jacobi_eigh(m)
+    w_ref, v_ref = per_element_jacobi_eigh(m)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(v, v_ref)
+
+
+class TestJacobiRotations:
+    """Whole-row and whole-column rotations round exactly like the per-entry loop."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+    def test_random_symmetric(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(5 if d < 16 else 2):
+            assert_same_bits(random_symmetric(rng, d, scale=rng.uniform(0.1, 10.0)))
+
+    @pytest.mark.parametrize("d,rank", [(2, 1), (3, 1), (5, 2), (8, 3), (16, 7)])
+    def test_rank_deficient_projectors(self, d, rank):
+        rng = np.random.default_rng(200 + d)
+        q, _ = np.linalg.qr(rng.normal(size=(d, rank)))
+        p = q @ q.T
+        assert_same_bits(0.5 * (p + p.T))
+        assert_same_bits(np.eye(d) - 0.5 * (p + p.T))
+
+    def test_diagonal(self):
+        assert_same_bits(np.diag([3.0, -1.0, 2.0, 0.5, -7.25]))
+
+    def test_zero(self):
+        assert_same_bits(np.zeros((4, 4)))
 
 
 class TestDefiniteness:
