@@ -25,8 +25,6 @@ from .closed_form import (
     _utility_limit,
     disparity_value,
     neutrality_sigma_naive,
-    noise_unit,
-    score_disparity_naive,
     score_overlap_bound,
     sigma_grid,
     utility_overlap_bound,
@@ -77,7 +75,7 @@ class LoadedScenario:
     scenario: Scenario
     sweep: "SweepConfig | None"
     mc: "McConfig | None"
-    label: str
+    name: str  # for display: the scenario's label, else the file's base name
 
 
 def _fail(pointer, message):
@@ -235,7 +233,7 @@ def load_scenario(path):
     sweep = _parse_sweep(root["sweep"]) if "sweep" in root else None
     mc = _parse_mc(root["mc"]) if "mc" in root else None
     scenario = Scenario(rule, cost1, cost2, prior, label=label)
-    return LoadedScenario(scenario, sweep, mc, label)
+    return LoadedScenario(scenario, sweep, mc, label or os.path.basename(path))
 
 
 def _points(args, minimum, default=None):
@@ -407,14 +405,13 @@ def cmd_validate(args, out=None):
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
     c = sc.constants
-    name = loaded.label or os.path.basename(args.scenario)
-    print(f"scenario OK: {name}", file=out)
+    print(f"scenario OK: {loaded.name}", file=out)
     print(f"  dimension: {sc.dim}", file=out)
     print(f"  cost gap: {sc.cost_gap_label}", file=out)
     print(f"  trace gap: {_g5(sc.trace_gap)}", file=out)
     if isinstance(sc.prior, NaivePrior):
         print("  prior: naive", file=out)
-        print(f"  score disparity (all noise levels): {_g5(score_disparity_naive(sc))}", file=out)
+        print(f"  score disparity (all noise levels): {_g5(c.rule_sq)}", file=out)
         if sc.trace_gap > 0.0:
             print(f"  utility crossing: {_g5(neutrality_sigma_naive(sc))}", file=out)
         return _EXIT_OK
@@ -461,11 +458,10 @@ def cmd_sweep(args, out=None):
     else:
         out.write(csv_text)
     if args.out_svg:
-        name = loaded.label or os.path.basename(args.scenario)
         svg = render_svg(
             sigmas,
             [("score disparity", scores), ("utility disparity", utilities)],
-            name,
+            loaded.name,
             "log" if loaded.sweep is None else loaded.sweep.spacing,
         )
         _write_text(args.out_svg, svg)
@@ -486,10 +482,9 @@ def cmd_classify(args, out=None):
     out = sys.stdout if out is None else out
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
-    name = loaded.label or os.path.basename(args.scenario)
-    print(f"classification: {name}", file=out)
+    print(f"classification: {loaded.name}", file=out)
     if isinstance(sc.prior, NaivePrior):
-        fs = score_disparity_naive(sc)
+        fs = sc.constants.rule_sq
         print(f"  score: constant {_g5(fs)} ({label_region(fs)})", file=out)
         if sc.trace_gap > 0.0:
             root = neutrality_sigma_naive(sc)
@@ -568,8 +563,7 @@ def cmd_verify(args, out=None):
     seed = args.seed if args.seed is not None else loaded.mc.seed
     _check_mc(n, seed, "--n", "--seed")  # the mc block passed these checks on load
     z_max = loaded.mc.z_max if loaded.mc is not None else 4.0
-    u = noise_unit(sc)
-    sigmas = [0.0] + [float(s) for s in np.geomspace(1e-3 * u, 1e3 * u, points)]
+    sigmas = [0.0] + sigma_grid(sc, points).tolist()
     rows = []
     for sigma, estimates in zip(sigmas, estimate_disparities(sc, sigmas, n, seed)):
         for metric in (Metric.SCORE, Metric.UTILITY):

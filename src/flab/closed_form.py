@@ -8,10 +8,11 @@ values, and the overlap bounds available when both groups share one cost.
 A noise scale may be a float or an array; each array element equals the
 float call bit for bit, so a whole grid is evaluated in one call.
 
-Common-prior and projected-prior disparities are evaluated through one
-shared routine over the same five derived constants, so the algebraic
-reduction between the two prior families is also an implementation-level
-identity rather than a coincidence of two formulas.
+Every disparity is evaluated by `disparity_value`. Common-prior and
+projected-prior disparities go through one shared routine over the same
+five derived constants, so the algebraic reduction between the two prior
+families is also an implementation-level identity rather than a
+coincidence of two formulas.
 """
 
 import enum
@@ -329,25 +330,10 @@ def _utility_limit(constants):
     return constants.cross - constants.prior_sq / 2.0
 
 
-def score_disparity_naive(sc):
-    """Equilibrium score disparity for naive agents; independent of noise."""
-    _require_prior(sc, NaivePrior, "score_disparity_naive")
-    return sc.constants.rule_sq
-
-
 def score_variance_naive(sc, sigma):
     """Variance of the per-draw score difference between groups."""
     s = noise_scales(sigma)
     return scalar_or_array(s * s * quad_form(sc.rule, sc._variance_matrix))
-
-
-def utility_disparity_naive(sc, sigma):
-    """Utility disparity for naive agents: half the score gap minus a noise tax."""
-    _require_prior(sc, NaivePrior, "utility_disparity_naive")
-    s = noise_scales(sigma)
-    c = sc.constants
-    with np.errstate(over="ignore"):  # unbounded below; an overflow gives -inf
-        return scalar_or_array(0.5 * (c.rule_sq - s * s * c.trace_gap))
 
 
 def neutrality_sigma_naive(sc):
@@ -356,12 +342,6 @@ def neutrality_sigma_naive(sc):
     if sc.trace_gap <= 0.0:
         raise AssumptionViolated("trace gap must be positive")
     return math.sqrt(sc.constants.rule_sq / sc.trace_gap)
-
-
-def score_disparity_bayes(sc, sigma):
-    """Score disparity under a shared Gaussian prior."""
-    _require_prior(sc, CommonPrior, "score_disparity_bayes")
-    return _score_level(sc.constants, sc.prior.scale, sigma)
 
 
 def neutrality_sigma_score_bayes(sc):
@@ -377,29 +357,6 @@ def neutrality_sigma_score_bayes(sc):
     if c.cross >= 0.0:
         return None
     return math.sqrt(-c.rule_sq / c.cross) * sc.prior.scale
-
-
-def utility_disparity_bayes(sc, sigma):
-    """Utility disparity under a shared Gaussian prior."""
-    _require_prior(sc, CommonPrior, "utility_disparity_bayes")
-    return _utility_level(sc.constants, sc.prior.scale, sigma)
-
-
-def score_disparity_projected(sc, sigma):
-    """Score disparity when each group knows only its own subspace."""
-    _require_prior(sc, ProjectedPrior, "score_disparity_projected")
-    return _score_level(sc.constants, sc.prior.scale, sigma)
-
-
-def utility_disparity_projected(sc, sigma):
-    """Utility disparity for projected priors.
-
-    Valid only when each projector commutes with its group's inverse cost;
-    a violation raises NonCommuting rather than returning a wrong value.
-    """
-    _require_prior(sc, ProjectedPrior, "utility_disparity_projected")
-    _require_commuting(sc, "utility_disparity_projected")
-    return _utility_level(sc.constants, sc.prior.scale, sigma)
 
 
 def overlap_proxy(sc):
@@ -436,25 +393,39 @@ def noise_unit(sc):
     return max(sc.prior_scale, 1.0)
 
 
-def sigma_grid(sc, points=241, lo=1e-3, hi=1e3):
-    """Log-spaced noise grid covering the interesting range of a scenario."""
+def noise_range(sc):
+    """Default noise interval, three decades either side of `noise_unit`."""
     u = noise_unit(sc)
-    return np.geomspace(lo * u, hi * u, points)
+    return 1e-3 * u, 1e3 * u
+
+
+def sigma_grid(sc, points=241):
+    """Log-spaced noise grid over the default noise interval."""
+    return np.geomspace(*noise_range(sc), points)
 
 
 def disparity_value(sc, metric, sigma):
-    """Evaluate the analytic disparity of the scenario's own prior kind."""
+    """Analytic score or utility disparity of the scenario at noise scale sigma.
+
+    For naive agents the score disparity is constant and the utility
+    disparity is half of it less a noise tax, unbounded below. The
+    belief-carrying priors share one score and one utility formula over
+    the scenario's constants. Projected utility is valid only when each
+    projector commutes with its group's inverse cost; a violation raises
+    NonCommuting rather than returning a wrong value.
+    """
+    c = sc.constants
     if isinstance(sc.prior, NaivePrior):
+        s = noise_scales(sigma)
         if metric is Metric.SCORE:
-            return scalar_or_array(np.full(noise_scales(sigma).shape, score_disparity_naive(sc)))
-        return utility_disparity_naive(sc, sigma)
-    if isinstance(sc.prior, CommonPrior):
-        if metric is Metric.SCORE:
-            return score_disparity_bayes(sc, sigma)
-        return utility_disparity_bayes(sc, sigma)
+            return scalar_or_array(np.full(s.shape, c.rule_sq))
+        with np.errstate(over="ignore"):  # unbounded below; an overflow gives -inf
+            return scalar_or_array(0.5 * (c.rule_sq - s * s * c.trace_gap))
     if metric is Metric.SCORE:
-        return score_disparity_projected(sc, sigma)
-    return utility_disparity_projected(sc, sigma)
+        return _score_level(c, sc.prior.scale, sigma)
+    if isinstance(sc.prior, ProjectedPrior):
+        _require_commuting(sc, "projected utility disparity")
+    return _utility_level(c, sc.prior.scale, sigma)
 
 
 _KIND_TABLE = {

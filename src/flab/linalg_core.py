@@ -265,7 +265,6 @@ class Projection:
         self.matrix = _freeze(p)
         self.dim = p.shape[0]
         self.rank = int(round(float(np.sum(w))))
-        self._complement = None
 
     @classmethod
     def from_span(cls, vectors, dim=None):
@@ -303,42 +302,16 @@ class Projection:
     def zero(cls, dim):
         return cls(np.zeros((dim, dim)))
 
-    def complement(self):
-        """Projector onto the orthogonal complement, built on first use and kept."""
-        if self._complement is None:
-            self._complement = Projection(np.eye(self.dim) - self.matrix)
-        return self._complement
-
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"
 
 
-class SpanRelation(enum.Enum):
-    EQUAL_SPAN = "EqualSpan"
-    FIRST_WITHIN_SECOND = "FirstWithinSecond"
-    SECOND_WITHIN_FIRST = "SecondWithinFirst"
-    INCOMPARABLE = "Incomparable"
+def span_within(first, second):
+    """Whether the range of projector ``first`` lies within that of ``second``.
 
-    def __str__(self):
-        return self.value
-
-
-def subspace_relation(first, second):
-    """Compare the ranges of two projectors.
-
-    span(P) is within span(Q) exactly when Q P = P; both directions are
-    tested with a 1e-9 max-norm tolerance.
+    span(P) is within span(Q) exactly when Q P = P, tested with a 1e-9
+    max-norm tolerance.
     """
     if first.dim != second.dim:
         raise DimensionMismatch(f"projector dims {first.dim} and {second.dim}")
-    p = first.matrix
-    q = second.matrix
-    p_in_q = max_norm(q @ p - p) <= 1e-9
-    q_in_p = max_norm(p @ q - q) <= 1e-9
-    if p_in_q and q_in_p:
-        return SpanRelation.EQUAL_SPAN
-    if p_in_q:
-        return SpanRelation.FIRST_WITHIN_SECOND
-    if q_in_p:
-        return SpanRelation.SECOND_WITHIN_FIRST
-    return SpanRelation.INCOMPARABLE
+    return max_norm(second.matrix @ first.matrix - first.matrix) <= 1e-9

@@ -14,27 +14,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .agents import normal_stream, standard_normals
+from .agents import Metric, normal_stream, standard_normals
 from .closed_form import (
     CommonPrior,
     ProjectedPrior,
     _require_commuting,
     _require_prior,
+    disparity_value,
     neutrality_sigma_score_bayes,
-    noise_unit,
-    score_disparity_projected,
-    utility_disparity_bayes,
-    utility_disparity_projected,
+    noise_range,
 )
 from .errors import AssumptionViolated, Error, InvalidBracket, NonFinite
-from .linalg_core import (
-    Definiteness,
-    SpanRelation,
-    definiteness,
-    max_norm,
-    quad_form,
-    subspace_relation,
-)
+from .linalg_core import Definiteness, definiteness, max_norm, quad_form, span_within
 
 SIGN_TOL = 1e-10
 TANGENT_TOL = 1e-11
@@ -130,12 +121,6 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     return RootScan(tuple(sorted(crossings)), tuple(tangential))
 
 
-def scan_domain(sc):
-    """Default root-search interval, three decades either side of the unit."""
-    u = noise_unit(sc)
-    return 1e-3 * u, 1e3 * u
-
-
 class ScoreTrend(enum.Enum):
     DECREASING = "Decreasing"
     INCREASING = "Increasing"
@@ -198,7 +183,6 @@ class UtilityRegime:
     roots: tuple
     tangential: tuple
     count_matches: bool
-    constants: "object"
 
 
 def critical_prior_scale(sc):
@@ -209,7 +193,7 @@ def critical_prior_scale(sc):
     return math.sqrt(max(2.0 * c.mismatch / c.trace_gap, 0.0))
 
 
-def _classify_utility(sc, curve_fn):
+def _classify_utility(sc):
     c = sc.constants
     scale = sc.prior.scale
     if scale <= 0.0:
@@ -226,7 +210,7 @@ def _classify_utility(sc, curve_fn):
         case = UtilityCase.NON_MONOTONE
         ratio = crit_sq / (scale * scale)
         sigma_min = scale * math.sqrt(1.0 / (1.0 - ratio))
-        fu_min = curve_fn(sigma_min)
+        fu_min = disparity_value(sc, Metric.UTILITY, sigma_min)
 
     if c.prior_sq > 2.0 * c.cross:
         predicted = 1
@@ -238,7 +222,7 @@ def _classify_utility(sc, curve_fn):
         predicted = 2
     else:
         predicted = 1
-    scan = find_roots(curve_fn, *scan_domain(sc))
+    scan = find_roots(lambda s: disparity_value(sc, Metric.UTILITY, s), *noise_range(sc))
     return UtilityRegime(
         case=case,
         critical_scale=critical,
@@ -248,7 +232,6 @@ def _classify_utility(sc, curve_fn):
         roots=scan.crossings,
         tangential=scan.tangential,
         count_matches=len(scan.crossings) == predicted,
-        constants=c,
     )
 
 
@@ -261,14 +244,14 @@ def classify_utility_bayes(sc):
     and the sign at the minimum, then checked against a numeric scan.
     """
     _require_prior(sc, CommonPrior, "classify_utility_bayes")
-    return _classify_utility(sc, lambda s: utility_disparity_bayes(sc, s))
+    return _classify_utility(sc)
 
 
 def classify_utility_projected(sc):
     """Same case analysis for projected priors via the shared constants."""
     _require_prior(sc, ProjectedPrior, "classify_utility_projected")
     _require_commuting(sc, "classify_utility_projected")
-    return _classify_utility(sc, lambda s: utility_disparity_projected(sc, s))
+    return _classify_utility(sc)
 
 
 def two_root_region_check(sc):
@@ -323,13 +306,12 @@ def exploitation_condition_projected(sc):
     guaranteed = lab in _SEMI_POSITIVE
     checks = []
     if guaranteed:
-        rel = subspace_relation(
-            sc.prior.subspace1.complement(), sc.prior.subspace2.complement()
-        )
+        # null spaces are orthogonal complements, so their containment is
+        # the reverse containment of the spans
         checks.append(
             (
                 "null space of first projector within null space of second",
-                rel in (SpanRelation.EQUAL_SPAN, SpanRelation.FIRST_WITHIN_SECOND),
+                span_within(sc.prior.subspace2, sc.prior.subspace1),
             )
         )
     if lab is Definiteness.PD:
@@ -365,7 +347,7 @@ def neutrality_condition_projected(sc):
         checks.append(
             (
                 "score disparity vanishes at the crossing",
-                abs(score_disparity_projected(sc, sigma)) <= 1e-10,
+                abs(disparity_value(sc, Metric.SCORE, sigma)) <= 1e-10,
             )
         )
     return NeutralityCondition(
@@ -388,21 +370,19 @@ def monotonicity_condition_projected(sc):
     lab = sc.unknown_gap.label
     checks = []
     if lab in _SEMI_POSITIVE:
-        rel = subspace_relation(sc.prior.subspace1, sc.prior.subspace2)
         checks.append(
             (
                 "span of first projector within span of second",
-                rel in (SpanRelation.EQUAL_SPAN, SpanRelation.FIRST_WITHIN_SECOND),
+                span_within(sc.prior.subspace1, sc.prior.subspace2),
             )
         )
     if lab is Definiteness.PD:
         checks.append(("first projector is zero", _is_zero(sc.prior.subspace1)))
     if lab in (Definiteness.ND, Definiteness.NSD):
-        rel = subspace_relation(sc.prior.subspace2, sc.prior.subspace1)
         checks.append(
             (
                 "span of second projector within span of first",
-                rel in (SpanRelation.EQUAL_SPAN, SpanRelation.FIRST_WITHIN_SECOND),
+                span_within(sc.prior.subspace2, sc.prior.subspace1),
             )
         )
     if lab is Definiteness.ND:

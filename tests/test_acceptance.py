@@ -27,6 +27,7 @@ from flab.closed_form import (
     Scenario,
     disparity_value,
     neutrality_sigma_naive,
+    noise_range,
     score_variance_naive,
 )
 from flab.errors import AssumptionViolated
@@ -41,7 +42,6 @@ from flab.regimes import (
     find_roots,
     monotonicity_condition_projected,
     neutrality_condition_projected,
-    scan_domain,
     two_root_region_check,
 )
 
@@ -221,7 +221,7 @@ def test_05_interior_minimum_formula_matches_numeric_argmin():
         sc = Scenario(th, CostMatrix(a1), CostMatrix(a2), CommonPrior(th0, gam))
         regime = classify_utility_bayes(sc)
         assert regime.case is UtilityCase.NON_MONOTONE
-        lo, hi = scan_domain(sc)
+        lo, hi = noise_range(sc)
         numeric = log_argmin(lambda s: disparity_value(sc, Metric.UTILITY, s), lo, hi)
         assert abs(numeric - regime.sigma_min) <= 1e-4 * regime.sigma_min
         done += 1
@@ -259,7 +259,7 @@ def test_05_interior_minimum_formula_matches_numeric_argmin():
         )
         regime = classify_utility_projected(sc)
         assert regime.case is UtilityCase.NON_MONOTONE
-        lo, hi = scan_domain(sc)
+        lo, hi = noise_range(sc)
         numeric = log_argmin(lambda s: disparity_value(sc, Metric.UTILITY, s), lo, hi)
         assert abs(numeric - regime.sigma_min) <= 1e-4 * regime.sigma_min
         done += 1

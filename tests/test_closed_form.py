@@ -26,15 +26,9 @@ from flab.closed_form import (
     noise_unit,
     overlap_proxy,
     response_gap,
-    score_disparity_bayes,
-    score_disparity_naive,
-    score_disparity_projected,
     score_overlap_bound,
     score_variance_naive,
     sigma_grid,
-    utility_disparity_bayes,
-    utility_disparity_naive,
-    utility_disparity_projected,
     utility_overlap_bound,
 )
 from flab.errors import (
@@ -114,9 +108,8 @@ class TestScenarioConstruction:
         inv1, inv2 = projected.cost1.inverse, projected.cost2.inverse
         known, unknown = projected.known_gap, projected.unknown_gap
         assert np.array_equal(known.raw, inv1 @ p1.matrix - inv2 @ p2.matrix)
-        assert np.array_equal(
-            unknown.raw, inv1 @ p1.complement().matrix - inv2 @ p2.complement().matrix
-        )
+        eye = np.eye(2)
+        assert np.array_equal(unknown.raw, inv1 @ (eye - p1.matrix) - inv2 @ (eye - p2.matrix))
         for gap in (known, unknown):
             assert np.array_equal(gap.sym, 0.5 * (gap.raw + gap.raw.T))
             assert "label" not in vars(gap)  # no eigensolve until a label is asked for
@@ -150,7 +143,8 @@ class TestScenarioConstruction:
 
 class TestNaiveFormulas:
     def test_score_disparity_constant(self, naive):
-        assert score_disparity_naive(naive) == pytest.approx(5.0 / 12.0, rel=1e-12)
+        for sigma in (0.0, 1.0, 1e200):
+            assert disparity_value(naive, Metric.SCORE, sigma) == pytest.approx(5.0 / 12.0, rel=1e-12)
 
     def test_variance_reference_value(self, naive):
         assert score_variance_naive(naive, 1.0) == pytest.approx(
@@ -164,56 +158,54 @@ class TestNaiveFormulas:
         assert score_variance_naive(naive, 0.0) == 0.0
 
     def test_utility_reference_value(self, naive):
-        assert utility_disparity_naive(naive, 0.5) == pytest.approx(0.09375, rel=1e-12)
+        assert disparity_value(naive, Metric.UTILITY, 0.5) == pytest.approx(0.09375, rel=1e-12)
 
     def test_utility_zero_noise_is_half_score(self, naive):
-        fu0 = utility_disparity_naive(naive, 0.0)
+        fu0 = disparity_value(naive, Metric.UTILITY, 0.0)
         assert fu0 == 0.5 * naive.constants.rule_sq
 
     def test_neutrality_sigma(self, naive):
         root = neutrality_sigma_naive(naive)
         assert root == pytest.approx(math.sqrt(5.0 / 11.0), rel=1e-13)
-        assert utility_disparity_naive(naive, root) == pytest.approx(0.0, abs=1e-15)
+        assert disparity_value(naive, Metric.UTILITY, root) == pytest.approx(0.0, abs=1e-15)
 
     def test_wrong_prior_rejected(self, common):
-        with pytest.raises(WrongPriorKind):
-            score_disparity_naive(common)
         with pytest.raises(WrongPriorKind):
             neutrality_sigma_naive(common)
 
 
 class TestCommonPriorFormulas:
     def test_score_reference_value(self, common):
-        assert score_disparity_bayes(common, 1.0) == pytest.approx(
+        assert disparity_value(common, Metric.SCORE, 1.0) == pytest.approx(
             0.6041666666666666, rel=1e-13
         )
 
     def test_utility_reference_value(self, common):
-        assert utility_disparity_bayes(common, 1.0) == pytest.approx(
+        assert disparity_value(common, Metric.UTILITY, 1.0) == pytest.approx(
             -0.1015625, rel=1e-12
         )
 
     def test_boundary_values_exact(self, common):
         c = common.constants
-        assert score_disparity_bayes(common, 0.0) == c.rule_sq
-        assert utility_disparity_bayes(common, 0.0) == 0.5 * c.rule_sq
+        assert disparity_value(common, Metric.SCORE, 0.0) == c.rule_sq
+        assert disparity_value(common, Metric.UTILITY, 0.0) == 0.5 * c.rule_sq
 
     @pytest.mark.filterwarnings("error")
     def test_infinity_limits(self, common):
         c = common.constants
         big = 1e6 * noise_unit(common)
-        assert score_disparity_bayes(common, big) == pytest.approx(c.cross, rel=1e-6)
+        assert disparity_value(common, Metric.SCORE, big) == pytest.approx(c.cross, rel=1e-6)
         limit = c.cross - 0.5 * c.prior_sq
         assert limit == pytest.approx(-0.5729166666666666, rel=1e-13)
-        assert utility_disparity_bayes(common, big) == pytest.approx(limit, rel=1e-6)
+        assert disparity_value(common, Metric.UTILITY, big) == pytest.approx(limit, rel=1e-6)
         # sigma^2 overflows: the limits exactly, with no overflow warning
         huge = np.array([1e154, 1e160, 1e200, np.finfo(float).max])
-        assert np.all(score_disparity_bayes(common, huge) == c.cross)
-        assert np.all(utility_disparity_bayes(common, huge) == limit)
+        assert np.all(disparity_value(common, Metric.SCORE, huge) == c.cross)
+        assert np.all(disparity_value(common, Metric.UTILITY, huge) == limit)
 
     def test_matched_prior_utility_value(self, costs):
         sc = Scenario(RULE, costs[0], costs[1], CommonPrior(RULE.copy(), 1.0))
-        assert utility_disparity_bayes(sc, 1.0) == pytest.approx(0.09375, rel=1e-12)
+        assert disparity_value(sc, Metric.UTILITY, 1.0) == pytest.approx(0.09375, rel=1e-12)
 
     def test_neutrality_none_when_aligned(self, common):
         assert neutrality_sigma_score_bayes(common) is None
@@ -222,7 +214,7 @@ class TestCommonPriorFormulas:
         sc = Scenario(RULE, costs[0], costs[1], CommonPrior(-PRIOR_MEAN, 1.0))
         root = neutrality_sigma_score_bayes(sc)
         assert root == pytest.approx(math.sqrt(10.0 / 19.0), rel=1e-13)
-        assert score_disparity_bayes(sc, root) == pytest.approx(0.0, abs=1e-14)
+        assert disparity_value(sc, Metric.SCORE, root) == pytest.approx(0.0, abs=1e-14)
 
     def test_weight_consistency(self, common):
         # the score curve is affine in the signal weight
@@ -230,12 +222,12 @@ class TestCommonPriorFormulas:
             w = signal_weight(1.0, sigma)
             c = common.constants
             expect = (1.0 - w) * c.cross + w * c.rule_sq
-            assert score_disparity_bayes(common, sigma) == expect
+            assert disparity_value(common, Metric.SCORE, sigma) == expect
 
 
 class TestProjectedFormulas:
     def test_score_reference_value(self, projected):
-        assert score_disparity_projected(projected, 1.0) == pytest.approx(
+        assert disparity_value(projected, Metric.SCORE, 1.0) == pytest.approx(
             7.0 / 24.0, rel=1e-13
         )
 
@@ -245,10 +237,10 @@ class TestProjectedFormulas:
         c = projected.constants
         limit = c.cross - 0.5 * c.prior_sq
         assert limit == pytest.approx(1.0 / 12.0, rel=1e-13)
-        assert utility_disparity_projected(projected, big) == pytest.approx(
+        assert disparity_value(projected, Metric.UTILITY, big) == pytest.approx(
             limit, rel=1e-6
         )
-        assert utility_disparity_projected(projected, 1e200) == limit
+        assert disparity_value(projected, Metric.UTILITY, 1e200) == limit
 
     def test_unknown_rule_prior_limit(self, costs):
         prior = ProjectedPrior(Projection.zero(2), Projection.identity(2), 1.0)
@@ -261,9 +253,9 @@ class TestProjectedFormulas:
         sc = Scenario(RULE, costs[0], costs[1], prior)
         assert not sc.commuting
         with pytest.raises(NonCommuting):
-            utility_disparity_projected(sc, 1.0)
+            disparity_value(sc, Metric.UTILITY, 1.0)
         # the score formula needs no commutativity
-        score_disparity_projected(sc, 1.0)
+        disparity_value(sc, Metric.SCORE, 1.0)
 
     def test_commuting_flag_for_diagonal_setup(self, projected):
         assert projected.commuting
@@ -287,7 +279,7 @@ class TestOverlapBounds:
         # = 1.11803 * 0.5 * 1 (1-w), as the smallest cost eigenvalue is 1
         for sigma in (0.1, 1.0, 10.0):
             w = signal_weight(1.0, sigma)
-            fs = score_disparity_projected(equal_cost, sigma)
+            fs = disparity_value(equal_cost, Metric.SCORE, sigma)
             assert abs(fs) == pytest.approx(0.25 * (1.0 - w), rel=1e-12)
             bound = score_overlap_bound(equal_cost, sigma)
             assert bound == pytest.approx(
@@ -298,7 +290,7 @@ class TestOverlapBounds:
     def test_utility_bound_reference(self, equal_cost):
         for sigma in (0.1, 1.0, 10.0):
             w = signal_weight(1.0, sigma)
-            fu = utility_disparity_projected(equal_cost, sigma)
+            fu = disparity_value(equal_cost, Metric.UTILITY, sigma)
             bound = utility_overlap_bound(equal_cost, sigma)
             assert bound == pytest.approx(
                 0.2795084971874737 * (1.0 - w) ** 2, rel=1e-12
@@ -327,8 +319,8 @@ class TestOverlapBounds:
                 s = float(sigma)
                 worst = min(
                     worst,
-                    score_overlap_bound(sc, s) - abs(score_disparity_projected(sc, s)),
-                    utility_overlap_bound(sc, s) - abs(utility_disparity_projected(sc, s)),
+                    score_overlap_bound(sc, s) - abs(disparity_value(sc, Metric.SCORE, s)),
+                    utility_overlap_bound(sc, s) - abs(disparity_value(sc, Metric.UTILITY, s)),
                 )
         assert worst >= -1e-12
 
@@ -338,8 +330,8 @@ class TestOverlapBounds:
         sc = Scenario(RULE, cost, cost, ProjectedPrior(p, p, 1.0))
         assert overlap_proxy(sc) == 0.0
         for sigma in (0.2, 2.0):
-            assert score_disparity_projected(sc, sigma) == 0.0
-            assert utility_disparity_projected(sc, sigma) == 0.0
+            assert disparity_value(sc, Metric.SCORE, sigma) == 0.0
+            assert disparity_value(sc, Metric.UTILITY, sigma) == 0.0
             assert score_overlap_bound(sc, sigma) == 0.0
 
     def test_unequal_costs_rejected(self, projected):
@@ -372,16 +364,7 @@ class TestCurves:
         assert cc.value_at_infinity == common.constants.cross
         cp = disparity_curve(projected, Metric.UTILITY, sigmas=[0.5, 1.0])
         assert cp.kind is CurveKind.UTILITY_PROJECTED
-        assert cp.values[1] == utility_disparity_projected(projected, 1.0)
-
-    def test_dispatcher_matches_direct_calls(self, naive, common, projected):
-        assert disparity_value(naive, Metric.SCORE, 2.0) == score_disparity_naive(naive)
-        assert disparity_value(common, Metric.UTILITY, 2.0) == utility_disparity_bayes(
-            common, 2.0
-        )
-        assert disparity_value(
-            projected, Metric.SCORE, 2.0
-        ) == score_disparity_projected(projected, 2.0)
+        assert cp.values[1] == disparity_value(projected, Metric.UTILITY, 1.0)
 
     def test_zero_rule_score_is_zero_but_costs_still_differ(self, costs):
         # a zero rule kills every score term, yet agents still chase noise
@@ -389,12 +372,12 @@ class TestCurves:
         # keeps a pure noise term (confirmed against the MC oracle)
         sc = Scenario(np.zeros(2), costs[0], costs[1], CommonPrior(np.zeros(2), 1.0))
         for sigma in (0.0, 0.5, 3.0):
-            assert score_disparity_bayes(sc, sigma) == 0.0
-        assert utility_disparity_bayes(sc, 0.0) == 0.0
+            assert disparity_value(sc, Metric.SCORE, sigma) == 0.0
+        assert disparity_value(sc, Metric.UTILITY, 0.0) == 0.0
         for sigma in (0.5, 3.0):
             w = signal_weight(1.0, sigma)
             expect = -0.5 * w * w * sigma * sigma * sc.trace_gap
-            assert utility_disparity_bayes(sc, sigma) == pytest.approx(expect, rel=1e-13)
+            assert disparity_value(sc, Metric.UTILITY, sigma) == pytest.approx(expect, rel=1e-13)
 
 
 def _same_bits(array, scalars):

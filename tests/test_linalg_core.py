@@ -1,6 +1,7 @@
 """Linear-algebra kernel tests against numpy oracles and hand values."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +18,13 @@ from flab.linalg_core import (
     CostMatrix,
     Definiteness,
     Projection,
-    SpanRelation,
     check_symmetric,
     definiteness,
     jacobi_eigh,
     kahan_dot,
     max_norm,
     quad_form,
-    subspace_relation,
+    span_within,
     sym_sqrt,
 )
 
@@ -285,12 +285,6 @@ class TestProjection:
         p = Projection.from_span([], dim=3)
         assert p.rank == 0
 
-    def test_complement(self):
-        p = Projection(np.diag([1.0, 0.0, 0.0]))
-        q = p.complement()
-        assert q.rank == 2
-        assert max_norm(p.matrix @ q.matrix) == 0.0
-
     def test_oblique_projector_rejected(self):
         # idempotent but not symmetric, hence not orthogonal
         m = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -299,26 +293,85 @@ class TestProjection:
             Projection(m)
 
 
+def complement_null_space_within(p1, p2):
+    """The former null-space test: the complement projectors I - P1 and
+    I - P2 (exactly symmetric, so `Projection` kept their bits), then
+    span(I - P1) within span(I - P2) as (I - P2)(I - P1) = I - P1."""
+    eye = np.eye(p1.dim)
+    c1 = eye - p1.matrix
+    c2 = eye - p2.matrix
+    return max_norm(c2 @ c1 - c1) <= 1e-9
+
+
+def projector(basis):
+    """The projector onto orthonormal columns, symmetrised as `Projection`
+    does, without its validating eigensolve."""
+    m = basis @ basis.T
+    return SimpleNamespace(matrix=0.5 * (m + m.T), dim=basis.shape[0])
+
+
+def random_projector_pair(rng, d):
+    """Two projectors onto leading columns of random orthonormal bases:
+    nested either way, equal, the second nested in the first up to a tilt
+    near the 1e-9 tolerance, or on independent bases."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    small, large = sorted(int(k) for k in rng.integers(0, d + 1, size=2))
+    kind = rng.integers(5)
+    if kind == 0:
+        return projector(q[:, :small]), projector(q[:, :large])
+    if kind == 1:
+        return projector(q[:, :large]), projector(q[:, :small])
+    if kind == 2:
+        return projector(q[:, :large]), projector(q[:, :large])
+    if kind == 3 and 0 < small and large < d:
+        angle = 10.0 ** rng.uniform(-12, -6)
+        tilted = q[:, :small].copy()
+        tilted[:, -1] = math.cos(angle) * q[:, small - 1] + math.sin(angle) * q[:, large]
+        return projector(q[:, :large]), projector(tilted)
+    other, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return projector(q[:, :small]), projector(other[:, :large])
+
+
 class TestSubspaceRelation:
     def test_all_four_outcomes(self):
         e1 = Projection(np.diag([1.0, 0.0, 0.0]))
         e12 = Projection(np.diag([1.0, 1.0, 0.0]))
         e2 = Projection(np.diag([0.0, 1.0, 0.0]))
-        assert subspace_relation(e1, e1) is SpanRelation.EQUAL_SPAN
-        assert subspace_relation(e1, e12) is SpanRelation.FIRST_WITHIN_SECOND
-        assert subspace_relation(e12, e1) is SpanRelation.SECOND_WITHIN_FIRST
-        assert subspace_relation(e1, e2) is SpanRelation.INCOMPARABLE
+        # equal, first within second, second within first, incomparable
+        for first, second, forward, backward in (
+            (e1, e1, True, True),
+            (e1, e12, True, False),
+            (e12, e1, False, True),
+            (e1, e2, False, False),
+        ):
+            assert span_within(first, second) is forward
+            assert span_within(second, first) is backward
 
     def test_rotated_basis(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         inner = Projection(q[:, :2] @ q[:, :2].T)
         outer = Projection(q[:, :3] @ q[:, :3].T)
-        assert subspace_relation(inner, outer) is SpanRelation.FIRST_WITHIN_SECOND
+        assert span_within(inner, outer)
+        assert not span_within(outer, inner)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            subspace_relation(Projection(np.eye(2)), Projection(np.eye(3)))
+            span_within(Projection(np.eye(2)), Projection(np.eye(3)))
+
+    def test_null_space_check_matches_complement_projectors(self):
+        # null(P1) within null(P2) is span(P2) within span(P1)
+        rng = np.random.default_rng(606)
+        outcomes = {True: 0, False: 0}
+        near_tolerance = 0
+        for trial in range(2400):
+            p1, p2 = random_projector_pair(rng, 1 + trial % 8)
+            expect = complement_null_space_within(p1, p2)
+            assert span_within(p2, p1) == expect, trial
+            outcomes[expect] += 1
+            near_tolerance += 1e-11 < max_norm(p1.matrix @ p2.matrix - p2.matrix) < 1e-7
+        assert min(outcomes.values()) >= 600
+        assert near_tolerance >= 100
 
 
 class TestCheckSymmetric:
