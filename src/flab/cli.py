@@ -21,9 +21,8 @@ from .closed_form import (
     NaivePrior,
     ProjectedPrior,
     Scenario,
-    _score_limit,
-    _utility_limit,
     disparity_value,
+    endpoints,
     neutrality_sigma_naive,
     score_overlap_bound,
     sigma_grid,
@@ -429,7 +428,7 @@ def cmd_validate(args, out=None):
             file=out,
         )
         print(
-            f"  gap-metric constants: rule {_g5(c.rule_sq)}, known-side {_g5(c.prior_limit)}",
+            f"  gap-metric constants: rule {_g5(c.rule_sq)}, known-side {_g5(c.cross)}",
             file=out,
         )
         print(f"  commutation defect: {sc.commute_defect:.3e}", file=out)
@@ -534,9 +533,7 @@ def cmd_classify(args, out=None):
         file=out,
     )
 
-    c = sc.constants
-    score_zero = label_region(c.rule_sq)
-    score_inf = label_region(_score_limit(c))
+    score_zero, score_inf = map(label_region, endpoints(sc, Metric.SCORE))
     if score_zero is score_inf and score_zero is not RegionLabel.NEUTRALITY:
         print(f"  score region: {score_zero} throughout", file=out)
     else:
@@ -544,11 +541,8 @@ def cmd_classify(args, out=None):
             f"  score region: {score_zero} at zero noise, {score_inf} in the limit",
             file=out,
         )
-    print(
-        f"  utility region: {label_region(0.5 * c.rule_sq)} at zero noise, "
-        f"{label_region(_utility_limit(c))} in the limit",
-        file=out,
-    )
+    utility_zero, utility_inf = map(label_region, endpoints(sc, Metric.UTILITY))
+    print(f"  utility region: {utility_zero} at zero noise, {utility_inf} in the limit", file=out)
     return _EXIT_OK if all(passed) else _EXIT_VERIFY
 
 

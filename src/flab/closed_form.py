@@ -8,14 +8,15 @@ values, and the overlap bounds available when both groups share one cost.
 A noise scale may be a float or an array; each array element equals the
 float call bit for bit, so a whole grid is evaluated in one call.
 
-Every disparity is evaluated by `disparity_value`. Common-prior and
+Every disparity is evaluated by `disparity_value`. Each curve's zero-noise
+value and infinite-noise limit are stated once, by `endpoints`, which the
+evaluator, the classifiers and the command line all read. Common-prior and
 projected-prior disparities go through one shared routine over the same
 five derived constants, so the algebraic reduction between the two prior
 families is also an implementation-level identity rather than a
 coincidence of two formulas.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     Error,
     NonCommuting,
+    NonFinite,
     WrongPriorKind,
 )
 from .linalg_core import (
@@ -44,6 +46,16 @@ from .linalg_core import (
 
 COMMUTE_TOL = 1e-10
 EQUAL_COST_TOL = 1e-12
+
+
+def _check_scale(scale):
+    """Reject a scale `signal_weight` cannot square: non-finite, negative, or
+    positive with a square that overflows or underflows to 0."""
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise Error(f"prior scale must be finite and nonnegative, got {scale}")
+    square = scale * scale
+    if not math.isfinite(square) or (scale > 0.0 and square == 0.0):
+        raise Error(f"prior scale {scale:g} squares out of floating-point range")
 
 
 @dataclass(frozen=True)
@@ -63,8 +75,7 @@ class CommonPrior:
         object.__setattr__(self, "mean", mean)
         if mean.ndim != 1 or not np.all(np.isfinite(mean)):
             raise Error(f"prior mean must be a finite vector, got {self.mean}")
-        if not (math.isfinite(self.scale) and self.scale >= 0.0):
-            raise Error(f"prior scale must be finite and nonnegative, got {self.scale}")
+        _check_scale(self.scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +91,7 @@ class ProjectedPrior:
             raise DimensionMismatch(
                 f"projector dims {self.subspace1.dim} and {self.subspace2.dim}"
             )
-        if not (math.isfinite(self.scale) and self.scale >= 0.0):
-            raise Error(f"prior scale must be finite and nonnegative, got {self.scale}")
+        _check_scale(self.scale)
 
 
 @dataclass(frozen=True)
@@ -92,8 +102,9 @@ class DisparityConstants:
     the rule in the inverse-cost gap metric) and trace_gap is the trace of
     that gap. For belief-carrying priors, cross and prior_sq are the gap
     metric Gram values pairing the prior mean with the rule, and mismatch
-    is the squared gap-metric distance between them. prior_limit is the
-    infinite-noise score disparity of a projected prior.
+    is the squared gap-metric distance between them. For a projected prior
+    cross and prior_sq both equal the known-side value r'(A1^-1 P1 - A2^-1 P2)r,
+    the infinite-noise score disparity.
     """
 
     rule_sq: float
@@ -101,26 +112,12 @@ class DisparityConstants:
     cross: "float | None" = None
     prior_sq: "float | None" = None
     mismatch: "float | None" = None
-    prior_limit: "float | None" = None
-
-
-class CurveKind(enum.Enum):
-    SCORE_NAIVE = "score_naive"
-    UTILITY_NAIVE = "utility_naive"
-    SCORE_BAYES = "score_bayes"
-    UTILITY_BAYES = "utility_bayes"
-    SCORE_PROJECTED = "score_projected"
-    UTILITY_PROJECTED = "utility_projected"
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True, eq=False)
 class DisparityCurve:
     """Sampled disparity values plus the exact analytic endpoints."""
 
-    kind: CurveKind
     sigmas: np.ndarray
     values: np.ndarray
     value_at_zero: float
@@ -196,57 +193,61 @@ class Scenario:
             trace_gap = self.cost1.trace_inverse - self.cost2.trace_inverse
         object.__setattr__(self, "gap", gap)
 
-        kv_rule = gap_sqrt @ rule
-        rule_sq = kahan_dot(kv_rule, kv_rule)
+        # a typed NonFinite below reports what overflows here
+        with np.errstate(over="ignore", invalid="ignore"):
+            kv_rule = gap_sqrt @ rule
+            rule_sq = kahan_dot(kv_rule, kv_rule)
 
-        known = unknown = None
-        if isinstance(self.prior, NaivePrior):
-            constants = DisparityConstants(rule_sq=rule_sq, trace_gap=trace_gap)
-            means = (np.zeros(d), np.zeros(d))
-            commute_defect = 0.0
-        elif isinstance(self.prior, CommonPrior):
-            if self.prior.mean.shape != (d,):
-                raise DimensionMismatch(
-                    f"prior mean shape {self.prior.mean.shape} for dimension {d}"
+            known = unknown = None
+            if isinstance(self.prior, NaivePrior):
+                constants = DisparityConstants(rule_sq=rule_sq, trace_gap=trace_gap)
+                means = (np.zeros(d), np.zeros(d))
+                commute_defect = 0.0
+            elif isinstance(self.prior, CommonPrior):
+                if self.prior.mean.shape != (d,):
+                    raise DimensionMismatch(
+                        f"prior mean shape {self.prior.mean.shape} for dimension {d}"
+                    )
+                kv_prior = gap_sqrt @ self.prior.mean
+                cross = kahan_dot(kv_prior, kv_rule)
+                prior_sq = kahan_dot(kv_prior, kv_prior)
+                constants = DisparityConstants(
+                    rule_sq=rule_sq,
+                    trace_gap=trace_gap,
+                    cross=cross,
+                    prior_sq=prior_sq,
+                    mismatch=prior_sq + rule_sq - 2.0 * cross,
                 )
-            kv_prior = gap_sqrt @ self.prior.mean
-            cross = kahan_dot(kv_prior, kv_rule)
-            prior_sq = kahan_dot(kv_prior, kv_prior)
-            constants = DisparityConstants(
-                rule_sq=rule_sq,
-                trace_gap=trace_gap,
-                cross=cross,
-                prior_sq=prior_sq,
-                mismatch=prior_sq + rule_sq - 2.0 * cross,
-            )
-            means = (self.prior.mean, self.prior.mean)
-            commute_defect = 0.0
-        elif isinstance(self.prior, ProjectedPrior):
-            p1 = self.prior.subspace1
-            p2 = self.prior.subspace2
-            if p1.dim != d:
-                raise DimensionMismatch(f"projector dim {p1.dim} for dimension {d}")
-            eye = np.eye(d)
-            known = GapMatrix(self.cost1.inverse @ p1.matrix - self.cost2.inverse @ p2.matrix)
-            unknown = GapMatrix(
-                self.cost1.inverse @ (eye - p1.matrix) - self.cost2.inverse @ (eye - p2.matrix)
-            )
-            prior_limit = quad_form(rule, known.raw)
-            constants = DisparityConstants(
-                rule_sq=rule_sq,
-                trace_gap=trace_gap,
-                cross=prior_limit,
-                prior_sq=prior_limit,
-                mismatch=rule_sq - prior_limit,
-                prior_limit=prior_limit,
-            )
-            means = (p1.matrix @ rule, p2.matrix @ rule)
-            commute_defect = max(
-                max_norm(p1.matrix @ self.cost1.inverse - self.cost1.inverse @ p1.matrix),
-                max_norm(p2.matrix @ self.cost2.inverse - self.cost2.inverse @ p2.matrix),
-            )
-        else:
-            raise WrongPriorKind(f"unsupported prior {type(self.prior).__name__}")
+                means = (self.prior.mean, self.prior.mean)
+                commute_defect = 0.0
+            elif isinstance(self.prior, ProjectedPrior):
+                p1 = self.prior.subspace1
+                p2 = self.prior.subspace2
+                if p1.dim != d:
+                    raise DimensionMismatch(f"projector dim {p1.dim} for dimension {d}")
+                eye = np.eye(d)
+                known = GapMatrix(self.cost1.inverse @ p1.matrix - self.cost2.inverse @ p2.matrix)
+                unknown = GapMatrix(
+                    self.cost1.inverse @ (eye - p1.matrix) - self.cost2.inverse @ (eye - p2.matrix)
+                )
+                known_side = quad_form(rule, known.raw)
+                constants = DisparityConstants(
+                    rule_sq=rule_sq,
+                    trace_gap=trace_gap,
+                    cross=known_side,
+                    prior_sq=known_side,
+                    mismatch=rule_sq - known_side,
+                )
+                means = (p1.matrix @ rule, p2.matrix @ rule)
+                commute_defect = max(
+                    max_norm(p1.matrix @ self.cost1.inverse - self.cost1.inverse @ p1.matrix),
+                    max_norm(p2.matrix @ self.cost2.inverse - self.cost2.inverse @ p2.matrix),
+                )
+            else:
+                raise WrongPriorKind(f"unsupported prior {type(self.prior).__name__}")
+        bad = [k for k, v in vars(constants).items() if v is not None and not math.isfinite(v)]
+        if bad:
+            raise NonFinite(f"derived constant {bad[0]} is out of floating-point range")
 
         object.__setattr__(self, "trace_gap", trace_gap)
         object.__setattr__(self, "constants", constants)
@@ -291,43 +292,15 @@ def _require_commuting(sc, op_name):
         )
 
 
+def _require_trace_gap(sc):
+    if sc.trace_gap <= 0.0:
+        raise AssumptionViolated("trace gap must be positive")
+
+
 def _require_equal_costs(sc, op_name):
     defect = max_norm(sc.cost1.matrix - sc.cost2.matrix)
     if defect > EQUAL_COST_TOL:
         raise CostsDiffer(f"{op_name}: cost matrices differ by {defect:.3e}")
-
-
-def _exact_at_zero(sigma, exact, level):
-    """level, with the exact zero-noise value wherever sigma is zero."""
-    return scalar_or_array(np.where(np.asarray(sigma, dtype=float) == 0.0, exact, level))
-
-
-def _score_level(constants, scale, sigma):
-    w = signal_weight(scale, sigma)
-    level = (1.0 - w) * constants.cross + w * constants.rule_sq
-    return _exact_at_zero(sigma, constants.rule_sq, level)
-
-
-def _utility_level(constants, scale, sigma):
-    w = signal_weight(scale, sigma)
-    s = np.asarray(sigma, dtype=float)
-    tail = _utility_limit(constants)
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = constants.mismatch + s * s * constants.trace_gap
-        level = -(w * w / 2.0) * spread + w * constants.mismatch + tail
-    # Where the spread overflows, the weight is about prior_scale^2 / sigma^2
-    # and the level equals its infinite-noise limit; the formula would give
-    # 0 * inf = nan there.
-    level = np.where(np.isfinite(spread), level, tail)
-    return _exact_at_zero(sigma, 0.5 * constants.rule_sq, level)
-
-
-def _score_limit(constants):
-    return constants.cross
-
-
-def _utility_limit(constants):
-    return constants.cross - constants.prior_sq / 2.0
 
 
 def score_variance_naive(sc, sigma):
@@ -339,18 +312,19 @@ def score_variance_naive(sc, sigma):
 def neutrality_sigma_naive(sc):
     """Noise scale at which the naive utility disparity crosses zero."""
     _require_prior(sc, NaivePrior, "neutrality_sigma_naive")
-    if sc.trace_gap <= 0.0:
-        raise AssumptionViolated("trace gap must be positive")
+    _require_trace_gap(sc)
     return math.sqrt(sc.constants.rule_sq / sc.trace_gap)
 
 
 def neutrality_sigma_score_bayes(sc):
-    """Noise scale where the shared-prior score disparity vanishes, if any.
+    """Noise scale where a belief-carrying prior's score disparity vanishes, if any.
 
     A crossing exists exactly when the prior/rule pairing in the gap metric
-    is negative; otherwise returns None.
+    (for a projected prior, the known-side value) is negative; otherwise
+    returns None.
     """
-    _require_prior(sc, CommonPrior, "neutrality_sigma_score_bayes")
+    if isinstance(sc.prior, NaivePrior):
+        raise WrongPriorKind("neutrality_sigma_score_bayes needs a belief-carrying prior")
     if sc.prior.scale <= 0.0:
         raise Error("score neutrality needs a positive prior scale")
     c = sc.constants
@@ -404,55 +378,58 @@ def sigma_grid(sc, points=241):
     return np.geomspace(*noise_range(sc), points)
 
 
+def endpoints(sc, metric):
+    """The disparity at zero noise and its limit as the noise grows without bound.
+
+    The limit substitutes a zero signal weight, never a huge noise scale.
+    Naive score is constant; naive utility is unbounded below, so its limit
+    is -inf. Projected utility needs each projector to commute with its
+    group's inverse cost, else NonCommuting.
+    """
+    c = sc.constants
+    naive = isinstance(sc.prior, NaivePrior)
+    if metric is Metric.SCORE:
+        return c.rule_sq, c.rule_sq if naive else c.cross
+    if isinstance(sc.prior, ProjectedPrior):
+        _require_commuting(sc, "projected utility disparity")
+    return 0.5 * c.rule_sq, -math.inf if naive else c.cross - c.prior_sq / 2.0
+
+
 def disparity_value(sc, metric, sigma):
     """Analytic score or utility disparity of the scenario at noise scale sigma.
 
     For naive agents the score disparity is constant and the utility
     disparity is half of it less a noise tax, unbounded below. The
     belief-carrying priors share one score and one utility formula over
-    the scenario's constants. Projected utility is valid only when each
-    projector commutes with its group's inverse cost; a violation raises
-    NonCommuting rather than returning a wrong value.
+    the scenario's constants, with the exact `endpoints` value at zero
+    noise. Projected utility is valid only when each projector commutes
+    with its group's inverse cost; a violation raises NonCommuting rather
+    than returning a wrong value.
     """
+    at_zero, at_inf = endpoints(sc, metric)
     c = sc.constants
     if isinstance(sc.prior, NaivePrior):
         s = noise_scales(sigma)
         if metric is Metric.SCORE:
-            return scalar_or_array(np.full(s.shape, c.rule_sq))
+            return scalar_or_array(np.full(s.shape, at_zero))
         with np.errstate(over="ignore"):  # unbounded below; an overflow gives -inf
             return scalar_or_array(0.5 * (c.rule_sq - s * s * c.trace_gap))
+    w = signal_weight(sc.prior.scale, sigma)
+    s = np.asarray(sigma, dtype=float)
     if metric is Metric.SCORE:
-        return _score_level(c, sc.prior.scale, sigma)
-    if isinstance(sc.prior, ProjectedPrior):
-        _require_commuting(sc, "projected utility disparity")
-    return _utility_level(c, sc.prior.scale, sigma)
-
-
-_KIND_TABLE = {
-    (NaivePrior, Metric.SCORE): CurveKind.SCORE_NAIVE,
-    (NaivePrior, Metric.UTILITY): CurveKind.UTILITY_NAIVE,
-    (CommonPrior, Metric.SCORE): CurveKind.SCORE_BAYES,
-    (CommonPrior, Metric.UTILITY): CurveKind.UTILITY_BAYES,
-    (ProjectedPrior, Metric.SCORE): CurveKind.SCORE_PROJECTED,
-    (ProjectedPrior, Metric.UTILITY): CurveKind.UTILITY_PROJECTED,
-}
+        level = (1.0 - w) * c.cross + w * c.rule_sq
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = c.mismatch + s * s * c.trace_gap
+            level = -(w * w / 2.0) * spread + w * c.mismatch + at_inf
+        # Where the spread overflows, the weight is about prior_scale^2 / sigma^2
+        # and the level equals its infinite-noise limit; the formula would give
+        # 0 * inf = nan there.
+        level = np.where(np.isfinite(spread), level, at_inf)
+    return scalar_or_array(np.where(s == 0.0, at_zero, level))
 
 
 def disparity_curve(sc, metric, sigmas=None, points=241):
-    """Sample a disparity curve and attach its analytic endpoints.
-
-    The infinite-noise endpoint is computed by substituting a zero signal
-    weight, never by evaluating at a huge noise scale; for naive utility
-    the limit is unbounded below and reported as -inf.
-    """
-    kind = _KIND_TABLE[(type(sc.prior), metric)]
+    """Sample a disparity curve and attach its analytic `endpoints`."""
     grid = sigma_grid(sc, points=points) if sigmas is None else np.asarray(sigmas, float)
-    values = disparity_value(sc, metric, grid)
-    c = sc.constants
-    if metric is Metric.SCORE:
-        at_zero = c.rule_sq
-        at_inf = c.rule_sq if isinstance(sc.prior, NaivePrior) else _score_limit(c)
-    else:
-        at_zero = 0.5 * c.rule_sq
-        at_inf = -math.inf if isinstance(sc.prior, NaivePrior) else _utility_limit(c)
-    return DisparityCurve(kind, grid, values, at_zero, at_inf)
+    return DisparityCurve(grid, disparity_value(sc, metric, grid), *endpoints(sc, metric))

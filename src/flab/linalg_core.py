@@ -225,7 +225,8 @@ class CostMatrix:
 
     def __init__(self, matrix):
         a = check_symmetric(matrix)
-        a = 0.5 * (a + a.T)
+        with np.errstate(over="ignore"):  # jacobi_eigh rejects an overflowed entry
+            a = 0.5 * (a + a.T)
         w, v = jacobi_eigh(a)
         if _label_eigenvalues(w) is not Definiteness.PD:
             raise NotPD(f"cost matrix eigenvalues {w} are not all positive")

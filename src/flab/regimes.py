@@ -20,7 +20,9 @@ from .closed_form import (
     ProjectedPrior,
     _require_commuting,
     _require_prior,
+    _require_trace_gap,
     disparity_value,
+    endpoints,
     neutrality_sigma_score_bayes,
     noise_range,
 )
@@ -30,7 +32,6 @@ from .linalg_core import Definiteness, definiteness, max_norm, quad_form, span_w
 SIGN_TOL = 1e-10
 TANGENT_TOL = 1e-11
 _SEMI_POSITIVE = (Definiteness.PD, Definiteness.PSD, Definiteness.ZERO)
-_SEMI_NEGATIVE = (Definiteness.ND, Definiteness.NSD, Definiteness.ZERO)
 
 
 class RegionLabel(enum.Enum):
@@ -148,14 +149,15 @@ def classify_score_bayes(sc):
     the certificate for a non-increasing curve.
     """
     _require_prior(sc, CommonPrior, "classify_score_bayes")
-    c = sc.constants
-    tol = SIGN_TOL * (1.0 + abs(c.cross) + abs(c.rule_sq))
-    if abs(c.cross - c.rule_sq) <= tol:
+    at_zero, at_inf = endpoints(sc, Metric.SCORE)
+    tol = SIGN_TOL * (1.0 + abs(at_inf) + abs(at_zero))
+    if abs(at_inf - at_zero) <= tol:
         trend = ScoreTrend.CONSTANT
-    elif c.cross < c.rule_sq:
+    elif at_inf < at_zero:
         trend = ScoreTrend.DECREASING
     else:
         trend = ScoreTrend.INCREASING
+    c = sc.constants
     return ScoreShape(
         trend,
         neutrality_sigma_score_bayes(sc),
@@ -185,12 +187,15 @@ class UtilityRegime:
     count_matches: bool
 
 
+def _critical_scale_sq(sc):
+    """2 mismatch / trace gap, the signed square of the critical prior scale."""
+    _require_trace_gap(sc)
+    return 2.0 * sc.constants.mismatch / sc.trace_gap
+
+
 def critical_prior_scale(sc):
     """Prior scale below which the utility disparity decreases monotonically."""
-    c = sc.constants
-    if c.trace_gap <= 0.0:
-        raise AssumptionViolated("trace gap must be positive")
-    return math.sqrt(max(2.0 * c.mismatch / c.trace_gap, 0.0))
+    return math.sqrt(max(_critical_scale_sq(sc), 0.0))
 
 
 def _classify_utility(sc):
@@ -198,10 +203,7 @@ def _classify_utility(sc):
     scale = sc.prior.scale
     if scale <= 0.0:
         raise Error("utility classification needs a positive prior scale")
-    if c.trace_gap <= 0.0:
-        raise AssumptionViolated("trace gap must be positive")
-    crit_sq = 2.0 * c.mismatch / c.trace_gap
-    critical = math.sqrt(max(crit_sq, 0.0))
+    crit_sq = _critical_scale_sq(sc)
     if scale * scale <= crit_sq:
         case = UtilityCase.MONOTONE_DECREASING
         sigma_min = None
@@ -225,7 +227,7 @@ def _classify_utility(sc):
     scan = find_roots(lambda s: disparity_value(sc, Metric.UTILITY, s), *noise_range(sc))
     return UtilityRegime(
         case=case,
-        critical_scale=critical,
+        critical_scale=critical_prior_scale(sc),
         sigma_min=sigma_min,
         minimum_value=fu_min,
         predicted_roots=predicted,
@@ -262,9 +264,8 @@ def two_root_region_check(sc):
     thresholds. Membership is monotone in the scale.
     """
     _require_prior(sc, CommonPrior, "two_root_region_check")
+    _require_trace_gap(sc)
     c = sc.constants
-    if c.trace_gap <= 0.0:
-        raise AssumptionViolated("trace gap must be positive")
     if not c.prior_sq < 2.0 * c.cross:
         return False
     thr_a = math.sqrt((2.0 * c.cross - c.prior_sq + 3.0 * c.rule_sq) / c.trace_gap)
@@ -342,14 +343,10 @@ def neutrality_condition_projected(sc):
     if guaranteed:
         checks.append(("second projector is the identity", _is_identity(sc.prior.subspace2)))
         checks.append(("first projector differs from the identity", not _is_identity(sc.prior.subspace1)))
-        c = sc.constants
-        sigma = math.sqrt(c.rule_sq / -c.prior_limit) * sc.prior.scale
-        checks.append(
-            (
-                "score disparity vanishes at the crossing",
-                abs(disparity_value(sc, Metric.SCORE, sigma)) <= 1e-10,
-            )
-        )
+        sigma = neutrality_sigma_score_bayes(sc)
+        if sigma is not None:
+            vanishes = abs(disparity_value(sc, Metric.SCORE, sigma)) <= 1e-10
+            checks.append(("score disparity vanishes at the crossing", vanishes))
     return NeutralityCondition(
         MatrixConditionReport(
             "score neutrality for every rule", lab, guaranteed, tuple(checks)
@@ -430,9 +427,8 @@ def classify_utility_projected_matrix(sc, stream=None, samples=50):
     """
     _require_prior(sc, ProjectedPrior, "classify_utility_projected_matrix")
     _require_commuting(sc, "classify_utility_projected_matrix")
+    _require_trace_gap(sc)
     c = sc.constants
-    if c.trace_gap <= 0.0:
-        raise AssumptionViolated("trace gap must be positive")
     scale = sc.prior.scale
     if scale <= 0.0:
         raise Error("matrix classification needs a positive prior scale")

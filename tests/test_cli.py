@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -477,6 +478,39 @@ class TestBoundsCommand:
         rc = cli.main(["bounds", write_scenario(tmp_path, self.EQUAL)])
         assert rc == 5
         assert "bound violated" in capsys.readouterr().out
+
+
+class TestExtremeInputs:
+    """Valid files with extreme values end in a typed error or a verdict,
+    never in a traceback, a leaked numpy warning or a printed inf or nan."""
+
+    def test_zero_rule_projected_classify(self, tmp_path, capsys):
+        prior = {"kind": "projected", "subspace1": [[0.0, 0.0], [0.0, 0.0]],
+                 "subspace2": [[1.0, 0.0], [0.0, 1.0]], "scale": 1.0}
+        code = cli.main(["classify", write_scenario(tmp_path, variant(rule=[0.0, 0.0], prior=prior))])
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in out + err
+        assert "vanishes at the crossing" not in out
+
+    COMMON_PRIOR = {"kind": "common", "mean": [0.5, 2.0], "scale": 2.0}
+    EXTREMES = {
+        "huge rule": {"rule": [1e308, 1e308]},
+        "huge cost": {"cost1": [[1e308, 0.0], [0.0, 1e308]]},
+        "huge prior scale": {"prior": dict(COMMON_PRIOR, scale=1e308)},
+        "tiny prior scale": {"prior": dict(COMMON_PRIOR, scale=1e-320)},
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["validate", "sweep", "classify", "verify", "bounds"])
+    @pytest.mark.parametrize("case", sorted(EXTREMES))
+    def test_extreme_finite_values_are_typed_errors(self, case, command, tmp_path, capsys):
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        body.update(self.EXTREMES[case])
+        code = cli.main([command, write_scenario(tmp_path, body)])
+        out, err = capsys.readouterr()
+        assert code in (2, 3), out + err
+        assert not re.search(r"\b(inf|nan)\b", out + err, re.IGNORECASE), out + err
 
 
 class TestBenchmarkTracerTargets:

@@ -15,12 +15,12 @@ import pytest
 from flab.agents import Metric, signal_weight
 from flab.closed_form import (
     CommonPrior,
-    CurveKind,
     NaivePrior,
     ProjectedPrior,
     Scenario,
     disparity_curve,
     disparity_value,
+    endpoints,
     neutrality_sigma_naive,
     neutrality_sigma_score_bayes,
     noise_unit,
@@ -98,10 +98,9 @@ class TestScenarioConstruction:
 
     def test_projected_constants_unify(self, projected):
         c = projected.constants
-        assert c.prior_limit == pytest.approx(1.0 / 6.0, rel=1e-12)
-        assert c.cross == c.prior_limit
-        assert c.prior_sq == c.prior_limit
-        assert c.mismatch == pytest.approx(c.rule_sq - c.prior_limit, rel=1e-14)
+        assert c.cross == pytest.approx(1.0 / 6.0, rel=1e-12)
+        assert c.prior_sq == c.cross
+        assert c.mismatch == pytest.approx(c.rule_sq - c.cross, rel=1e-14)
 
     def test_projected_gap_matrices(self, projected, naive, common):
         p1, p2 = projected.prior.subspace1, projected.prior.subspace2
@@ -216,6 +215,12 @@ class TestCommonPriorFormulas:
         assert root == pytest.approx(math.sqrt(10.0 / 19.0), rel=1e-13)
         assert disparity_value(sc, Metric.SCORE, root) == pytest.approx(0.0, abs=1e-14)
 
+    def test_neutrality_needs_a_belief_prior(self, naive, projected):
+        with pytest.raises(WrongPriorKind):
+            neutrality_sigma_score_bayes(naive)
+        # the projected reference's known-side value 1/6 is positive: no crossing
+        assert neutrality_sigma_score_bayes(projected) is None
+
     def test_weight_consistency(self, common):
         # the score curve is affine in the signal weight
         for sigma in (0.3, 1.7, 6.0):
@@ -245,7 +250,7 @@ class TestProjectedFormulas:
     def test_unknown_rule_prior_limit(self, costs):
         prior = ProjectedPrior(Projection.zero(2), Projection.identity(2), 1.0)
         sc = Scenario(RULE, costs[0], costs[1], prior)
-        assert sc.constants.prior_limit == pytest.approx(-1.0 / 3.0, rel=1e-13)
+        assert sc.constants.cross == pytest.approx(-1.0 / 3.0, rel=1e-13)
 
     def test_noncommuting_rejected_for_utility(self, costs):
         slanted = Projection.from_span([np.array([1.0, 1.0])])
@@ -354,17 +359,23 @@ class TestCurves:
         assert grid[0] == pytest.approx(5e-3, rel=1e-12)
         assert grid[-1] == pytest.approx(5e3, rel=1e-12)
 
-    def test_curve_kinds_and_endpoints(self, naive, common, projected):
+    def test_curve_endpoints(self, naive, common, projected):
         cn = disparity_curve(naive, Metric.UTILITY)
-        assert cn.kind is CurveKind.UTILITY_NAIVE
         assert cn.value_at_infinity == -math.inf
         assert cn.value_at_zero == 0.5 * naive.constants.rule_sq
         cc = disparity_curve(common, Metric.SCORE)
-        assert cc.kind is CurveKind.SCORE_BAYES
         assert cc.value_at_infinity == common.constants.cross
         cp = disparity_curve(projected, Metric.UTILITY, sigmas=[0.5, 1.0])
-        assert cp.kind is CurveKind.UTILITY_PROJECTED
         assert cp.values[1] == disparity_value(projected, Metric.UTILITY, 1.0)
+
+    @pytest.mark.parametrize("kind", ["naive", "common", "projected"])
+    @pytest.mark.parametrize("metric", [Metric.SCORE, Metric.UTILITY])
+    def test_endpoints_are_the_evaluator_at_both_ends(self, kind, metric, request):
+        # at zero noise exactly; at a noise scale whose square overflows, the limit
+        sc = request.getfixturevalue(kind)
+        at_zero, at_inf = endpoints(sc, metric)
+        assert disparity_value(sc, metric, 0.0).hex() == at_zero.hex()
+        assert disparity_value(sc, metric, 1e200).hex() == at_inf.hex()
 
     def test_zero_rule_score_is_zero_but_costs_still_differ(self, costs):
         # a zero rule kills every score term, yet agents still chase noise

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from flab.closed_form import CommonPrior, NaivePrior, ProjectedPrior, Scenario
+from flab.closed_form import (
+    CommonPrior,
+    NaivePrior,
+    ProjectedPrior,
+    Scenario,
+    neutrality_sigma_score_bayes,
+)
 from flab.errors import AssumptionViolated, InvalidBracket, NonCommuting, NonFinite
 from flab.linalg_core import CostMatrix, Definiteness, Projection
 from flab.regimes import (
@@ -206,7 +212,7 @@ class TestProjectedClassification:
             if regime.case is UtilityCase.NON_MONOTONE:
                 c = sc.constants
                 expected = regime.sigma_min >= scale
-                assert (c.rule_sq >= c.prior_limit) == expected
+                assert (c.rule_sq >= c.cross) == expected
 
 
 class TestMatrixConditions:
@@ -231,6 +237,7 @@ class TestMatrixConditions:
         assert result.report.guaranteed
         assert all(ok for _, ok in result.report.checks)
         assert result.sigma == pytest.approx(2.0 * math.sqrt(1.25), rel=1e-12)
+        assert result.sigma.hex() == neutrality_sigma_score_bayes(sc).hex()
 
     def test_neutrality_absent_for_aligned_masks(self, costs):
         result = neutrality_condition_projected(
