@@ -39,21 +39,30 @@ class Metric(enum.Enum):
         return self.value
 
 
-def normal_stream(seed, key=()):
+def normal_stream(seed, key=(), start=0):
     """Independent counter-based random stream for (seed, key).
 
     Streams are value-typed: every call builds a fresh generator, so two
     consumers with the same (seed, key) see identical draws and never
-    share mutable state.
+    share mutable state. A positive ``start`` enters the stream at that
+    64-bit draw, skipping ahead without generating what it skips. Philox
+    yields four draws per counter step, so ``start`` is a multiple of 4.
     """
+    start = int(start)
+    if start < 0 or start % 4:
+        raise Error(f"stream start must be a nonnegative multiple of 4, got {start}")
     entropy = (int(seed),) + tuple(int(k) for k in key)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    bits = np.random.Philox(np.random.SeedSequence(entropy))
+    bits.advance(start // 4)
+    return np.random.Generator(bits)
 
 
 def standard_normals(stream, shape):
     """Standard normal draws via inverse CDF on the counter stream.
 
-    Each 53-bit integer k becomes the uniform (k + 0.5) / 2^53, rounded to
+    Each normal consumes exactly one 64-bit draw of the stream: a range of
+    2^53 divides 2^64, so the bounded integer sampler never rejects. Each
+    53-bit integer k becomes the uniform (k + 0.5) / 2^53, rounded to
     a double. Below 2^52 that is the exact midpoint; above it k + 0.5 rounds
     to an even integer, and k = 2^53 - 1 rounds up to u = 1, where the
     inverse CDF is +inf. That one value is clamped to the largest double

@@ -26,6 +26,7 @@ from .errors import (
 )
 
 _JACOBI_MAX_SWEEPS = 100
+_JACOBI_SAFE_EXPONENT = 400  # beyond 2^400 or below 2^-400 the squared norm can overflow or underflow
 
 
 def _as_square(matrix):
@@ -113,13 +114,21 @@ def jacobi_eigh(matrix):
     stop once the off-diagonal Frobenius mass falls below 1e-13 times the
     Frobenius norm of the input, so the result is deterministic down to the
     last bit for a given input. A rotation updates whole rows and columns.
+    A matrix whose largest entry lies outside [2^-400, 2^400] is first
+    scaled by a power of two to bring that entry into [1/2, 1), so the
+    squared norms neither overflow nor underflow. Every step of the sweep
+    commutes with an exact power-of-two scaling, and the eigenvalues are
+    scaled back by the same power.
     """
-    a = check_symmetric(matrix).copy()
+    a = check_symmetric(matrix)
+    exponent = math.frexp(max_norm(a))[1]
+    shift = -exponent if abs(exponent) > _JACOBI_SAFE_EXPONENT else 0
+    a = np.ldexp(a, shift)
     a = 0.5 * (a + a.T)
     n = a.shape[0]
     v = np.eye(n)
     if n == 1:
-        return a.diagonal().copy(), v
+        return np.ldexp(a.diagonal(), -shift), v
     scale = float(np.sqrt(np.sum(a * a)))
     if scale == 0.0:
         return np.zeros(n), v
@@ -151,7 +160,7 @@ def jacobi_eigh(matrix):
                 _rotate(v[:, p], v[:, q], c, s)
     else:
         raise Error("Jacobi iteration failed to converge")
-    w = a.diagonal().copy()
+    w = np.ldexp(a.diagonal(), -shift)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
 
@@ -218,7 +227,8 @@ def _freeze(array):
 class CostMatrix:
     """Positive-definite quadratic cost with cached inverse and inverse trace.
 
-    Construction validates symmetry and positive definiteness; the inverse
+    Construction validates symmetry, positive definiteness, and a largest
+    eigenvalue whose square is finite (below about 1.3e154); the inverse
     is formed from the Jacobi eigendecomposition rather than a solver call,
     keeping the whole pipeline deterministic.
     """
@@ -230,6 +240,9 @@ class CostMatrix:
         w, v = jacobi_eigh(a)
         if _label_eigenvalues(w) is not Definiteness.PD:
             raise NotPD(f"cost matrix eigenvalues {w} are not all positive")
+        top = float(w[-1])
+        if not math.isfinite(top * top):
+            raise Error(f"cost matrix eigenvalue {top:g} squares out of floating-point range")
         inv = v @ np.diag(1.0 / w) @ v.T
         inv = 0.5 * (inv + inv.T)
         self.matrix = _freeze(a)

@@ -5,21 +5,27 @@ each draw runs the per-agent pipeline (signal, best response, realized
 score and cost) and averages the group difference. Agreement with the
 analytic module is therefore evidence, not circularity.
 
-`estimate_disparities` draws the (sample, group, coordinate) normals of a
-seed once and reuses them at every noise level. They stay resident as one
-(group, coordinate, agent) column stack, 16 d bytes per agent. Everything
-after the draw runs on aligned blocks of `_BLOCK` agents: each noise level
-pushes one block at a time through the respond-and-realize pipeline and
-writes the score and utility differences into two length-n vectors, a
-further 16 bytes per agent, which are reduced block by block. The counter
-stream makes a block-by-block draw equal one big draw, and zero padding
-adds exactly 0, so the blocked tree sums equal `tree_sum` over the whole
-vector. The work is single-threaded and every reduction has a fixed shape,
-so an estimate depends only on (scenario, sigma, n, seed): a batched
-estimate is bit-identical to a one-level `estimate_disparity` call.
+`estimate_disparities` streams its agents in aligned blocks of `_BLOCK`.
+A block's normals come from the seed's counter stream entered at the
+block's first draw, so each block is drawn on its own and all blocks
+together equal one draw of shape (n, 2, d). A block runs at every noise
+level and keeps only one tree sum per level and metric of its score and
+utility differences. An estimate takes two passes: the first sums the
+differences, the second draws every block again and sums the squared
+residuals about the first pass's means. Nothing of length n is kept, so
+memory depends on the block size and the worker count, not on n.
+
+The blocks run on a thread pool with one worker per CPU this process may
+run on. A block's total is the node over its agents of the zero-padded
+pairwise tree over all n, and the block totals are tree-summed in block
+order, so each sum equals `tree_sum` over the whole vector bit for bit.
+An estimate therefore depends only on (scenario, sigma, n, seed): not on
+the worker count, the schedule, or the other noise levels of a batch.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +45,8 @@ from .errors import Error, NegativeSigma, WrongPriorKind, ZeroStderrMismatch
 
 _STREAM_KEY = 101
 _MIN_SAMPLES = 1000
-_BLOCK = 2**16  # agents per block; a power of two, so blocks align with the sum tree
+_BLOCK = 2**15  # agents per block; a power of two, so blocks align with the sum tree
+_ROUND = 64  # blocks per pool.map call, bounding the pending futures for any n
 
 
 @dataclass(frozen=True)
@@ -84,34 +91,17 @@ def tree_sum(values):
     return float(buf[0])
 
 
-def _blocked_tree_sum(values, term):
-    """tree_sum(term(values)), with term applied to one aligned block at a time.
+def _node_sum(terms, n):
+    """The node over one block's terms of the pairwise tree over all n.
 
-    A vector of at most one block is summed whole. A longer one is cut at
-    multiples of `_BLOCK`, each block's terms are zero-padded to `_BLOCK`
-    and tree-summed, and the block totals are tree-summed in turn. These
-    are the partial sums of the whole-vector tree, so the total is
-    bit-identical to it, and term's output never exceeds one block.
+    With n at most one block that node is the root, `tree_sum` of the
+    terms. Otherwise it spans exactly `_BLOCK` terms, so a short last
+    block is zero-padded; the padding turns a -0.0 total into +0.0 just
+    as it does in the whole tree.
     """
-    if values.size <= _BLOCK:
-        return tree_sum(term(values))
-    totals = []
-    for lo in range(0, values.size, _BLOCK):
-        block = term(values[lo : lo + _BLOCK])
-        if block.size < _BLOCK:
-            block = np.concatenate((block, np.zeros(_BLOCK - block.size)))
-        totals.append(tree_sum(block))
-    return tree_sum(totals)
-
-
-def _mean_and_variance(diffs, n):
-    mean = _blocked_tree_sum(diffs, lambda block: block) / n
-
-    def squared_residuals(block):
-        resid = block - mean
-        return resid * resid
-
-    return mean, _blocked_tree_sum(diffs, squared_residuals) / (n - 1)
+    if terms.size < _BLOCK < n:
+        terms = np.concatenate((terms, np.zeros(_BLOCK - terms.size)))
+    return tree_sum(terms)
 
 
 def _check_inputs(sigmas, n):
@@ -148,47 +138,70 @@ def _group_differences(sc, sigma, columns):
     return r1.score_gain - r2.score_gain, r1.utility_gain - r2.utility_gain
 
 
-def _draw_columns(dim, n, seed):
-    """The seed's normals as a contiguous (group, coordinate, agent) stack.
+def _worker_count():
+    """Pool size: one worker per CPU this process may run on."""
+    return len(os.sched_getaffinity(0))
 
-    The (sample, group, coordinate) order of one draw of shape (n, 2, d)
-    fixes which normals each agent sees. The counter stream yields the same
-    numbers block by block, so each block is drawn and transposed straight
-    into its columns and no full-length copy is built.
+
+def _block_columns(dim, seed, lo, hi):
+    """Normals of agents lo..hi-1 as a contiguous (group, coordinate, agent) stack.
+
+    Agent i sees draws 2di to 2d(i+1)-1 of the seed's stream, in the
+    (sample, group, coordinate) order of one draw of shape (n, 2, d).
+    Blocks start at even agents, hence at a multiple of 4 draws, where
+    the counter stream is entered directly.
     """
-    columns = np.empty((2, dim, n))
-    stream = normal_stream(seed, (_STREAM_KEY,))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        columns[:, :, lo:hi] = standard_normals(stream, (hi - lo, 2, dim)).transpose(1, 2, 0)
-    return columns
+    stream = normal_stream(seed, (_STREAM_KEY,), start=2 * dim * lo)
+    return np.ascontiguousarray(standard_normals(stream, (hi - lo, 2, dim)).transpose(1, 2, 0))
 
 
-def _disparity_samples(sc, sigmas, n, seed):
-    """Yield the (score, utility) group differences at each noise level.
+def _block_totals(sc, sigmas, n, seed, lo, term):
+    """One block's sums of term(level, metric, differences), shape (levels, 2)."""
+    columns = _block_columns(sc.dim, seed, lo, min(lo + _BLOCK, n))
+    totals = np.empty((len(sigmas), 2))
+    for i, sigma in enumerate(sigmas):
+        for j, diffs in enumerate(_group_differences(sc, sigma, columns)):
+            totals[i, j] = _node_sum(term(i, j, diffs), n)
+    return totals
 
-    Every positive level reuses one draw and runs the agents one aligned
-    block at a time, writing into two length-n vectors. The same two
-    vectors are yielded at every level and overwritten by the next, so a
-    consumer reduces them before it advances. Zero noise runs the
-    deterministic single-agent path and yields scalars.
+
+def _pooled_tree_sum(n, block_sums):
+    """Tree sums over n terms from ``block_sums(lo)``, the node sums of one block.
+
+    ``block_sums`` gets the first index of each aligned block and returns
+    the `_node_sum` of that block's terms, one array entry per sum. The
+    pool runs the blocks of a round in any order, and `map` hands their
+    totals back in block order to be tree-summed, so each sum equals the
+    whole-vector `tree_sum` bit for bit.
     """
-    columns = None
-    for sigma in sigmas:
-        if sigma == 0.0:
-            yield _group_differences(sc, sigma, None)
-            continue
-        if columns is None:
-            columns = _draw_columns(sc.dim, n, seed)
-            score, utility = np.empty(n), np.empty(n)
-        for lo in range(0, n, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            score[block], utility[block] = _group_differences(sc, sigma, columns[:, :, block])
-        yield score, utility
+    starts = range(0, n, _BLOCK)
+    totals = []
+    with ThreadPoolExecutor(min(_worker_count(), len(starts))) as pool:
+        for first in range(0, len(starts), _ROUND):
+            totals.extend(pool.map(block_sums, starts[first : first + _ROUND]))
+    return np.apply_along_axis(tree_sum, 0, np.stack(totals))
+
+
+def _moments(sc, sigmas, n, seed):
+    """Means and sample variances of the group differences, shape (levels, 2) each.
+
+    Metrics are in (score, utility) order. Each moment is one streamed pass.
+    """
+
+    def streamed(term):
+        return _pooled_tree_sum(n, lambda lo: _block_totals(sc, sigmas, n, seed, lo, term))
+
+    means = streamed(lambda i, j, diffs: diffs) / n
+
+    def squared_residuals(i, j, diffs):
+        resid = diffs - means[i, j]
+        return resid * resid
+
+    return means, streamed(squared_residuals) / (n - 1)
 
 
 def estimate_disparities(sc, sigmas, n, seed):
-    """Estimate both group disparities at each noise level from one draw.
+    """Estimate both group disparities at each noise level from one seed.
 
     Returns one {Metric: McEstimate} mapping per entry of ``sigmas``, in
     order. Both groups see independent noise, and all noise levels share
@@ -197,17 +210,19 @@ def estimate_disparities(sc, sigmas, n, seed):
     """
     sigmas, n = _check_inputs(sigmas, n)
     seed = int(seed)
+    noisy = [sigma for sigma in sigmas if sigma > 0.0]
+    moments = zip(*_moments(sc, noisy, n, seed)) if noisy else iter(())
     out = []
-    for sigma, diffs in zip(sigmas, _disparity_samples(sc, sigmas, n, seed)):
-        by_metric = {}
-        for metric, d in zip((Metric.SCORE, Metric.UTILITY), diffs):
-            if sigma == 0.0:
-                mean, stderr = float(d), 0.0
-            else:
-                mean, var = _mean_and_variance(d, n)
-                stderr = math.sqrt(var) / math.sqrt(n)
-            by_metric[metric] = McEstimate(mean, stderr, n, seed, metric, sigma)
-        out.append(by_metric)
+    for sigma in sigmas:
+        if sigma == 0.0:
+            pairs = [(float(d), 0.0) for d in _group_differences(sc, sigma, None)]
+        else:
+            means, variances = next(moments)
+            pairs = [(float(m), math.sqrt(v) / math.sqrt(n)) for m, v in zip(means, variances)]
+        out.append({
+            metric: McEstimate(mean, stderr, n, seed, metric, sigma)
+            for metric, (mean, stderr) in zip((Metric.SCORE, Metric.UTILITY), pairs)
+        })
     return out
 
 
@@ -235,8 +250,8 @@ def estimate_variance_naive(sc, sigma, n, seed):
     (sigma,), n = _check_inputs([sigma], n)
     if sigma == 0.0:
         return McEstimate(0.0, 0.0, n, int(seed), Metric.SCORE, sigma)
-    score_diffs, _ = next(_disparity_samples(sc, [sigma], n, seed))
-    _, var = _mean_and_variance(score_diffs, n)
+    _, variances = _moments(sc, [sigma], n, seed)
+    var = float(variances[0, 0])
     return McEstimate(var, var * math.sqrt(2.0 / (n - 1)), n, int(seed), Metric.SCORE, sigma)
 
 
@@ -246,10 +261,13 @@ def compare(analytic, estimate, z_max=4.0):
     With a positive standard error the discrepancy is scored in standard
     errors. A zero standard error means the estimate is exact, and the
     two values must agree to 1e-12 absolutely; a larger gap is an error,
-    not a statistical fluke.
+    not a statistical fluke. A standard error whose z_max multiple is below
+    the double spacing at the larger magnitude counts as zero: a z-score
+    cannot resolve values closer than one spacing, so the exact rule decides.
     """
     analytic = float(analytic)
-    if estimate.stderr == 0.0:
+    resolution = math.ulp(max(abs(analytic), abs(estimate.mean)))
+    if estimate.stderr == 0.0 or z_max * estimate.stderr < resolution:
         if abs(analytic - estimate.mean) <= 1e-12:
             return McComparison(analytic, estimate, 0.0, True)
         raise ZeroStderrMismatch(

@@ -214,7 +214,11 @@ def _classify_utility(sc):
         sigma_min = scale * math.sqrt(1.0 / (1.0 - ratio))
         fu_min = disparity_value(sc, Metric.UTILITY, sigma_min)
 
-    if c.prior_sq > 2.0 * c.cross:
+    at_zero, at_inf = endpoints(sc, Metric.UTILITY)
+    if at_zero == 0.0:
+        # the curve leaves 0 going down, so its start is no crossing
+        predicted = 1 if case is UtilityCase.NON_MONOTONE and fu_min < 0.0 < at_inf else 0
+    elif c.prior_sq > 2.0 * c.cross:
         predicted = 1
     elif case is UtilityCase.MONOTONE_DECREASING:
         predicted = 0

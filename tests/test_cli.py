@@ -10,13 +10,15 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flab import cli
+from flab import cli, mc_oracle
+from flab.errors import NonFinite, ZeroStderrMismatch
 from flab.mc_oracle import _BLOCK
 from flab.regimes import RegionLabel, label_region
 
@@ -52,21 +54,23 @@ def committed_with_sweep(name, sigma_min, sigma_max, points):
     return body
 
 
+def fresh_flab(args, prelude="", **env):
+    """stdout of `flab *args` run as a fresh process, after ``prelude``, with ``env`` added."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
+    code = prelude + "import sys; from flab.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
 def outputs_per_blas_thread_count(args, out_files=()):
     """stdout plus the named output files of `flab *args`, run as a fresh process
     under OPENBLAS_NUM_THREADS=1 and =2."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    results = []
-    for threads in ("1", "2"):
-        env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from flab.cli import main; sys.exit(main(sys.argv[1:]))", *args],
-            env=env, capture_output=True, timeout=300, check=False,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        results.append(proc.stdout + b"".join(Path(f).read_bytes() for f in out_files))
-    return results
+    return [
+        fresh_flab(args, OPENBLAS_NUM_THREADS=threads) + b"".join(Path(f).read_bytes() for f in out_files)
+        for threads in ("1", "2")
+    ]
 
 
 class TestParsing:
@@ -385,6 +389,35 @@ class TestVerifyCommand:
         assert one == two
         assert b"all comparisons passed" in one
 
+    def test_rounding_level_stderr_is_no_failure(self, tmp_path, capsys):
+        # at sigma = 1000 the standard errors are far below one ulp of the means
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        body["prior"]["scale"] = 1e-6
+        assert cli.main(["verify", write_scenario(tmp_path, body), "--n", "100000", "--seed", "42"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_stdout_independent_of_cpu_affinity(self, tmp_path):
+        # the oracle runs one pool worker per CPU the process may use
+        args = ["verify", write_scenario(tmp_path, REF), "--n", str(3 * _BLOCK + 5), "--points", "2"]
+        cpu = min(os.sched_getaffinity(0))
+        one_cpu = fresh_flab(args, prelude=f"import os; os.sched_setaffinity(0, [{cpu}]); ")
+        assert one_cpu == fresh_flab(args)
+        assert b"all comparisons passed" in one_cpu
+
+    @pytest.mark.parametrize("error, code", [(NonFinite, 3), (ZeroStderrMismatch, 4)])
+    def test_worker_error_is_a_typed_exit(self, error, code, tmp_path, capsys, monkeypatch):
+        threads = []
+
+        def fail(*args):
+            threads.append(threading.current_thread())
+            raise error("raised in a worker")
+
+        monkeypatch.setattr(mc_oracle, "_block_columns", fail)
+        assert cli.main(["verify", write_scenario(tmp_path, REF)]) == code
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: raised in a worker\n")
+        assert threads and threading.main_thread() not in threads
+
     @pytest.mark.parametrize(
         "flags, pointer",
         [(["--seed", "-1"], "--seed"), (["--n", "500"], "--n"), (["--n", "999", "--seed", "3"], "--n")],
@@ -497,6 +530,8 @@ class TestExtremeInputs:
     EXTREMES = {
         "huge rule": {"rule": [1e308, 1e308]},
         "huge cost": {"cost1": [[1e308, 0.0], [0.0, 1e308]]},
+        "huge cost pair": {"cost1": [[1e200, 9e199], [9e199, 1e200]],
+                           "cost2": [[2e200, 9e199], [9e199, 2e200]]},
         "huge prior scale": {"prior": dict(COMMON_PRIOR, scale=1e308)},
         "tiny prior scale": {"prior": dict(COMMON_PRIOR, scale=1e-320)},
     }

@@ -71,6 +71,24 @@ class TestJacobi:
         assert np.abs(np.sort(w) - np.diag(m)).max() <= 1e-12
         assert max_norm(v.T @ v - np.eye(3)) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("power", [-900, -500, 500, 900])
+    def test_power_of_two_scaling_is_exact(self, power):
+        # far from 1 the input is rescaled, and the result scales bit for bit
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3, 5):
+            m = random_symmetric(rng, d)
+            w, v = jacobi_eigh(m)
+            w_scaled, v_scaled = jacobi_eigh(np.ldexp(m, power))
+            assert np.array_equal(w_scaled, np.ldexp(w, power))
+            assert np.array_equal(v_scaled, v)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("magnitude", [1e-200, 1e200])
+    def test_extreme_magnitudes(self, magnitude):
+        w, _ = jacobi_eigh(magnitude * np.array([[1.0, 0.9], [0.9, 1.0]]))
+        assert w / magnitude == pytest.approx([0.1, 1.9], rel=1e-14)
+
 
 def per_element_jacobi_eigh(matrix):
     """Cyclic Jacobi that rotates one entry at a time in scalar arithmetic.
@@ -252,6 +270,12 @@ class TestCostMatrix:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetric):
             CostMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_eigenvalue_whose_square_overflows(self):
+        CostMatrix(np.diag([1e150, 1e154]))
+        with pytest.raises(Error, match="squares out of floating-point range"):
+            CostMatrix(np.array([[1e200, 9e199], [9e199, 1e200]]))
 
     def test_matrix_is_frozen(self):
         cost = CostMatrix(np.eye(2))

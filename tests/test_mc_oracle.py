@@ -1,11 +1,14 @@
 """Monte Carlo estimator tests: determinism, calibration, mutation alarm."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from flab import mc_oracle
 from flab.agents import Metric, normal_stream, signal_weight, standard_normals
 from flab.closed_form import (
     CommonPrior,
@@ -20,7 +23,10 @@ from flab.linalg_core import CostMatrix, Projection
 from flab.mc_oracle import (
     _BLOCK,
     _STREAM_KEY,
-    _blocked_tree_sum,
+    McEstimate,
+    _block_columns,
+    _node_sum,
+    _pooled_tree_sum,
     compare,
     estimate_disparities,
     estimate_disparity,
@@ -114,6 +120,13 @@ class TestTreeSum:
             tree_sum(np.zeros((2, 2)))
 
 
+def blocked_tree_sum(values, term):
+    """tree_sum(term(values)) the oracle's way: node sums of aligned blocks, pooled."""
+    return float(_pooled_tree_sum(
+        values.size, lambda lo: _node_sum(term(values[lo : lo + _BLOCK]), values.size)
+    ))
+
+
 class TestBlocks:
     SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 2**20)
 
@@ -121,11 +134,11 @@ class TestBlocks:
         rng = np.random.default_rng(4)
         for size in self.SIZES:
             v = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size=size)
-            assert _blocked_tree_sum(v, lambda block: block) == tree_sum(v)
-            assert _blocked_tree_sum(v, np.square) == tree_sum(v * v)
+            assert blocked_tree_sum(v, lambda block: block) == tree_sum(v)
+            assert blocked_tree_sum(v, np.square) == tree_sum(v * v)
             # the sign of an all-zero total follows the padded whole-vector tree too
             zeros = np.full(size, -0.0)
-            assert _blocked_tree_sum(zeros, lambda block: block).hex() == tree_sum(zeros).hex()
+            assert blocked_tree_sum(zeros, lambda block: block).hex() == tree_sum(zeros).hex()
 
     @pytest.mark.parametrize("n", [5000, 2 * _BLOCK, 2 * _BLOCK + 7],
                              ids=["part_block", "whole_blocks", "blocks_and_remainder"])
@@ -147,6 +160,70 @@ class TestBlocks:
             tracemalloc.stop()
         # resident: 32 B of draws and 16 B of differences per agent, plus one block's temporaries
         assert peak <= 72 * n
+
+
+class TestStreamedBlocks:
+    """Blocks drawn on their own, run on any number of workers, in bounded memory."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 32])
+    def test_skip_ahead_blocks_equal_one_draw(self, dim):
+        n = 2 * _BLOCK + 5
+        whole = standard_normals(normal_stream(7, (_STREAM_KEY,)), (n, 2, dim)).transpose(1, 2, 0)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            assert np.array_equal(_block_columns(dim, 7, lo, hi), whole[:, :, lo:hi])
+
+    def test_worker_count_does_not_move_bits(self, monkeypatch, naive, common, projected):
+        sigmas = [0.0, 0.25, 1.0, 4.0]
+        n = 3 * _BLOCK + 5
+
+        def bits(sc):
+            estimates = [e for level in estimate_disparities(sc, sigmas, n, 11) for e in level.values()]
+            if sc is naive:
+                estimates.append(estimate_variance_naive(sc, 1.0, n, 11))
+            return [(e.mean.hex(), e.stderr.hex()) for e in estimates]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to vary the schedule
+        try:
+            for sc in (naive, common, projected):
+                runs = []
+                for workers in (1, 2, 3, 8):
+                    monkeypatch.setattr(mc_oracle, "_worker_count", lambda w=workers: w)
+                    runs.append(bits(sc))
+                assert all(run == runs[0] for run in runs[1:])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, common):
+        threads = []
+
+        def fail(*args):
+            threads.append(threading.current_thread())
+            raise Error("raised in a worker")
+
+        monkeypatch.setattr(mc_oracle, "_block_columns", fail)
+        with pytest.raises(Error, match="raised in a worker"):
+            estimate_disparities(common, [0.5], 3 * _BLOCK, 1)
+        assert threads and threading.main_thread() not in threads
+
+    @staticmethod
+    def traced_peak(sc, n, seed):
+        tracemalloc.start()
+        try:
+            estimate_disparities(sc, [0.5], n, seed)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_one_worker_peak_does_not_grow_with_n(self, monkeypatch, common):
+        monkeypatch.setattr(mc_oracle, "_worker_count", lambda: 1)
+        assert self.traced_peak(common, 2**22, 1) <= self.traced_peak(common, 2**18, 1) + 256 * 1024
+
+    def test_two_worker_peak_per_agent(self, monkeypatch, common):
+        monkeypatch.setattr(mc_oracle, "_worker_count", lambda: 2)
+        n = 2**20
+        assert self.traced_peak(common, n, 1) <= 16 * n
 
 
 class TestEstimates:
@@ -274,6 +351,18 @@ class TestCompare:
         assert est.stderr == 0.0
         with pytest.raises(ZeroStderrMismatch):
             compare(est.mean + 1e-6, est)
+
+    def test_stderr_below_double_spacing_uses_exact_mode(self):
+        # z_max standard errors span less than one ulp of the values compared
+        est = McEstimate(0.79, 2.46e-18, 100000, 42, Metric.SCORE, 1000.0)
+        out = compare(math.nextafter(0.79, 1.0), est)
+        assert out.passed
+        assert out.z == 0.0
+        with pytest.raises(ZeroStderrMismatch):
+            compare(0.79 + 1e-9, est)
+        # one that spans more is still scored in standard errors
+        est = McEstimate(0.79, 1e-16, 100000, 42, Metric.SCORE, 1000.0)
+        assert compare(0.79 + 5e-15, est).z == pytest.approx(-50.0, rel=1e-3)
 
     def test_corrupted_formula_sets_off_alarm(self, naive):
         # a one-percent error must be far outside statistical noise

@@ -161,6 +161,26 @@ class TestUtilityClassificationCommon:
         assert critical_prior_scale(sc) == pytest.approx(1.846372364689991, rel=1e-12)
 
 
+class TestZeroRule:
+    """A zero rule starts the utility curve at 0, which is no crossing."""
+
+    ZERO = np.zeros(2)
+
+    @pytest.mark.parametrize("mean, scale", [([0.5, 2.0], 2.0), ([0.5, 2.0], 0.5), ([0.0, 0.0], 1.0)])
+    def test_common_prior(self, costs, mean, scale):
+        sc = Scenario(self.ZERO, costs[0], costs[1], CommonPrior(np.asarray(mean, float), scale))
+        regime = classify_utility_bayes(sc)
+        assert regime.predicted_roots == len(regime.roots)
+        assert regime.count_matches
+
+    @pytest.mark.parametrize("mask1, scale", [([0.0, 0.0], 1.0), ([1.0, 0.0], 3.0)])
+    def test_projected_prior(self, costs, mask1, scale):
+        prior = ProjectedPrior(Projection(np.diag(mask1)), Projection.identity(2), scale)
+        regime = classify_utility_projected(Scenario(self.ZERO, costs[0], costs[1], prior))
+        assert regime.predicted_roots == len(regime.roots)
+        assert regime.count_matches
+
+
 class TestTwoRootRegion:
     @pytest.fixture
     def fixture_scenario(self, costs):
