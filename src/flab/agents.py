@@ -39,22 +39,15 @@ class Metric(enum.Enum):
         return self.value
 
 
-def normal_stream(seed, key=(), start=0):
+def normal_stream(seed, key=()):
     """Independent counter-based random stream for (seed, key).
 
     Streams are value-typed: every call builds a fresh generator, so two
     consumers with the same (seed, key) see identical draws and never
-    share mutable state. A positive ``start`` enters the stream at that
-    64-bit draw, skipping ahead without generating what it skips. Philox
-    yields four draws per counter step, so ``start`` is a multiple of 4.
+    share mutable state.
     """
-    start = int(start)
-    if start < 0 or start % 4:
-        raise Error(f"stream start must be a nonnegative multiple of 4, got {start}")
     entropy = (int(seed),) + tuple(int(k) for k in key)
-    bits = np.random.Philox(np.random.SeedSequence(entropy))
-    bits.advance(start // 4)
-    return np.random.Generator(bits)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def standard_normals(stream, shape):

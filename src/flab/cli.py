@@ -30,7 +30,7 @@ from .closed_form import (
 )
 from .errors import AssumptionViolated, Error, NonFinite, ParseError, ZeroStderrMismatch
 from .linalg_core import CostMatrix, Projection
-from .mc_oracle import compare, estimate_disparities
+from .mc_oracle import MIN_SAMPLES, compare, estimate_disparities
 from .regimes import (
     RegionLabel,
     UtilityCase,
@@ -187,8 +187,8 @@ def _parse_sweep(node):
 
 def _check_mc(n, seed, n_at, seed_at):
     """Reject fewer samples than the oracle needs, or a negative seed."""
-    if n < 1000:
-        _fail(n_at, f"need at least 1000 samples, got {n}")
+    if n < MIN_SAMPLES:
+        _fail(n_at, f"need at least {MIN_SAMPLES} samples, got {n}")
     if seed < 0:
         _fail(seed_at, f"must be nonnegative, got {seed}")
 

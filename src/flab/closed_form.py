@@ -38,7 +38,9 @@ from .linalg_core import (
     Definiteness,
     Projection,
     definiteness,
+    jacobi_eigh,
     kahan_dot,
+    label_eigenvalues,
     max_norm,
     quad_form,
     sym_sqrt,
@@ -126,15 +128,19 @@ class DisparityCurve:
 
 class GapMatrix:
     """A between-group gap matrix, its symmetric part, and that part's
-    definiteness label, which costs an eigensolve and is computed on first use."""
+    eigenvalues and definiteness label, which cost one eigensolve on first use."""
 
     def __init__(self, raw):
         self.raw = raw
         self.sym = 0.5 * (raw + raw.T)
 
     @cached_property
+    def eigenvalues(self):
+        return jacobi_eigh(self.sym)[0]
+
+    @cached_property
     def label(self):
-        return definiteness(self.sym)
+        return label_eigenvalues(self.eigenvalues)
 
 
 def response_gap(cost1, cost2):

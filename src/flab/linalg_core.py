@@ -177,7 +177,8 @@ class Definiteness(enum.Enum):
         return self.value
 
 
-def _label_eigenvalues(w):
+def label_eigenvalues(w):
+    """The `definiteness` label of a symmetric matrix with eigenvalues ``w``."""
     w = np.asarray(w, dtype=float)
     tau = 1e-9 * (1.0 + (float(np.abs(w).max()) if w.size else 0.0))
     lo = float(w.min())
@@ -202,7 +203,7 @@ def definiteness(matrix):
     that are singular only up to roundoff land in the semidefinite labels.
     """
     w, _ = jacobi_eigh(matrix)
-    return _label_eigenvalues(w)
+    return label_eigenvalues(w)
 
 
 def sym_sqrt(matrix):
@@ -238,7 +239,7 @@ class CostMatrix:
         with np.errstate(over="ignore"):  # jacobi_eigh rejects an overflowed entry
             a = 0.5 * (a + a.T)
         w, v = jacobi_eigh(a)
-        if _label_eigenvalues(w) is not Definiteness.PD:
+        if label_eigenvalues(w) is not Definiteness.PD:
             raise NotPD(f"cost matrix eigenvalues {w} are not all positive")
         top = float(w[-1])
         if not math.isfinite(top * top):

@@ -5,27 +5,23 @@ each draw runs the per-agent pipeline (signal, best response, realized
 score and cost) and averages the group difference. Agreement with the
 analytic module is therefore evidence, not circularity.
 
-`estimate_disparities` streams its agents in aligned blocks of `_BLOCK`.
-A block's normals come from the seed's counter stream entered at the
-block's first draw, so each block is drawn on its own and all blocks
-together equal one draw of shape (n, 2, d). A block runs at every noise
-level and keeps only one tree sum per level and metric of its score and
-utility differences. An estimate takes two passes: the first sums the
-differences, the second draws every block again and sums the squared
-residuals about the first pass's means. Nothing of length n is kept, so
-memory depends on the block size and the worker count, not on n.
+`estimate_disparities` streams its agents in aligned blocks of `_BLOCK`,
+drawn in order from the seed's stream, so all blocks together equal one
+draw of shape (n, 2, d). A block runs at every noise level and keeps, per
+level and metric, three numbers: the tree sum of its score or utility
+differences, and the sum and the sum of squares of their residuals about
+the block's own mean. Means and variances are combined from these in one
+pass. Nothing of length n is kept, so memory depends on the block size,
+not on n, and everything runs on the calling thread.
 
-The blocks run on a thread pool with one worker per CPU this process may
-run on. A block's total is the node over its agents of the zero-padded
-pairwise tree over all n, and the block totals are tree-summed in block
-order, so each sum equals `tree_sum` over the whole vector bit for bit.
-An estimate therefore depends only on (scenario, sigma, n, seed): not on
-the worker count, the schedule, or the other noise levels of a batch.
+A block's sum is the node over its agents of the zero-padded pairwise
+tree over all n, and the block sums are tree-summed in block order, so
+each mean equals `tree_sum` over the whole vector bit for bit. An
+estimate depends only on (scenario, sigma, n, seed), not on the other
+noise levels of a batch.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +40,8 @@ from .closed_form import NaivePrior
 from .errors import Error, NegativeSigma, WrongPriorKind, ZeroStderrMismatch
 
 _STREAM_KEY = 101
-_MIN_SAMPLES = 1000
+MIN_SAMPLES = 1000  # the fewest agents an estimate accepts
 _BLOCK = 2**15  # agents per block; a power of two, so blocks align with the sum tree
-_ROUND = 64  # blocks per pool.map call, bounding the pending futures for any n
 
 
 @dataclass(frozen=True)
@@ -110,8 +105,8 @@ def _check_inputs(sigmas, n):
         if sigma < 0.0:
             raise NegativeSigma(f"sigma must be nonnegative, got {sigma}")
     n = int(n)
-    if n < _MIN_SAMPLES:
-        raise Error(f"need at least {_MIN_SAMPLES} samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise Error(f"need at least {MIN_SAMPLES} samples, got {n}")
     return sigmas, n
 
 
@@ -138,66 +133,47 @@ def _group_differences(sc, sigma, columns):
     return r1.score_gain - r2.score_gain, r1.utility_gain - r2.utility_gain
 
 
-def _worker_count():
-    """Pool size: one worker per CPU this process may run on."""
-    return len(os.sched_getaffinity(0))
+def _block_columns(stream, size, dim):
+    """The stream's next ``size`` agents as a contiguous (group, coordinate, agent) stack.
 
-
-def _block_columns(dim, seed, lo, hi):
-    """Normals of agents lo..hi-1 as a contiguous (group, coordinate, agent) stack.
-
-    Agent i sees draws 2di to 2d(i+1)-1 of the seed's stream, in the
-    (sample, group, coordinate) order of one draw of shape (n, 2, d).
-    Blocks start at even agents, hence at a multiple of 4 draws, where
-    the counter stream is entered directly.
+    Agents take their 2d normals in the (sample, group, coordinate) order
+    of one draw of shape (n, 2, d), so blocks drawn in order from one
+    stream equal that draw bit for bit.
     """
-    stream = normal_stream(seed, (_STREAM_KEY,), start=2 * dim * lo)
-    return np.ascontiguousarray(standard_normals(stream, (hi - lo, 2, dim)).transpose(1, 2, 0))
-
-
-def _block_totals(sc, sigmas, n, seed, lo, term):
-    """One block's sums of term(level, metric, differences), shape (levels, 2)."""
-    columns = _block_columns(sc.dim, seed, lo, min(lo + _BLOCK, n))
-    totals = np.empty((len(sigmas), 2))
-    for i, sigma in enumerate(sigmas):
-        for j, diffs in enumerate(_group_differences(sc, sigma, columns)):
-            totals[i, j] = _node_sum(term(i, j, diffs), n)
-    return totals
-
-
-def _pooled_tree_sum(n, block_sums):
-    """Tree sums over n terms from ``block_sums(lo)``, the node sums of one block.
-
-    ``block_sums`` gets the first index of each aligned block and returns
-    the `_node_sum` of that block's terms, one array entry per sum. The
-    pool runs the blocks of a round in any order, and `map` hands their
-    totals back in block order to be tree-summed, so each sum equals the
-    whole-vector `tree_sum` bit for bit.
-    """
-    starts = range(0, n, _BLOCK)
-    totals = []
-    with ThreadPoolExecutor(min(_worker_count(), len(starts))) as pool:
-        for first in range(0, len(starts), _ROUND):
-            totals.extend(pool.map(block_sums, starts[first : first + _ROUND]))
-    return np.apply_along_axis(tree_sum, 0, np.stack(totals))
+    return np.ascontiguousarray(standard_normals(stream, (size, 2, dim)).transpose(1, 2, 0))
 
 
 def _moments(sc, sigmas, n, seed):
     """Means and sample variances of the group differences, shape (levels, 2) each.
 
-    Metrics are in (score, utility) order. Each moment is one streamed pass.
+    Metrics are in (score, utility) order. One pass draws the aligned
+    blocks in order. Per level and metric, block b of m_b agents keeps its
+    node sum s_b and, about its own mean c_b = s_b / m_b, the sum r_b and
+    the sum of squares q_b of its residuals. The mean is the tree sum of
+    the s_b over n. The variance is the tree sum over blocks of
+    q_b + (c_b - mean) (2 r_b + m_b (c_b - mean)), over n - 1 (Chan, Golub
+    and LeVeque, Am. Stat. 37, 1983). r_b is zero but for the rounding of
+    s_b; keeping it makes the combination exact, so the result agrees with
+    a two-pass sum of squares about the mean to rounding.
     """
-
-    def streamed(term):
-        return _pooled_tree_sum(n, lambda lo: _block_totals(sc, sigmas, n, seed, lo, term))
-
-    means = streamed(lambda i, j, diffs: diffs) / n
-
-    def squared_residuals(i, j, diffs):
-        resid = diffs - means[i, j]
-        return resid * resid
-
-    return means, streamed(squared_residuals) / (n - 1)
+    stream = normal_stream(seed, (_STREAM_KEY,))
+    sizes = np.minimum(_BLOCK, n - np.arange(0, n, _BLOCK))
+    sums = np.empty((sizes.size, len(sigmas), 2))
+    drifts = np.empty_like(sums)
+    squares = np.empty_like(sums)
+    for b, size in enumerate(sizes):
+        columns = _block_columns(stream, int(size), sc.dim)
+        for i, sigma in enumerate(sigmas):
+            for j, diffs in enumerate(_group_differences(sc, sigma, columns)):
+                sums[b, i, j] = _node_sum(diffs, n)
+                resid = diffs - sums[b, i, j] / size
+                drifts[b, i, j] = tree_sum(resid)
+                squares[b, i, j] = tree_sum(resid * resid)
+    means = np.apply_along_axis(tree_sum, 0, sums) / n
+    m = sizes[:, None, None]
+    shift = sums / m - means
+    spread = squares + shift * (2.0 * drifts + m * shift)
+    return means, np.apply_along_axis(tree_sum, 0, spread) / (n - 1)
 
 
 def estimate_disparities(sc, sigmas, n, seed):

@@ -27,7 +27,7 @@ from .closed_form import (
     noise_range,
 )
 from .errors import AssumptionViolated, Error, InvalidBracket, NonFinite
-from .linalg_core import Definiteness, definiteness, max_norm, quad_form, span_within
+from .linalg_core import Definiteness, label_eigenvalues, max_norm, quad_form, span_within
 
 SIGN_TOL = 1e-10
 TANGENT_TOL = 1e-11
@@ -446,9 +446,9 @@ def classify_utility_projected_matrix(sc, stream=None, samples=50):
     if unknown_label is Definiteness.INDEFINITE:
         raise AssumptionViolated("unknown-subspace gap is indefinite")
 
-    d = sc.dim
-    split = (2.0 / c.trace_gap) * sc.unknown_gap.sym - scale * scale * np.eye(d)
-    split_label = definiteness(split)
+    # the split (2 / trace_gap) * unknown_gap - scale^2 I has the gap's eigenvectors,
+    # so its eigenvalues follow from the gap's without another eigensolve
+    split_label = label_eigenvalues((2.0 / c.trace_gap) * sc.unknown_gap.eigenvalues - scale * scale)
     if split_label in _SEMI_POSITIVE:
         verdict = MatrixVerdict.MONOTONE_ALL
     elif split_label is Definiteness.ND:
@@ -463,7 +463,7 @@ def classify_utility_projected_matrix(sc, stream=None, samples=50):
     band = 1e-8 * (1.0 + scale * scale)
     if verdict is not MatrixVerdict.INDETERMINATE:
         for _ in range(samples):
-            v = standard_normals(stream, d)
+            v = standard_normals(stream, sc.dim)
             norm = math.sqrt(float(v @ v))
             if norm < 1e-6:
                 continue

@@ -46,17 +46,6 @@ class TestStreams:
         # symmetry of the inverse-CDF construction
         assert abs(np.mean(z**3)) <= 4.0 * math.sqrt(15.0 / n)
 
-    def test_start_skips_ahead_to_that_draw(self):
-        whole = standard_normals(normal_stream(9, (1,)), (100,))
-        for start in (0, 4, 12, 96):
-            tail = standard_normals(normal_stream(9, (1,), start=start), (100 - start,))
-            assert np.array_equal(tail, whole[start:])
-
-    @pytest.mark.parametrize("start", [-4, 2, 5])
-    def test_start_off_the_counter_grid_rejected(self, start):
-        with pytest.raises(Error):
-            normal_stream(9, (1,), start=start)
-
     def test_shape_is_respected(self):
         z = standard_normals(normal_stream(5), (7, 2, 3))
         assert z.shape == (7, 2, 3)

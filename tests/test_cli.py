@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -296,7 +295,7 @@ class TestClassifyCommand:
         assert "not applicable" in out
 
     def test_eigensolves_per_classify(self, tmp_path, capsys, monkeypatch):
-        from flab import linalg_core
+        from flab import closed_form, linalg_core
         from flab.regimes import (
             exploitation_condition_projected,
             monotonicity_condition_projected,
@@ -310,7 +309,9 @@ class TestClassifyCommand:
             calls.append(1)
             return true_eigh(matrix)
 
-        monkeypatch.setattr(linalg_core, "jacobi_eigh", counted)
+        # the gap matrices solve through closed_form's import of jacobi_eigh
+        for module in (linalg_core, closed_form):
+            monkeypatch.setattr(module, "jacobi_eigh", counted)
         assert cli.main(["classify", str(SCENARIOS / "reference_projected.json")]) == 0
         # two costs, two projectors, the cost gap and its square root on load,
         # then one label for each of the two gap matrices
@@ -383,7 +384,7 @@ class TestVerifyCommand:
         assert "n=5000, seed=7" in capsys.readouterr().out
 
     def test_ignores_thread_setting(self, tmp_path):
-        # more than one block of agents, so the blocked passes and sums run
+        # more than one block of agents, so the blocked sums run
         args = ["verify", write_scenario(tmp_path, REF), "--n", str(_BLOCK + 1000), "--points", "2"]
         one, two = outputs_per_blas_thread_count(args)
         assert one == two
@@ -397,7 +398,6 @@ class TestVerifyCommand:
         assert "FAIL" not in capsys.readouterr().out
 
     def test_stdout_independent_of_cpu_affinity(self, tmp_path):
-        # the oracle runs one pool worker per CPU the process may use
         args = ["verify", write_scenario(tmp_path, REF), "--n", str(3 * _BLOCK + 5), "--points", "2"]
         cpu = min(os.sched_getaffinity(0))
         one_cpu = fresh_flab(args, prelude=f"import os; os.sched_setaffinity(0, [{cpu}]); ")
@@ -406,17 +406,18 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("error, code", [(NonFinite, 3), (ZeroStderrMismatch, 4)])
     def test_worker_error_is_a_typed_exit(self, error, code, tmp_path, capsys, monkeypatch):
-        threads = []
+        # raised inside the block loop, the oracle's one worker
+        blocks = []
 
-        def fail(*args):
-            threads.append(threading.current_thread())
-            raise error("raised in a worker")
+        def fail(sc, sigma, columns):
+            blocks.append(columns)
+            raise error("raised in the block loop")
 
-        monkeypatch.setattr(mc_oracle, "_block_columns", fail)
+        monkeypatch.setattr(mc_oracle, "_group_differences", fail)
         assert cli.main(["verify", write_scenario(tmp_path, REF)]) == code
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: raised in a worker\n")
-        assert threads and threading.main_thread() not in threads
+        assert (out, err) == ("", "error: raised in the block loop\n")
+        assert blocks and blocks[0] is not None
 
     @pytest.mark.parametrize(
         "flags, pointer",

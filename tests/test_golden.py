@@ -7,6 +7,7 @@ new digests in CHANGES.md.
 """
 
 import hashlib
+import threading
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,16 @@ def _sha256(data):
 def test_verify_stdout(name, capsys):
     assert cli.main(["verify", str(SCENARIOS / f"{name}.json")]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == VERIFY[name]
+
+
+def test_verify_starts_no_thread(capsys, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"verify started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    # n = 100000 is four blocks of agents, so the block loop runs four times
+    assert cli.main(["verify", str(SCENARIOS / "reference_naive.json")]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == VERIFY["reference_naive"]
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))

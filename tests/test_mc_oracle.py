@@ -1,14 +1,11 @@
 """Monte Carlo estimator tests: determinism, calibration, mutation alarm."""
 
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from flab import mc_oracle
 from flab.agents import Metric, normal_stream, signal_weight, standard_normals
 from flab.closed_form import (
     CommonPrior,
@@ -26,7 +23,6 @@ from flab.mc_oracle import (
     McEstimate,
     _block_columns,
     _node_sum,
-    _pooled_tree_sum,
     compare,
     estimate_disparities,
     estimate_disparity,
@@ -72,8 +68,8 @@ def common_d8():
     return Scenario(rng.normal(size=8), CostMatrix(cost1), CostMatrix(cost2), prior)
 
 
-def reference_pipeline(sc, metric, sigma, n, seed, columns=False):
-    """One (metric, sigma) estimate computed on whole-length arrays, with no blocks.
+def reference_differences(sc, metric, sigma, n, seed, columns=False):
+    """One (metric, sigma) vector of group differences on whole-length arrays, with no blocks.
 
     By default agents are (n, d) row stacks, as a per-call oracle held them.
     With ``columns`` they are the transpose of a contiguous (d, n) stack, the
@@ -93,10 +89,34 @@ def reference_pipeline(sc, metric, sigma, n, seed, columns=False):
         score = dx @ sc.rule
         cost = 0.5 * np.einsum("ij,jk,ik->i", dx, group.cost.matrix, dx)
         gains.append(score if metric is Metric.SCORE else score - cost)
-    diffs = gains[0] - gains[1]
+    return gains[0] - gains[1]
+
+
+def reference_pipeline(sc, metric, sigma, n, seed, columns=False):
+    """Mean and two-pass standard error of the reference differences."""
+    diffs = reference_differences(sc, metric, sigma, n, seed, columns)
     mean = tree_sum(diffs) / n
     resid = diffs - mean
     return mean, math.sqrt(tree_sum(resid * resid) / (n - 1)) / math.sqrt(n)
+
+
+def block_moment_stderr(diffs):
+    """The standard error of ``diffs`` combined from per-block moments, as the oracle does.
+
+    Each aligned block keeps its node sum s, and the sum and the sum of
+    squares of its residuals about s / m. The squares about the overall
+    mean follow exactly from these three, whatever rounding s carries.
+    """
+    n = diffs.size
+    mean = tree_sum(diffs) / n
+    spreads = []
+    for lo in range(0, n, _BLOCK):
+        block = diffs[lo : lo + _BLOCK]
+        s = _node_sum(block, n)
+        resid = block - s / block.size
+        shift = s / block.size - mean
+        spreads.append(tree_sum(resid * resid) + shift * (2.0 * tree_sum(resid) + block.size * shift))
+    return math.sqrt(tree_sum(spreads) / (n - 1)) / math.sqrt(n)
 
 
 class TestTreeSum:
@@ -121,10 +141,8 @@ class TestTreeSum:
 
 
 def blocked_tree_sum(values, term):
-    """tree_sum(term(values)) the oracle's way: node sums of aligned blocks, pooled."""
-    return float(_pooled_tree_sum(
-        values.size, lambda lo: _node_sum(term(values[lo : lo + _BLOCK]), values.size)
-    ))
+    """tree_sum(term(values)) the oracle's way: node sums of aligned blocks, tree-summed in block order."""
+    return tree_sum([_node_sum(term(values[lo : lo + _BLOCK]), values.size) for lo in range(0, values.size, _BLOCK)])
 
 
 class TestBlocks:
@@ -147,8 +165,11 @@ class TestBlocks:
             batch = estimate_disparities(sc, [0.0, 0.7], n, 3)
             for metric in (Metric.SCORE, Metric.UTILITY):
                 est = batch[1][metric]
-                expected = reference_pipeline(sc, metric, 0.7, n, 3, columns=True)
-                assert (est.mean, est.stderr) == expected
+                mean, stderr = reference_pipeline(sc, metric, 0.7, n, 3, columns=True)
+                assert est.mean == mean
+                diffs = reference_differences(sc, metric, 0.7, n, 3, columns=True)
+                assert est.stderr == block_moment_stderr(diffs)
+                assert est.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
 
     def test_peak_memory_per_agent(self, common):
         n = 2**20
@@ -163,49 +184,18 @@ class TestBlocks:
 
 
 class TestStreamedBlocks:
-    """Blocks drawn on their own, run on any number of workers, in bounded memory."""
+    """Blocks drawn in order from one stream, in memory that does not grow with n."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 32])
     def test_skip_ahead_blocks_equal_one_draw(self, dim):
+        # each block skips ahead past the draws of the blocks before it, by
+        # drawing them; an odd d leaves Philox's four-draw buffer part-used
         n = 2 * _BLOCK + 5
         whole = standard_normals(normal_stream(7, (_STREAM_KEY,)), (n, 2, dim)).transpose(1, 2, 0)
+        stream = normal_stream(7, (_STREAM_KEY,))
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            assert np.array_equal(_block_columns(dim, 7, lo, hi), whole[:, :, lo:hi])
-
-    def test_worker_count_does_not_move_bits(self, monkeypatch, naive, common, projected):
-        sigmas = [0.0, 0.25, 1.0, 4.0]
-        n = 3 * _BLOCK + 5
-
-        def bits(sc):
-            estimates = [e for level in estimate_disparities(sc, sigmas, n, 11) for e in level.values()]
-            if sc is naive:
-                estimates.append(estimate_variance_naive(sc, 1.0, n, 11))
-            return [(e.mean.hex(), e.stderr.hex()) for e in estimates]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, to vary the schedule
-        try:
-            for sc in (naive, common, projected):
-                runs = []
-                for workers in (1, 2, 3, 8):
-                    monkeypatch.setattr(mc_oracle, "_worker_count", lambda w=workers: w)
-                    runs.append(bits(sc))
-                assert all(run == runs[0] for run in runs[1:])
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch, common):
-        threads = []
-
-        def fail(*args):
-            threads.append(threading.current_thread())
-            raise Error("raised in a worker")
-
-        monkeypatch.setattr(mc_oracle, "_block_columns", fail)
-        with pytest.raises(Error, match="raised in a worker"):
-            estimate_disparities(common, [0.5], 3 * _BLOCK, 1)
-        assert threads and threading.main_thread() not in threads
+            assert np.array_equal(_block_columns(stream, hi - lo, dim), whole[:, :, lo:hi])
 
     @staticmethod
     def traced_peak(sc, n, seed):
@@ -216,14 +206,8 @@ class TestStreamedBlocks:
         finally:
             tracemalloc.stop()
 
-    def test_one_worker_peak_does_not_grow_with_n(self, monkeypatch, common):
-        monkeypatch.setattr(mc_oracle, "_worker_count", lambda: 1)
+    def test_one_worker_peak_does_not_grow_with_n(self, common):
         assert self.traced_peak(common, 2**22, 1) <= self.traced_peak(common, 2**18, 1) + 256 * 1024
-
-    def test_two_worker_peak_per_agent(self, monkeypatch, common):
-        monkeypatch.setattr(mc_oracle, "_worker_count", lambda: 2)
-        n = 2**20
-        assert self.traced_peak(common, n, 1) <= 16 * n
 
 
 class TestEstimates:

@@ -13,7 +13,7 @@ from flab.closed_form import (
     neutrality_sigma_score_bayes,
 )
 from flab.errors import AssumptionViolated, InvalidBracket, NonCommuting, NonFinite
-from flab.linalg_core import CostMatrix, Definiteness, Projection
+from flab.linalg_core import CostMatrix, Definiteness, Projection, definiteness
 from flab.regimes import (
     MatrixVerdict,
     RegionLabel,
@@ -290,6 +290,59 @@ class TestMatrixClassifier:
         assert report.verdict is MatrixVerdict.NON_MONOTONE_ALL
         assert report.samples_checked == 50
         assert report.samples_agree
+
+    def test_split_costs_no_eigensolve(self, costs, monkeypatch):
+        from flab import closed_form, linalg_core
+
+        sc = projected_scenario(costs, [1, 1], [1, 1], 1.0)
+        calls = []
+        true_eigh = linalg_core.jacobi_eigh
+
+        def counted(matrix):
+            calls.append(1)
+            return true_eigh(matrix)
+
+        for module in (linalg_core, closed_form):
+            monkeypatch.setattr(module, "jacobi_eigh", counted)
+        report = classify_utility_projected_matrix(sc)
+        assert report.verdict is MatrixVerdict.NON_MONOTONE_ALL
+        # one solve per gap matrix; the split is labelled from the unknown gap's eigenvalues
+        assert len(calls) == 2
+
+    def test_split_label_equals_its_eigensolve(self):
+        verdicts = {
+            Definiteness.PD: MatrixVerdict.MONOTONE_ALL,
+            Definiteness.PSD: MatrixVerdict.MONOTONE_ALL,
+            Definiteness.ZERO: MatrixVerdict.MONOTONE_ALL,
+            Definiteness.ND: MatrixVerdict.NON_MONOTONE_ALL,
+        }
+        rng = np.random.default_rng(31)
+        reached = []
+        for _ in range(300):
+            d = int(rng.integers(2, 5))
+            basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            low = rng.uniform(0.5, 3.0, size=d)
+            high = low + rng.uniform(0.1, 3.0, size=d)
+            masks = rng.integers(0, 2, size=(2, d)).astype(float)
+
+            def rotated(diagonal):
+                m = basis @ np.diag(diagonal) @ basis.T
+                return 0.5 * (m + m.T)
+
+            prior = ProjectedPrior(Projection(rotated(masks[0])), Projection(rotated(masks[1])),
+                                   float(np.exp(rng.uniform(-4.0, 1.0))))
+            sc = Scenario(rng.normal(size=d), CostMatrix(rotated(low)), CostMatrix(rotated(high)), prior)
+            try:
+                report = classify_utility_projected_matrix(sc, samples=0)
+            except AssumptionViolated:
+                continue
+            split = (2.0 / sc.trace_gap) * sc.unknown_gap.sym - sc.prior.scale**2 * np.eye(d)
+            label = definiteness(split)
+            assert report.split_label is label
+            assert report.verdict is verdicts.get(label, MatrixVerdict.INDETERMINATE)
+            reached.append(report.verdict)
+        assert set(reached) == set(MatrixVerdict)
+        assert len(reached) >= 50
 
     def test_no_knowledge_small_scale_monotone_for_every_rule(self, costs):
         report = classify_utility_projected_matrix(
