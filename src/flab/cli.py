@@ -390,55 +390,66 @@ def _escape(text):
     )
 
 
-def _write_text(path, content):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+def _write_outputs(outputs):
+    """Write each (option, path, text), or leave no file of this run behind.
+
+    Every path is first opened for appending, which creates a missing file
+    and leaves an existing one as it was; only then is any written. An
+    OSError is a bad value of that path's option, and the files this run
+    created are removed before it is raised as a parse error.
+    """
+    created = []
+    try:
+        for option, path, _ in outputs:
+            existed = os.path.lexists(path)
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if not existed:
+                created.append(path)
+        for option, path, text in outputs:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        for done in created:
+            os.remove(done)
+        _fail(option, f"cannot write {path}: {exc.strerror or exc}")
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_validate(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_validate(args):
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
     c = sc.constants
-    print(f"scenario OK: {loaded.name}", file=out)
-    print(f"  dimension: {sc.dim}", file=out)
-    print(f"  cost gap: {sc.cost_gap_label}", file=out)
-    print(f"  trace gap: {_g5(sc.trace_gap)}", file=out)
+    print(f"scenario OK: {loaded.name}")
+    print(f"  dimension: {sc.dim}")
+    print(f"  cost gap: {sc.cost_gap_label}")
+    print(f"  trace gap: {_g5(sc.trace_gap)}")
     if isinstance(sc.prior, NaivePrior):
-        print("  prior: naive", file=out)
-        print(f"  score disparity (all noise levels): {_g5(c.rule_sq)}", file=out)
+        print("  prior: naive")
+        print(f"  score disparity (all noise levels): {_g5(c.rule_sq)}")
         if sc.trace_gap > 0.0:
-            print(f"  utility crossing: {_g5(neutrality_sigma_naive(sc))}", file=out)
+            print(f"  utility crossing: {_g5(neutrality_sigma_naive(sc))}")
         return _EXIT_OK
     if isinstance(sc.prior, CommonPrior):
-        print(f"  prior: common, scale {_g5(sc.prior.scale)}", file=out)
+        print(f"  prior: common, scale {_g5(sc.prior.scale)}")
         print(
             f"  gap-metric constants: rule {_g5(c.rule_sq)}, prior {_g5(c.prior_sq)}, "
             f"cross {_g5(c.cross)}, mismatch {_g5(c.mismatch)}",
-            file=out,
         )
     else:
-        print(f"  prior: projected, scale {_g5(sc.prior.scale)}", file=out)
-        print(
-            f"  subspace ranks: {sc.prior.subspace1.rank} and {sc.prior.subspace2.rank}",
-            file=out,
-        )
-        print(
-            f"  gap-metric constants: rule {_g5(c.rule_sq)}, known-side {_g5(c.cross)}",
-            file=out,
-        )
-        print(f"  commutation defect: {sc.commute_defect:.3e}", file=out)
+        print(f"  prior: projected, scale {_g5(sc.prior.scale)}")
+        print(f"  subspace ranks: {sc.prior.subspace1.rank} and {sc.prior.subspace2.rank}")
+        print(f"  gap-metric constants: rule {_g5(c.rule_sq)}, known-side {_g5(c.cross)}")
+        print(f"  commutation defect: {sc.commute_defect:.3e}")
     if sc.trace_gap > 0.0:
-        print(f"  critical prior scale: {_g5(critical_prior_scale(sc))}", file=out)
+        print(f"  critical prior scale: {_g5(critical_prior_scale(sc))}")
     return _EXIT_OK
 
 
-def cmd_sweep(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_sweep(args):
     points = _points(args, 2)
     loaded = load_scenario(args.scenario)
     grid = _sweep_sigmas(loaded, points)
@@ -451,11 +462,7 @@ def cmd_sweep(args, out=None):
     for s, fs, fu in zip(sigmas, scores, utilities):
         lines.append(f"{_g17(s)},{_g17(fs)},{_g17(fu)},{label_region(fs)},{label_region(fu)},,,")
     csv_text = "\n".join(lines) + "\n"
-    if args.out_csv:
-        _write_text(args.out_csv, csv_text)
-        print(f"wrote {args.out_csv} ({len(sigmas)} rows)", file=out)
-    else:
-        out.write(csv_text)
+    outputs = [("--out-csv", args.out_csv, csv_text)] if args.out_csv else []
     if args.out_svg:
         svg = render_svg(
             sigmas,
@@ -463,33 +470,38 @@ def cmd_sweep(args, out=None):
             loaded.name,
             "log" if loaded.sweep is None else loaded.sweep.spacing,
         )
-        _write_text(args.out_svg, svg)
-        print(f"wrote {args.out_svg}", file=out)
+        outputs.append(("--out-svg", args.out_svg, svg))
+    _write_outputs(outputs)  # before stdout gets a byte
+    if args.out_csv:
+        print(f"wrote {args.out_csv} ({len(sigmas)} rows)")
+    else:
+        sys.stdout.write(csv_text)
+    if args.out_svg:
+        print(f"wrote {args.out_svg}")
     return _EXIT_OK
 
 
-def _print_matrix_report(report, out):
+def _print_matrix_report(report):
     """Print a certificate and its checks; True when every check passed."""
     print(f"  {report.name}: label {report.label}, "
-          f"{'holds' if report.guaranteed else 'no guarantee'}", file=out)
+          f"{'holds' if report.guaranteed else 'no guarantee'}")
     for desc, ok in report.checks:
-        print(f"    - {desc}: {'yes' if ok else 'NO'}", file=out)
+        print(f"    - {desc}: {'yes' if ok else 'NO'}")
     return all(ok for _, ok in report.checks)
 
 
-def cmd_classify(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_classify(args):
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
-    print(f"classification: {loaded.name}", file=out)
+    print(f"classification: {loaded.name}")
     if isinstance(sc.prior, NaivePrior):
         fs = sc.constants.rule_sq
-        print(f"  score: constant {_g5(fs)} ({label_region(fs)})", file=out)
+        print(f"  score: constant {_g5(fs)} ({label_region(fs)})")
         if sc.trace_gap > 0.0:
             root = neutrality_sigma_naive(sc)
-            print(f"  utility: MonotoneDecreasing, crossing at {_g5(root)}", file=out)
+            print(f"  utility: MonotoneDecreasing, crossing at {_g5(root)}")
         else:
-            print("  utility: MonotoneDecreasing, no crossing", file=out)
+            print("  utility: MonotoneDecreasing, no crossing")
         return _EXIT_OK
 
     passed = []  # one entry per internal cross-check; any False exits 4
@@ -498,56 +510,50 @@ def cmd_classify(args, out=None):
         line = f"  score: {shape.trend}"
         if shape.neutrality_sigma is not None:
             line += f", crossing at {_g5(shape.neutrality_sigma)}"
-        print(line, file=out)
+        print(line)
         regime = classify_utility_bayes(sc)
     else:
         regime = classify_utility_projected(sc)
-        passed.append(_print_matrix_report(exploitation_condition_projected(sc), out))
+        passed.append(_print_matrix_report(exploitation_condition_projected(sc)))
         neutral = neutrality_condition_projected(sc)
-        passed.append(_print_matrix_report(neutral.report, out))
+        passed.append(_print_matrix_report(neutral.report))
         if neutral.sigma is not None:
-            print(f"    crossing at {_g5(neutral.sigma)}", file=out)
-        passed.append(_print_matrix_report(monotonicity_condition_projected(sc), out))
+            print(f"    crossing at {_g5(neutral.sigma)}")
+        passed.append(_print_matrix_report(monotonicity_condition_projected(sc)))
         try:
             matrix_report = classify_utility_projected_matrix(sc)
         except AssumptionViolated as exc:
-            print(f"  rule-agnostic utility verdict: not applicable ({exc})", file=out)
+            print(f"  rule-agnostic utility verdict: not applicable ({exc})")
         else:
             passed.append(matrix_report.samples_agree)
             print(
                 f"  rule-agnostic utility verdict: {matrix_report.verdict} "
                 f"(sampled rules agree: {'yes' if matrix_report.samples_agree else 'NO'})",
-                file=out,
             )
 
     passed.append(regime.count_matches)
     line = f"  utility: {regime.case}, critical scale {_g5(regime.critical_scale)}"
     if regime.case is UtilityCase.NON_MONOTONE:
         line += f", minimum at {_g5(regime.sigma_min)} (value {_g5(regime.minimum_value)})"
-    print(line, file=out)
+    print(line)
     print(
         f"  utility crossings: {len(regime.roots)} at "
         f"[{', '.join(_g5(r) for r in regime.roots)}] "
         f"(predicted {regime.predicted_roots}, "
         f"{'match' if regime.count_matches else 'MISMATCH'})",
-        file=out,
     )
 
     score_zero, score_inf = map(label_region, endpoints(sc, Metric.SCORE))
     if score_zero is score_inf and score_zero is not RegionLabel.NEUTRALITY:
-        print(f"  score region: {score_zero} throughout", file=out)
+        print(f"  score region: {score_zero} throughout")
     else:
-        print(
-            f"  score region: {score_zero} at zero noise, {score_inf} in the limit",
-            file=out,
-        )
+        print(f"  score region: {score_zero} at zero noise, {score_inf} in the limit")
     utility_zero, utility_inf = map(label_region, endpoints(sc, Metric.UTILITY))
-    print(f"  utility region: {utility_zero} at zero noise, {utility_inf} in the limit", file=out)
+    print(f"  utility region: {utility_zero} at zero noise, {utility_inf} in the limit")
     return _EXIT_OK if all(passed) else _EXIT_VERIFY
 
 
-def cmd_verify(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_verify(args):
     points = _points(args, 1, default=6)
     loaded = load_scenario(args.scenario)
     if loaded.mc is None and (args.n is None or args.seed is None):
@@ -567,13 +573,13 @@ def cmd_verify(args, out=None):
                 result = exc
             rows.append((metric, sigma, result))
 
-    print(f"verification: n={n}, seed={seed}, z_max={_g5(z_max)}", file=out)
-    print("  metric   sigma         analytic       mc_mean        stderr       z      status", file=out)
+    print(f"verification: n={n}, seed={seed}, z_max={_g5(z_max)}")
+    print("  metric   sigma         analytic       mc_mean        stderr       z      status")
     failures = 0
     for metric, sigma, result in rows:
         if isinstance(result, ZeroStderrMismatch):
             failures += 1
-            print(f"  {metric.value:<8} {_g5(sigma):<12}  exact-mode mismatch: {result}", file=out)
+            print(f"  {metric.value:<8} {_g5(sigma):<12}  exact-mode mismatch: {result}")
             continue
         status = "ok" if result.passed else "FAIL"
         if not result.passed:
@@ -582,17 +588,15 @@ def cmd_verify(args, out=None):
         print(
             f"  {metric.value:<8} {_g5(sigma):<12} {result.analytic:>13.6g} "
             f"{est.mean:>13.6g} {est.stderr:>13.6g} {result.z:>+7.2f}  {status}",
-            file=out,
         )
     if failures:
-        print(f"{failures} comparison(s) failed", file=out)
+        print(f"{failures} comparison(s) failed")
         return _EXIT_VERIFY
-    print("all comparisons passed", file=out)
+    print("all comparisons passed")
     return _EXIT_OK
 
 
-def cmd_bounds(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_bounds(args):
     points = _points(args, 2)
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
@@ -607,20 +611,19 @@ def cmd_bounds(args, out=None):
     _require_finite("score slack", score_slack, grid)
     _require_finite("utility slack", utility_slack, grid)
     columns = (grid, score, score_bound, score_slack, utility, utility_bound, utility_slack)
-    print("  sigma        |score|      score_bound  slack        |utility|    utility_bound  slack", file=out)
+    print("  sigma        |score|      score_bound  slack        |utility|    utility_bound  slack")
     worst = math.inf
     for s, afs, bs, slack_s, afu, bu, slack_u in zip(*(c.tolist() for c in columns)):
         worst = min(worst, slack_s, slack_u)
         print(
             f"  {_g5(s):<12} {afs:<12.6g} {bs:<12.6g} {slack_s:<12.3e} "
             f"{afu:<12.6g} {bu:<14.6g} {slack_u:.3e}",
-            file=out,
         )
-    print(f"worst slack: {worst:.3e}", file=out)
+    print(f"worst slack: {worst:.3e}")
     if worst < -1e-12:
-        print("bound violated", file=out)
+        print("bound violated")
         return _EXIT_BOUND
-    print("all bounds hold", file=out)
+    print("all bounds hold")
     return _EXIT_OK
 
 

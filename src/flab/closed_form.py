@@ -261,8 +261,6 @@ class Scenario:
         object.__setattr__(self, "commute_defect", commute_defect)
         object.__setattr__(self, "known_gap", known)
         object.__setattr__(self, "unknown_gap", unknown)
-        sq = self.cost1.inverse @ self.cost1.inverse + self.cost2.inverse @ self.cost2.inverse
-        object.__setattr__(self, "_variance_matrix", 0.5 * (sq + sq.T))
 
     @property
     def dim(self):
@@ -312,7 +310,8 @@ def _require_equal_costs(sc, op_name):
 def score_variance_naive(sc, sigma):
     """Variance of the per-draw score difference between groups."""
     s = noise_scales(sigma)
-    return scalar_or_array(s * s * quad_form(sc.rule, sc._variance_matrix))
+    sq = sc.cost1.inverse @ sc.cost1.inverse + sc.cost2.inverse @ sc.cost2.inverse
+    return scalar_or_array(s * s * quad_form(sc.rule, 0.5 * (sq + sq.T)))
 
 
 def neutrality_sigma_naive(sc):

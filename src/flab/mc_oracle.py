@@ -14,11 +14,13 @@ the block's own mean. Means and variances are combined from these in one
 pass. Nothing of length n is kept, so memory depends on the block size,
 not on n, and everything runs on the calling thread.
 
-A block's sum is the node over its agents of the zero-padded pairwise
-tree over all n, and the block sums are tree-summed in block order, so
-each mean equals `tree_sum` over the whole vector bit for bit. An
-estimate depends only on (scenario, sigma, n, seed), not on the other
-noise levels of a batch.
+`tree_sum` is the one reduction. It sums along the last axis, so a block
+reduces the (score, utility) row stack of one level in one call, and the
+block totals are summed as rows over the block axis. A block's sum is the
+node over its agents of the zero-padded pairwise tree over all n, and the
+block sums are tree-summed in block order, so each mean equals `tree_sum`
+over the whole vector bit for bit. An estimate depends only on
+(scenario, sigma, n, seed), not on the other noise levels of a batch.
 """
 
 import math
@@ -32,12 +34,13 @@ from .agents import (
     bayesian_best_response,
     bayesian_posterior,
     naive_best_response,
+    noise_scales,
     normal_stream,
     realized_quantities,
     standard_normals,
 )
 from .closed_form import NaivePrior
-from .errors import Error, NegativeSigma, WrongPriorKind, ZeroStderrMismatch
+from .errors import Error, WrongPriorKind, ZeroStderrMismatch
 
 _STREAM_KEY = 101
 MIN_SAMPLES = 1000  # the fewest agents an estimate accepts
@@ -65,45 +68,29 @@ class McComparison:
 
 
 def tree_sum(values):
-    """Sum by a fixed-shape pairwise tree, zero-padded to a power of two.
+    """Sum along the last axis by a fixed-shape pairwise tree, zero-padded to a power of two.
 
-    The reduction order depends only on the input length, so totals are
-    bit-identical however the surrounding work is scheduled.
+    A vector gives one float. A stack of rows gives one total per row, each
+    equal bit for bit to the `tree_sum` of that row alone. The reduction
+    order depends only on the row length, so totals are bit-identical
+    however the surrounding work is scheduled.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise Error(f"tree_sum expects a vector, got shape {v.shape}")
-    if v.size == 0:
-        return 0.0
-    size = 1
-    while size < v.size:
-        size *= 2
-    buf = np.zeros(size)
-    buf[: v.size] = v
-    while buf.size > 1:
-        pairs = buf.reshape(-1, 2)
-        buf = pairs[:, 0] + pairs[:, 1]
-    return float(buf[0])
-
-
-def _node_sum(terms, n):
-    """The node over one block's terms of the pairwise tree over all n.
-
-    With n at most one block that node is the root, `tree_sum` of the
-    terms. Otherwise it spans exactly `_BLOCK` terms, so a short last
-    block is zero-padded; the padding turns a -0.0 total into +0.0 just
-    as it does in the whole tree.
-    """
-    if terms.size < _BLOCK < n:
-        terms = np.concatenate((terms, np.zeros(_BLOCK - terms.size)))
-    return tree_sum(terms)
+    if v.ndim == 0:
+        raise Error("tree_sum expects a vector or a stack of rows, got a scalar")
+    length = v.shape[-1]
+    size = 1 << (length - 1).bit_length()  # an empty row pads to two zeros
+    buf = v
+    if size != length:
+        buf = np.zeros(v.shape[:-1] + (size,))
+        buf[..., :length] = v
+    while buf.shape[-1] > 1:
+        buf = buf[..., 0::2] + buf[..., 1::2]
+    return float(buf[0]) if v.ndim == 1 else buf[..., 0]
 
 
 def _check_inputs(sigmas, n):
-    sigmas = [float(s) for s in sigmas]
-    for sigma in sigmas:
-        if sigma < 0.0:
-            raise NegativeSigma(f"sigma must be nonnegative, got {sigma}")
+    sigmas = noise_scales(sigmas).tolist()
     n = int(n)
     if n < MIN_SAMPLES:
         raise Error(f"need at least {MIN_SAMPLES} samples, got {n}")
@@ -127,10 +114,10 @@ def _realized(sc, group_id, sigma, columns):
 
 
 def _group_differences(sc, sigma, columns):
-    """Score-gain and utility-gain differences, group 1 minus group 2."""
+    """Score-gain and utility-gain differences, group 1 minus group 2, stacked as two rows."""
     r1 = _realized(sc, 1, sigma, columns)
     r2 = _realized(sc, 2, sigma, columns)
-    return r1.score_gain - r2.score_gain, r1.utility_gain - r2.utility_gain
+    return np.stack((r1.score_gain - r2.score_gain, r1.utility_gain - r2.utility_gain))
 
 
 def _block_columns(stream, size, dim):
@@ -164,16 +151,20 @@ def _moments(sc, sigmas, n, seed):
     for b, size in enumerate(sizes):
         columns = _block_columns(stream, int(size), sc.dim)
         for i, sigma in enumerate(sigmas):
-            for j, diffs in enumerate(_group_differences(sc, sigma, columns)):
-                sums[b, i, j] = _node_sum(diffs, n)
-                resid = diffs - sums[b, i, j] / size
-                drifts[b, i, j] = tree_sum(resid)
-                squares[b, i, j] = tree_sum(resid * resid)
-    means = np.apply_along_axis(tree_sum, 0, sums) / n
+            resid = _group_differences(sc, sigma, columns)  # residuals once the sums are taken
+            # past one block, a short last block's node spans _BLOCK zero-padded terms, as
+            # in the tree over all n; the padding turns a -0.0 total into +0.0 there too
+            node = np.pad(resid, ((0, 0), (0, _BLOCK - size))) if size < _BLOCK < n else resid
+            sums[b, i] = tree_sum(node)
+            resid -= sums[b, i, :, None] / size  # in place, so a level holds one (2, size) stack
+            drifts[b, i] = tree_sum(resid)
+            resid *= resid
+            squares[b, i] = tree_sum(resid)
+    means = tree_sum(np.moveaxis(sums, 0, -1)) / n
     m = sizes[:, None, None]
     shift = sums / m - means
     spread = squares + shift * (2.0 * drifts + m * shift)
-    return means, np.apply_along_axis(tree_sum, 0, spread) / (n - 1)
+    return means, tree_sum(np.moveaxis(spread, 0, -1)) / (n - 1)
 
 
 def estimate_disparities(sc, sigmas, n, seed):

@@ -212,6 +212,32 @@ class TestSweepCommand:
         dashed = [e for e in root.iter() if e.get("stroke-dasharray")]
         assert dashed, "zero line missing"
 
+    @pytest.mark.parametrize("bad", ["--out-csv", "--out-svg"])
+    @pytest.mark.parametrize("other", [True, False], ids=["other_to_file", "other_absent"])
+    @pytest.mark.parametrize("kind", ["missing_dir", "directory"])
+    def test_unwritable_output_exits_2_with_no_output(self, bad, other, kind, tmp_path, capsys):
+        # without --out-csv the CSV goes to stdout, so none of it may be printed either
+        bad_path = tmp_path / "missing" / "out" if kind == "missing_dir" else tmp_path
+        good = {"--out-csv": tmp_path / "c.csv", "--out-svg": tmp_path / "p.svg"}
+        argv = ["sweep", write_scenario(tmp_path, REF), bad, str(bad_path)]
+        if other:
+            good_option = "--out-svg" if bad == "--out-csv" else "--out-csv"
+            argv += [good_option, str(good[good_option])]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: cannot write {bad_path}: ")
+        assert captured.err.count("\n") == 1
+        assert not any(path.exists() for path in good.values())
+
+    def test_unwritable_output_leaves_existing_files_as_they_were(self, tmp_path, capsys):
+        out_csv = tmp_path / "c.csv"
+        out_csv.write_bytes(b"kept\n")
+        argv = ["sweep", write_scenario(tmp_path, REF), "--out-csv", str(out_csv), "--out-svg", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert out_csv.read_bytes() == b"kept\n"
+
     def test_stdout_when_no_output_path(self, tmp_path, capsys):
         assert cli.main(["sweep", write_scenario(tmp_path, REF)]) == 0
         out = capsys.readouterr().out
@@ -448,7 +474,10 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "disparity_value", corrupted)
         rc = cli.main(["verify", write_scenario(tmp_path, REF)])
         assert rc == 4
-        assert "FAIL" in capsys.readouterr().out or True
+        out = capsys.readouterr().out
+        assert out.count("  FAIL\n") == 6
+        assert out.count("exact-mode mismatch") == 2
+        assert out.endswith("8 comparison(s) failed\n")
 
 
 class TestBoundsCommand:

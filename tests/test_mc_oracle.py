@@ -22,7 +22,6 @@ from flab.mc_oracle import (
     _STREAM_KEY,
     McEstimate,
     _block_columns,
-    _node_sum,
     compare,
     estimate_disparities,
     estimate_disparity,
@@ -100,6 +99,17 @@ def reference_pipeline(sc, metric, sigma, n, seed, columns=False):
     return mean, math.sqrt(tree_sum(resid * resid) / (n - 1)) / math.sqrt(n)
 
 
+def node_sum(block, n):
+    """The node over one aligned block of the pairwise tree over all n.
+
+    Past one block, a short last block is zero-padded to `_BLOCK` terms,
+    so a -0.0 total turns +0.0 just as it does in the whole tree.
+    """
+    if block.size < _BLOCK < n:
+        block = np.concatenate((block, np.zeros(_BLOCK - block.size)))
+    return tree_sum(block)
+
+
 def block_moment_stderr(diffs):
     """The standard error of ``diffs`` combined from per-block moments, as the oracle does.
 
@@ -112,7 +122,7 @@ def block_moment_stderr(diffs):
     spreads = []
     for lo in range(0, n, _BLOCK):
         block = diffs[lo : lo + _BLOCK]
-        s = _node_sum(block, n)
+        s = node_sum(block, n)
         resid = block - s / block.size
         shift = s / block.size - mean
         spreads.append(tree_sum(resid * resid) + shift * (2.0 * tree_sum(resid) + block.size * shift))
@@ -135,14 +145,26 @@ class TestTreeSum:
         v = rng.normal(size=1234)
         assert tree_sum(v) == tree_sum(v.copy())
 
-    def test_rejects_matrices(self):
+    def test_rejects_scalars(self):
         with pytest.raises(Error):
-            tree_sum(np.zeros((2, 2)))
+            tree_sum(np.float64(1.0))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_stack_sums_each_row_bit_for_bit(self, length):
+        rng = np.random.default_rng(length)
+        rows = rng.normal(size=(3, length)) * 10.0 ** rng.integers(-6, 6, size=(3, length))
+        rows[1] = -0.0
+        totals = tree_sum(rows)
+        assert totals.shape == (3,)
+        assert [t.hex() for t in totals.tolist()] == [tree_sum(row).hex() for row in rows]
+        # a deeper stack sums along its last axis the same way
+        deep = tree_sum(rows.reshape(3, 1, length))
+        assert [t.hex() for t in deep.ravel().tolist()] == [t.hex() for t in totals.tolist()]
 
 
 def blocked_tree_sum(values, term):
     """tree_sum(term(values)) the oracle's way: node sums of aligned blocks, tree-summed in block order."""
-    return tree_sum([_node_sum(term(values[lo : lo + _BLOCK]), values.size) for lo in range(0, values.size, _BLOCK)])
+    return tree_sum([node_sum(term(values[lo : lo + _BLOCK]), values.size) for lo in range(0, values.size, _BLOCK)])
 
 
 class TestBlocks:
@@ -179,7 +201,8 @@ class TestBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # resident: 32 B of draws and 16 B of differences per agent, plus one block's temporaries
+        # agents stream in blocks, so the peak is one block's draws and temporaries
+        # (about 4.5 MB, 4.5 B per agent here); the per-agent bound caps it loosely
         assert peak <= 72 * n
 
 
