@@ -265,10 +265,15 @@ class Projection:
 
     def __init__(self, matrix):
         try:
-            p = check_symmetric(matrix)
+            a = check_symmetric(matrix)
         except NotSymmetric as exc:
             raise InvalidProjection(str(exc)) from exc
-        p = 0.5 * (p + p.T)
+        with np.errstate(over="ignore"):  # an overflowed entry fails the bound below
+            p = 0.5 * (a + a.T)
+        # no entry exceeds the spectral norm, which the eigenvalue check holds to 1 + 1e-8;
+        # the bound also keeps p @ p from overflowing
+        if not max_norm(p) <= 1.0 + 1e-8:
+            raise InvalidProjection(f"projector entry {max_norm(a):.3e} exceeds 1 in magnitude")
         if max_norm(p @ p - p) > 1e-10:
             raise InvalidProjection(
                 f"idempotency defect {max_norm(p @ p - p):.3e} exceeds 1e-10"
@@ -297,11 +302,14 @@ class Projection:
         for u in rows:
             if u.shape != (d,):
                 raise DimensionMismatch(f"span vector shape {u.shape}, expected ({d},)")
-            u = u.copy()
+            # beyond 2^400 u @ u can overflow: work at an exact power-of-two scale
+            exponent = math.frexp(max_norm(u))[1]
+            shift = -exponent if exponent > _JACOBI_SAFE_EXPONENT else 0
+            u = np.ldexp(u, shift)
             for b in basis:
                 u -= (b @ u) * b
             norm = math.sqrt(float(u @ u))
-            if norm < 1e-10:
+            if norm < math.ldexp(1e-10, shift):
                 continue
             basis.append(u / norm)
         if not basis:

@@ -81,45 +81,34 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     """Locate zeros of a curve on a log grid over [sigma_lo, sigma_hi].
 
     ``curve_fn`` must accept an array: the whole grid is evaluated in one
-    call, and bisection then calls it with single floats. Sign changes
-    between adjacent grid points are refined by bisection until the
-    bracket is below 1e-12 relative width. Grid points where the
-    curve is tiny (|value| < 1e-11) but never changes sign are reported
-    separately as tangential contacts rather than counted as roots.
+    call, and bisection then calls it with single floats. Grid points
+    where the curve is exactly zero are roots. Sign changes between
+    adjacent grid points are refined by bisection until the bracket is
+    below 1e-12 relative width. A run of adjacent grid points with
+    0 < |value| < 1e-11, none of them next to a sign change, is one
+    tangential contact, reported at its point nearest zero (the first on
+    ties) rather than counted as a root.
     """
     lo = float(sigma_lo)
     hi = float(sigma_hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise InvalidBracket(f"need finite 0 < lo < hi, got ({sigma_lo}, {sigma_hi})")
     grid = np.geomspace(lo, hi, points)
-    vals = np.asarray(curve_fn(grid), dtype=float).tolist()
-    crossings = []
-    change = [False] * (len(grid) - 1)
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            crossings.append(float(grid[i]))
-            continue
-        if a * b < 0.0:
-            change[i] = True
-            crossings.append(_bisect(curve_fn, float(grid[i]), float(grid[i + 1]), a))
-    if vals[-1] == 0.0:
-        crossings.append(float(grid[-1]))
+    vals = np.asarray(curve_fn(grid), dtype=float)
+    # as with Python floats, 0 * inf is a quiet nan and a huge product a quiet inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        change = vals[:-1] * vals[1:] < 0.0
+    crossings = grid[vals == 0.0].tolist()
+    for i in np.flatnonzero(change):
+        crossings.append(_bisect(curve_fn, float(grid[i]), float(grid[i + 1]), float(vals[i])))
 
-    tangential = []
-    cluster = []
-    for i, v in enumerate(vals):
-        near_change = (i > 0 and change[i - 1]) or (i < len(change) and change[i])
-        if abs(v) < TANGENT_TOL and v != 0.0 and not near_change:
-            cluster.append(i)
-        elif cluster:
-            best = min(cluster, key=lambda j: abs(vals[j]))
-            tangential.append(float(grid[best]))
-            cluster = []
-    if cluster:
-        best = min(cluster, key=lambda j: abs(vals[j]))
-        tangential.append(float(grid[best]))
-    return RootScan(tuple(sorted(crossings)), tuple(tangential))
+    near_change = np.append(change, False) | np.insert(change, 0, False)
+    mag = np.abs(vals)
+    tiny = (mag > 0.0) & (mag < TANGENT_TOL) & ~near_change
+    edges = np.diff(tiny.astype(np.int8), prepend=0, append=0)
+    runs = zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+    tangential = tuple(float(grid[s + np.argmin(mag[s:e])]) for s, e in runs)
+    return RootScan(tuple(sorted(crossings)), tangential)
 
 
 class ScoreTrend(enum.Enum):

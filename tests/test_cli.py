@@ -154,6 +154,25 @@ class TestValidateCommand:
         assert cli.main(["validate", write_scenario(tmp_path, body)]) == 3
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_span_vector_keeps_its_rank(self, tmp_path, capsys):
+        body = json.loads((SCENARIOS / "equal_costs_bounds.json").read_text(encoding="utf-8"))
+        body["prior"]["subspace1"] = {"span": [[1e308, 0.0]]}
+        assert cli.main(["validate", write_scenario(tmp_path, body)]) == 0
+        captured = capsys.readouterr()
+        assert "subspace ranks: 1 and 2" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_projector_is_one_error_line(self, tmp_path, capsys):
+        body = json.loads((SCENARIOS / "reference_projected.json").read_text(encoding="utf-8"))
+        body["prior"]["subspace1"] = [[1.0, 0.0], [0.0, 1e308]]
+        assert cli.main(["validate", write_scenario(tmp_path, body)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: projector entry 1.000e+308 exceeds 1 in magnitude\n"
+        assert captured.out == ""
+
+
 class TestSweepCommand:
     def test_csv_round_trip(self, tmp_path):
         from flab.agents import Metric

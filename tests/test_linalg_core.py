@@ -309,6 +309,30 @@ class TestProjection:
         p = Projection.from_span([], dim=3)
         assert p.rank == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e308, 3e154, -1e308])
+    def test_from_span_huge_vector_keeps_its_direction(self, big):
+        p = Projection.from_span([np.array([big, 0.0])])
+        assert np.array_equal(p.matrix, Projection.from_span([np.array([1.0, 0.0])]).matrix)
+        assert p.rank == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_from_span_huge_diagonal_vector(self):
+        p = Projection.from_span([np.array([1e154, 1e154])])
+        assert p.rank == 1
+        assert max_norm(p.matrix - Projection.from_span([np.array([1.0, 1.0])]).matrix) <= 1e-15
+
+    def test_from_span_dependence_threshold_stays_absolute(self):
+        # beside a huge first vector, a residual of 1e-20 is still dependent
+        p = Projection.from_span([np.array([1e300, 0.0]), np.array([1e300, 1e-20])])
+        assert p.rank == 1
+        assert Projection.from_span([np.array([1e-11, 0.0])], dim=2).rank == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_entry_rejected_before_overflow(self):
+        with pytest.raises(InvalidProjection, match="projector entry 1.000e\\+308 exceeds 1"):
+            Projection(np.array([[1.0, 0.0], [0.0, 1e308]]))
+
     def test_oblique_projector_rejected(self):
         # idempotent but not symmetric, hence not orthogonal
         m = np.array([[1.0, 1.0], [0.0, 0.0]])

@@ -15,10 +15,13 @@ from flab.closed_form import (
 from flab.errors import AssumptionViolated, InvalidBracket, NonCommuting, NonFinite
 from flab.linalg_core import CostMatrix, Definiteness, Projection, definiteness
 from flab.regimes import (
+    TANGENT_TOL,
     MatrixVerdict,
     RegionLabel,
+    RootScan,
     ScoreTrend,
     UtilityCase,
+    _bisect,
     classify_score_bayes,
     classify_utility_bayes,
     classify_utility_projected,
@@ -106,6 +109,151 @@ class TestFindRoots:
     def test_invalid_brackets(self, lo, hi):
         with pytest.raises(InvalidBracket):
             find_roots(lambda x: x, lo, hi)
+
+    def test_tangential_run_reported_at_first_point_nearest_zero(self):
+        vals = np.array([1.0, 5e-12, 2e-12, 2e-12, 3e-12, 1.0, -1.0, 1e-12, 1.0, 4e-12])
+        grid = np.geomspace(0.5, 2.0, len(vals))
+        scan = find_roots(lambda x: vals if np.ndim(x) else -1.0, 0.5, 2.0, points=len(vals))
+        assert len(scan.crossings) == 2
+        # 1e-12 at index 7 touches the sign change from index 6, so two runs remain
+        assert scan.tangential == (float(grid[2]), float(grid[9]))
+
+    def test_inf_next_to_exact_zero_is_quiet(self):
+        vals = np.array([1.0, math.inf, 0.0, -math.inf, math.nan, 1e300, -1e300])
+        grid = np.geomspace(0.5, 2.0, len(vals))
+        scan = find_roots(lambda x: vals if np.ndim(x) else -1.0, 0.5, 2.0, points=len(vals))
+        assert scan.crossings[0] == float(grid[2])
+        assert len(scan.crossings) == 2
+
+
+def loop_find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
+    """The per-point scan that `find_roots` replaced, kept as its reference."""
+    grid = np.geomspace(float(sigma_lo), float(sigma_hi), points)
+    vals = np.asarray(curve_fn(grid), dtype=float).tolist()
+    crossings = []
+    change = [False] * (len(grid) - 1)
+    for i in range(len(grid) - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            crossings.append(float(grid[i]))
+            continue
+        if a * b < 0.0:
+            change[i] = True
+            crossings.append(_bisect(curve_fn, float(grid[i]), float(grid[i + 1]), a))
+    if vals[-1] == 0.0:
+        crossings.append(float(grid[-1]))
+
+    tangential = []
+    cluster = []
+    for i, v in enumerate(vals):
+        near_change = (i > 0 and change[i - 1]) or (i < len(change) and change[i])
+        if abs(v) < TANGENT_TOL and v != 0.0 and not near_change:
+            cluster.append(i)
+        elif cluster:
+            best = min(cluster, key=lambda j: abs(vals[j]))
+            tangential.append(float(grid[best]))
+            cluster = []
+    if cluster:
+        best = min(cluster, key=lambda j: abs(vals[j]))
+        tangential.append(float(grid[best]))
+    return RootScan(tuple(sorted(crossings)), tuple(tangential))
+
+
+SCAN_LO, SCAN_HI = 0.5, 8.0
+LIFTS = (0.0, 1e-12, -1e-12, 5e-12)
+
+
+def _anchor(rng, grid):
+    """A point on the first, an interior or the last grid point, or off the grid."""
+    pick = rng.integers(4)
+    if pick == 0:
+        return float(grid[0])
+    if pick == 1:
+        return float(grid[rng.integers(len(grid))])
+    if pick == 2:
+        return float(grid[-1])
+    return float(np.exp(rng.uniform(np.log(SCAN_LO), np.log(SCAN_HI))))
+
+
+def _roots_curve(rng, grid):
+    """0-3 simple roots, some exactly on grid points."""
+    roots = [_anchor(rng, grid) for _ in range(rng.integers(4))]
+    sign = rng.choice([-1.0, 1.0])
+
+    def curve(x):
+        out = sign * np.ones_like(x)
+        for r in roots:
+            out = out * (x - r)
+        return out
+
+    return curve
+
+
+def _lifted_square(rng, grid):
+    """k (x - c)^2 + lift: flat enough near c for runs of tiny values, which
+    touch a grid end when c sits there and flank the sign changes when the
+    lift is negative."""
+    c = _anchor(rng, grid)
+    k = 10.0 ** rng.uniform(-12.0, 0.0)
+    lift = LIFTS[rng.integers(len(LIFTS))]
+    return lambda x: k * (x - c) ** 2 + lift
+
+
+def _non_finite(rng, grid):
+    """Either curve above with nan and +-inf planted in its grid values,
+    among them an inf next to an exact zero; bisection sees the formula."""
+    base = (_roots_curve, _lifted_square)[rng.integers(2)](rng, grid)
+    planted = {}
+    for _ in range(rng.integers(1, 4)):
+        i = int(rng.integers(len(grid)))
+        planted[i] = (math.nan, math.inf, -math.inf, 0.0)[rng.integers(4)]
+        if i + 1 < len(grid) and rng.integers(2):
+            planted[i + 1] = 0.0 if planted[i] != 0.0 else math.inf
+
+    def curve(x):
+        out = base(x)
+        if np.ndim(x):
+            out = np.array(out, dtype=float)
+            for i, v in planted.items():
+                out[i] = v
+        return out
+
+    return curve
+
+
+def _recorded(curve):
+    calls = []
+
+    def fn(x):
+        calls.append(np.array(x, dtype=float).tolist())
+        return curve(x)
+
+    return fn, calls
+
+
+class TestFindRootsMatchesLoopScan:
+    @pytest.mark.parametrize("points", [2, 3, 101, 2001])
+    @pytest.mark.parametrize("family", [_roots_curve, _lifted_square, _non_finite])
+    def test_same_scan_and_same_calls(self, family, points):
+        rng = np.random.default_rng(points)
+        grid = np.geomspace(SCAN_LO, SCAN_HI, points)
+        seen = {"crossings": 0, "grid zeros": 0, "tangential": 0}
+        for _ in range(150):
+            curve = family(rng, grid)
+            fn, calls = _recorded(curve)
+            ref_fn, ref_calls = _recorded(curve)
+            scan = find_roots(fn, SCAN_LO, SCAN_HI, points)
+            assert scan == loop_find_roots(ref_fn, SCAN_LO, SCAN_HI, points)
+            assert calls == ref_calls
+            seen["crossings"] += bool(scan.crossings)
+            seen["grid zeros"] += bool(set(scan.crossings) & set(grid.tolist()))
+            seen["tangential"] += bool(scan.tangential)
+        if points > 3:
+            # the family reaches each branch of the scan, so the match means something
+            wanted = {"crossings", "grid zeros", "tangential"}
+            if family is _roots_curve:
+                wanted -= {"tangential"}
+            assert all(seen[k] > 0 for k in wanted), seen
 
 
 class TestScoreClassification:
