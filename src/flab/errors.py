@@ -62,10 +62,6 @@ class InvalidBracket(Error):
     """Root-search interval is empty, unordered, or not strictly positive."""
 
 
-class ZeroStderrMismatch(Error):
-    """Estimate reported zero spread but disagrees with the analytic value."""
-
-
 class ParseError(Error):
     """Scenario file is malformed; carries a JSON-pointer style location."""
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from flab import cli, mc_oracle
-from flab.errors import NonFinite, ZeroStderrMismatch
+from flab.errors import NonFinite
 from flab.mc_oracle import _BLOCK
 from flab.regimes import RegionLabel, label_region
 
@@ -53,12 +53,18 @@ def committed_with_sweep(name, sigma_min, sigma_max, points):
     return body
 
 
-def fresh_flab(args, prelude="", **env):
-    """stdout of `flab *args` run as a fresh process, after ``prelude``, with ``env`` added."""
+def run_flab(args, prelude="", stdout=subprocess.PIPE, **env):
+    """`flab *args` run as a fresh process, after ``prelude``, with ``env`` added."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
     code = prelude + "import sys; from flab.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, timeout=300, check=False)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=300, check=False)
+
+
+def fresh_flab(args, prelude="", **env):
+    """stdout of `flab *args` run as a fresh process, after ``prelude``, with ``env`` added."""
+    proc = run_flab(args, prelude, **env)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -120,6 +126,12 @@ class TestParsing:
         loaded = cli.load_scenario(write_scenario(tmp_path, body))
         assert loaded.scenario.prior.subspace1.rank == 1
 
+    def test_equal_subspace_text_is_still_checked(self, tmp_path, capsys):
+        # [[true, 0], ...] equals [[1, 0], ...] in Python, but a boolean is no number
+        prior = {"kind": "projected", "subspace1": [[1, 0], [0, 0]], "subspace2": [[True, 0], [0, 0]], "scale": 1.0}
+        assert cli.main(["validate", write_scenario(tmp_path, variant(prior=prior))]) == 2
+        assert "/prior/subspace2/0/0" in capsys.readouterr().err
+
     def test_nonpositive_prior_scale_rejected(self, tmp_path):
         body = variant(prior={"kind": "common", "mean": [0.5, 2.0], "scale": 0.0})
         rc = cli.main(["validate", write_scenario(tmp_path, body)])
@@ -171,6 +183,13 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: projector entry 1.000e+308 exceeds 1 in magnitude\n"
         assert captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_unwritable_stdout_exits_1(self):
+        with open("/dev/full", "w") as full:
+            proc = run_flab(["validate", str(SCENARIOS / "reference_naive.json")], stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
 
 class TestSweepCommand:
@@ -361,6 +380,11 @@ class TestClassifyCommand:
         # two costs, two projectors, the cost gap and its square root on load,
         # then one label for each of the two gap matrices
         assert len(calls) == 8
+        # equal subspaces parse to one projector
+        body = variant(prior=dict(self.PROJECTED["prior"], subspace2=self.PROJECTED["prior"]["subspace1"]))
+        del calls[:]
+        assert cli.main(["classify", write_scenario(tmp_path, body, "equal.json")]) == 0
+        assert len(calls) == 7
 
         first_knows_all = dict(
             self.PROJECTED["prior"], subspace1=[[1.0, 0.0], [0.0, 1.0]], subspace2=[[1.0, 0.0], [0.0, 0.0]]
@@ -379,6 +403,27 @@ class TestClassifyCommand:
             # past the two gap labels, no certificate solves anything, twice over
             assert len(calls) == before
         assert reports[0].guaranteed and reports[0].checks
+
+    NON_COMMUTING = variant(
+        cost1=[[2.0, 0.5], [0.5, 1.0]],
+        prior={
+            "kind": "projected",
+            "subspace1": {"span": [[1.0, 0.3]]},
+            "subspace2": [[1.0, 0.0], [0.0, 1.0]],
+            "scale": 1.0,
+        },
+    )
+
+    @pytest.mark.parametrize("case", ["equal costs", "non-commuting"])
+    def test_violated_assumption_prints_nothing(self, case, tmp_path, capsys):
+        if case == "equal costs":
+            path = str(SCENARIOS / "equal_costs_bounds.json")
+        else:
+            path = write_scenario(tmp_path, self.NON_COMMUTING)
+        assert cli.main(["classify", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_root_count_mismatch_exits_4(self, tmp_path, capsys, monkeypatch):
         from flab.regimes import classify_utility_bayes as true_classifier
@@ -449,7 +494,7 @@ class TestVerifyCommand:
         assert one_cpu == fresh_flab(args)
         assert b"all comparisons passed" in one_cpu
 
-    @pytest.mark.parametrize("error, code", [(NonFinite, 3), (ZeroStderrMismatch, 4)])
+    @pytest.mark.parametrize("error, code", [(NonFinite, 3)])
     def test_worker_error_is_a_typed_exit(self, error, code, tmp_path, capsys, monkeypatch):
         # raised inside the block loop, the oracle's one worker
         blocks = []
@@ -483,6 +528,21 @@ class TestVerifyCommand:
         body = variant()
         del body["mc"]
         assert cli.main(["verify", write_scenario(tmp_path, body)]) == 2
+
+    def test_exact_mode_mismatch_is_a_failed_row(self, tmp_path, capsys):
+        # at zero noise a large rule's disparities sit more than 1e-12 apart, a few ulps
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        body.update(rule=[1000.0, 500.0], cost1=[[2.0, 0.3], [0.3, 1.0]], cost2=[[4.1, 0.7], [0.7, 3.3]])
+        assert cli.main(["verify", write_scenario(tmp_path, body), "--n", "20000", "--seed", "3"]) == 4
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[2] == (
+            "  score    0             exact-mode mismatch: exact estimate 350281.45376288827 "
+            "differs from analytic 350281.45376288815 by 1.164e-10"
+        )
+        assert lines[3].startswith("  utility  0             exact-mode mismatch: exact estimate ")
+        assert lines[-1] == "2 comparison(s) failed"
 
     def test_corrupted_formula_fails(self, tmp_path, capsys, monkeypatch):
         from flab.closed_form import disparity_value as true_value

@@ -1,0 +1,85 @@
+"""Property test of the command line: a committed scenario with one key
+changed to any JSON value, or dropped, never crashes a subcommand, and a
+parse error or a violated assumption leaves no output behind."""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flab import cli
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+COMMITTED = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in sorted(SCENARIOS.glob("*.json"))}
+
+COMMANDS = {
+    "validate": [],
+    "sweep": ["--points", "5"],
+    "classify": [],
+    "verify": ["--n", "1000", "--seed", "1", "--points", "1"],
+    "bounds": ["--points", "5"],
+}
+
+
+def key_paths(node, prefix=()):
+    """The path of every key in a JSON object, nested objects included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+KEYS = [(name, path) for name, body in COMMITTED.items() for path in key_paths(body)]
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+# values of the right shape get past the schema to the model's own checks
+NUMBERS = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -1.0, 1e-300, 1e300])
+VECTORS = st.lists(NUMBERS, min_size=1, max_size=3)
+MATRICES = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(NUMBERS, min_size=d, max_size=d), min_size=d, max_size=d)
+)
+DROP = object()  # a sentinel: no generated JSON value is this object
+VALUES = ANY_JSON | NUMBERS | VECTORS | MATRICES | st.fixed_dictionaries({"span": st.lists(VECTORS, max_size=2)})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    key=st.sampled_from(KEYS),
+    value=st.just(DROP) | VALUES,
+    command=st.sampled_from(sorted(COMMANDS)),
+    files=st.booleans(),
+)
+def test_mutated_scenario_exits_cleanly(tmp_path_factory, key, value, command, files):
+    name, path = key
+    body = json.loads(json.dumps(COMMITTED[name]))
+    parent = body
+    for part in path[:-1]:
+        parent = parent[part]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    scenario = tmp / "scenario.json"
+    scenario.write_text(json.dumps(body), encoding="utf-8")
+    args = [command, str(scenario), *COMMANDS[command]]
+    outputs = []
+    if command == "sweep" and files:
+        outputs = [tmp / "curves.csv", tmp / "curves.svg"]
+        args += ["--out-csv", str(outputs[0]), "--out-svg", str(outputs[1])]
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    if code in (2, 3):
+        assert out.getvalue() == "", (args, body)
+        assert not any(p.exists() for p in outputs)
+        assert err.getvalue().startswith("error: ")

@@ -15,7 +15,7 @@ from flab.closed_form import (
     disparity_value,
     score_variance_naive,
 )
-from flab.errors import Error, NegativeSigma, WrongPriorKind, ZeroStderrMismatch
+from flab.errors import Error, NegativeSigma, WrongPriorKind
 from flab.linalg_core import CostMatrix, Projection
 from flab.mc_oracle import (
     _BLOCK,
@@ -353,23 +353,27 @@ class TestCompare:
         assert not compare(est.mean + 5.0 * est.stderr, est).passed
         assert compare(est.mean + 5.0 * est.stderr, est, z_max=6.0).passed
 
-    def test_exact_mode_mismatch_raises(self, naive):
+    def test_exact_mode_mismatch_fails(self, naive):
         est = estimate_disparity(naive, Metric.SCORE, 0.0, 5000, 1)
         assert est.stderr == 0.0
-        with pytest.raises(ZeroStderrMismatch):
-            compare(est.mean + 1e-6, est)
+        out = compare(est.mean + 1e-6, est)
+        assert out.exact and not out.passed
+        assert out.z == 0.0
+        assert compare(est.mean + 1e-13, est).passed
 
     def test_stderr_below_double_spacing_uses_exact_mode(self):
         # z_max standard errors span less than one ulp of the values compared
         est = McEstimate(0.79, 2.46e-18, 100000, 42, Metric.SCORE, 1000.0)
         out = compare(math.nextafter(0.79, 1.0), est)
-        assert out.passed
+        assert out.passed and out.exact
         assert out.z == 0.0
-        with pytest.raises(ZeroStderrMismatch):
-            compare(0.79 + 1e-9, est)
+        out = compare(0.79 + 1e-9, est)
+        assert out.exact and not out.passed
         # one that spans more is still scored in standard errors
         est = McEstimate(0.79, 1e-16, 100000, 42, Metric.SCORE, 1000.0)
-        assert compare(0.79 + 5e-15, est).z == pytest.approx(-50.0, rel=1e-3)
+        out = compare(0.79 + 5e-15, est)
+        assert out.z == pytest.approx(-50.0, rel=1e-3)
+        assert not out.exact and not out.passed
 
     def test_corrupted_formula_sets_off_alarm(self, naive):
         # a one-percent error must be far outside statistical noise
