@@ -6,24 +6,22 @@ agent takes the signal at face value; a Bayesian agent shrinks it toward
 a prior mean first. Both responses are closed-form solves against the
 group's cost matrix.
 
-Response and evaluation functions accept either a single vector or a
-stack of row vectors, so Monte Carlo callers can push whole populations
-through the same code path that handles one agent. Responses contract
-a stack of n rows through its transpose: one wide (d, d) @ (d, n)
-product instead of n skinny row products. The result is the transpose
-of a contiguous (d, n) array, so the realized-quantity contractions
-that follow also read contiguous columns.
+Agents are columns. Signals, posterior means and feature changes are
+(d, m) arrays with one agent per column, and a single agent is a (d, 1)
+column, so the Monte Carlo oracle pushes a whole block of agents through
+the same calls that handle one. Each stage is one array operation over
+the stack: the posterior is elementwise, the response is one wide
+(d, d) @ (d, m) product, and the realized score and cost are fixed
+contractions down each column.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegeneratePrior, DimensionMismatch, Error, NegativeSigma
-from .linalg_core import kahan_dot, quad_form
 
 _TWO_53 = float(2**53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -101,110 +99,51 @@ def signal_weight(prior_scale, sigma):
     return scalar_or_array(np.where(s == 0.0, 1.0, weight))
 
 
-@dataclass(frozen=True, eq=False)
-class Signal:
-    """Noisy disclosure of the scoring rule: one row per agent."""
-
-    values: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.sigma < 0.0:
-            raise NegativeSigma(f"noise scale {self.sigma} is negative")
-        if not np.all(np.isfinite(values)):
-            raise Error("signal has non-finite entries")
-
-
-@dataclass(frozen=True, eq=False)
-class Posterior:
-    """Posterior summary: mean rows and the signal weight behind them."""
-
-    mean: np.ndarray
-    weight: float
-
-
-@dataclass(frozen=True, eq=False)
-class GroupParams:
-    """Cost matrix and prior mean for one agent group."""
-
-    cost: "object"
-    prior_mean: np.ndarray
-    group_id: int
-
-    def __post_init__(self):
-        mean = np.asarray(self.prior_mean, dtype=float)
-        object.__setattr__(self, "prior_mean", mean)
-        if mean.shape != (self.cost.dim,):
-            raise DimensionMismatch(
-                f"prior mean shape {mean.shape} for cost dim {self.cost.dim}"
-            )
-        if self.group_id not in (1, 2):
-            raise Error(f"group_id must be 1 or 2, got {self.group_id}")
-
-
 class Realized(NamedTuple):
-    score_gain: "float | np.ndarray"
-    cost: "float | np.ndarray"
-    utility_gain: "float | np.ndarray"
+    score_gain: np.ndarray
+    cost: np.ndarray
+    utility_gain: np.ndarray
 
 
-def _check_rows(values, dim, what):
-    if values.shape[-1] != dim or values.ndim not in (1, 2):
-        raise DimensionMismatch(f"{what} shape {values.shape} for dimension {dim}")
+def naive_best_response(cost, beliefs):
+    """Feature changes A^-1 m that maximize m'dx - dx'A dx/2, one per belief column m.
 
-
-def _times_inverse(group, rows):
-    """rows @ A^-1, computed as (A^-T @ rows^T)^T over contiguous columns."""
-    return (group.cost.inverse.T @ rows.T).T
-
-
-def naive_best_response(group, signal):
-    """Optimal feature change for an agent that trusts the signal outright."""
-    _check_rows(signal.values, group.cost.dim, "signal")
-    return _times_inverse(group, signal.values)
-
-
-def bayesian_posterior(group, prior_scale, signal):
-    """Combine the group prior with a signal into posterior parameters.
-
-    The weight-1 and weight-0 endpoints return the signal and the prior
-    mean verbatim, keeping zero-noise behavior exact.
+    A naive agent's belief is its signal. The columns go through one
+    (d, d) @ (d, m) product with A^-T.
     """
-    _check_rows(signal.values, group.cost.dim, "signal")
-    w = signal_weight(prior_scale, signal.sigma)
-    if w == 1.0:
-        mean = signal.values
-    elif w == 0.0:
-        mean = np.broadcast_to(group.prior_mean, signal.values.shape).copy()
-    else:
-        mean = group.prior_mean + w * (signal.values - group.prior_mean)
-    return Posterior(mean, w)
+    if beliefs.shape[0] != cost.dim:
+        raise DimensionMismatch(f"belief columns of shape {beliefs.shape} for dimension {cost.dim}")
+    return cost.inverse.T @ beliefs
 
 
-def bayesian_best_response(group, posterior):
-    """Optimal feature change against the posterior mean score rule."""
-    _check_rows(np.asarray(posterior.mean), group.cost.dim, "posterior mean")
-    return _times_inverse(group, posterior.mean)
+# a Bayesian agent responds to its posterior mean as a naive one to its signal (perfbench wraps both)
+bayesian_best_response = naive_best_response
 
 
-def realized_quantities(group, rule, dx):
-    """Score gain, quadratic cost, and net utility gain of a feature change.
+def bayesian_posterior(prior_mean, weight, signals):
+    """Posterior mean columns mu + w (s - mu), written over ``signals`` and returned.
 
-    A single vector uses exactly rounded scalar sums; stacked rows use a
-    fixed einsum contraction per row. Both are deterministic.
+    ``weight`` is the `signal_weight` of the prior scale and noise level.
+    The w = 1 and w = 0 endpoints give the signals and the prior mean
+    verbatim, keeping zero-noise behavior exact.
     """
-    rule = np.asarray(rule, dtype=float)
-    dx = np.asarray(dx, dtype=float)
-    _check_rows(dx, group.cost.dim, "feature change")
-    if rule.shape != (group.cost.dim,):
-        raise DimensionMismatch(f"rule shape {rule.shape} for dim {group.cost.dim}")
-    a = group.cost.matrix
-    if dx.ndim == 1:
-        score = kahan_dot(rule, dx)
-        cost = 0.5 * quad_form(dx, a)
-    else:
-        score = dx @ rule
-        cost = 0.5 * np.einsum("ij,jk,ik->i", dx, a, dx)
-    return Realized(score, cost, score - cost)
+    mean = np.asarray(prior_mean, dtype=float)[:, None]
+    if weight == 0.0:
+        signals[...] = mean
+    elif weight != 1.0:
+        signals -= mean
+        signals *= weight
+        signals += mean
+    return signals
+
+
+def realized_quantities(cost, rule, dx):
+    """Score gain dx'r, quadratic cost dx'A dx/2 and net utility gain of each column of ``dx``.
+
+    Each is one fixed contraction over the stack. BLAS and einsum may
+    round a column of a wide stack differently from the same column
+    alone, so compare columns only within one stack layout.
+    """
+    score = dx.T @ rule
+    effort = 0.5 * np.einsum("ji,jk,ki->i", dx, cost.matrix, dx)
+    return Realized(score, effort, score - effort)

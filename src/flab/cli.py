@@ -30,7 +30,7 @@ from .closed_form import (
 )
 from .errors import AssumptionViolated, Error, NonFinite, ParseError
 from .linalg_core import CostMatrix, Projection
-from .mc_oracle import MIN_SAMPLES, Z_MAX, compare, estimate_disparities
+from .mc_oracle import MAX_SAMPLES, MIN_SAMPLES, Z_MAX, compare, estimate_disparities
 from .regimes import (
     RegionLabel,
     UtilityCase,
@@ -52,6 +52,8 @@ _EXIT_PARSE = 2
 _EXIT_ASSUMPTION = 3
 _EXIT_VERIFY = 4
 _EXIT_BOUND = 5
+
+MAX_POINTS = 10**7  # the most noise levels a grid may have
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,8 @@ def _parse_sweep(node):
         _fail("/sweep/spacing", f"expected 'log' or 'linear', got '{spacing}'")
     if points < 2:
         _fail("/sweep/points", f"need at least 2 points, got {points}")
+    if points > MAX_POINTS:
+        _fail("/sweep/points", f"need at most {MAX_POINTS} points, got {points}")
     if not lo < hi:
         _fail("/sweep", f"need sigma_min < sigma_max, got {lo} and {hi}")
     if spacing == "log" and lo <= 0.0:
@@ -188,9 +192,11 @@ def _parse_sweep(node):
 
 
 def _check_mc(n, seed, n_at, seed_at):
-    """Reject fewer samples than the oracle needs, or a negative seed."""
+    """Reject fewer or more samples than the oracle takes, or a negative seed."""
     if n < MIN_SAMPLES:
         _fail(n_at, f"need at least {MIN_SAMPLES} samples, got {n}")
+    if n > MAX_SAMPLES:
+        _fail(n_at, f"need at most {MAX_SAMPLES} samples, got {n}")
     if seed < 0:
         _fail(seed_at, f"must be nonnegative, got {seed}")
 
@@ -238,11 +244,13 @@ def load_scenario(path):
 
 
 def _points(args, minimum, default=None):
-    """The --points value, or ``default`` when absent; too few points is a parse error."""
+    """The --points value, or ``default`` when absent; too few or too many points is a parse error."""
     if args.points is None:
         return default
     if args.points < minimum:
         _fail("--points", f"need at least {minimum}, got {args.points}")
+    if args.points > MAX_POINTS:
+        _fail("--points", f"need at most {MAX_POINTS}, got {args.points}")
     return args.points
 
 
@@ -680,6 +688,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a run too large for this machine is a bad option value
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return _EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .agents import GroupParams, Metric, noise_scales, scalar_or_array, signal_weight
+from .agents import Metric, noise_scales, scalar_or_array, signal_weight
 from .errors import (
     AssumptionViolated,
     CostsDiffer,
@@ -274,10 +274,6 @@ class Scenario:
     @property
     def commuting(self):
         return self.commute_defect <= COMMUTE_TOL
-
-    def group_params(self, group_id):
-        cost = self.cost1 if group_id == 1 else self.cost2
-        return GroupParams(cost, self.prior_means[group_id - 1], group_id)
 
 
 def _require_prior(sc, prior_cls, op_name):

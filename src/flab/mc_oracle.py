@@ -7,10 +7,13 @@ analytic module is therefore evidence, not circularity.
 
 `estimate_disparities` streams its agents in aligned blocks of `_BLOCK`,
 drawn in order from the seed's stream, so all blocks together equal one
-draw of shape (n, 2, d). A block runs at every noise level and keeps, per
-level and metric, three numbers: the tree sum of its score or utility
-differences, and the sum and the sum of squares of their residuals about
-the block's own mean. Means and variances are combined from these in one
+draw of shape (n, 2, d). A block is a (2, d, m) stack of noise columns,
+one agent per column, and each noise level runs each group's (d, m)
+signal columns through `flab.agents`; at sigma = 0 every agent sees the
+rule itself, so one column per group stands for all of them. A block
+keeps, per level and metric, three numbers: the tree sum of its score or
+utility differences, and the sum and the sum of squares of their
+residuals about the block's own mean. Means and variances are combined from these in one
 pass. Nothing of length n is kept, so memory depends on the block size,
 not on n, and everything runs on the calling thread.
 
@@ -30,13 +33,12 @@ import numpy as np
 
 from .agents import (
     Metric,
-    Signal,
     bayesian_best_response,
     bayesian_posterior,
-    naive_best_response,
     noise_scales,
     normal_stream,
     realized_quantities,
+    signal_weight,
     standard_normals,
 )
 from .closed_form import NaivePrior
@@ -44,6 +46,7 @@ from .errors import Error, WrongPriorKind
 
 _STREAM_KEY = 101
 MIN_SAMPLES = 1000  # the fewest agents an estimate accepts
+MAX_SAMPLES = 2**32  # the most; the per-block tallies take memory in proportion to n / _BLOCK
 _BLOCK = 2**15  # agents per block; a power of two, so blocks align with the sum tree
 Z_MAX = 4.0  # the default gate of `compare`, in standard errors
 
@@ -103,30 +106,37 @@ def _check_inputs(sigmas, n):
     n = int(n)
     if n < MIN_SAMPLES:
         raise Error(f"need at least {MIN_SAMPLES} samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise Error(f"need at most {MAX_SAMPLES} samples, got {n}")
     return sigmas, n
 
 
-def _realized(sc, group_id, sigma, columns):
-    """Realized quantities of one group's agents at noise level sigma.
+def _differences(sc, sigma, noise):
+    """Score-gain and utility-gain differences, group 1 minus group 2, stacked as two rows.
 
-    Agent i of group g sees the signal rule + sigma * columns[g - 1][:, i].
-    With ``columns`` None, one noiseless agent stands for the whole group.
+    Agent i of group g sees the signal rule + sigma * noise[g - 1, :, i],
+    and its posterior mean is written over that signal.
+    At sigma = 0 every agent sees the rule itself, so one column stands
+    for each group and ``noise`` is not read.
     """
-    group = sc.group_params(group_id)
-    values = sc.rule if columns is None else sc.rule + sigma * columns[group_id - 1].T
-    signal = Signal(values, sigma)
-    if isinstance(sc.prior, NaivePrior):
-        dx = naive_best_response(group, signal)
+    rule = sc.rule[:, None]
+    if sigma == 0.0:
+        signals = np.stack((rule, rule))
     else:
-        dx = bayesian_best_response(group, bayesian_posterior(group, sc.prior.scale, signal))
-    return realized_quantities(group, sc.rule, dx)
-
-
-def _group_differences(sc, sigma, columns):
-    """Score-gain and utility-gain differences, group 1 minus group 2, stacked as two rows."""
-    r1 = _realized(sc, 1, sigma, columns)
-    r2 = _realized(sc, 2, sigma, columns)
-    return np.stack((r1.score_gain - r2.score_gain, r1.utility_gain - r2.utility_gain))
+        with np.errstate(over="ignore"):  # an overflowing signal is reported below
+            signals = sigma * noise
+            signals += rule
+    if not np.isfinite(signals).all():
+        raise Error("signal has non-finite entries")
+    # a naive agent trusts its signal outright: all its posterior weight is on the signal
+    weight = 1.0 if isinstance(sc.prior, NaivePrior) else signal_weight(sc.prior.scale, sigma)
+    gains = []
+    for cost, mean, beliefs in zip((sc.cost1, sc.cost2), sc.prior_means, signals):
+        posterior = bayesian_posterior(mean, weight, beliefs)
+        # no name holds the responses, so they are freed once their realized values are taken
+        gains.append(realized_quantities(cost, sc.rule, bayesian_best_response(cost, posterior)))
+    first, second = gains
+    return np.stack((first.score_gain - second.score_gain, first.utility_gain - second.utility_gain))
 
 
 def _block_columns(stream, size, dim):
@@ -158,9 +168,9 @@ def _moments(sc, sigmas, n, seed):
     drifts = np.empty_like(sums)
     squares = np.empty_like(sums)
     for b, size in enumerate(sizes):
-        columns = _block_columns(stream, int(size), sc.dim)
+        noise = _block_columns(stream, int(size), sc.dim)
         for i, sigma in enumerate(sigmas):
-            resid = _group_differences(sc, sigma, columns)  # residuals once the sums are taken
+            resid = _differences(sc, sigma, noise)  # residuals once the sums are taken
             # past one block, a short last block's node spans _BLOCK zero-padded terms, as
             # in the tree over all n; the padding turns a -0.0 total into +0.0 there too
             node = np.pad(resid, ((0, 0), (0, _BLOCK - size))) if size < _BLOCK < n else resid
@@ -191,7 +201,7 @@ def estimate_disparities(sc, sigmas, n, seed):
     out = []
     for sigma in sigmas:
         if sigma == 0.0:
-            pairs = [(float(d), 0.0) for d in _group_differences(sc, sigma, None)]
+            pairs = [(d, 0.0) for d in _differences(sc, sigma, None)[:, 0].tolist()]
         else:
             means, variances = next(moments)
             pairs = [(float(m), math.sqrt(v) / math.sqrt(n)) for m, v in zip(means, variances)]

@@ -15,10 +15,10 @@ import pytest
 
 from flab.agents import (
     Metric,
-    Signal,
     bayesian_best_response,
     bayesian_posterior,
     naive_best_response,
+    signal_weight,
 )
 from flab.closed_form import (
     CommonPrior,
@@ -458,18 +458,18 @@ def test_10_full_knowledge_projection_reduces_to_shared_prior():
                 assert abs(a - b) <= 1e-14, (gam, s, metric)
 
     sc = Scenario(RULE, c1, c2, CommonPrior(PRIOR_MEAN, 1.0))
-    signal = Signal(RULE.copy(), 0.0)
-    for gid in (1, 2):
-        group = sc.group_params(gid)
-        posterior = bayesian_posterior(group, sc.prior.scale, signal)
-        assert posterior.weight == 1.0
+    signal = RULE[:, None]  # one agent is one column
+    for cost, prior_mean in zip((sc.cost1, sc.cost2), sc.prior_means):
+        weight = signal_weight(sc.prior.scale, 0.0)
+        assert weight == 1.0
+        posterior = bayesian_posterior(prior_mean, weight, signal.copy())
         assert np.array_equal(
-            bayesian_best_response(group, posterior),
-            naive_best_response(group, signal),
+            bayesian_best_response(cost, posterior),
+            naive_best_response(cost, signal),
         )
-    stacked = Signal(np.tile(RULE, (5, 1)), 0.0)
-    group = sc.group_params(1)
+    stacked = np.tile(signal, (1, 5))
+    posterior = bayesian_posterior(sc.prior_means[0], signal_weight(1.0, 0.0), stacked.copy())
     assert np.array_equal(
-        bayesian_best_response(group, bayesian_posterior(group, 1.0, stacked)),
-        naive_best_response(group, stacked),
+        bayesian_best_response(sc.cost1, posterior),
+        naive_best_response(sc.cost1, stacked),
     )

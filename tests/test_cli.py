@@ -184,6 +184,18 @@ class TestValidateCommand:
         assert captured.err == "error: projector entry 1.000e+308 exceeds 1 in magnitude\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 8.00 EiB for an array"), "Unable to allocate 8.00 EiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_exits_2(self, error, message, capsys, monkeypatch):
+        def exhaust(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_validate", exhaust)
+        assert cli.main(["validate", str(SCENARIOS / "reference_naive.json")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
     def test_unwritable_stdout_exits_1(self):
         with open("/dev/full", "w") as full:
@@ -317,6 +329,23 @@ class TestPointsOption:
         assert "--points" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "c.csv").exists() and not (tmp_path / "p.svg").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "bounds", "verify"])
+    def test_too_many_points_rejected_before_any_output(self, command, tmp_path, capsys):
+        scenario = TestBoundsCommand.EQUAL if command == "bounds" else REF
+        argv = [command, write_scenario(tmp_path, scenario), "--points", str(cli.MAX_POINTS + 1)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --points: need at most {cli.MAX_POINTS}, got {cli.MAX_POINTS + 1}\n"
+        assert captured.out == ""
+
+    def test_too_many_sweep_points_in_file_rejected(self, tmp_path, capsys):
+        body = variant(sweep={"sigma_min": 1e-3, "sigma_max": 10.0, "points": cli.MAX_POINTS + 1})
+        assert cli.main(["sweep", write_scenario(tmp_path, body)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: /sweep/points: need at most")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_smallest_accepted_counts(self, tmp_path, capsys):
         path = write_scenario(tmp_path, REF)
@@ -499,11 +528,11 @@ class TestVerifyCommand:
         # raised inside the block loop, the oracle's one worker
         blocks = []
 
-        def fail(sc, sigma, columns):
-            blocks.append(columns)
+        def fail(sc, sigma, noise):
+            blocks.append(noise)
             raise error("raised in the block loop")
 
-        monkeypatch.setattr(mc_oracle, "_group_differences", fail)
+        monkeypatch.setattr(mc_oracle, "_differences", fail)
         assert cli.main(["verify", write_scenario(tmp_path, REF)]) == code
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: raised in the block loop\n")
@@ -511,7 +540,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "flags, pointer",
-        [(["--seed", "-1"], "--seed"), (["--n", "500"], "--n"), (["--n", "999", "--seed", "3"], "--n")],
+        [(["--seed", "-1"], "--seed"), (["--n", "500"], "--n"), (["--n", "999", "--seed", "3"], "--n"),
+         (["--n", str(mc_oracle.MAX_SAMPLES + 1), "--seed", "3"], "--n")],
     )
     def test_bad_flags_are_parse_errors(self, flags, pointer, tmp_path, capsys):
         assert cli.main(["verify", write_scenario(tmp_path, REF), *flags]) == 2
@@ -523,6 +553,13 @@ class TestVerifyCommand:
         body = variant(mc={"n": 20000, "seed": -1})
         assert cli.main(["verify", write_scenario(tmp_path, body)]) == 2
         assert "/mc/seed" in capsys.readouterr().err
+
+    def test_too_many_samples_in_mc_block_rejected(self, tmp_path, capsys):
+        body = variant(mc={"n": mc_oracle.MAX_SAMPLES + 1, "seed": 1})
+        assert cli.main(["verify", write_scenario(tmp_path, body)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: /mc/n: need at most {mc_oracle.MAX_SAMPLES} samples, got {mc_oracle.MAX_SAMPLES + 1}\n"
+        assert captured.out == ""
 
     def test_missing_mc_block_rejected(self, tmp_path):
         body = variant()
@@ -674,6 +711,12 @@ class TestBenchmarkTracerTargets:
             for module, attr in targets:
                 fn = getattr(importlib.import_module(f"flab.{module}"), attr, None)
                 assert callable(fn), (group, module, attr)
+
+    def test_draw_hook_reads_the_shape_argument(self, tracer):
+        # the hook reads `shape` by keyword or as the second positional argument
+        for module, attr in tracer.GROUPS["agents.draw"]:
+            fn = getattr(importlib.import_module(f"flab.{module}"), attr)
+            assert list(inspect.signature(fn).parameters)[1] == "shape", attr
 
     def test_estimate_hook_binds_its_arguments(self, tracer):
         # the hook reads these four arguments of every function in its group

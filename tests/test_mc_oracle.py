@@ -20,6 +20,7 @@ from flab.linalg_core import CostMatrix, Projection
 from flab.mc_oracle import (
     _BLOCK,
     _STREAM_KEY,
+    MAX_SAMPLES,
     McEstimate,
     _block_columns,
     compare,
@@ -77,16 +78,16 @@ def reference_differences(sc, metric, sigma, n, seed, columns=False):
     """
     z = standard_normals(normal_stream(seed, (_STREAM_KEY,)), (n, 2, sc.dim))
     gains = []
-    for g in (1, 2):
-        group = sc.group_params(g)
-        noise = np.ascontiguousarray(z[:, g - 1, :].T).T if columns else z[:, g - 1, :]
+    for g, cost_matrix in enumerate((sc.cost1, sc.cost2)):
+        prior_mean = sc.prior_means[g]
+        noise = np.ascontiguousarray(z[:, g, :].T).T if columns else z[:, g, :]
         belief = sc.rule + sigma * noise
         if not isinstance(sc.prior, NaivePrior):
             w = signal_weight(sc.prior.scale, sigma)
-            belief = group.prior_mean + w * (belief - group.prior_mean)
-        dx = (group.cost.inverse.T @ belief.T).T if columns else belief @ group.cost.inverse
+            belief = prior_mean + w * (belief - prior_mean)
+        dx = (cost_matrix.inverse.T @ belief.T).T if columns else belief @ cost_matrix.inverse
         score = dx @ sc.rule
-        cost = 0.5 * np.einsum("ij,jk,ik->i", dx, group.cost.matrix, dx)
+        cost = 0.5 * np.einsum("ij,jk,ik->i", dx, cost_matrix.matrix, dx)
         gains.append(score if metric is Metric.SCORE else score - cost)
     return gains[0] - gains[1]
 
@@ -275,6 +276,13 @@ class TestEstimates:
     def test_sample_floor_enforced(self, naive):
         with pytest.raises(Error):
             estimate_disparity(naive, Metric.SCORE, 1.0, 999, 0)
+
+    def test_sample_ceiling_enforced(self, naive):
+        # checked before the blocks are laid out, so nothing is allocated
+        with pytest.raises(Error, match="at most"):
+            estimate_disparity(naive, Metric.SCORE, 1.0, MAX_SAMPLES + 1, 0)
+        with pytest.raises(Error, match="at most"):
+            estimate_variance_naive(naive, 1.0, MAX_SAMPLES + 1, 0)
 
     def test_negative_sigma_rejected(self, naive):
         with pytest.raises(NegativeSigma):
