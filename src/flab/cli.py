@@ -76,7 +76,7 @@ class LoadedScenario:
     scenario: Scenario
     sweep: "SweepConfig | None"
     mc: "McConfig | None"
-    name: str  # for display: the scenario's label, else the file's base name
+    name: str  # for display: the file's "label", else its base name
 
 
 def _fail(pointer, message):
@@ -239,7 +239,7 @@ def load_scenario(path):
     label = _string(root.get("label", ""), "/label")
     sweep = _parse_sweep(root["sweep"]) if "sweep" in root else None
     mc = _parse_mc(root["mc"]) if "mc" in root else None
-    scenario = Scenario(rule, cost1, cost2, prior, label=label)
+    scenario = Scenario(rule, cost1, cost2, prior)
     return LoadedScenario(scenario, sweep, mc, label or os.path.basename(path))
 
 

@@ -166,7 +166,6 @@ class Scenario:
     cost1: CostMatrix
     cost2: CostMatrix
     prior: "NaivePrior | CommonPrior | ProjectedPrior"
-    label: str = ""
     constants: DisparityConstants = field(init=False)
 
     def __post_init__(self):

@@ -74,16 +74,13 @@ def kahan_dot(x, y):
     return _exact_sum((x * y).tolist())
 
 
-def quad_form(x, matrix, y=None):
-    """x'My as the exactly rounded sum (``math.fsum``) of the d^2 terms x_i M_ij y_j."""
+def quad_form(x, matrix):
+    """x'Mx as the exactly rounded sum (``math.fsum``) of the d^2 terms x_i M_ij x_j."""
     a = _as_square(matrix)
     x = np.asarray(x, dtype=float)
-    y = x if y is None else np.asarray(y, dtype=float)
-    if x.shape != (a.shape[0],) or y.shape != (a.shape[0],):
-        raise DimensionMismatch(
-            f"quadratic form of shapes {x.shape}, {a.shape}, {y.shape}"
-        )
-    return _exact_sum((x[:, None] * a * y).ravel().tolist())
+    if x.shape != (a.shape[0],):
+        raise DimensionMismatch(f"quadratic form of shapes {x.shape} and {a.shape}")
+    return _exact_sum((x[:, None] * a * x).ravel().tolist())
 
 
 def _rotate(x, y, c, s):
@@ -287,21 +284,18 @@ class Projection:
         self.rank = int(round(float(np.sum(w))))
 
     @classmethod
-    def from_span(cls, vectors, dim=None):
-        """Projector onto the span of the given vectors.
+    def from_span(cls, vectors, dim):
+        """Projector in dimension ``dim`` onto the span of the given vectors.
 
         Vectors are orthonormalized by modified Gram-Schmidt; directions
         whose residual norm falls below 1e-10 are dropped as dependent.
-        An empty span needs an explicit ``dim`` and yields the zero projector.
+        An empty span yields the zero projector.
         """
-        rows = [np.asarray(v, dtype=float) for v in vectors]
-        if not rows and dim is None:
-            raise DimensionMismatch("empty span requires an explicit dimension")
-        d = dim if dim is not None else rows[0].shape[0]
         basis = []
-        for u in rows:
-            if u.shape != (d,):
-                raise DimensionMismatch(f"span vector shape {u.shape}, expected ({d},)")
+        for v in vectors:
+            u = np.asarray(v, dtype=float)
+            if u.shape != (dim,):
+                raise DimensionMismatch(f"span vector shape {u.shape}, expected ({dim},)")
             # beyond 2^400 u @ u can overflow: work at an exact power-of-two scale
             exponent = math.frexp(max_norm(u))[1]
             shift = -exponent if exponent > _JACOBI_SAFE_EXPONENT else 0
@@ -313,17 +307,9 @@ class Projection:
                 continue
             basis.append(u / norm)
         if not basis:
-            return cls(np.zeros((d, d)))
+            return cls(np.zeros((dim, dim)))
         b = np.column_stack(basis)
         return cls(b @ b.T)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(dim))
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(np.zeros((dim, dim)))
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"

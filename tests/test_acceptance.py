@@ -132,7 +132,7 @@ def followed_scenarios():
             c1,
             c2,
             ProjectedPrior(
-                Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0
+                Projection(np.diag([1.0, 0.0])), Projection(np.eye(2)), 1.0
             ),
         ),
         Scenario(
@@ -140,7 +140,7 @@ def followed_scenarios():
             c13,
             c23,
             ProjectedPrior(
-                Projection(np.diag([1.0, 1.0, 0.0])), Projection.identity(3), 0.8
+                Projection(np.diag([1.0, 1.0, 0.0])), Projection(np.eye(3)), 0.8
             ),
         ),
     ]
@@ -447,7 +447,7 @@ def test_10_full_knowledge_projection_reduces_to_shared_prior():
             RULE,
             c1,
             c2,
-            ProjectedPrior(Projection.identity(2), Projection.identity(2), gam),
+            ProjectedPrior(Projection(np.eye(2)), Projection(np.eye(2)), gam),
         )
         common = Scenario(RULE, c1, c2, CommonPrior(RULE, gam))
         for sigma in np.geomspace(1e-3, 1e3, 61):

@@ -1,5 +1,6 @@
 """CLI tests: parsing, exit codes, file emission, determinism."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -718,8 +719,51 @@ class TestBenchmarkTracerTargets:
             fn = getattr(importlib.import_module(f"flab.{module}"), attr)
             assert list(inspect.signature(fn).parameters)[1] == "shape", attr
 
+    def test_find_roots_hook_replaces_the_curve(self, tracer):
+        # the hook swaps args[0] for a counting curve, so every call in flab passes the curve first
+        for module, attr in tracer.GROUPS["regimes.find_roots"]:
+            fn = getattr(importlib.import_module(f"flab.{module}"), attr)
+            assert list(inspect.signature(fn).parameters)[0] == "curve_fn", attr
+        calls = [
+            node
+            for path in Path(cli.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "find_roots"
+        ]
+        assert calls
+        for node in calls:
+            assert node.args and not isinstance(node.args[0], ast.Starred), ast.unparse(node)
+
+    def test_jacobi_hook_reads_the_matrix_argument(self, tracer):
+        # the hook reads `matrix` by keyword or as the first positional argument
+        for module, attr in tracer.GROUPS["linalg_core.jacobi_eigh"]:
+            fn = getattr(importlib.import_module(f"flab.{module}"), attr)
+            assert list(inspect.signature(fn).parameters)[0] == "matrix", attr
+
     def test_estimate_hook_binds_its_arguments(self, tracer):
         # the hook reads these four arguments of every function in its group
         for module, attr in tracer.GROUPS["mc_oracle.estimate"]:
             fn = getattr(importlib.import_module(f"flab.{module}"), attr)
             assert {"sc", "sigma", "n", "seed"} <= set(inspect.signature(fn).parameters), attr
+
+
+def test_bench_suite_collects_every_benchmark():
+    # Tier-1 does not run bench/; collecting it here makes a renamed or deleted
+    # flab name fail now rather than in the next timing run
+    root = SCENARIOS.parent
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "--collect-only", "-q", "-p", "no:cacheprovider"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    collected = {line.split("::")[1].split("[")[0] for line in run.stdout.splitlines() if "::" in line}
+    defined = {
+        node.name
+        for path in (root / "bench").glob("test_*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    }
+    assert defined and collected == defined

@@ -64,7 +64,7 @@ def common(costs):
 @pytest.fixture
 def projected(costs):
     prior = ProjectedPrior(
-        Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0
+        Projection(np.diag([1.0, 0.0])), Projection(np.eye(2)), 1.0
     )
     return Scenario(RULE, costs[0], costs[1], prior)
 
@@ -248,13 +248,13 @@ class TestProjectedFormulas:
         assert disparity_value(projected, Metric.UTILITY, 1e200) == limit
 
     def test_unknown_rule_prior_limit(self, costs):
-        prior = ProjectedPrior(Projection.zero(2), Projection.identity(2), 1.0)
+        prior = ProjectedPrior(Projection(np.zeros((2, 2))), Projection(np.eye(2)), 1.0)
         sc = Scenario(RULE, costs[0], costs[1], prior)
         assert sc.constants.cross == pytest.approx(-1.0 / 3.0, rel=1e-13)
 
     def test_noncommuting_rejected_for_utility(self, costs):
-        slanted = Projection.from_span([np.array([1.0, 1.0])])
-        prior = ProjectedPrior(slanted, Projection.identity(2), 1.0)
+        slanted = Projection.from_span([np.array([1.0, 1.0])], dim=2)
+        prior = ProjectedPrior(slanted, Projection(np.eye(2)), 1.0)
         sc = Scenario(RULE, costs[0], costs[1], prior)
         assert not sc.commuting
         with pytest.raises(NonCommuting):
@@ -272,7 +272,7 @@ class TestOverlapBounds:
     def equal_cost(self):
         cost = CostMatrix(np.diag([2.0, 1.0]))
         prior = ProjectedPrior(
-            Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0
+            Projection(np.diag([1.0, 0.0])), Projection(np.eye(2)), 1.0
         )
         return Scenario(RULE, cost, cost, prior)
 
@@ -468,7 +468,7 @@ class TestArrayEvaluation:
 
     def test_negative_sigma_rejected_by_bounds(self):
         cost = CostMatrix(np.diag([2.0, 1.0]))
-        prior = ProjectedPrior(Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0)
+        prior = ProjectedPrior(Projection(np.diag([1.0, 0.0])), Projection(np.eye(2)), 1.0)
         sc = Scenario(RULE, cost, cost, prior)
         for bound in (score_overlap_bound, utility_overlap_bound):
             with pytest.raises(NegativeSigma):

@@ -243,9 +243,7 @@ class TestCompensatedSums:
         for _ in range(10):
             m = random_symmetric(rng, 4)
             x = rng.normal(size=4)
-            y = rng.normal(size=4)
             assert quad_form(x, m) == pytest.approx(float(x @ m @ x), rel=1e-12, abs=1e-12)
-            assert quad_form(x, m, y) == pytest.approx(float(x @ m @ y), rel=1e-12, abs=1e-12)
 
 
 class TestCostMatrix:
@@ -294,37 +292,36 @@ class TestProjection:
             Projection(np.diag([0.5, 1.0]))
 
     def test_from_span_orthonormalizes(self):
-        p = Projection.from_span([np.array([2.0, 0.0]), np.array([1.0, 1.0])])
+        p = Projection.from_span([np.array([2.0, 0.0]), np.array([1.0, 1.0])], dim=2)
         assert max_norm(p.matrix - np.eye(2)) <= 1e-12
         assert p.rank == 2
 
     def test_from_span_drops_dependent_vectors(self):
-        p = Projection.from_span([np.array([1.0, 1.0]), np.array([2.0, 2.0])])
+        p = Projection.from_span([np.array([1.0, 1.0]), np.array([2.0, 2.0])], dim=2)
         assert p.rank == 1
         assert max_norm(p.matrix - 0.5 * np.ones((2, 2))) <= 1e-12
 
-    def test_from_span_empty_needs_dim(self):
-        with pytest.raises(DimensionMismatch):
-            Projection.from_span([])
+    def test_from_span_empty_is_the_zero_projector(self):
         p = Projection.from_span([], dim=3)
         assert p.rank == 0
+        assert np.array_equal(p.matrix, np.zeros((3, 3)))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("big", [1e308, 3e154, -1e308])
     def test_from_span_huge_vector_keeps_its_direction(self, big):
-        p = Projection.from_span([np.array([big, 0.0])])
-        assert np.array_equal(p.matrix, Projection.from_span([np.array([1.0, 0.0])]).matrix)
+        p = Projection.from_span([np.array([big, 0.0])], dim=2)
+        assert np.array_equal(p.matrix, Projection.from_span([np.array([1.0, 0.0])], dim=2).matrix)
         assert p.rank == 1
 
     @pytest.mark.filterwarnings("error")
     def test_from_span_huge_diagonal_vector(self):
-        p = Projection.from_span([np.array([1e154, 1e154])])
+        p = Projection.from_span([np.array([1e154, 1e154])], dim=2)
         assert p.rank == 1
-        assert max_norm(p.matrix - Projection.from_span([np.array([1.0, 1.0])]).matrix) <= 1e-15
+        assert max_norm(p.matrix - Projection.from_span([np.array([1.0, 1.0])], dim=2).matrix) <= 1e-15
 
     def test_from_span_dependence_threshold_stays_absolute(self):
         # beside a huge first vector, a residual of 1e-20 is still dependent
-        p = Projection.from_span([np.array([1e300, 0.0]), np.array([1e300, 1e-20])])
+        p = Projection.from_span([np.array([1e300, 0.0]), np.array([1e300, 1e-20])], dim=2)
         assert p.rank == 1
         assert Projection.from_span([np.array([1e-11, 0.0])], dim=2).rank == 0
 

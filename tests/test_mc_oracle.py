@@ -52,7 +52,7 @@ def common():
 
 @pytest.fixture
 def projected():
-    prior = ProjectedPrior(Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0)
+    prior = ProjectedPrior(Projection(np.diag([1.0, 0.0])), Projection(np.eye(2)), 1.0)
     return Scenario(
         RULE, CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])), prior
     )
@@ -264,7 +264,7 @@ class TestEstimates:
 
     def test_projected_prior_supported(self):
         prior = ProjectedPrior(
-            Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0
+            Projection(np.diag([1.0, 0.0])), Projection(np.eye(2)), 1.0
         )
         sc = Scenario(
             RULE, CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])), prior

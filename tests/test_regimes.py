@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flab.agents import normal_stream, standard_normals
 from flab.closed_form import (
     CommonPrior,
     NaivePrior,
@@ -13,7 +14,7 @@ from flab.closed_form import (
     neutrality_sigma_score_bayes,
 )
 from flab.errors import AssumptionViolated, InvalidBracket, NonCommuting, NonFinite
-from flab.linalg_core import CostMatrix, Definiteness, Projection, definiteness
+from flab.linalg_core import CostMatrix, Definiteness, Projection, definiteness, quad_form
 from flab.regimes import (
     TANGENT_TOL,
     MatrixVerdict,
@@ -323,7 +324,7 @@ class TestZeroRule:
 
     @pytest.mark.parametrize("mask1, scale", [([0.0, 0.0], 1.0), ([1.0, 0.0], 3.0)])
     def test_projected_prior(self, costs, mask1, scale):
-        prior = ProjectedPrior(Projection(np.diag(mask1)), Projection.identity(2), scale)
+        prior = ProjectedPrior(Projection(np.diag(mask1)), Projection(np.eye(2)), scale)
         regime = classify_utility_projected(Scenario(self.ZERO, costs[0], costs[1], prior))
         assert regime.predicted_roots == len(regime.roots)
         assert regime.count_matches
@@ -365,8 +366,8 @@ class TestProjectedClassification:
         assert regime.count_matches
 
     def test_noncommuting_rejected(self, costs):
-        slanted = Projection.from_span([np.array([1.0, 1.0])])
-        prior = ProjectedPrior(slanted, Projection.identity(2), 1.0)
+        slanted = Projection.from_span([np.array([1.0, 1.0])], dim=2)
+        prior = ProjectedPrior(slanted, Projection(np.eye(2)), 1.0)
         sc = Scenario(RULE, costs[0], costs[1], prior)
         with pytest.raises(NonCommuting):
             classify_utility_projected(sc)
@@ -428,6 +429,48 @@ class TestMatrixConditions:
         assert all(ok for _, ok in up.checks)
 
 
+def rotated_projected_scenarios(seed, count):
+    """Commuting projected scenarios at d = 2..4: costs and projectors share a random basis."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        low = rng.uniform(0.5, 3.0, size=d)
+        high = low + rng.uniform(0.1, 3.0, size=d)
+        masks = rng.integers(0, 2, size=(2, d)).astype(float)
+
+        def rotated(diagonal):
+            m = basis @ np.diag(diagonal) @ basis.T
+            return 0.5 * (m + m.T)
+
+        prior = ProjectedPrior(Projection(rotated(masks[0])), Projection(rotated(masks[1])),
+                               float(np.exp(rng.uniform(-4.0, 1.0))))
+        yield Scenario(rng.normal(size=d), CostMatrix(rotated(low)), CostMatrix(rotated(high)), prior)
+
+
+def loop_rule_check(sc, verdict):
+    """The sampled-rule check one rule at a time: 50 draws of d normals, each
+    margin from exactly rounded quadratic forms. Reference for the one-draw check."""
+    stream = normal_stream(2718, (7,))
+    scale = sc.prior.scale
+    band = 1e-8 * (1.0 + scale * scale)
+    checked = 0
+    agree = True
+    for _ in range(50):
+        v = standard_normals(stream, sc.dim)
+        norm = math.sqrt(float(v @ v))
+        if norm < 1e-6:
+            continue
+        v = v / norm
+        margin = (2.0 / sc.trace_gap) * (quad_form(v, sc.gap) - quad_form(v, sc.known_gap.raw)) - scale * scale
+        checked += 1
+        if verdict is MatrixVerdict.MONOTONE_ALL and margin < -band:
+            agree = False
+        if verdict is MatrixVerdict.NON_MONOTONE_ALL and margin > band:
+            agree = False
+    return checked, agree
+
+
 class TestMatrixClassifier:
     def test_full_knowledge_both_groups_never_monotone(self, costs):
         report = classify_utility_projected_matrix(
@@ -464,33 +507,33 @@ class TestMatrixClassifier:
             Definiteness.ZERO: MatrixVerdict.MONOTONE_ALL,
             Definiteness.ND: MatrixVerdict.NON_MONOTONE_ALL,
         }
-        rng = np.random.default_rng(31)
         reached = []
-        for _ in range(300):
-            d = int(rng.integers(2, 5))
-            basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
-            low = rng.uniform(0.5, 3.0, size=d)
-            high = low + rng.uniform(0.1, 3.0, size=d)
-            masks = rng.integers(0, 2, size=(2, d)).astype(float)
-
-            def rotated(diagonal):
-                m = basis @ np.diag(diagonal) @ basis.T
-                return 0.5 * (m + m.T)
-
-            prior = ProjectedPrior(Projection(rotated(masks[0])), Projection(rotated(masks[1])),
-                                   float(np.exp(rng.uniform(-4.0, 1.0))))
-            sc = Scenario(rng.normal(size=d), CostMatrix(rotated(low)), CostMatrix(rotated(high)), prior)
+        for sc in rotated_projected_scenarios(31, 300):
             try:
-                report = classify_utility_projected_matrix(sc, samples=0)
+                report = classify_utility_projected_matrix(sc)
             except AssumptionViolated:
                 continue
-            split = (2.0 / sc.trace_gap) * sc.unknown_gap.sym - sc.prior.scale**2 * np.eye(d)
+            split = (2.0 / sc.trace_gap) * sc.unknown_gap.sym - sc.prior.scale**2 * np.eye(sc.dim)
             label = definiteness(split)
             assert report.split_label is label
             assert report.verdict is verdicts.get(label, MatrixVerdict.INDETERMINATE)
             reached.append(report.verdict)
         assert set(reached) == set(MatrixVerdict)
         assert len(reached) >= 50
+
+    def test_one_draw_check_matches_per_rule_loop(self):
+        sampled = 0
+        for sc in rotated_projected_scenarios(37, 300):
+            try:
+                report = classify_utility_projected_matrix(sc)
+            except AssumptionViolated:
+                continue
+            if report.verdict is MatrixVerdict.INDETERMINATE:
+                assert (report.samples_checked, report.samples_agree) == (0, True)
+                continue
+            assert (report.samples_checked, report.samples_agree) == loop_rule_check(sc, report.verdict)
+            sampled += 1
+        assert sampled >= 40
 
     def test_no_knowledge_small_scale_monotone_for_every_rule(self, costs):
         report = classify_utility_projected_matrix(
@@ -514,19 +557,34 @@ class TestMatrixClassifier:
             )
 
     def test_noncommuting_rejected(self, costs):
-        slanted = Projection.from_span([np.array([1.0, 1.0])])
+        slanted = Projection.from_span([np.array([1.0, 1.0])], dim=2)
         prior = ProjectedPrior(slanted, slanted, 1.0)
         sc = Scenario(RULE, costs[0], costs[1], prior)
         with pytest.raises(NonCommuting):
             classify_utility_projected_matrix(sc)
 
-    def test_explicit_stream_is_deterministic(self, costs):
-        from flab.agents import normal_stream
-
+    def test_default_calls_give_equal_reports(self, costs):
         sc = projected_scenario(costs, [1, 1], [1, 1], 1.0)
-        a = classify_utility_projected_matrix(sc, stream=normal_stream(3, (9,)))
-        b = classify_utility_projected_matrix(sc, stream=normal_stream(3, (9,)))
-        assert a == b
+        assert classify_utility_projected_matrix(sc) == classify_utility_projected_matrix(sc)
+
+    @pytest.mark.parametrize(
+        "masks, scale, verdict, shift",
+        [
+            (([0, 0], [0, 0]), 0.5, MatrixVerdict.MONOTONE_ALL, -100.0),
+            (([1, 1], [1, 1]), 1.0, MatrixVerdict.NON_MONOTONE_ALL, 100.0),
+        ],
+    )
+    def test_sampled_margins_contradicting_the_verdict_disagree(self, costs, masks, scale, verdict, shift):
+        sc = projected_scenario(costs, *masks, scale)
+        assert classify_utility_projected_matrix(sc).samples_agree
+        # the verdict reads the unknown-side gap; the samples read gap - known_gap.raw,
+        # so shifting the full gap moves every sampled margin by 2 shift / trace_gap
+        object.__setattr__(sc, "gap", sc.gap + shift * np.eye(2))
+        report = classify_utility_projected_matrix(sc)
+        assert report.verdict is verdict
+        assert report.samples_checked == 50
+        assert not report.samples_agree
+        assert loop_rule_check(sc, verdict) == (50, False)
 
 
 class TestGuards:
@@ -544,7 +602,7 @@ class TestGuards:
     def test_equal_cost_classification_refused(self):
         cost = CostMatrix(np.diag([2.0, 1.0]))
         prior = ProjectedPrior(
-            Projection(np.diag([1.0, 0.0])), Projection.identity(2), 1.0
+            Projection(np.diag([1.0, 0.0])), Projection(np.eye(2)), 1.0
         )
         sc = Scenario(RULE, cost, cost, prior)
         with pytest.raises(AssumptionViolated):
