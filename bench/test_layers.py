@@ -3,9 +3,10 @@
     python -m pytest bench --benchmark-json=bench.json
 
 Run from the root of a checkout. One benchmark per layer: scenario parse,
-`Scenario` construction (its Jacobi eigensolves), the closed-form curve
-over a grid, the root scan, the agents' response and realized
-quantities for one block, and `jacobi_eigh` alone. They use only names
+`Scenario` construction (its Jacobi eigensolves) with a shared or a
+projected prior, a `Projection` alone, the closed-form curve over a grid,
+the root scan, the agents' response and realized quantities for one
+block, and `jacobi_eigh` alone. They use only names
 and signatures the previous commit shares, so one file times two
 versions of flab alike. The slow solves run a few rounds only.
 """
@@ -17,8 +18,8 @@ import pytest
 
 from flab.agents import Metric, naive_best_response, realized_quantities
 from flab.cli import load_scenario
-from flab.closed_form import CommonPrior, Scenario, disparity_value, noise_range, sigma_grid
-from flab.linalg_core import CostMatrix, jacobi_eigh
+from flab.closed_form import CommonPrior, ProjectedPrior, Scenario, disparity_value, noise_range, sigma_grid
+from flab.linalg_core import CostMatrix, Projection, jacobi_eigh
 from flab.regimes import find_roots
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -57,6 +58,39 @@ def test_scenario_construction(benchmark, d):
     rounds = 20 if d == 2 else 3
     sc = benchmark.pedantic(build, rounds=rounds, iterations=1, warmup_rounds=0)
     assert sc.dim == d
+
+
+def commuting_projected(d):
+    """Costs diagonal in one random basis, and two projectors onto random
+    halves of that basis, so both commute with the inverse costs."""
+    rng = np.random.default_rng(d)
+    basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    lam1 = 1.0 + 2.0 * rng.uniform(size=d)
+    lam2 = lam1 + 0.5 + 2.0 * rng.uniform(size=d)
+    low, high = ((basis * lam) @ basis.T for lam in (lam1, lam2))
+    halves = [basis[:, rng.permutation(d)[: d // 2]] for _ in range(2)]
+    p1, p2 = (half @ half.T for half in halves)
+    return rng.normal(size=d), 0.5 * (low + low.T), 0.5 * (high + high.T), p1, p2
+
+
+@pytest.mark.parametrize("d", [2, 32, 64])
+def test_projected_scenario_construction(benchmark, d):
+    # what `load_scenario` builds for a projected prior given as full matrices
+    rule, low, high, p1, p2 = commuting_projected(d)
+
+    def build():
+        prior = ProjectedPrior(Projection(p1), Projection(p2), 1.5)
+        return Scenario(rule, CostMatrix(low), CostMatrix(high), prior)
+
+    rounds = 20 if d == 2 else 3
+    sc = benchmark.pedantic(build, rounds=rounds, iterations=1, warmup_rounds=0)
+    assert sc.dim == d
+
+
+def test_projection_d64(benchmark):
+    p = commuting_projected(64)[3]
+    projection = benchmark.pedantic(Projection, args=(p,), rounds=5, iterations=1, warmup_rounds=0)
+    assert projection.rank == 32
 
 
 @pytest.mark.parametrize("metric", list(Metric))

@@ -97,9 +97,13 @@ def _check_keys(obj, pointer, required, optional=()):
 def _number(value, pointer):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(pointer, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        _fail(pointer, "expected a finite number, got an integer beyond floating-point range")
+    if not math.isfinite(number):
         _fail(pointer, f"expected a finite number, got {value}")
-    return float(value)
+    return number
 
 
 def _integer(value, pointer):
@@ -111,6 +115,10 @@ def _integer(value, pointer):
 def _string(value, pointer):
     if not isinstance(value, str):
         _fail(pointer, f"expected a string, got {type(value).__name__}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate escape such as "\ud800"
+        _fail(pointer, f"invalid Unicode at character {exc.start}: {exc.reason}")
     return value
 
 
@@ -219,10 +227,16 @@ def load_scenario(path):
             text = fh.read()
     except OSError as exc:
         _fail("/", f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        _fail("/", f"not UTF-8 text: {exc.reason} at byte {exc.start}")
     try:
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail("/", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        _fail("/", "invalid JSON: arrays or objects nested too deeply")
+    except ValueError:  # the interpreter's limit on integer digits
+        _fail("/", "invalid JSON: an integer literal has too many digits")
     _check_keys(
         root,
         "/",

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from flab import linalg_core
 from flab.agents import (
     Metric,
     bayesian_best_response,
@@ -343,7 +344,15 @@ def test_07_two_crossing_region_fixture_and_100_member_draws():
         done += 1
 
 
-def test_08_projector_structure_implications_hold_on_500_instances():
+def test_08_projector_structure_implications_hold_on_500_instances(monkeypatch):
+    solves = []
+    true_eigh = linalg_core.jacobi_eigh
+
+    def counted(matrix):
+        solves.append(1)
+        return true_eigh(matrix)
+
+    monkeypatch.setattr(linalg_core, "jacobi_eigh", counted)
     rng = np.random.default_rng(31337)
     rule_rng = np.random.default_rng(987)
     fired_null = 0
@@ -371,8 +380,11 @@ def test_08_projector_structure_implications_hold_on_500_instances():
             mask1 = np.ones(d)
         if trial % 11 == 0:
             mask2 = np.zeros(d)
+        before = len(solves)
         p1 = Projection(qa @ np.diag(mask1) @ qa.T)
         p2 = Projection(qb @ np.diag(mask2) @ qb.T)
+        # symmetry and idempotency settle both projectors, with no eigensolve
+        assert len(solves) == before, trial
 
         th = rule_rng.normal(size=d)
         while np.linalg.norm(th) < 0.3:

@@ -138,6 +138,59 @@ class TestParsing:
         rc = cli.main(["validate", write_scenario(tmp_path, body)])
         assert rc == 2
 
+    def test_projectors_need_no_eigensolve(self, tmp_path, monkeypatch):
+        from flab import linalg_core
+
+        # the projected scenarios perfbench/gen.py writes for the benchmark's seeds
+        perfbench = SCENARIOS.parent / "perfbench"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(perfbench))
+        spec = importlib.util.spec_from_file_location("perfbench_gen", perfbench / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        paths = sorted(str(p) for p in SCENARIOS.glob("*.json"))
+        for seed in (1, 7):
+            generated = {**gen.highdim(seed), **gen.dense(seed)}
+            for name in ("highdim_projected.json", "dense_equal.json"):
+                paths.append(write_scenario(tmp_path, generated[name], f"seed{seed}_{name}"))
+
+        solves = []
+        true_eigh = linalg_core.jacobi_eigh
+
+        def counted(matrix):
+            if sys._getframe(1).f_code is linalg_core.Projection.__init__.__code__:
+                solves.append(matrix)
+            return true_eigh(matrix)
+
+        monkeypatch.setattr(linalg_core, "jacobi_eigh", counted)
+        ranks = []
+        for path in paths:
+            prior = cli.load_scenario(path).scenario.prior
+            if hasattr(prior, "subspace1"):
+                ranks.append((prior.subspace1.rank, prior.subspace2.rank))
+        assert ranks == [(1, 2), (1, 2), (16, 16), (1, 2), (16, 16), (1, 2)]
+        assert solves == []
+
+    MALFORMED = {
+        "not UTF-8": (json.dumps(variant(label="café"), ensure_ascii=False).encode("latin-1"), "/"),
+        "nested 100,000 deep": (b"[" * 100_000, "/"),
+        "5,001-digit integer": (json.dumps(REF).replace('"dimension": 2', '"dimension": 1' + "0" * 5000).encode(), "/"),
+        "integer beyond float range": (json.dumps(variant(rule=[10**400, 0.5])).encode(), "/rule/0"),
+        "lone surrogate": (json.dumps(variant(label="\ud800")).encode(), "/label"),
+    }
+
+    @pytest.mark.parametrize("command", [["validate"], ["sweep", "--out-csv", "c.csv", "--out-svg", "c.svg"]])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_one_parse_error(self, case, command, tmp_path, capsys, monkeypatch):
+        raw, pointer = self.MALFORMED[case]
+        (tmp_path / "scenario.json").write_bytes(raw)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command[0], "scenario.json", *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {pointer}: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
 
 class TestValidateCommand:
     def test_reference_summary(self, tmp_path, capsys):
@@ -407,14 +460,14 @@ class TestClassifyCommand:
         for module in (linalg_core, closed_form):
             monkeypatch.setattr(module, "jacobi_eigh", counted)
         assert cli.main(["classify", str(SCENARIOS / "reference_projected.json")]) == 0
-        # two costs, two projectors, the cost gap and its square root on load,
-        # then one label for each of the two gap matrices
-        assert len(calls) == 8
-        # equal subspaces parse to one projector
+        # two costs, the cost gap and its square root on load (the projectors
+        # need none), then one label for each of the two gap matrices
+        assert len(calls) == 6
+        # equal subspaces parse to one projector, which solves nothing either
         body = variant(prior=dict(self.PROJECTED["prior"], subspace2=self.PROJECTED["prior"]["subspace1"]))
         del calls[:]
         assert cli.main(["classify", write_scenario(tmp_path, body, "equal.json")]) == 0
-        assert len(calls) == 7
+        assert len(calls) == 6
 
         first_knows_all = dict(
             self.PROJECTED["prior"], subspace1=[[1.0, 0.0], [0.0, 1.0]], subspace2=[[1.0, 0.0], [0.0, 0.0]]

@@ -1,11 +1,11 @@
 """Linear-algebra kernel tests against numpy oracles and hand values."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from flab import linalg_core
 from flab.errors import (
     DimensionMismatch,
     Error,
@@ -265,6 +265,17 @@ class TestCostMatrix:
         with pytest.raises(NotPD):
             CostMatrix(np.diag([1.0, 0.0]))
 
+    def test_not_pd_message_is_one_line_naming_the_smallest_eigenvalue(self):
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        m = q @ np.diag(rng.uniform(-0.5, 3.0, size=8)) @ q.T
+        smallest = jacobi_eigh(0.5 * (m + m.T))[0][0]
+        with pytest.raises(NotPD) as excinfo:
+            CostMatrix(m)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert message.endswith(f"smallest eigenvalue {smallest:.6e}")
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NotSymmetric):
             CostMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -330,6 +341,53 @@ class TestProjection:
         with pytest.raises(InvalidProjection, match="projector entry 1.000e\\+308 exceeds 1"):
             Projection(np.array([[1.0, 0.0], [0.0, 1e308]]))
 
+    @staticmethod
+    def count_eigensolves(monkeypatch):
+        calls = []
+        true_eigh = linalg_core.jacobi_eigh
+
+        def counted(matrix):
+            calls.append(1)
+            return true_eigh(matrix)
+
+        monkeypatch.setattr(linalg_core, "jacobi_eigh", counted)
+        return calls
+
+    def test_identities_settle_a_half_rank_projector_with_no_eigensolve(self, monkeypatch):
+        q, _ = np.linalg.qr(np.random.default_rng(64).normal(size=(64, 64)))
+        calls = self.count_eigensolves(monkeypatch)
+        p = Projection(q[:, :32] @ q[:, :32].T)
+        assert p.rank == 32
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "d, t, rank",
+        [
+            # each entry's idempotency defect t(1 - t)/d is 8e-11, within the 1e-10
+            # bound, but 2 ||E||_F = 1.6e-8 leaves the verdict to the eigenvalues
+            (100, 8e-9, 1),
+            # 9.3e-11 per entry again passes the bound; the eigenvalue 1 - t lies
+            # 1.4e-8 from 1
+            (150, 150 * 9.3e-11, None),
+        ],
+    )
+    def test_spread_defect_falls_back_to_the_eigenvalues(self, monkeypatch, d, t, rank):
+        v = np.ones(d) / math.sqrt(d)
+        m = (1.0 - t) * np.outer(v, v)
+        defect = m @ m - m
+        assert max_norm(defect) <= 1e-10 and 2.0 * np.linalg.norm(defect) > 1e-8
+        calls = self.count_eigensolves(monkeypatch)
+        if rank is None:
+            with pytest.raises(InvalidProjection) as excinfo:
+                Projection(m)
+            message = str(excinfo.value)
+            assert "\n" not in message
+            assert message.startswith("eigenvalue 0.99999998")
+            assert message.endswith(f"lies {t:.3e} from 0 or 1, beyond 1e-8")
+        else:
+            assert Projection(m).rank == rank
+        assert len(calls) == 1
+
     def test_oblique_projector_rejected(self):
         # idempotent but not symmetric, hence not orthogonal
         m = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -349,10 +407,8 @@ def complement_null_space_within(p1, p2):
 
 
 def projector(basis):
-    """The projector onto orthonormal columns, symmetrised as `Projection`
-    does, without its validating eigensolve."""
-    m = basis @ basis.T
-    return SimpleNamespace(matrix=0.5 * (m + m.T), dim=basis.shape[0])
+    """The projector onto orthonormal columns."""
+    return Projection(basis @ basis.T)
 
 
 def random_projector_pair(rng, d):
