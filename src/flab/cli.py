@@ -54,6 +54,7 @@ _EXIT_VERIFY = 4
 _EXIT_BOUND = 5
 
 MAX_POINTS = 10**7  # the most noise levels a grid may have
+MAX_DIGITS = 17  # the longest integer any field or option takes
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,8 @@ def _number(value, pointer):
 def _integer(value, pointer):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(pointer, f"expected an integer, got {type(value).__name__}")
+    if abs(value) >= 10**MAX_DIGITS:  # so an error line never echoes a huge value
+        _fail(pointer, f"expected an integer of at most {MAX_DIGITS} digits")
     return int(value)
 
 
@@ -261,11 +264,12 @@ def _points(args, minimum, default=None):
     """The --points value, or ``default`` when absent; too few or too many points is a parse error."""
     if args.points is None:
         return default
-    if args.points < minimum:
-        _fail("--points", f"need at least {minimum}, got {args.points}")
-    if args.points > MAX_POINTS:
-        _fail("--points", f"need at most {MAX_POINTS}, got {args.points}")
-    return args.points
+    points = _integer(args.points, "--points")
+    if points < minimum:
+        _fail("--points", f"need at least {minimum}, got {points}")
+    if points > MAX_POINTS:
+        _fail("--points", f"need at most {MAX_POINTS}, got {points}")
+    return points
 
 
 def _sweep_sigmas(loaded, points=None, default_points=241):
@@ -585,8 +589,8 @@ def cmd_verify(args):
     if loaded.mc is None and (args.n is None or args.seed is None):
         _fail("/mc", "verify needs an mc block or both --n and --seed")
     sc = loaded.scenario
-    n = args.n if args.n is not None else loaded.mc.n
-    seed = args.seed if args.seed is not None else loaded.mc.seed
+    n = _integer(args.n, "--n") if args.n is not None else loaded.mc.n
+    seed = _integer(args.seed, "--seed") if args.seed is not None else loaded.mc.seed
     _check_mc(n, seed, "--n", "--seed")  # the mc block passed these checks on load
     z_max = loaded.mc.z_max if loaded.mc is not None else Z_MAX
     sigmas = [0.0, *sigma_grid(sc, points).tolist()]

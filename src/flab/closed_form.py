@@ -31,6 +31,7 @@ from .errors import (
     Error,
     NonCommuting,
     NonFinite,
+    NotPD,
     WrongPriorKind,
 )
 from .linalg_core import (
@@ -43,7 +44,6 @@ from .linalg_core import (
     label_eigenvalues,
     max_norm,
     quad_form,
-    sym_sqrt,
 )
 
 COMMUTE_TOL = 1e-10
@@ -98,15 +98,17 @@ class ProjectedPrior:
 
 @dataclass(frozen=True)
 class DisparityConstants:
-    """Scalar constants every disparity formula is built from.
+    """Scalar constants every disparity formula is built from: each is one
+    `quad_form` over the scenario's float gap matrices, correctly rounded.
 
-    rule_sq is the full-transparency score disparity (the quadratic form of
-    the rule in the inverse-cost gap metric) and trace_gap is the trace of
-    that gap. For belief-carrying priors, cross and prior_sq are the gap
-    metric Gram values pairing the prior mean with the rule, and mismatch
-    is the squared gap-metric distance between them. For a projected prior
-    cross and prior_sq both equal the known-side value r'(A1^-1 P1 - A2^-1 P2)r,
-    the infinite-noise score disparity.
+    With r the rule, mu a common prior's mean and G = `Scenario.gap`, the
+    symmetrized A1^-1 - A2^-1: rule_sq = r'Gr is the full-transparency score
+    disparity, trace_gap = trace G, cross = mu'Gr, prior_sq = mu'G mu and
+    mismatch = (mu - r)'G(mu - r). For a projected prior, cross = prior_sq =
+    r'Kr, the infinite-noise score disparity, and mismatch = r'Ur, with K and
+    U the known-side and unknown-side gaps (`Scenario.known_gap`,
+    `Scenario.unknown_gap`; K + U = A1^-1 - A2^-1). The naive prior has
+    rule_sq and trace_gap only.
     """
 
     rule_sq: float
@@ -143,12 +145,6 @@ class GapMatrix:
         return label_eigenvalues(self.eigenvalues)
 
 
-def response_gap(cost1, cost2):
-    """Difference of inverse costs, symmetrized."""
-    g = cost1.inverse - cost2.inverse
-    return 0.5 * (g + g.T)
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Scoring rule, per-group costs, and prior specification.
@@ -157,9 +153,11 @@ class Scenario:
     first's (their difference must be positive definite; an exactly zero
     difference is admitted only for projected priors, where the equal-cost
     overlap bounds apply) and precomputes the derived constants used by
-    every formula. A projected prior also gets its known-side gap
-    A1^-1 P1 - A2^-1 P2 and unknown-side gap A1^-1 (I - P1) - A2^-1 (I - P2)
-    as `known_gap` and `unknown_gap` (None for the other priors).
+    every formula, over the inverse-cost gap A1^-1 - A2^-1 as `gap` (zero
+    for equal costs); a rounded gap that makes rule_sq, or a common prior's
+    prior_sq or mismatch, negative raises NotPD. A projected prior also gets
+    its known-side gap A1^-1 P1 - A2^-1 P2 and unknown-side gap
+    A1^-1 (I - P1) - A2^-1 (I - P2) as `known_gap` and `unknown_gap`.
     """
 
     rule: np.ndarray
@@ -190,18 +188,16 @@ class Scenario:
         object.__setattr__(self, "cost_gap_label", cost_gap_label)
 
         if cost_gap_label is Definiteness.ZERO:
-            gap = gap_sqrt = np.zeros((d, d))
+            gap = GapMatrix(np.zeros((d, d)))
             trace_gap = 0.0
         else:
-            gap = response_gap(self.cost1, self.cost2)
-            gap_sqrt = sym_sqrt(gap)
+            gap = GapMatrix(self.cost1.inverse - self.cost2.inverse)
             trace_gap = self.cost1.trace_inverse - self.cost2.trace_inverse
         object.__setattr__(self, "gap", gap)
 
         # a typed NonFinite below reports what overflows here
         with np.errstate(over="ignore", invalid="ignore"):
-            kv_rule = gap_sqrt @ rule
-            rule_sq = kahan_dot(kv_rule, kv_rule)
+            rule_sq = quad_form(rule, gap.sym)
 
             known = unknown = None
             if isinstance(self.prior, NaivePrior):
@@ -209,21 +205,17 @@ class Scenario:
                 means = (np.zeros(d), np.zeros(d))
                 commute_defect = 0.0
             elif isinstance(self.prior, CommonPrior):
-                if self.prior.mean.shape != (d,):
-                    raise DimensionMismatch(
-                        f"prior mean shape {self.prior.mean.shape} for dimension {d}"
-                    )
-                kv_prior = gap_sqrt @ self.prior.mean
-                cross = kahan_dot(kv_prior, kv_rule)
-                prior_sq = kahan_dot(kv_prior, kv_prior)
+                mean = self.prior.mean
+                if mean.shape != (d,):
+                    raise DimensionMismatch(f"prior mean shape {mean.shape} for dimension {d}")
                 constants = DisparityConstants(
                     rule_sq=rule_sq,
                     trace_gap=trace_gap,
-                    cross=cross,
-                    prior_sq=prior_sq,
-                    mismatch=prior_sq + rule_sq - 2.0 * cross,
+                    cross=quad_form(mean, gap.sym, rule),
+                    prior_sq=quad_form(mean, gap.sym),
+                    mismatch=quad_form(mean - rule, gap.sym),
                 )
-                means = (self.prior.mean, self.prior.mean)
+                means = (mean, mean)
                 commute_defect = 0.0
             elif isinstance(self.prior, ProjectedPrior):
                 p1 = self.prior.subspace1
@@ -241,7 +233,7 @@ class Scenario:
                     trace_gap=trace_gap,
                     cross=known_side,
                     prior_sq=known_side,
-                    mismatch=rule_sq - known_side,
+                    mismatch=quad_form(rule, unknown.raw),
                 )
                 means = (p1.matrix @ rule, p2.matrix @ rule)
                 commute_defect = max(
@@ -253,6 +245,11 @@ class Scenario:
         bad = [k for k, v in vars(constants).items() if v is not None and not math.isfinite(v)]
         if bad:
             raise NonFinite(f"derived constant {bad[0]} is out of floating-point range")
+        # G is positive definite, but the rounded G may not be; square roots take these
+        squares = ("rule_sq", "prior_sq", "mismatch") if isinstance(self.prior, CommonPrior) else ("rule_sq",)
+        negative = [k for k in squares if getattr(constants, k) < 0.0]
+        if negative:
+            raise NotPD(f"inverse-cost gap is negative: {negative[0]} = {getattr(constants, negative[0]):.6e}")
 
         object.__setattr__(self, "trace_gap", trace_gap)
         object.__setattr__(self, "constants", constants)

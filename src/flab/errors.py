@@ -14,10 +14,6 @@ class NotSymmetric(Error):
     """Matrix input fails the symmetry tolerance."""
 
 
-class NotPSD(Error):
-    """Matrix has an eigenvalue below the negative clamp threshold."""
-
-
 class NotPD(Error):
     """Matrix is not positive definite where one is required."""
 

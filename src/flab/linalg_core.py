@@ -15,6 +15,7 @@ can be shared freely between threads.
 
 import enum
 import math
+import operator
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .errors import (
     Error,
     InvalidProjection,
     NotPD,
-    NotPSD,
     NotSymmetric,
 )
 
@@ -55,34 +55,49 @@ def check_symmetric(matrix):
     return a
 
 
-def _exact_sum(terms):
-    """Exactly rounded sum of a list of floats.
+def _scaled_integers(values):
+    """Integers n_k and one shift e with values[k] = n_k / 2^e exactly."""
+    ratios = [v.as_integer_ratio() for v in values]  # each denominator a power of two
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
 
-    ``math.fsum`` raises where the total overflows or meets inf - inf;
-    there the plain float sum gives the IEEE inf or nan instead.
-    """
+
+def _exact_sum(products, shift):
+    """sum(products) / 2^shift for integer products, correctly rounded; overflow gives a signed inf."""
+    total = sum(products)
     try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        return sum(terms)
+        return total / (1 << shift)  # int / int rounds correctly
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def kahan_dot(x, y):
-    """Exactly rounded inner product of two equal-length vectors (``math.fsum``)."""
+    """Inner product of two equal-length vectors, correctly rounded as by `quad_form`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch(f"dot of shapes {x.shape} and {y.shape}")
-    return _exact_sum((x * y).tolist())
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        return math.nan
+    (xs, kx), (ys, ky) = (_scaled_integers(v.tolist()) for v in (x, y))
+    return _exact_sum(map(operator.mul, xs, ys), kx + ky)
 
 
-def quad_form(x, matrix):
-    """x'Mx as the exactly rounded sum (``math.fsum``) of the d^2 terms x_i M_ij x_j."""
+def quad_form(x, matrix, y=None):
+    """x'My (x'Mx by default), correctly rounded: the d^2 products x_i M_ij y_j
+    are summed exactly as integers and divided once. Overflow gives a signed
+    inf, and a non-finite entry of x or y gives nan.
+    """
     a = _as_square(matrix)
     x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[0],):
-        raise DimensionMismatch(f"quadratic form of shapes {x.shape} and {a.shape}")
-    return _exact_sum((x[:, None] * a * x).ravel().tolist())
+    y = x if y is None else np.asarray(y, dtype=float)
+    if x.shape != (a.shape[0],) or y.shape != x.shape:
+        raise DimensionMismatch(f"quadratic form of shapes {x.shape}, {a.shape}, {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        return math.nan
+    (xs, kx), (ms, km), (ys, ky) = (_scaled_integers(v.ravel().tolist()) for v in (x, a, y))
+    outer = (xi * yj for xi in xs for yj in ys)  # row-major, as ms
+    return _exact_sum(map(operator.mul, ms, outer), kx + km + ky)
 
 
 def _rotate(x, y, c, s):
@@ -203,20 +218,6 @@ def definiteness(matrix):
     """
     w, _ = jacobi_eigh(matrix)
     return label_eigenvalues(w)
-
-
-def sym_sqrt(matrix):
-    """Symmetric PSD square root.
-
-    Eigenvalues in [-1e-9 * ||M||, 0] are clamped to zero; anything below
-    the clamp raises NotPSD. ||M|| is the largest absolute eigenvalue.
-    """
-    w, v = jacobi_eigh(matrix)
-    bound = 1e-9 * float(np.abs(w).max())
-    if float(w.min()) < -bound:
-        raise NotPSD(f"eigenvalue {w.min():.6e} below clamp -{bound:.3e}")
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return 0.5 * (root + root.T)
 
 
 def _freeze(array):

@@ -457,7 +457,7 @@ def classify_utility_projected_matrix(sc):
         kept = norms >= 1e-6
         units = draws[kept] / norms[kept, None]
         margins = (2.0 / c.trace_gap) * np.einsum(
-            "ij,jk,ik->i", units, sc.gap - sc.known_gap.raw, units
+            "ij,jk,ik->i", units, sc.gap.sym - sc.known_gap.raw, units
         ) - scale * scale
         band = 1e-8 * (1.0 + scale * scale)
         # a nan margin compares false either way, so it counts as agreeing

@@ -220,6 +220,15 @@ class TestValidateCommand:
         assert cli.main(["validate", write_scenario(tmp_path, body)]) == 3
 
 
+    def test_mismatch_near_the_rule_does_not_cancel(self, tmp_path, capsys):
+        # (mu - r)' G (mu - r) for mu = r (1 + 1e-8) is 1e-16 rule_sq; prior_sq + rule_sq - 2 cross gave 0
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        body["prior"]["mean"] = [r * (1.0 + 1e-8) for r in body["rule"]]
+        assert cli.main(["validate", write_scenario(tmp_path, body)]) == 0
+        out = capsys.readouterr().out
+        assert "mismatch 4.1667e-17\n" in out
+        assert "critical prior scale: 9.5346e-09\n" in out
+
     @pytest.mark.filterwarnings("error")
     def test_huge_span_vector_keeps_its_rank(self, tmp_path, capsys):
         body = json.loads((SCENARIOS / "equal_costs_bounds.json").read_text(encoding="utf-8"))
@@ -401,6 +410,32 @@ class TestPointsOption:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("case, expected", [
+        ("/mc/n", "error: /mc/n: expected an integer of at most 17 digits\n"),
+        ("/sweep/points", "error: /sweep/points: expected an integer of at most 17 digits\n"),
+        ("/dimension", "error: /dimension: expected an integer of at most 17 digits\n"),
+        ("--points", "error: --points: expected an integer of at most 17 digits\n"),
+        ("--seed", "error: --seed: expected an integer of at most 17 digits\n"),
+    ])
+    def test_huge_integer_is_not_echoed_whole(self, case, expected, tmp_path, capsys):
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        argv = ["verify", None]
+        if case == "/mc/n":
+            body["mc"]["n"] = 10**400
+        elif case == "/sweep/points":
+            body["sweep"]["points"] = 10**400
+        elif case == "/dimension":
+            body["dimension"] = 10**400
+        elif case == "--points":
+            argv = ["sweep", None, "--points", "1" + "0" * 400]
+        else:
+            argv = ["verify", None, "--n", "2000", "--seed", "-1" + "0" * 400]
+        argv[1] = write_scenario(tmp_path, body)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == expected and len(captured.err) < 200
+        assert captured.out == ""
+
     def test_smallest_accepted_counts(self, tmp_path, capsys):
         path = write_scenario(tmp_path, REF)
         assert cli.main(["sweep", path, "--points", "2"]) == 0
@@ -460,14 +495,19 @@ class TestClassifyCommand:
         for module in (linalg_core, closed_form):
             monkeypatch.setattr(module, "jacobi_eigh", counted)
         assert cli.main(["classify", str(SCENARIOS / "reference_projected.json")]) == 0
-        # two costs, the cost gap and its square root on load (the projectors
+        # two costs and the cost gap on load (the constants and the projectors
         # need none), then one label for each of the two gap matrices
-        assert len(calls) == 6
+        assert len(calls) == 5
         # equal subspaces parse to one projector, which solves nothing either
         body = variant(prior=dict(self.PROJECTED["prior"], subspace2=self.PROJECTED["prior"]["subspace1"]))
         del calls[:]
         assert cli.main(["classify", write_scenario(tmp_path, body, "equal.json")]) == 0
-        assert len(calls) == 6
+        assert len(calls) == 5
+        # a non-projected scenario solves the two costs and the cost gap only
+        for name in ("reference_naive", "reference_common"):
+            del calls[:]
+            cli.load_scenario(str(SCENARIOS / f"{name}.json"))
+            assert len(calls) == 3
 
         first_knows_all = dict(
             self.PROJECTED["prior"], subspace1=[[1.0, 0.0], [0.0, 1.0]], subspace2=[[1.0, 0.0], [0.0, 0.0]]
@@ -621,19 +661,58 @@ class TestVerifyCommand:
         assert cli.main(["verify", write_scenario(tmp_path, body)]) == 2
 
     def test_exact_mode_mismatch_is_a_failed_row(self, tmp_path, capsys):
-        # at zero noise a large rule's disparities sit more than 1e-12 apart, a few ulps
+        # at zero noise a large rule's disparities are about 3.5e5, where 1e-12 is below one ulp:
+        # the correctly rounded score agrees with the oracle's, its float utility is 1 ulp off
         body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
         body.update(rule=[1000.0, 500.0], cost1=[[2.0, 0.3], [0.3, 1.0]], cost2=[[4.1, 0.7], [0.7, 3.3]])
         assert cli.main(["verify", write_scenario(tmp_path, body), "--n", "20000", "--seed", "3"]) == 4
         out, err = capsys.readouterr()
         assert err == ""
         lines = out.splitlines()
-        assert lines[2] == (
-            "  score    0             exact-mode mismatch: exact estimate 350281.45376288827 "
-            "differs from analytic 350281.45376288815 by 1.164e-10"
+        assert lines[2] == "  score    0                   350281        350281             0   +0.00  ok"
+        assert lines[3] == (
+            "  utility  0             exact-mode mismatch: exact estimate 175140.7268814441 "
+            "differs from analytic 175140.72688144413 by 2.910e-11"
         )
-        assert lines[3].startswith("  utility  0             exact-mode mismatch: exact estimate ")
-        assert lines[-1] == "2 comparison(s) failed"
+        assert lines[-1] == "1 comparison(s) failed"
+
+    def test_ill_conditioned_valid_costs_are_accepted(self, tmp_path, capsys):
+        # valid costs whose rounded inverse-cost gap has an eigenvalue of -9.5e-19, below
+        # -1e-9 times its largest: the constants are forms over that gap, so nothing rejects it
+        body = {
+            "dimension": 2,
+            "rule": [-0.14980189732262295, -1.950995926689043],
+            "cost1": [[95818.44143890914, -202821.303655742], [-202821.303655742, 429534.1944908555]],
+            "cost2": [[95818.44143894127, -202821.3036557491], [-202821.3036557491, 429534.1944908742]],
+            "prior": {"kind": "common", "mean": [0.4321099357768022, 0.520464591828513], "scale": 1.0},
+        }
+        assert cli.main(["verify", write_scenario(tmp_path, body), "--n", "20000", "--seed", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.endswith("all comparisons passed\n")
+
+    NEGATIVE_DIRECTION = [0.4269866441869587, -0.9042579309499914]
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    @pytest.mark.parametrize("rule, prior, name", [
+        (NEGATIVE_DIRECTION, {"kind": "naive"}, "rule_sq"),
+        (NEGATIVE_DIRECTION, {"kind": "common", "mean": [-0.1498, -1.951], "scale": 1.0}, "rule_sq"),
+        ([-0.1498, -1.951], {"kind": "common", "mean": NEGATIVE_DIRECTION, "scale": 1.0}, "prior_sq"),
+    ], ids=["naive rule", "common rule", "common mean"])
+    def test_negative_gap_norm_is_a_typed_error(self, rule, prior, name, command, tmp_path, capsys):
+        # the costs above, with the rule or the mean along the eigenvector of the rounded
+        # gap's -9.5e-19: the squared gap norm is negative, which no square root may take
+        body = {
+            "dimension": 2,
+            "rule": rule,
+            "cost1": [[95818.44143890914, -202821.303655742], [-202821.303655742, 429534.1944908555]],
+            "cost2": [[95818.44143894127, -202821.3036557491], [-202821.3036557491, 429534.1944908742]],
+            "prior": prior,
+        }
+        assert cli.main([command, write_scenario(tmp_path, body)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: inverse-cost gap is negative: {name} = -9.463320e-19\n"
 
     def test_corrupted_formula_fails(self, tmp_path, capsys, monkeypatch):
         from flab.closed_form import disparity_value as true_value
@@ -733,6 +812,8 @@ class TestExtremeInputs:
         "huge cost pair": {"cost1": [[1e200, 9e199], [9e199, 1e200]],
                            "cost2": [[2e200, 9e199], [9e199, 2e200]]},
         "huge prior scale": {"prior": dict(COMMON_PRIOR, scale=1e308)},
+        # mean - rule overflows, so the mismatch form has an infinite vector
+        "huge mean opposite the rule": {"rule": [-1e308, 0.0], "prior": dict(COMMON_PRIOR, mean=[1e308, 0.0])},
         "tiny prior scale": {"prior": dict(COMMON_PRIOR, scale=1e-320)},
     }
 

@@ -7,6 +7,7 @@ running this package.
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from flab.closed_form import (
     neutrality_sigma_score_bayes,
     noise_unit,
     overlap_proxy,
-    response_gap,
     score_overlap_bound,
     score_variance_naive,
     sigma_grid,
@@ -70,8 +70,8 @@ def projected(costs):
 
 
 class TestScenarioConstruction:
-    def test_response_gap_reference(self, costs):
-        gap = response_gap(*costs)
+    def test_gap_reference(self, naive):
+        gap = naive.gap.sym
         assert max_norm(gap - np.diag([0.5 - 0.25, 1.0 - 1.0 / 3.0])) == 0.0
         assert gap[1, 1] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
@@ -85,10 +85,10 @@ class TestScenarioConstruction:
         assert c.prior_sq == pytest.approx(2.7291666666666665, rel=1e-12)
         assert c.mismatch == pytest.approx(1.5625, rel=1e-12)
 
-    def test_mismatch_is_squared_gap_distance(self, costs):
+    def test_mismatch_is_squared_gap_distance(self, costs, naive):
         # identity: mismatch equals the squared gap-metric norm of mean-rule
         rng = np.random.default_rng(55)
-        gap = response_gap(*costs)
+        gap = naive.gap.sym
         for _ in range(25):
             mean = rng.normal(size=2) * rng.uniform(0.1, 10.0)
             sc = Scenario(RULE, costs[0], costs[1], CommonPrior(mean, 1.0))
@@ -138,6 +138,67 @@ class TestScenarioConstruction:
         sc = Scenario(RULE, cost, cost, projected.prior)
         assert sc.trace_gap == 0.0
         assert sc.constants.rule_sq == 0.0
+
+
+def exact_form(x, matrix, y):
+    """float() of the exact rational x'My, every float read as the rational it is."""
+    return float(sum(
+        Fraction(float(xi)) * Fraction(float(m)) * Fraction(float(yj))
+        for xi, row in zip(x, matrix) for m, yj in zip(row, y)
+    ))
+
+
+def random_spd_pair(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    low = q @ np.diag(rng.uniform(0.5, 3.0, size=d)) @ q.T
+    m = rng.normal(size=(d, d))
+    return CostMatrix(0.5 * (low + low.T)), CostMatrix(0.5 * (low + low.T) + m @ m.T + 0.1 * np.eye(d))
+
+
+def seeded_scenarios():
+    """Common-prior and projected-prior scenarios with random costs, d = 2 to 8."""
+    rng = np.random.default_rng(1717)
+    for k in range(60):
+        d = 2 + k % 7
+        cost1, cost2 = random_spd_pair(rng, d)
+        rule = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+        if k % 2:
+            spans = [rng.normal(size=(int(rng.integers(0, d + 1)), d)) for _ in range(2)]
+            prior = ProjectedPrior(*(Projection.from_span(list(s), d) for s in spans), 1.0)
+        else:
+            # a mean near the rule makes the mismatch cancel in any sum of the other three
+            mean = rule * (1.0 + 1e-6 * rng.normal()) if k % 4 == 0 else rng.normal(size=d)
+            prior = CommonPrior(mean, 1.0)
+        yield Scenario(rule, cost1, cost2, prior)
+
+
+def committed_scenarios():
+    from flab.cli import load_scenario
+
+    for path in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json")):
+        yield load_scenario(str(path)).scenario
+
+
+class TestExactConstants:
+    """Every constant is its quadratic form over the float gap matrices, correctly rounded."""
+
+    @pytest.mark.parametrize("source", [committed_scenarios, seeded_scenarios])
+    def test_constants_are_correctly_rounded_forms(self, source):
+        kinds = set()
+        for sc in source():
+            c, r, gap = sc.constants, sc.rule, sc.gap.sym
+            assert c.rule_sq == exact_form(r, gap, r)
+            if isinstance(sc.prior, CommonPrior):
+                mu = sc.prior.mean
+                assert c.cross == exact_form(mu, gap, r)
+                assert c.prior_sq == exact_form(mu, gap, mu)
+                assert c.mismatch == exact_form(mu - r, gap, mu - r)
+            elif isinstance(sc.prior, ProjectedPrior):
+                known = exact_form(r, sc.known_gap.raw, r)
+                assert c.cross == known and c.prior_sq == known
+                assert c.mismatch == exact_form(r, sc.unknown_gap.raw, r)
+            kinds.add(type(sc.prior))
+        assert CommonPrior in kinds and ProjectedPrior in kinds
 
 
 class TestNaiveFormulas:

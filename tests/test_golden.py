@@ -25,10 +25,10 @@ VERIFY = {
 
 # sha256 of the CSV bytes followed by the SVG bytes
 SWEEP = {
-    "reference_naive": "be93aab84b7b2c5394f0c1f252f10539f5573c820ad1227592df27c8fdee01ff",
-    "reference_common": "79926e4d0863958dab1cc3b7da026fe314f24910c60f5205cb448b0e0fe508ad",
-    "reference_projected": "cb0ce0671fc01185d5a66c7b567897e48856cbec0fd526f6abd9995218f1ed72",
-    "two_crossings": "0a4f5960f55186dd1789fb12fa8792692b01e7c8dfa45326e37256e8bffead0f",
+    "reference_naive": "885681b7a7bc9d8caae49821fc5a920923d38d2ec221f7fe70a30d877727ee05",
+    "reference_common": "4802d1969bdbdf8981809e13f7a17ca8fe3ffec05436a1f75c103620abf770b2",
+    "reference_projected": "91b84a125e695abad01bfd580d2e93f3eecf357ec9f38d950509bdddab93405c",
+    "two_crossings": "44a34eb1c5764b3c9fc95f9c4265383bdb9fb9fc115fdfd9c36c2613c9f1e225",
     "equal_costs_bounds": "33ef2f51022ad58439435a30a0036ab5110e5aa3f38ed89682c16fd510986682",
 }
 

@@ -8,6 +8,7 @@ import pytest
 from flab.agents import normal_stream, standard_normals
 from flab.closed_form import (
     CommonPrior,
+    GapMatrix,
     NaivePrior,
     ProjectedPrior,
     Scenario,
@@ -462,7 +463,7 @@ def loop_rule_check(sc, verdict):
         if norm < 1e-6:
             continue
         v = v / norm
-        margin = (2.0 / sc.trace_gap) * (quad_form(v, sc.gap) - quad_form(v, sc.known_gap.raw)) - scale * scale
+        margin = (2.0 / sc.trace_gap) * (quad_form(v, sc.gap.sym) - quad_form(v, sc.known_gap.raw)) - scale * scale
         checked += 1
         if verdict is MatrixVerdict.MONOTONE_ALL and margin < -band:
             agree = False
@@ -579,7 +580,7 @@ class TestMatrixClassifier:
         assert classify_utility_projected_matrix(sc).samples_agree
         # the verdict reads the unknown-side gap; the samples read gap - known_gap.raw,
         # so shifting the full gap moves every sampled margin by 2 shift / trace_gap
-        object.__setattr__(sc, "gap", sc.gap + shift * np.eye(2))
+        object.__setattr__(sc, "gap", GapMatrix(sc.gap.raw + shift * np.eye(2)))
         report = classify_utility_projected_matrix(sc)
         assert report.verdict is verdict
         assert report.samples_checked == 50
