@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -107,12 +108,29 @@ def _number(value, pointer):
     return number
 
 
-def _integer(value, pointer):
+_INTEGER_TEXT = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
+
+
+def _count(value, pointer, lo, hi):
+    """A count held to [lo, hi], where a ``hi`` of None is no upper bound.
+
+    The value is a JSON integer, or, where ``pointer`` names an option such
+    as ``--n``, the option's text: an optional sign and 1 to MAX_DIGITS
+    ASCII digits.
+    """
+    if pointer.startswith("--"):
+        if not _INTEGER_TEXT.fullmatch(value):
+            _fail(pointer, f"expected an integer of at most {MAX_DIGITS} digits")
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(pointer, f"expected an integer, got {type(value).__name__}")
     if abs(value) >= 10**MAX_DIGITS:  # so an error line never echoes a huge value
         _fail(pointer, f"expected an integer of at most {MAX_DIGITS} digits")
-    return int(value)
+    if value < lo:
+        _fail(pointer, f"need at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        _fail(pointer, f"need at most {hi}, got {value}")
+    return value
 
 
 def _string(value, pointer):
@@ -173,9 +191,7 @@ def _parse_prior(node, dim):
     if kind == "projected":
         _check_keys(node, "/prior", required=("kind", "subspace1", "subspace2", "scale"))
         p1 = _projection(node["subspace1"], "/prior/subspace1", dim)
-        # equal JSON text (so `true` never passes for 1) parses to the same projector
-        same = json.dumps(node["subspace2"]) == json.dumps(node["subspace1"])
-        p2 = p1 if same else _projection(node["subspace2"], "/prior/subspace2", dim)
+        p2 = _projection(node["subspace2"], "/prior/subspace2", dim)
         scale = _positive(_number(node["scale"], "/prior/scale"), "/prior/scale")
         return ProjectedPrior(p1, p2, scale)
     _fail("/prior/kind", f"unknown prior kind '{kind}'")
@@ -185,14 +201,10 @@ def _parse_sweep(node):
     _check_keys(node, "/sweep", required=("sigma_min", "sigma_max", "points"), optional=("spacing",))
     lo = _number(node["sigma_min"], "/sweep/sigma_min")
     hi = _number(node["sigma_max"], "/sweep/sigma_max")
-    points = _integer(node["points"], "/sweep/points")
+    points = _count(node["points"], "/sweep/points", 2, MAX_POINTS)
     spacing = _string(node.get("spacing", "log"), "/sweep/spacing")
     if spacing not in ("log", "linear"):
         _fail("/sweep/spacing", f"expected 'log' or 'linear', got '{spacing}'")
-    if points < 2:
-        _fail("/sweep/points", f"need at least 2 points, got {points}")
-    if points > MAX_POINTS:
-        _fail("/sweep/points", f"need at most {MAX_POINTS} points, got {points}")
     if not lo < hi:
         _fail("/sweep", f"need sigma_min < sigma_max, got {lo} and {hi}")
     if spacing == "log" and lo <= 0.0:
@@ -202,24 +214,11 @@ def _parse_sweep(node):
     return SweepConfig(lo, hi, points, spacing)
 
 
-def _check_mc(n, seed, n_at, seed_at):
-    """Reject fewer or more samples than the oracle takes, or a negative seed."""
-    if n < MIN_SAMPLES:
-        _fail(n_at, f"need at least {MIN_SAMPLES} samples, got {n}")
-    if n > MAX_SAMPLES:
-        _fail(n_at, f"need at most {MAX_SAMPLES} samples, got {n}")
-    if seed < 0:
-        _fail(seed_at, f"must be nonnegative, got {seed}")
-
-
 def _parse_mc(node):
     _check_keys(node, "/mc", required=("n", "seed"), optional=("z_max",))
-    n = _integer(node["n"], "/mc/n")
-    seed = _integer(node["seed"], "/mc/seed")
-    z_max = _number(node.get("z_max", Z_MAX), "/mc/z_max")
-    _check_mc(n, seed, "/mc/n", "/mc/seed")
-    if z_max <= 0.0:
-        _fail("/mc/z_max", f"must be positive, got {z_max}")
+    n = _count(node["n"], "/mc/n", MIN_SAMPLES, MAX_SAMPLES)
+    seed = _count(node["seed"], "/mc/seed", 0, None)
+    z_max = _positive(_number(node.get("z_max", Z_MAX), "/mc/z_max"), "/mc/z_max")
     return McConfig(n, seed, z_max)
 
 
@@ -246,9 +245,7 @@ def load_scenario(path):
         required=("dimension", "rule", "cost1", "cost2", "prior"),
         optional=("sweep", "mc", "label"),
     )
-    dim = _integer(root["dimension"], "/dimension")
-    if dim < 1:
-        _fail("/dimension", f"must be at least 1, got {dim}")
+    dim = _count(root["dimension"], "/dimension", 1, None)
     rule = _vector(root["rule"], "/rule", dim)
     cost1 = CostMatrix(_matrix(root["cost1"], "/cost1", dim))
     cost2 = CostMatrix(_matrix(root["cost2"], "/cost2", dim))
@@ -258,18 +255,6 @@ def load_scenario(path):
     mc = _parse_mc(root["mc"]) if "mc" in root else None
     scenario = Scenario(rule, cost1, cost2, prior)
     return LoadedScenario(scenario, sweep, mc, label or os.path.basename(path))
-
-
-def _points(args, minimum, default=None):
-    """The --points value, or ``default`` when absent; too few or too many points is a parse error."""
-    if args.points is None:
-        return default
-    points = _integer(args.points, "--points")
-    if points < minimum:
-        _fail("--points", f"need at least {minimum}, got {points}")
-    if points > MAX_POINTS:
-        _fail("--points", f"need at most {MAX_POINTS}, got {points}")
-    return points
 
 
 def _sweep_sigmas(loaded, points=None, default_points=241):
@@ -423,8 +408,9 @@ def _write_outputs(outputs):
 
     Every path is first opened for appending, which creates a missing file
     and leaves an existing one as it was; only then is any written. An
-    OSError is a bad value of that path's option, and the files this run
-    created are removed before it is raised as a parse error.
+    OSError is a bad value of that path's option, and so is a path naming
+    the same file as an earlier option's; either way the files this run
+    created are removed before the parse error is raised.
     """
     created = []
     try:
@@ -434,13 +420,19 @@ def _write_outputs(outputs):
                 pass
             if not existed:
                 created.append(path)
+        for i, (option, path, _) in enumerate(outputs):
+            for earlier, other, _ in outputs[:i]:
+                if os.path.samefile(other, path):
+                    raise ParseError(option, f"same file as {earlier}")
         for option, path, text in outputs:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-    except OSError as exc:
+    except (OSError, ParseError) as exc:
         for done in created:
             os.remove(done)
-        _fail(option, f"cannot write {path}: {exc.strerror or exc}")
+        if isinstance(exc, OSError):
+            _fail(option, f"cannot write {path}: {exc.strerror or exc}")
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -478,7 +470,7 @@ def cmd_validate(args):
 
 
 def cmd_sweep(args):
-    points = _points(args, 2)
+    points = None if args.points is None else _count(args.points, "--points", 2, MAX_POINTS)
     loaded = load_scenario(args.scenario)
     grid = _sweep_sigmas(loaded, points)
     scores = disparity_value(loaded.scenario, Metric.SCORE, grid)
@@ -584,14 +576,13 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
-    points = _points(args, 1, default=6)
+    points = 6 if args.points is None else _count(args.points, "--points", 1, MAX_POINTS)
     loaded = load_scenario(args.scenario)
     if loaded.mc is None and (args.n is None or args.seed is None):
         _fail("/mc", "verify needs an mc block or both --n and --seed")
     sc = loaded.scenario
-    n = _integer(args.n, "--n") if args.n is not None else loaded.mc.n
-    seed = _integer(args.seed, "--seed") if args.seed is not None else loaded.mc.seed
-    _check_mc(n, seed, "--n", "--seed")  # the mc block passed these checks on load
+    n = loaded.mc.n if args.n is None else _count(args.n, "--n", MIN_SAMPLES, MAX_SAMPLES)
+    seed = loaded.mc.seed if args.seed is None else _count(args.seed, "--seed", 0, None)
     z_max = loaded.mc.z_max if loaded.mc is not None else Z_MAX
     sigmas = [0.0, *sigma_grid(sc, points).tolist()]
     estimates = estimate_disparities(sc, sigmas, n, seed)
@@ -622,7 +613,7 @@ def cmd_verify(args):
 
 
 def cmd_bounds(args):
-    points = _points(args, 2)
+    points = None if args.points is None else _count(args.points, "--points", 2, MAX_POINTS)
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
     grid = _sweep_sigmas(loaded, points, default_points=21)
@@ -672,7 +663,7 @@ def build_parser():
     p.add_argument("scenario")
     p.add_argument("--out-csv", metavar="PATH")
     p.add_argument("--out-svg", metavar="PATH")
-    p.add_argument("--points", type=int, metavar="K")
+    p.add_argument("--points", metavar="K")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("classify", help="report the regime of each disparity curve")
@@ -681,14 +672,14 @@ def build_parser():
 
     p = sub.add_parser("verify", help="compare analytic values against Monte Carlo")
     p.add_argument("scenario")
-    p.add_argument("--seed", type=int, metavar="N")
-    p.add_argument("--n", type=int, metavar="N")
-    p.add_argument("--points", type=int, metavar="K")
+    p.add_argument("--seed", metavar="N")
+    p.add_argument("--n", metavar="N")
+    p.add_argument("--points", metavar="K")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bounds", help="check overlap bounds for equal-cost scenarios")
     p.add_argument("scenario")
-    p.add_argument("--points", type=int, metavar="K")
+    p.add_argument("--points", metavar="K")
     p.set_defaults(fn=cmd_bounds)
     return parser
 

@@ -351,6 +351,24 @@ class TestSweepCommand:
         assert capsys.readouterr().out == ""
         assert out_csv.read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same_path", "symlink"])
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_file", "old_file"])
+    def test_one_file_named_by_both_outputs_is_a_parse_error(self, link, existed, tmp_path, capsys):
+        out_csv = tmp_path / "c.csv"
+        if existed:
+            out_csv.write_bytes(b"kept\n")
+        out_svg = out_csv
+        if link:
+            out_svg = tmp_path / "p.svg"
+            out_svg.symlink_to(out_csv)
+        argv = ["sweep", write_scenario(tmp_path, REF), "--out-csv", str(out_csv), "--out-svg", str(out_svg)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --out-svg: same file as --out-csv\n")
+        if existed:
+            assert out_csv.read_bytes() == b"kept\n"
+        else:
+            assert not out_csv.exists()
+
     def test_stdout_when_no_output_path(self, tmp_path, capsys):
         assert cli.main(["sweep", write_scenario(tmp_path, REF)]) == 0
         out = capsys.readouterr().out
@@ -410,12 +428,21 @@ class TestPointsOption:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    # option text other than an optional sign and 1 to 17 ASCII digits
+    OPTION_TEXT = {
+        "--points 5,001 digits": ["sweep", "--points", "1" + "0" * 5000],  # beyond int()'s 4,300-digit limit
+        "--points 1_000": ["bounds", "--points", "1_000"],
+        "--seed abc": ["verify", "--n", "2000", "--seed", "abc"],
+        "--n 1e5": ["verify", "--n", "1e5"],
+    }
+
     @pytest.mark.parametrize("case, expected", [
         ("/mc/n", "error: /mc/n: expected an integer of at most 17 digits\n"),
         ("/sweep/points", "error: /sweep/points: expected an integer of at most 17 digits\n"),
         ("/dimension", "error: /dimension: expected an integer of at most 17 digits\n"),
         ("--points", "error: --points: expected an integer of at most 17 digits\n"),
         ("--seed", "error: --seed: expected an integer of at most 17 digits\n"),
+        *((case, f"error: {case.split()[0]}: expected an integer of at most 17 digits\n") for case in OPTION_TEXT),
     ])
     def test_huge_integer_is_not_echoed_whole(self, case, expected, tmp_path, capsys):
         body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
@@ -428,13 +455,22 @@ class TestPointsOption:
             body["dimension"] = 10**400
         elif case == "--points":
             argv = ["sweep", None, "--points", "1" + "0" * 400]
-        else:
+        elif case == "--seed":
             argv = ["verify", None, "--n", "2000", "--seed", "-1" + "0" * 400]
+        else:
+            command, *options = self.OPTION_TEXT[case]
+            argv = [command, None, *options]
         argv[1] = write_scenario(tmp_path, body)
-        assert cli.main(argv) == 2
+        assert cli.main(argv) == 2  # a SystemExit from argparse would fail here
         captured = capsys.readouterr()
         assert captured.err == expected and len(captured.err) < 200
         assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["20000", True, 2e4, None])
+    def test_integer_field_is_not_read_as_option_text(self, value, tmp_path, capsys):
+        body = variant(mc={"n": value, "seed": 1})
+        assert cli.main(["verify", write_scenario(tmp_path, body)]) == 2
+        assert capsys.readouterr() == ("", f"error: /mc/n: expected an integer, got {type(value).__name__}\n")
 
     def test_smallest_accepted_counts(self, tmp_path, capsys):
         path = write_scenario(tmp_path, REF)
@@ -498,7 +534,7 @@ class TestClassifyCommand:
         # two costs and the cost gap on load (the constants and the projectors
         # need none), then one label for each of the two gap matrices
         assert len(calls) == 5
-        # equal subspaces parse to one projector, which solves nothing either
+        # equal subspaces parse to two equal projectors, neither of which solves anything
         body = variant(prior=dict(self.PROJECTED["prior"], subspace2=self.PROJECTED["prior"]["subspace1"]))
         del calls[:]
         assert cli.main(["classify", write_scenario(tmp_path, body, "equal.json")]) == 0
@@ -652,7 +688,7 @@ class TestVerifyCommand:
         body = variant(mc={"n": mc_oracle.MAX_SAMPLES + 1, "seed": 1})
         assert cli.main(["verify", write_scenario(tmp_path, body)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: /mc/n: need at most {mc_oracle.MAX_SAMPLES} samples, got {mc_oracle.MAX_SAMPLES + 1}\n"
+        assert captured.err == f"error: /mc/n: need at most {mc_oracle.MAX_SAMPLES}, got {mc_oracle.MAX_SAMPLES + 1}\n"
         assert captured.out == ""
 
     def test_missing_mc_block_rejected(self, tmp_path):

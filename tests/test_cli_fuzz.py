@@ -1,11 +1,13 @@
-"""Property test of the command line: a committed scenario with one key
-changed to any JSON value, or dropped, never crashes a subcommand, and a
-parse error or a violated assumption leaves no output behind."""
+"""Property tests of the command line: a committed scenario with one key
+changed to any JSON value, or dropped, or any text as the value of a count
+option, never crashes a subcommand, and a parse error or a violated
+assumption leaves no output behind."""
 
 import contextlib
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +18,13 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 COMMITTED = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in sorted(SCENARIOS.glob("*.json"))}
 
 COMMANDS = {
-    "validate": [],
-    "sweep": ["--points", "5"],
-    "classify": [],
-    "verify": ["--n", "1000", "--seed", "1", "--points", "1"],
-    "bounds": ["--points", "5"],
+    "validate": {},
+    "sweep": {"--points": "5"},
+    "classify": {},
+    "verify": {"--n": "1000", "--seed": "1", "--points": "1"},
+    "bounds": {"--points": "5"},
 }
+COUNT_OPTIONS = [(command, option) for command, options in COMMANDS.items() for option in options]
 
 
 def key_paths(node, prefix=()):
@@ -47,6 +50,35 @@ MATRICES = st.integers(1, 3).flatmap(
 )
 DROP = object()  # a sentinel: no generated JSON value is this object
 VALUES = ANY_JSON | NUMBERS | VECTORS | MATRICES | st.fixed_dictionaries({"span": st.lists(VECTORS, max_size=2)})
+# any text, long digit strings beyond int()'s 4,300-digit limit, and signed integers, some near the bounds
+COUNT_TEXT = (
+    st.text(max_size=8)
+    | st.tuples(st.sampled_from("0123456789"), st.integers(1, 5001)).map(lambda t: t[0] * t[1])
+    | st.from_regex(r"[+-]?[0-9]{1,20}", fullmatch=True)
+    | st.integers(-(10**18), 10**18).map(str)
+    | st.integers(-3, 3000).map(str)
+)
+
+
+def exits_cleanly(tmp, body, command, options, files):
+    """Run ``command`` on ``body``: a known exit code, and on exit 2 or 3 no output and one reason."""
+    scenario = tmp / "scenario.json"
+    scenario.write_text(json.dumps(body), encoding="utf-8")
+    # "--n=-x" hands argparse "-x" as the value, where "--n -x" would read it as an option
+    args = [command, str(scenario), *(f"{option}={text}" for option, text in options.items())]
+    outputs = []
+    if command == "sweep" and files:
+        outputs = [tmp / "curves.csv", tmp / "curves.svg"]
+        args += ["--out-csv", str(outputs[0]), "--out-svg", str(outputs[1])]
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    if code in (2, 3):
+        assert out.getvalue() == "", (args, body)
+        assert not any(p.exists() for p in outputs)
+        assert err.getvalue().startswith("error: ")
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -66,20 +98,19 @@ def test_mutated_scenario_exits_cleanly(tmp_path_factory, key, value, command, f
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    tmp = tmp_path_factory.mktemp("fuzz")
-    scenario = tmp / "scenario.json"
-    scenario.write_text(json.dumps(body), encoding="utf-8")
-    args = [command, str(scenario), *COMMANDS[command]]
-    outputs = []
-    if command == "sweep" and files:
-        outputs = [tmp / "curves.csv", tmp / "curves.svg"]
-        args += ["--out-csv", str(outputs[0]), "--out-svg", str(outputs[1])]
+    exits_cleanly(tmp_path_factory.mktemp("fuzz"), body, command, COMMANDS[command], files)
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(args)
-    assert code in (0, 2, 3, 4, 5), err.getvalue()
-    if code in (2, 3):
-        assert out.getvalue() == "", (args, body)
-        assert not any(p.exists() for p in outputs)
-        assert err.getvalue().startswith("error: ")
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(COMMITTED)),
+    count=st.sampled_from(COUNT_OPTIONS),
+    text=COUNT_TEXT,
+    files=st.booleans(),
+)
+def test_count_option_text_exits_cleanly(tmp_path_factory, name, count, text, files):
+    command, option = count
+    options = {**COMMANDS[command], option: text}
+    # low caps keep every accepted count a run of well under a second; the reader is the same at any cap
+    with mock.patch.multiple(cli, MAX_POINTS=100, MAX_SAMPLES=100_000):
+        exits_cleanly(tmp_path_factory.mktemp("fuzz"), COMMITTED[name], command, options, files)
