@@ -19,7 +19,7 @@ from flab.closed_form import sigma_grid
 from flab.mc_oracle import estimate_disparities, tree_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-BLOCK = 2**15  # the oracle's agents per block
+BLOCK = 2**14  # a fixed work unit, one oracle block, so one file times two commits on the same work
 SEED = 42
 
 

@@ -647,8 +647,20 @@ def cmd_bounds(args):
 # entry point
 
 
+_ARGUMENT_ERROR = re.compile(r"argument (\S+): (.*)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """The option parser, reporting a usage error as one `ParseError` rather than usage and exit."""
+
+    def error(self, message):
+        # "argument --points: expected one argument" names the option as its pointer
+        match = _ARGUMENT_ERROR.fullmatch(message)
+        raise ParseError(*match.groups()) if match else ParseError(self.prog, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flab",
         description="Analytic and Monte Carlo disparity analysis for strategic "
         "agents responding to a noisy linear scoring rule.",
@@ -685,8 +697,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,9 @@ rule itself, so one column per group stands for all of them. A block
 keeps, per level and metric, three numbers: the tree sum of its score or
 utility differences, and the sum and the sum of squares of their
 residuals about the block's own mean. Means and variances are combined from these in one
-pass. Nothing of length n is kept, so memory depends on the block size,
-not on n, and everything runs on the calling thread.
+pass. Nothing of length n is kept: the working set is one block's stacks,
+plus tallies of 48 B per block and noise level (about 3 kB per level at
+n = 1e6). Everything runs on the calling thread.
 
 `tree_sum` is the one reduction. It sums along the last axis, so a block
 reduces the (score, utility) row stack of one level in one call, and the
@@ -46,8 +47,8 @@ from .errors import Error, WrongPriorKind
 
 _STREAM_KEY = 101
 MIN_SAMPLES = 1000  # the fewest agents an estimate accepts
-MAX_SAMPLES = 2**32  # the most; the per-block tallies take memory in proportion to n / _BLOCK
-_BLOCK = 2**15  # agents per block; a power of two, so blocks align with the sum tree
+MAX_SAMPLES = 2**32  # the most; at 48 B per block and noise level, its tallies take 12 MiB a level
+_BLOCK = 2**14  # agents per block; a power of two, so blocks align with the sum tree
 Z_MAX = 4.0  # the default gate of `compare`, in standard errors
 
 

@@ -191,6 +191,28 @@ class TestParsing:
         assert err.startswith(f"error: {pointer}: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
+    # the option parser's own usage errors; "S" stands for a scenario path
+    USAGE = {
+        "--points -x": (["sweep", "S", "--points", "-x"], "error: --points: expected one argument\n"),
+        "--seed -x": (["verify", "S", "--seed", "-x"], "error: --seed: expected one argument\n"),
+        "no command": ([], "error: flab: the following arguments are required: command\n"),
+        "unknown option": (["validate", "S", "--bogus"], "error: flab: unrecognized arguments: --bogus\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE))
+    def test_usage_error_is_one_parse_error(self, case, tmp_path, capsys):
+        argv, expected = self.USAGE[case]
+        path = write_scenario(tmp_path, REF)
+        assert cli.main([path if arg == "S" else arg for arg in argv]) == 2  # a SystemExit would fail here
+        assert capsys.readouterr() == ("", expected)
+
+    def test_help_still_prints_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: flab [-h] command ...\n") and err == ""
+
 
 class TestValidateCommand:
     def test_reference_summary(self, tmp_path, capsys):

@@ -50,9 +50,11 @@ MATRICES = st.integers(1, 3).flatmap(
 )
 DROP = object()  # a sentinel: no generated JSON value is this object
 VALUES = ANY_JSON | NUMBERS | VECTORS | MATRICES | st.fixed_dictionaries({"span": st.lists(VECTORS, max_size=2)})
-# any text, long digit strings beyond int()'s 4,300-digit limit, and signed integers, some near the bounds
+# any text, text that reads as an option, long digit strings beyond int()'s 4,300-digit limit,
+# and signed integers, some near the bounds
 COUNT_TEXT = (
     st.text(max_size=8)
+    | st.text(max_size=7).map("-".__add__)
     | st.tuples(st.sampled_from("0123456789"), st.integers(1, 5001)).map(lambda t: t[0] * t[1])
     | st.from_regex(r"[+-]?[0-9]{1,20}", fullmatch=True)
     | st.integers(-(10**18), 10**18).map(str)
@@ -60,12 +62,17 @@ COUNT_TEXT = (
 )
 
 
-def exits_cleanly(tmp, body, command, options, files):
-    """Run ``command`` on ``body``: a known exit code, and on exit 2 or 3 no output and one reason."""
+def exits_cleanly(tmp, body, command, options, files, joined=True):
+    """Run ``command`` on ``body``: a known exit code, and on exit 2 or 3 no output and one reason.
+
+    Each option is passed as ``--n=TEXT``, or, unless ``joined``, as the
+    two words ``--n TEXT``, where a text such as ``-x`` reads as an option.
+    """
     scenario = tmp / "scenario.json"
     scenario.write_text(json.dumps(body), encoding="utf-8")
-    # "--n=-x" hands argparse "-x" as the value, where "--n -x" would read it as an option
-    args = [command, str(scenario), *(f"{option}={text}" for option, text in options.items())]
+    args = [command, str(scenario)]
+    for option, text in options.items():
+        args += [f"{option}={text}"] if joined else [option, text]
     outputs = []
     if command == "sweep" and files:
         outputs = [tmp / "curves.csv", tmp / "curves.svg"]
@@ -107,10 +114,11 @@ def test_mutated_scenario_exits_cleanly(tmp_path_factory, key, value, command, f
     count=st.sampled_from(COUNT_OPTIONS),
     text=COUNT_TEXT,
     files=st.booleans(),
+    joined=st.booleans(),
 )
-def test_count_option_text_exits_cleanly(tmp_path_factory, name, count, text, files):
+def test_count_option_text_exits_cleanly(tmp_path_factory, name, count, text, files, joined):
     command, option = count
     options = {**COMMANDS[command], option: text}
     # low caps keep every accepted count a run of well under a second; the reader is the same at any cap
     with mock.patch.multiple(cli, MAX_POINTS=100, MAX_SAMPLES=100_000):
-        exits_cleanly(tmp_path_factory.mktemp("fuzz"), COMMITTED[name], command, options, files)
+        exits_cleanly(tmp_path_factory.mktemp("fuzz"), COMMITTED[name], command, options, files, joined)
