@@ -43,5 +43,5 @@ def test_estimate_disparities_verify_grid(benchmark, name, n):
     # what `flab verify --n N --seed 42` estimates: sigma = 0 and the default six grid points
     sc = load_scenario(str(SCENARIOS / f"{name}.json")).scenario
     sigmas = [0.0, *sigma_grid(sc, 6).tolist()]
-    estimates = benchmark(estimate_disparities, sc, sigmas, n, SEED)
-    assert len(estimates) == len(sigmas)
+    means, stderrs = benchmark(estimate_disparities, sc, sigmas, n, SEED)
+    assert means.shape == stderrs.shape == (len(sigmas), 2)

@@ -584,27 +584,25 @@ def cmd_verify(args):
     n = loaded.mc.n if args.n is None else _count(args.n, "--n", MIN_SAMPLES, MAX_SAMPLES)
     seed = loaded.mc.seed if args.seed is None else _count(args.seed, "--seed", 0, None)
     z_max = loaded.mc.z_max if loaded.mc is not None else Z_MAX
-    sigmas = [0.0, *sigma_grid(sc, points).tolist()]
-    estimates = estimate_disparities(sc, sigmas, n, seed)
-    analytic = {m: disparity_value(sc, m, np.array(sigmas)).tolist() for m in (Metric.SCORE, Metric.UTILITY)}
-    rows = [
-        (metric, sigma, compare(analytic[metric][i], estimates[i][metric], z_max))
-        for i, sigma in enumerate(sigmas)
-        for metric in analytic
-    ]
+    sigmas = np.concatenate(([0.0], sigma_grid(sc, points)))
+    # the formulas first: a scenario they refuse draws no agents
+    analytic = np.stack([disparity_value(sc, metric, sigmas) for metric in Metric], axis=1)
+    means, stderrs = estimate_disparities(sc, sigmas, n, seed)
+    z, passed, exact = compare(analytic, means, stderrs, z_max)
 
     print(f"verification: n={n}, seed={seed}, z_max={_g5(z_max)}")
     print("  metric   sigma         analytic       mc_mean        stderr       z      status")
-    for metric, sigma, result in rows:
-        est = result.estimate
-        if result.exact and not result.passed:
-            detail = (f" exact-mode mismatch: exact estimate {est.mean!r} differs from analytic "
-                      f"{result.analytic!r} by {abs(result.analytic - est.mean):.3e}")
-        else:
-            detail = (f"{result.analytic:>13.6g} {est.mean:>13.6g} {est.stderr:>13.6g} "
-                      f"{result.z:>+7.2f}  {'ok' if result.passed else 'FAIL'}")
-        print(f"  {metric.value:<8} {_g5(sigma):<12} {detail}")
-    failures = sum(not result.passed for _, _, result in rows)
+    for i, sigma in enumerate(sigmas):
+        # Python floats, whose repr the exact-mode line prints
+        rows = zip(Metric, *(column[i].tolist() for column in (analytic, means, stderrs, z, passed, exact)))
+        for metric, value, mean, stderr, z_i, ok, exact_i in rows:
+            if exact_i and not ok:
+                detail = (f" exact-mode mismatch: exact estimate {mean!r} differs from analytic "
+                          f"{value!r} by {abs(value - mean):.3e}")
+            else:
+                detail = f"{value:>13.6g} {mean:>13.6g} {stderr:>13.6g} {z_i:>+7.2f}  {'ok' if ok else 'FAIL'}"
+            print(f"  {metric.value:<8} {_g5(sigma):<12} {detail}")
+    failures = np.count_nonzero(~passed)
     if failures:
         print(f"{failures} comparison(s) failed")
         return _EXIT_VERIFY

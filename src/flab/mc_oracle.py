@@ -25,10 +25,14 @@ node over its agents of the zero-padded pairwise tree over all n, and the
 block sums are tree-summed in block order, so each mean equals `tree_sum`
 over the whole vector bit for bit. An estimate depends only on
 (scenario, sigma, n, seed), not on the other noise levels of a batch.
+
+Results are arrays: `estimate_disparities` returns the means and standard
+errors of a whole noise grid as two (levels, 2) arrays, and `compare`
+judges any such array against the analytic values elementwise, by one
+rule, into arrays of z-scores and verdicts.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,34 +54,7 @@ MIN_SAMPLES = 1000  # the fewest agents an estimate accepts
 MAX_SAMPLES = 2**32  # the most; at 48 B per block and noise level, its tallies take 12 MiB a level
 _BLOCK = 2**14  # agents per block; a power of two, so blocks align with the sum tree
 Z_MAX = 4.0  # the default gate of `compare`, in standard errors
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """One Monte Carlo estimate with its standard error and provenance."""
-
-    mean: float
-    stderr: float
-    n: int
-    seed: int
-    metric: Metric
-    sigma: float
-
-
-@dataclass(frozen=True)
-class McComparison:
-    """An analytic value against a Monte Carlo estimate, and the verdict.
-
-    In exact mode (``exact`` True) ``z`` is 0 and ``passed`` says the two
-    values agree to 1e-12 absolutely. Otherwise ``z`` is the estimate's
-    discrepancy in standard errors and ``passed`` says |z| <= z_max.
-    """
-
-    analytic: float
-    estimate: McEstimate
-    z: float
-    passed: bool
-    exact: bool
+_BELOW_MAX = np.nextafter(np.finfo(float).max, 0.0)  # the largest double's neighbour below
 
 
 def tree_sum(values):
@@ -103,7 +80,7 @@ def tree_sum(values):
 
 
 def _check_inputs(sigmas, n):
-    sigmas = noise_scales(sigmas).tolist()
+    sigmas = noise_scales(sigmas)
     n = int(n)
     if n < MIN_SAMPLES:
         raise Error(f"need at least {MIN_SAMPLES} samples, got {n}")
@@ -190,40 +167,36 @@ def _moments(sc, sigmas, n, seed):
 def estimate_disparities(sc, sigmas, n, seed):
     """Estimate both group disparities at each noise level from one seed.
 
-    Returns one {Metric: McEstimate} mapping per entry of ``sigmas``, in
-    order. Both groups see independent noise, and all noise levels share
-    the same random numbers. At sigma = 0 the pipeline is deterministic
-    and a single evaluation with zero standard error is returned.
+    Returns ``(means, stderrs)``, float arrays of shape (levels, 2) whose
+    rows follow ``sigmas`` and whose columns follow ``tuple(Metric)``
+    (score, utility). Both groups see independent noise, and all noise
+    levels share the same random numbers. At sigma = 0 the pipeline is
+    deterministic: one evaluation gives the mean, with zero standard error.
     """
-    sigmas, n = _check_inputs(sigmas, n)
-    seed = int(seed)
-    noisy = [sigma for sigma in sigmas if sigma > 0.0]
-    moments = zip(*_moments(sc, noisy, n, seed)) if noisy else iter(())
-    out = []
-    for sigma in sigmas:
-        if sigma == 0.0:
-            pairs = [(d, 0.0) for d in _differences(sc, sigma, None)[:, 0].tolist()]
-        else:
-            means, variances = next(moments)
-            pairs = [(float(m), math.sqrt(v) / math.sqrt(n)) for m, v in zip(means, variances)]
-        out.append({
-            metric: McEstimate(mean, stderr, n, seed, metric, sigma)
-            for metric, (mean, stderr) in zip((Metric.SCORE, Metric.UTILITY), pairs)
-        })
-    return out
+    levels, n = _check_inputs(sigmas, n)
+    noisy = levels != 0.0
+    means = np.zeros((levels.size, 2))
+    stderrs = np.zeros_like(means)
+    if noisy.any():
+        noisy_means, variances = _moments(sc, levels[noisy].tolist(), n, int(seed))
+        means[noisy] = noisy_means
+        stderrs[noisy] = np.sqrt(variances) / math.sqrt(n)
+    if not noisy.all():
+        means[~noisy] = _differences(sc, 0.0, None)[:, 0]
+    return means, stderrs
 
 
+# kept only because perfbench/tracer.py wraps it by name (ROADMAP item 8)
 def estimate_disparity(sc, metric, sigma, n, seed):
-    """Estimate one group disparity from n independent signal draws.
-
-    The same estimate `estimate_disparities` returns for this noise level.
-    """
-    metric = Metric(metric)
-    return estimate_disparities(sc, [sigma], n, seed)[0][metric]
+    """The (mean, stderr) of one group disparity, as `estimate_disparities` gives it."""
+    column = tuple(Metric).index(Metric(metric))
+    means, stderrs = estimate_disparities(sc, [sigma], n, seed)
+    return float(means[0, column]), float(stderrs[0, column])
 
 
+# kept only because perfbench/tracer.py wraps it by name (ROADMAP item 8)
 def estimate_variance_naive(sc, sigma, n, seed):
-    """Estimate the variance of the naive score-gain difference.
+    """Estimate the variance of the naive score-gain difference, as a (variance, stderr) pair.
 
     The differences are the ones `estimate_disparities` averages. The
     standard error uses the chi-square approximation for a sample
@@ -236,22 +209,31 @@ def estimate_variance_naive(sc, sigma, n, seed):
         )
     (sigma,), n = _check_inputs([sigma], n)
     if sigma == 0.0:
-        return McEstimate(0.0, 0.0, n, int(seed), Metric.SCORE, sigma)
-    _, variances = _moments(sc, [sigma], n, seed)
+        return 0.0, 0.0
+    _, variances = _moments(sc, [float(sigma)], n, seed)
     var = float(variances[0, 0])
-    return McEstimate(var, var * math.sqrt(2.0 / (n - 1)), n, int(seed), Metric.SCORE, sigma)
+    return var, var * math.sqrt(2.0 / (n - 1))
 
 
-def compare(analytic, estimate, z_max=Z_MAX):
-    """Compare an analytic value against a Monte Carlo estimate; a mismatch is a failed result.
+def compare(analytic, means, stderrs, z_max=Z_MAX):
+    """Judge analytic values against Monte Carlo estimates, elementwise; returns arrays (z, passed, exact).
 
-    Exact mode decides when the standard error is zero, or when z_max of
-    them span less than the double spacing at the larger magnitude, which
-    a z-score cannot resolve.
+    Exact mode decides where the standard error is zero, or where z_max of
+    them span less than the double spacing (`math.ulp`) at the larger
+    magnitude, which a z-score cannot resolve: there ``z`` is 0 and
+    ``passed`` says the two values agree to 1e-12 absolutely. Elsewhere
+    ``z`` is the estimate's discrepancy in standard errors and ``passed``
+    says |z| <= z_max. A mismatch is a failed entry, never an error.
     """
-    analytic = float(analytic)
-    resolution = math.ulp(max(abs(analytic), abs(estimate.mean)))
-    if estimate.stderr == 0.0 or z_max * estimate.stderr < resolution:
-        return McComparison(analytic, estimate, 0.0, abs(analytic - estimate.mean) <= 1e-12, True)
-    z = (estimate.mean - analytic) / estimate.stderr
-    return McComparison(analytic, estimate, z, abs(z) <= z_max, False)
+    analytic, means, stderrs = (np.asarray(a, dtype=float) for a in (analytic, means, stderrs))
+    scale, other = np.abs(analytic), np.abs(means)
+    scale = np.where(other > scale, other, scale)  # Python's max: a nan analytic wins, a nan mean loses
+    # as with Python floats, inf - inf gives nan and an overflow inf; no z divided by a zero stderr is read
+    with np.errstate(all="ignore"):
+        # math.ulp reads the largest double's spacing below it, the same as its neighbour's
+        resolution = np.where(np.isinf(scale), np.inf, np.spacing(np.minimum(scale, _BELOW_MAX)))
+        exact = (stderrs == 0.0) | (z_max * stderrs < resolution)
+        gap = means - analytic
+        z = np.where(exact, 0.0, gap / stderrs)
+        passed = np.where(exact, np.abs(gap) <= 1e-12, np.abs(z) <= z_max)
+    return z, passed, exact

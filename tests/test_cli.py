@@ -1,6 +1,7 @@
 """CLI tests: parsing, exit codes, file emission, determinism."""
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -674,6 +676,32 @@ class TestVerifyCommand:
         one_cpu = fresh_flab(args, prelude=f"import os; os.sched_setaffinity(0, [{cpu}]); ")
         assert one_cpu == fresh_flab(args)
         assert b"all comparisons passed" in one_cpu
+
+    def test_refused_formula_draws_no_agents(self, tmp_path, capsys, monkeypatch):
+        # the formulas are evaluated first, so a scenario they refuse exits before the oracle runs
+        def refuse(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "estimate_disparities", refuse)
+        path = write_scenario(tmp_path, TestClassifyCommand.NON_COMMUTING)
+        assert cli.main(["verify", path, "--n", "4000000", "--seed", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: projected utility disparity: projector/inverse-cost commutator norm 8.126e-02 exceeds 1e-10\n"
+
+    def test_peak_memory_per_noise_level(self):
+        # one (levels, 2) array per quantity: about 2.2 MiB at 10^4 levels, where
+        # per-level result objects took 10.6 MiB
+        args = ["verify", str(SCENARIOS / "reference_common.json"), "--n", "1000", "--seed", "1"]
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            assert cli.main([*args, "--points", "2"]) == 0
+            tracemalloc.start()
+            try:
+                assert cli.main([*args, "--points", "10000"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("error, code", [(NonFinite, 3)])
     def test_worker_error_is_a_typed_exit(self, error, code, tmp_path, capsys, monkeypatch):

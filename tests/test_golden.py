@@ -1,7 +1,7 @@
 """Golden SHA-256 digests of CLI outputs on the committed scenarios.
 
 The digests pin output bytes across refactors: `verify` stdout at each
-scenario's own n and seed, the `sweep` CSV and SVG files, the `bounds`
+scenario's own n and seed and on one 3001-level grid, the `sweep` CSV and SVG files, the `bounds`
 table, and the `classify` and `validate` reports. A change that moves them on purpose records the old and
 new digests in CHANGES.md.
 """
@@ -21,6 +21,8 @@ VERIFY = {
     "reference_common": "bc5c82b7d42bafd94b550cf7ec8a2c5df6b967494d28116ff6d56143bfbfd59a",
     "reference_projected": "d09a552ffedd7c01f2f17e2e78b272c04ada7b7191323a1c200d176c302b6350",
     "two_crossings": "50c9902fab2fb20d41feb9bfdb45f606cff843dbc53856a349c5302cd6fe16f6",
+    # row formatting over arrays far longer than the six default levels
+    "reference_common --n 1000 --seed 1 --points 3000": "79fa5d6b57d8d54b3fae8bfda70bdc20159c074102ee8718725a90038943b33c",
 }
 
 # sha256 of the CSV bytes followed by the SVG bytes
@@ -59,7 +61,8 @@ def _sha256(data):
 
 @pytest.mark.parametrize("name", sorted(VERIFY))
 def test_verify_stdout(name, capsys):
-    assert cli.main(["verify", str(SCENARIOS / f"{name}.json")]) == 0
+    scenario, *flags = name.split()
+    assert cli.main(["verify", str(SCENARIOS / f"{scenario}.json"), *flags]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == VERIFY[name]
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo estimator tests: determinism, calibration, mutation alarm."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from flab.mc_oracle import (
     _BLOCK,
     _STREAM_KEY,
     MAX_SAMPLES,
-    McEstimate,
+    Z_MAX,
     _block_columns,
     compare,
     estimate_disparities,
@@ -185,14 +186,13 @@ class TestBlocks:
                              ids=["part_block", "whole_blocks", "blocks_and_remainder"])
     def test_matches_unblocked_reference(self, n, naive, common, projected, common_d8):
         for sc in (naive, common, projected, common_d8):
-            batch = estimate_disparities(sc, [0.0, 0.7], n, 3)
-            for metric in (Metric.SCORE, Metric.UTILITY):
-                est = batch[1][metric]
+            means, stderrs = estimate_disparities(sc, [0.0, 0.7], n, 3)
+            for j, metric in enumerate(Metric):
                 mean, stderr = reference_pipeline(sc, metric, 0.7, n, 3, columns=True)
-                assert est.mean == mean
+                assert means[1, j] == mean
                 diffs = reference_differences(sc, metric, 0.7, n, 3, columns=True)
-                assert est.stderr == block_moment_stderr(diffs)
-                assert est.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
+                assert stderrs[1, j] == block_moment_stderr(diffs)
+                assert stderrs[1, j] == pytest.approx(stderr, rel=1e-15, abs=0.0)
 
     def test_peak_memory_per_agent(self, common):
         n = 2**20
@@ -238,29 +238,27 @@ class TestEstimates:
     def test_repeat_runs_bit_identical(self, naive):
         a = estimate_disparity(naive, Metric.SCORE, 0.5, 2000, 11)
         b = estimate_disparity(naive, Metric.SCORE, 0.5, 2000, 11)
-        assert a.mean == b.mean
-        assert a.stderr == b.stderr
+        assert a == b
 
     def test_different_seeds_differ(self, naive):
         a = estimate_disparity(naive, Metric.SCORE, 0.5, 2000, 11)
         b = estimate_disparity(naive, Metric.SCORE, 0.5, 2000, 12)
-        assert a.mean != b.mean
+        assert a[0] != b[0]
 
     def test_zero_noise_is_exact(self, naive, common):
         for sc in (naive, common):
-            for metric in (Metric.SCORE, Metric.UTILITY):
-                est = estimate_disparity(sc, metric, 0.0, 5000, 1)
-                assert est.stderr == 0.0
+            means, stderrs = estimate_disparities(sc, [0.0, 0.0], 5000, 1)
+            assert np.all(stderrs == 0.0)
+            for j, metric in enumerate(Metric):
                 analytic = disparity_value(sc, metric, 0.0)
-                assert abs(est.mean - analytic) <= 1e-12
+                assert np.all(np.abs(means[:, j] - analytic) <= 1e-12)
 
     def test_within_noise_of_analytic(self, naive, common):
+        sigmas = np.array([0.25, 1.0, 4.0])
         for sc in (naive, common):
-            for metric in (Metric.SCORE, Metric.UTILITY):
-                for sigma in (0.25, 1.0, 4.0):
-                    analytic = disparity_value(sc, metric, sigma)
-                    est = estimate_disparity(sc, metric, sigma, 50000, 42)
-                    assert compare(analytic, est).passed
+            analytic = np.stack([disparity_value(sc, metric, sigmas) for metric in Metric], axis=1)
+            _, passed, _ = compare(analytic, *estimate_disparities(sc, sigmas, 50000, 42))
+            assert passed.all()
 
     def test_projected_prior_supported(self):
         prior = ProjectedPrior(
@@ -270,8 +268,8 @@ class TestEstimates:
             RULE, CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])), prior
         )
         analytic = disparity_value(sc, Metric.UTILITY, 0.7)
-        est = estimate_disparity(sc, Metric.UTILITY, 0.7, 50000, 42)
-        assert compare(analytic, est).passed
+        _, passed, _ = compare(analytic, *estimate_disparity(sc, Metric.UTILITY, 0.7, 50000, 42))
+        assert passed
 
     def test_sample_floor_enforced(self, naive):
         with pytest.raises(Error):
@@ -291,7 +289,7 @@ class TestEstimates:
     def test_metric_accepts_strings(self, naive):
         a = estimate_disparity(naive, "score", 0.5, 2000, 11)
         b = estimate_disparity(naive, Metric.SCORE, 0.5, 2000, 11)
-        assert a.mean == b.mean
+        assert a == b
 
 
 class TestBatchedEstimates:
@@ -299,25 +297,25 @@ class TestBatchedEstimates:
 
     def test_equals_per_call_estimates_bit_for_bit(self, naive, common, projected):
         for sc in (naive, common, projected):
-            batch = estimate_disparities(sc, self.SIGMAS, 5000, 11)
-            assert len(batch) == len(self.SIGMAS)
-            for sigma, by_metric in zip(self.SIGMAS, batch):
-                for metric in (Metric.SCORE, Metric.UTILITY):
+            means, stderrs = estimate_disparities(sc, self.SIGMAS, 5000, 11)
+            assert means.shape == stderrs.shape == (len(self.SIGMAS), 2)
+            for i, sigma in enumerate(self.SIGMAS):
+                for j, metric in enumerate(Metric):
                     one = estimate_disparity(sc, metric, sigma, 5000, 11)
-                    assert by_metric[metric] == one
+                    assert (means[i, j], stderrs[i, j]) == one
 
     def test_order_of_noise_levels_does_not_matter(self, common):
         forward = estimate_disparities(common, self.SIGMAS, 5000, 11)
         backward = estimate_disparities(common, self.SIGMAS[::-1], 5000, 11)
-        assert forward == backward[::-1]
+        for ahead, behind in zip(forward, backward):
+            assert np.array_equal(ahead, behind[::-1])
 
     def test_matches_row_pipeline_reference_bit_for_bit(self, naive, common, projected):
         for sc in (naive, common, projected):
-            batch = estimate_disparities(sc, self.SIGMAS[1:], 5000, 11)
-            for sigma, by_metric in zip(self.SIGMAS[1:], batch):
-                for metric in (Metric.SCORE, Metric.UTILITY):
-                    est = by_metric[metric]
-                    assert (est.mean, est.stderr) == reference_pipeline(sc, metric, sigma, 5000, 11)
+            means, stderrs = estimate_disparities(sc, self.SIGMAS[1:], 5000, 11)
+            for i, sigma in enumerate(self.SIGMAS[1:]):
+                for j, metric in enumerate(Metric):
+                    assert (means[i, j], stderrs[i, j]) == reference_pipeline(sc, metric, sigma, 5000, 11)
 
     def test_negative_sigma_anywhere_rejected(self, naive):
         with pytest.raises(NegativeSigma):
@@ -326,68 +324,89 @@ class TestBatchedEstimates:
 
 class TestVarianceEstimator:
     def test_keeps_its_bits(self, naive):
-        est = estimate_variance_naive(naive, 1.0, 100000, 42)
-        assert est.mean == float.fromhex("0x1.2f2abb665d0fdp-1")
-        assert est.stderr == float.fromhex("0x1.5b166521c2f80p-9")
+        var, stderr = estimate_variance_naive(naive, 1.0, 100000, 42)
+        assert var == float.fromhex("0x1.2f2abb665d0fdp-1")
+        assert stderr == float.fromhex("0x1.5b166521c2f80p-9")
 
     def test_matches_analytic_law(self, naive):
-        est = estimate_variance_naive(naive, 1.0, 100000, 42)
+        var, stderr = estimate_variance_naive(naive, 1.0, 100000, 42)
         truth = score_variance_naive(naive, 1.0)
         assert truth == pytest.approx(0.5902777777777778, rel=1e-13)
-        assert abs(est.mean - truth) <= 5.0 * est.stderr
+        assert abs(var - truth) <= 5.0 * stderr
 
     def test_quadratic_scaling_with_shared_draws(self, naive):
-        v1 = estimate_variance_naive(naive, 1.0, 50000, 42)
-        v2 = estimate_variance_naive(naive, 2.0, 50000, 42)
+        v1, _ = estimate_variance_naive(naive, 1.0, 50000, 42)
+        v2, _ = estimate_variance_naive(naive, 2.0, 50000, 42)
         # identical draws make the empirical ratio exactly four
-        assert v2.mean == pytest.approx(4.0 * v1.mean, rel=1e-12)
+        assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
     def test_zero_noise_variance_is_zero(self, naive):
-        est = estimate_variance_naive(naive, 0.0, 5000, 1)
-        assert est.mean == 0.0
-        assert est.stderr == 0.0
+        assert estimate_variance_naive(naive, 0.0, 5000, 1) == (0.0, 0.0)
 
     def test_rejects_belief_priors(self, common):
         with pytest.raises(WrongPriorKind):
             estimate_variance_naive(common, 1.0, 5000, 1)
 
 
+def scalar_compare(analytic, mean, stderr, z_max=Z_MAX):
+    """The one-value rule `compare` applies elementwise, on Python floats: (z, passed, exact)."""
+    analytic = float(analytic)
+    resolution = math.ulp(max(abs(analytic), abs(mean)))
+    if stderr == 0.0 or z_max * stderr < resolution:
+        return 0.0, abs(analytic - mean) <= 1e-12, True
+    z = (mean - analytic) / stderr
+    return z, abs(z) <= z_max, False
+
+
 class TestCompare:
     def test_z_and_gate(self, naive):
-        est = estimate_disparity(naive, Metric.SCORE, 1.0, 20000, 5)
-        out = compare(est.mean + 2.0 * est.stderr, est)
-        assert out.z == pytest.approx(-2.0, rel=1e-12)
-        assert out.passed
-        assert not compare(est.mean + 5.0 * est.stderr, est).passed
-        assert compare(est.mean + 5.0 * est.stderr, est, z_max=6.0).passed
+        mean, stderr = estimate_disparity(naive, Metric.SCORE, 1.0, 20000, 5)
+        z, passed, exact = compare([mean + 2.0 * stderr, mean + 5.0 * stderr], mean, stderr)
+        assert z[0] == pytest.approx(-2.0, rel=1e-12)
+        assert passed.tolist() == [True, False]
+        assert not exact.any()
+        assert compare(mean + 5.0 * stderr, mean, stderr, z_max=6.0)[1]
 
     def test_exact_mode_mismatch_fails(self, naive):
-        est = estimate_disparity(naive, Metric.SCORE, 0.0, 5000, 1)
-        assert est.stderr == 0.0
-        out = compare(est.mean + 1e-6, est)
-        assert out.exact and not out.passed
-        assert out.z == 0.0
-        assert compare(est.mean + 1e-13, est).passed
+        mean, stderr = estimate_disparity(naive, Metric.SCORE, 0.0, 5000, 1)
+        assert stderr == 0.0
+        z, passed, exact = compare([mean + 1e-6, mean + 1e-13], mean, stderr)
+        assert exact.all()
+        assert passed.tolist() == [False, True]
+        assert z.tolist() == [0.0, 0.0]
 
     def test_stderr_below_double_spacing_uses_exact_mode(self):
         # z_max standard errors span less than one ulp of the values compared
-        est = McEstimate(0.79, 2.46e-18, 100000, 42, Metric.SCORE, 1000.0)
-        out = compare(math.nextafter(0.79, 1.0), est)
-        assert out.passed and out.exact
-        assert out.z == 0.0
-        out = compare(0.79 + 1e-9, est)
-        assert out.exact and not out.passed
+        z, passed, exact = compare([math.nextafter(0.79, 1.0), 0.79 + 1e-9], 0.79, 2.46e-18)
+        assert exact.all()
+        assert passed.tolist() == [True, False]
+        assert z.tolist() == [0.0, 0.0]
         # one that spans more is still scored in standard errors
-        est = McEstimate(0.79, 1e-16, 100000, 42, Metric.SCORE, 1000.0)
-        out = compare(0.79 + 5e-15, est)
-        assert out.z == pytest.approx(-50.0, rel=1e-3)
-        assert not out.exact and not out.passed
+        z, passed, exact = compare(0.79 + 5e-15, 0.79, 1e-16)
+        assert z == pytest.approx(-50.0, rel=1e-3)
+        assert not exact and not passed
+
+    def test_matches_the_scalar_rule_bit_for_bit(self):
+        big = sys.float_info.max
+        analytic = [0.0, -0.0, 5e-324, 0.79, math.nextafter(0.79, 1.0), 0.79 + 1e-9, 0.79 + 5e-15,
+                    0.79 + 3.9, 0.79 - 4.1, 1e308, big, -big, math.inf, -math.inf, math.nan]
+        means = [0.0, 0.79, -3.0, big, -big, math.inf, math.nan]
+        stderrs = [0.0, 5e-324, 2.46e-18, 1e-16, 1.0, 1e300, big, math.inf, math.nan]
+        cases = np.array([(a, m, s) for a in analytic for m in means for s in stderrs])
+        for z_max in (Z_MAX, 0.5, 1e10):
+            z, passed, exact = compare(*cases.T, z_max=z_max)
+            expected = [scalar_compare(a, m, s, z_max) for a, m, s in cases.tolist()]
+            assert [v.hex() for v in z.tolist()] == [e[0].hex() for e in expected]
+            assert passed.tolist() == [e[1] for e in expected]
+            assert exact.tolist() == [e[2] for e in expected]
+        # the largest double's spacing is the one below it, 2^971, as math.ulp reads it
+        _, _, exact = compare(big, big, [2.0**968, 2.0**969])
+        assert exact.tolist() == [True, False]
 
     def test_corrupted_formula_sets_off_alarm(self, naive):
         # a one-percent error must be far outside statistical noise
         sigma = 0.25
         analytic = disparity_value(naive, Metric.SCORE, sigma)
-        est = estimate_disparity(naive, Metric.SCORE, sigma, 100000, 42)
-        out = compare(analytic * 1.01, est)
-        assert not out.passed
-        assert abs(out.z) > 5.0
+        z, passed, _ = compare(analytic * 1.01, *estimate_disparity(naive, Metric.SCORE, sigma, 100000, 42))
+        assert not passed
+        assert abs(z) > 5.0
