@@ -310,6 +310,9 @@ def render_svg(sigmas, curves, title, spacing="log"):
         quarters = (lx[0] + f * (lx[-1] - lx[0]) for f in (0.0, 0.25, 0.5, 0.75, 1.0))
         ticks = [(v, f"{v:.3g}") for v in quarters]
     x_lo, x_hi = lx[0], lx[-1]
+    if x_hi == x_lo:  # a log grid so narrow that both ends have one log10: every point mid-axis
+        x_lo -= 1.0
+        x_hi += 1.0
     all_vals = [float(v) for _, values in curves for v in values if math.isfinite(v)]
     y_lo = min(all_vals + [0.0])
     y_hi = max(all_vals + [0.0])
@@ -326,50 +329,34 @@ def render_svg(sigmas, curves, title, spacing="log"):
     def sy(v):
         return mt + (y_hi - v) / (y_hi - y_lo) * inner_h
 
-    parts = []
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
-    )
-    parts.append(f'<rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>')
-    parts.append(
-        f'<text x="{ml:.2f}" y="{mt - 12:.2f}" font-family="sans-serif" '
-        f'font-size="14" fill="#222222">{_escape(title)}</text>'
-    )
-    axis = f'stroke="#222222" stroke-width="1"'
-    parts.append(f'<line x1="{ml:.2f}" y1="{mt + inner_h:.2f}" x2="{ml + inner_w:.2f}" y2="{mt + inner_h:.2f}" {axis}/>')
-    parts.append(f'<line x1="{ml:.2f}" y1="{mt:.2f}" x2="{ml:.2f}" y2="{mt + inner_h:.2f}" {axis}/>')
+    def line(x1, y1, x2, y2, stroke='stroke="#222222" stroke-width="1"'):
+        parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {stroke}/>')
 
+    def text(x, y, size, body, anchor=""):
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        parts.append(
+            f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" '
+            f'font-size="{size}" fill="#222222"{anchor}>{body}</text>'
+        )
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
+    ]
+    text(ml, mt - 12, 14, _escape(title))
+    line(ml, mt + inner_h, ml + inner_w, mt + inner_h)
+    line(ml, mt, ml, mt + inner_h)
     for v, label in ticks:
-        x = sx(v)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{mt + inner_h:.2f}" x2="{x:.2f}" '
-            f'y2="{mt + inner_h + 5:.2f}" {axis}/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{mt + inner_h + 20:.2f}" font-family="sans-serif" '
-            f'font-size="11" fill="#222222" text-anchor="middle">{label}</text>'
-        )
+        line(sx(v), mt + inner_h, sx(v), mt + inner_h + 5)
+        text(sx(v), mt + inner_h + 20, 11, label, "middle")
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = y_lo + frac * (y_hi - y_lo)
-        y = sy(v)
-        parts.append(f'<line x1="{ml - 5:.2f}" y1="{y:.2f}" x2="{ml:.2f}" y2="{y:.2f}" {axis}/>')
-        parts.append(
-            f'<text x="{ml - 9:.2f}" y="{y + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" fill="#222222" text-anchor="end">{v:.3g}</text>'
-        )
-    parts.append(
-        f'<text x="{ml + inner_w / 2:.2f}" y="{height - 12:.2f}" font-family="sans-serif" '
-        f'font-size="12" fill="#222222" text-anchor="middle">noise scale</text>'
-    )
-
+        line(ml - 5, sy(v), ml, sy(v))
+        text(ml - 9, sy(v) + 4, 11, f"{v:.3g}", "end")
+    text(ml + inner_w / 2, height - 12, 12, "noise scale", "middle")
     if y_lo < 0.0 < y_hi:
-        y0 = sy(0.0)
-        parts.append(
-            f'<line x1="{ml:.2f}" y1="{y0:.2f}" x2="{ml + inner_w:.2f}" y2="{y0:.2f}" '
-            f'stroke="#555555" stroke-width="1" stroke-dasharray="6 4"/>'
-        )
-
+        line(ml, sy(0.0), ml + inner_w, sy(0.0), 'stroke="#555555" stroke-width="1" stroke-dasharray="6 4"')
     for idx, (name, values) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
         pts = " ".join(
@@ -382,14 +369,8 @@ def render_svg(sigmas, curves, title, spacing="log"):
         )
         ly = mt + 16 + 16 * idx
         lx0 = ml + inner_w - 150
-        parts.append(
-            f'<line x1="{lx0:.2f}" y1="{ly:.2f}" x2="{lx0 + 22:.2f}" y2="{ly:.2f}" '
-            f'stroke="{color}" stroke-width="1.8"/>'
-        )
-        parts.append(
-            f'<text x="{lx0 + 28:.2f}" y="{ly + 4:.2f}" font-family="sans-serif" '
-            f'font-size="12" fill="#222222">{_escape(name)}</text>'
-        )
+        line(lx0, ly, lx0 + 22, ly, f'stroke="{color}" stroke-width="1.8"')
+        text(lx0 + 28, ly + 4, 12, _escape(name))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -484,13 +465,9 @@ def cmd_sweep(args):
     csv_text = "\n".join(lines) + "\n"
     outputs = [("--out-csv", args.out_csv, csv_text)] if args.out_csv else []
     if args.out_svg:
-        svg = render_svg(
-            sigmas,
-            [("score disparity", scores), ("utility disparity", utilities)],
-            loaded.name,
-            "log" if loaded.sweep is None else loaded.sweep.spacing,
-        )
-        outputs.append(("--out-svg", args.out_svg, svg))
+        curves = [("score disparity", scores), ("utility disparity", utilities)]
+        spacing = "log" if loaded.sweep is None else loaded.sweep.spacing
+        outputs.append(("--out-svg", args.out_svg, render_svg(sigmas, curves, loaded.name, spacing)))
     _write_outputs(outputs)  # before stdout gets a byte
     if args.out_csv:
         print(f"wrote {args.out_csv} ({len(sigmas)} rows)")
@@ -665,32 +642,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("validate", help="check a scenario file and print its constants")
-    p.add_argument("scenario")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("sweep", help="evaluate disparity curves over a noise grid")
-    p.add_argument("scenario")
-    p.add_argument("--out-csv", metavar="PATH")
-    p.add_argument("--out-svg", metavar="PATH")
-    p.add_argument("--points", metavar="K")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("classify", help="report the regime of each disparity curve")
-    p.add_argument("scenario")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("verify", help="compare analytic values against Monte Carlo")
-    p.add_argument("scenario")
-    p.add_argument("--seed", metavar="N")
-    p.add_argument("--n", metavar="N")
-    p.add_argument("--points", metavar="K")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("bounds", help="check overlap bounds for equal-cost scenarios")
-    p.add_argument("scenario")
-    p.add_argument("--points", metavar="K")
-    p.set_defaults(fn=cmd_bounds)
+    # built on each call, so that a patched or wrapped cli.cmd_* is the one that runs
+    commands = (
+        ("validate", "check a scenario file and print its constants", cmd_validate, ""),
+        ("sweep", "evaluate disparity curves over a noise grid", cmd_sweep, "--out-csv PATH --out-svg PATH --points K"),
+        ("classify", "report the regime of each disparity curve", cmd_classify, ""),
+        ("verify", "compare analytic values against Monte Carlo", cmd_verify, "--seed N --n N --points K"),
+        ("bounds", "check overlap bounds for equal-cost scenarios", cmd_bounds, "--points K"),
+    )
+    for name, help_text, fn, options in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("scenario")
+        for option, metavar in re.findall(r"(\S+) (\S+)", options):  # each option, then its metavar
+            p.add_argument(option, metavar=metavar)
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -215,6 +216,25 @@ class TestParsing:
         out, err = capsys.readouterr()
         assert out.startswith("usage: flab [-h] command ...\n") and err == ""
 
+    # sha256 of the stdout of `flab [command] --help` at a terminal width of 80
+    HELP = {
+        "": "2ac14b29622d56663db2804c30e9aad59aa0477e6eaeffbc7bf80515de3c6d3f",
+        "validate": "f185e80ecee424e5eafbccf2b3c5c982270b1ec3edf62f282333b331494bea76",
+        "sweep": "0fcf33ca4763f12061b8b113905884a273d94b9bb1ff67aab1ce523dacb5537b",
+        "classify": "0ba076548367c8d87584b1fe17cecd0a94d7ad85448b3dc10bd3a60f788a2617",
+        "verify": "e4e60c626c3fc5495e6bc1585302b89c5debb6e4f5474ac8932a8da61d726751",
+        "bounds": "68f3fd93304af1bfda0639fc51364e312a863a6c07e6b813c60f0a7b65b8fe3a",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP[command] and err == ""
+
 
 class TestValidateCommand:
     def test_reference_summary(self, tmp_path, capsys):
@@ -417,6 +437,18 @@ class TestSweepCommand:
             steps = np.diff(xs)
             assert len(xs) == 11
             assert np.allclose(steps, steps[0], atol=0.011)
+
+    def test_log_grid_narrower_than_the_axis_plots_mid_axis(self, tmp_path, capsys):
+        # log10 of both ends rounds to one double, so the x range is widened as a flat y range is
+        body = committed_with_sweep("reference_common", 10.0, 10.000000000000002, 2)
+        out_svg = tmp_path / "plot.svg"
+        path = write_scenario(tmp_path, body)
+        assert cli.main(["sweep", path, "--out-csv", str(tmp_path / "c.csv"), "--out-svg", str(out_svg)]) == 0
+        assert capsys.readouterr().err == ""
+        polylines = [e for e in ET.parse(out_svg).getroot().iter() if e.tag.endswith("polyline")]
+        assert len(polylines) == 2
+        for poly in polylines:
+            assert [p.split(",")[0] for p in poly.get("points").split()] == ["383.00", "383.00"]
 
 
 class TestPointsOption:

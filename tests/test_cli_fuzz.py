@@ -1,15 +1,17 @@
 """Property tests of the command line: a committed scenario with one key
-changed to any JSON value, or dropped, or any text as the value of a count
-option, never crashes a subcommand, and a parse error or a violated
-assumption leaves no output behind."""
+changed to any JSON value, or dropped, any valid sweep grid, or any text as
+the value of a count option, never crashes a subcommand, and a parse error
+or a violated assumption leaves no output behind."""
 
 import contextlib
 import io
 import json
+import math
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flab import cli
@@ -122,3 +124,31 @@ def test_count_option_text_exits_cleanly(tmp_path_factory, name, count, text, fi
     # low caps keep every accepted count a run of well under a second; the reader is the same at any cap
     with mock.patch.multiple(cli, MAX_POINTS=100, MAX_SAMPLES=100_000):
         exits_cleanly(tmp_path_factory.mktemp("fuzz"), COMMITTED[name], command, options, files, joined)
+
+
+@st.composite
+def sweep_blocks(draw):
+    """A valid `sweep` block of either spacing, from 2 to 50 points, as narrow as one ulp or up to 1e308."""
+    spacing = draw(st.sampled_from(["log", "linear"]))
+    starts = [5e-324, 1.0, 10.0] + ([0.0] if spacing == "linear" else [])
+    lo = draw(st.floats(5e-324, 1e300) | st.sampled_from(starts))
+    ulp = math.nextafter(lo, math.inf) - lo
+    hi = draw(
+        st.integers(1, 8).map(lambda k: lo + k * ulp)
+        | st.floats(lo + ulp, max(lo + ulp, lo * 1.001))
+        | st.floats(lo + ulp, 1e308)
+    )
+    points = draw(st.integers(2, 50))
+    return {"sigma_min": lo, "sigma_max": hi, "points": points, "spacing": spacing}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(COMMITTED)), sweep=sweep_blocks())
+# log10 of both ends rounds to one double, so the x axis spans nothing
+@example(name="reference_common", sweep={"sigma_min": 10.0, "sigma_max": 10.000000000000002, "points": 2})
+def test_any_sweep_grid_exits_cleanly(tmp_path_factory, name, sweep):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    exits_cleanly(tmp, {**COMMITTED[name], "sweep": sweep}, "sweep", {}, files=True)
+    if (tmp / "curves.svg").exists():
+        root = ET.parse(tmp / "curves.svg").getroot()
+        assert sum(e.tag.endswith("polyline") for e in root.iter()) == 2

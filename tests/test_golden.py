@@ -1,12 +1,13 @@
 """Golden SHA-256 digests of CLI outputs on the committed scenarios.
 
 The digests pin output bytes across refactors: `verify` stdout at each
-scenario's own n and seed and on one 3001-level grid, the `sweep` CSV and SVG files, the `bounds`
-table, and the `classify` and `validate` reports. A change that moves them on purpose records the old and
+scenario's own n and seed and on one 3001-level grid, the `sweep` CSV and SVG files
+(one set on a linear grid), the `bounds` table, and the `classify` and `validate` reports. A change that moves them on purpose records the old and
 new digests in CHANGES.md.
 """
 
 import hashlib
+import json
 import threading
 from pathlib import Path
 
@@ -33,6 +34,10 @@ SWEEP = {
     "two_crossings": "44a34eb1c5764b3c9fc95f9c4265383bdb9fb9fc115fdfd9c36c2613c9f1e225",
     "equal_costs_bounds": "33ef2f51022ad58439435a30a0036ab5110e5aa3f38ed89682c16fd510986682",
 }
+
+# reference_common over a linear grid from zero, the only golden of the linear axis
+LINEAR_GRID = {"sigma_min": 0.0, "sigma_max": 10.0, "points": 11, "spacing": "linear"}
+SWEEP_LINEAR = "9a118c4683adc335fd1df8ee9ce88fe91b993d96ffeb4ffea3be90da4ba1ab2d"
 
 BOUNDS = {
     "equal_costs_bounds": "63a6acbd74be41a0dbe01d6c68e81807656e41158f7813bf4582cc6fcd559518",
@@ -82,6 +87,16 @@ def test_sweep_files(name, tmp_path):
     path = str(SCENARIOS / f"{name}.json")
     assert cli.main(["sweep", path, "--out-csv", str(csv), "--out-svg", str(svg)]) == 0
     assert _sha256(csv.read_bytes() + svg.read_bytes()) == SWEEP[name]
+
+
+def test_sweep_files_linear_grid(tmp_path):
+    body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+    body["sweep"] = LINEAR_GRID
+    path = tmp_path / "reference_common.json"
+    path.write_text(json.dumps(body), encoding="utf-8")
+    csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert cli.main(["sweep", str(path), "--out-csv", str(csv), "--out-svg", str(svg)]) == 0
+    assert _sha256(csv.read_bytes() + svg.read_bytes()) == SWEEP_LINEAR
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
