@@ -45,3 +45,11 @@ def test_estimate_disparities_verify_grid(benchmark, name, n):
     sigmas = [0.0, *sigma_grid(sc, 6).tolist()]
     means, stderrs = benchmark(estimate_disparities, sc, sigmas, n, SEED)
     assert means.shape == stderrs.shape == (len(sigmas), 2)
+
+
+def test_estimate_disparities_many_levels(benchmark):
+    # `flab verify --n 1000 --seed 1 --points 10000`: per-level overhead, not agents, dominates
+    sc = load_scenario(str(SCENARIOS / "reference_common.json")).scenario
+    sigmas = [0.0, *sigma_grid(sc, 10000).tolist()]
+    means, stderrs = benchmark(estimate_disparities, sc, sigmas, 1000, 1)
+    assert means.shape == stderrs.shape == (len(sigmas), 2)

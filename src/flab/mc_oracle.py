@@ -8,18 +8,27 @@ analytic module is therefore evidence, not circularity.
 `estimate_disparities` streams its agents in aligned blocks of `_BLOCK`,
 drawn in order from the seed's stream, so all blocks together equal one
 draw of shape (n, 2, d). A block is a (2, d, m) stack of noise columns,
-one agent per column, and each noise level runs each group's (d, m)
-signal columns through `flab.agents`; at sigma = 0 every agent sees the
-rule itself, so one column per group stands for all of them. A block
-keeps, per level and metric, three numbers: the tree sum of its score or
-utility differences, and the sum and the sum of squares of their
-residuals about the block's own mean. Means and variances are combined from these in one
-pass. Nothing of length n is kept: the working set is one block's stacks,
-plus tallies of 48 B per block and noise level (about 3 kB per level at
-n = 1e6). Everything runs on the calling thread.
+one agent per column, in one buffer that each block refills in parts of
+at most `_PASS` = 2^13 agents. Each noise level runs the block through
+`flab.agents` in passes, one group's (d, columns) signal stack at a
+time: a full block in two passes of `_PASS` agents, a shorter one in a
+single pass. At sigma = 0 every agent sees the rule itself, so one column
+per group stands for all of them. The passes fill (levels, 2, m) stacks
+of at most `_BLOCK` columns, and each stack is reduced by three
+`tree_sum` calls: per level and metric, a block keeps the tree sum of its
+score or utility differences, and the sum and the sum of squares of their
+residuals about the block's own mean. Neither shape moves a bit: equal
+power-of-two passes round every column as a whole-block call does, and
+every row of a stack sums as it would alone. Levels never share a pass,
+since BLAS rounds a column at d >= 3 by where it falls in the call.
+Means and variances are combined from the tallies in one pass. Nothing
+of length n is kept: the working set is one block's noise, one stack and
+one pass (a tracemalloc peak of 1.2 MiB at d = 2), plus tallies of 48 B
+per block and noise level (about 3 kB per level at n = 1e6). Everything
+runs on the calling thread.
 
-`tree_sum` is the one reduction. It sums along the last axis, so a block
-reduces the (score, utility) row stack of one level in one call, and the
+`tree_sum` is the one reduction. It sums along the last axis, so one call
+reduces a whole stack, each row bit for bit as it would alone, and the
 block totals are summed as rows over the block axis. A block's sum is the
 node over its agents of the zero-padded pairwise tree over all n, and the
 block sums are tree-summed in block order, so each mean equals `tree_sum`
@@ -53,6 +62,7 @@ _STREAM_KEY = 101
 MIN_SAMPLES = 1000  # the fewest agents an estimate accepts
 MAX_SAMPLES = 2**32  # the most; at 48 B per block and noise level, its tallies take 12 MiB a level
 _BLOCK = 2**14  # agents per block; a power of two, so blocks align with the sum tree
+_PASS = _BLOCK // 2  # agents per pass of a full block through `flab.agents`, and per part of its draw
 Z_MAX = 4.0  # the default gate of `compare`, in standard errors
 _BELOW_MAX = np.nextafter(np.finfo(float).max, 0.0)  # the largest double's neighbour below
 
@@ -93,28 +103,35 @@ def _differences(sc, sigma, noise):
     """Score-gain and utility-gain differences, group 1 minus group 2, stacked as two rows.
 
     Agent i of group g sees the signal rule + sigma * noise[g - 1, :, i],
-    and its posterior mean is written over that signal.
+    and its posterior mean is written over that signal. The groups go
+    through `flab.agents` one at a time, and group 2's rows are subtracted
+    in place from group 1's, so no effort row is kept.
     At sigma = 0 every agent sees the rule itself, so one column stands
     for each group and ``noise`` is not read.
     """
     rule = sc.rule[:, None]
-    if sigma == 0.0:
-        signals = np.stack((rule, rule))
-    else:
-        with np.errstate(over="ignore"):  # an overflowing signal is reported below
-            signals = sigma * noise
-            signals += rule
-    if not np.isfinite(signals).all():
-        raise Error("signal has non-finite entries")
     # a naive agent trusts its signal outright: all its posterior weight is on the signal
     weight = 1.0 if isinstance(sc.prior, NaivePrior) else signal_weight(sc.prior.scale, sigma)
-    gains = []
-    for cost, mean, beliefs in zip((sc.cost1, sc.cost2), sc.prior_means, signals):
-        posterior = bayesian_posterior(mean, weight, beliefs)
-        # no name holds the responses, so they are freed once their realized values are taken
-        gains.append(realized_quantities(cost, sc.rule, bayesian_best_response(cost, posterior)))
-    first, second = gains
-    return np.stack((first.score_gain - second.score_gain, first.utility_gain - second.utility_gain))
+    for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
+        if sigma == 0.0:
+            beliefs = rule.copy()
+        else:
+            with np.errstate(over="ignore"):  # an overflowing signal is reported below
+                beliefs = sigma * noise[g]
+                beliefs += rule
+        if not np.isfinite(beliefs).all():
+            raise Error("signal has non-finite entries")
+        responses = bayesian_best_response(cost, bayesian_posterior(mean, weight, beliefs))
+        del beliefs
+        gains = realized_quantities(cost, sc.rule, responses)
+        del responses
+        if g == 0:
+            rows = np.array((gains.score_gain, gains.utility_gain))
+        else:
+            rows[0] -= gains.score_gain
+            rows[1] -= gains.utility_gain
+        del gains  # and with them the group's efforts
+    return rows
 
 
 def _block_columns(stream, size, dim):
@@ -125,6 +142,40 @@ def _block_columns(stream, size, dim):
     stream equal that draw bit for bit.
     """
     return np.ascontiguousarray(standard_normals(stream, (size, 2, dim)).transpose(1, 2, 0))
+
+
+def _block_tallies(sc, sigmas, noise, padded, tallies):
+    """Write one block's sums, residual sums and residual squares, each (levels, 2), into ``tallies``.
+
+    The levels are reduced as zeroed (levels, 2, width) stacks of at most
+    `_BLOCK` columns, by 3 `tree_sum` calls a stack. Each level fills its
+    row of a stack in passes through `_differences`: of `_PASS` agents
+    where `_PASS` divides the block, as it does every full block, and
+    else of the whole block. Equal power-of-two passes never end inside
+    BLAS's column unroll, so each column rounds as in a whole-block call;
+    a narrower last pass, or levels sharing one call, would round some
+    columns differently at d >= 3.
+    """
+    size = noise.shape[-1]
+    # past one block, a short last block's node spans _BLOCK zero-padded terms, as in
+    # the tree over all n; the padding turns a -0.0 total into +0.0 there too
+    width = _BLOCK if padded else size
+    depth = _BLOCK // width  # levels per stack
+    agents = _PASS if size % _PASS == 0 else size  # agents per pass
+    sums, drifts, squares = tallies
+    stacks = np.zeros((min(depth, len(sigmas)), 2, width))  # reused; the padding columns stay zero
+    for lo in range(0, len(sigmas), depth):
+        hi = min(lo + depth, len(sigmas))
+        stack = stacks[: hi - lo]
+        for rows, sigma in zip(stack, sigmas[lo:hi]):
+            for start in range(0, size, agents):
+                rows[:, start : start + agents] = _differences(sc, sigma, noise[:, :, start : start + agents])
+        sums[lo:hi] = tree_sum(stack)
+        resid = stack[:, :, :size]  # the residuals overwrite the differences
+        resid -= sums[lo:hi, :, None] / size
+        drifts[lo:hi] = tree_sum(resid)
+        resid *= resid
+        squares[lo:hi] = tree_sum(resid)
 
 
 def _moments(sc, sigmas, n, seed):
@@ -145,18 +196,12 @@ def _moments(sc, sigmas, n, seed):
     sums = np.empty((sizes.size, len(sigmas), 2))
     drifts = np.empty_like(sums)
     squares = np.empty_like(sums)
-    for b, size in enumerate(sizes):
-        noise = _block_columns(stream, int(size), sc.dim)
-        for i, sigma in enumerate(sigmas):
-            resid = _differences(sc, sigma, noise)  # residuals once the sums are taken
-            # past one block, a short last block's node spans _BLOCK zero-padded terms, as
-            # in the tree over all n; the padding turns a -0.0 total into +0.0 there too
-            node = np.pad(resid, ((0, 0), (0, _BLOCK - size))) if size < _BLOCK < n else resid
-            sums[b, i] = tree_sum(node)
-            resid -= sums[b, i, :, None] / size  # in place, so a level holds one (2, size) stack
-            drifts[b, i] = tree_sum(resid)
-            resid *= resid
-            squares[b, i] = tree_sum(resid)
+    noise = np.empty((2, sc.dim, int(sizes[0])))  # one block's noise, refilled for each block
+    for b, size in enumerate(sizes.tolist()):
+        block = noise[:, :, :size]
+        for lo in range(0, size, _PASS):  # in stream order, a part at a time
+            block[:, :, lo : lo + _PASS] = _block_columns(stream, min(_PASS, size - lo), sc.dim)
+        _block_tallies(sc, sigmas, block, size < _BLOCK < n, (sums[b], drifts[b], squares[b]))
     means = tree_sum(np.moveaxis(sums, 0, -1)) / n
     m = sizes[:, None, None]
     shift = sums / m - means

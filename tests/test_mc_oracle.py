@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flab import mc_oracle
 from flab.agents import Metric, normal_stream, signal_weight, standard_normals
 from flab.closed_form import (
     CommonPrior,
@@ -203,8 +204,42 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         # agents stream in blocks, so the peak is one block's draws and temporaries:
-        # about 2.6 MB for blocks of 2^14 agents at d = 2, and 5.3 MB for blocks of 2^15
+        # about 1.2 MiB for blocks of 2^14 agents at d = 2 (see the test below)
         assert peak <= 3 * 2**20
+
+    def test_peak_memory_is_one_block_one_stack_one_pass(self, common):
+        # one block's noise (512 KiB at d = 2), one stack of its levels (256 KiB) and one
+        # pass of half a block through flab.agents: about 1.2 MiB. Whole-block draws
+        # reach 1.58 MiB and whole-block passes 1.65 MiB, so the bound holds both halves
+        tracemalloc.start()
+        try:
+            estimate_disparities(common, [0.0, 0.5, 2.0], 2**20, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * 2**20
+
+
+def hexes(arrays):
+    return [[v.hex() for v in a.ravel().tolist()] for a in arrays]
+
+
+class TestPassShapes:
+    """How many agents a draw or a pass takes decides what is held at once, never a bit."""
+
+    LEVELS = [0.0, 0.7, 5.0, 1e3]
+
+    # 64 splits every full block into 256 passes; 7 and 1000 divide no block
+    # here, so they split only the draws, and _BLOCK splits nothing
+    @pytest.mark.parametrize("bound", [7, 64, 1000, _BLOCK])
+    @pytest.mark.parametrize("n", [1000, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_pass_bound_moves_no_bit(self, bound, n, naive, common, projected, common_d8, monkeypatch):
+        for sc in (naive, common, projected, common_d8):
+            default = estimate_disparities(sc, self.LEVELS, n, 5)
+            monkeypatch.setattr(mc_oracle, "_PASS", bound)
+            shaped = estimate_disparities(sc, self.LEVELS, n, 5)
+            monkeypatch.undo()
+            assert hexes(shaped) == hexes(default)
 
 
 class TestStreamedBlocks:
