@@ -48,8 +48,8 @@ def normal_stream(seed, key=()):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def standard_normals(stream, shape):
-    """Standard normal draws via inverse CDF on the counter stream.
+def standard_normals(stream, shape, out=None):
+    """Standard normal draws via inverse CDF on the counter stream, written into ``out`` if given.
 
     Each normal consumes exactly one 64-bit draw of the stream: a range of
     2^53 divides 2^64, so the bounded integer sampler never rejects. Each
@@ -58,8 +58,11 @@ def standard_normals(stream, shape):
     to an even integer, and k = 2^53 - 1 rounds up to u = 1, where the
     inverse CDF is +inf. That one value is clamped to the largest double
     below 1, so every draw is finite and a function of k alone.
+    ``out`` may be any float array of ``shape``, a strided view too.
     """
-    u = stream.integers(0, 2**53, size=shape) + 0.5
+    u = np.empty(shape) if out is None else out
+    u[...] = stream.integers(0, 2**53, size=shape)
+    u += 0.5
     u /= _TWO_53
     np.minimum(u, _BELOW_ONE, out=u)
     return ndtri(u, out=u)
@@ -105,15 +108,15 @@ class Realized(NamedTuple):
     utility_gain: np.ndarray
 
 
-def naive_best_response(cost, beliefs):
+def naive_best_response(cost, beliefs, out=None):
     """Feature changes A^-1 m that maximize m'dx - dx'A dx/2, one per belief column m.
 
     A naive agent's belief is its signal. The columns go through one
-    (d, d) @ (d, m) product with A^-T.
+    (d, d) @ (d, m) product with A^-T, written into ``out`` if given.
     """
     if beliefs.shape[0] != cost.dim:
         raise DimensionMismatch(f"belief columns of shape {beliefs.shape} for dimension {cost.dim}")
-    return cost.inverse.T @ beliefs
+    return np.matmul(cost.inverse.T, beliefs, out=out)
 
 
 # a Bayesian agent responds to its posterior mean as a naive one to its signal (perfbench wraps both)
@@ -137,13 +140,19 @@ def bayesian_posterior(prior_mean, weight, signals):
     return signals
 
 
-def realized_quantities(cost, rule, dx):
+def realized_quantities(cost, rule, dx, out=None):
     """Score gain dx'r, quadratic cost dx'A dx/2 and net utility gain of each column of ``dx``.
 
     Each is one fixed contraction over the stack. BLAS and einsum may
     round a column of a wide stack differently from the same column
-    alone, so compare columns only within one stack layout.
+    alone, so compare columns only within one stack layout. The three
+    are the rows of ``out``, a (3, m) array, or of a new one.
     """
-    score = dx.T @ rule
-    effort = 0.5 * np.einsum("ji,jk,ki->i", dx, cost.matrix, dx)
-    return Realized(score, effort, score - effort)
+    if out is None:
+        out = np.empty((3, dx.shape[1]))
+    score, effort, utility = out
+    np.matmul(dx.T, rule, out=score)
+    np.einsum("ji,jk,ki->i", dx, cost.matrix, dx, out=effort)
+    effort *= 0.5
+    np.subtract(score, effort, out=utility)
+    return Realized(score, effort, utility)

@@ -23,9 +23,14 @@ every row of a stack sums as it would alone. Levels never share a pass,
 since BLAS rounds a column at d >= 3 by where it falls in the call.
 Means and variances are combined from the tallies in one pass. Nothing
 of length n is kept: the working set is one block's noise, one stack and
-one pass (a tracemalloc peak of 1.2 MiB at d = 2), plus tallies of 48 B
-per block and noise level (about 3 kB per level at n = 1e6). Everything
-runs on the calling thread.
+one pass's buffers (a tracemalloc peak of 1.3 MiB at d = 2), plus
+tallies of 48 B per block and noise level (about 3 kB per level at
+n = 1e6). Those buffers are made once per estimate and refilled; the
+normals are computed in place in the noise buffer, and a pass writes its
+rows straight into the stack. The only sizeable arrays a block allocates
+are a draw part's integers and `tree_sum`'s halvings, so the heap stays
+put from block to block instead of giving pages back to the system and
+faulting them in again. Everything runs on the calling thread.
 
 `tree_sum` is the one reduction. It sums along the last axis, so one call
 reduces a whole stack, each row bit for bit as it would alone, and the
@@ -99,77 +104,113 @@ def _check_inputs(sigmas, n):
     return sigmas, n
 
 
-def _differences(sc, sigma, noise):
-    """Score-gain and utility-gain differences, group 1 minus group 2, stacked as two rows.
+def _pass_width(size):
+    """Agents per pass through `flab.agents` for a block of ``size``: `_PASS` where it divides the block, else all."""
+    return _PASS if size % _PASS == 0 else size
+
+
+def _workspace(dim, width):
+    """Flat buffers for passes of up to ``width`` agents, for `_pass_arrays`."""
+    return np.empty(max(dim, 3) * width), np.empty(dim * width)
+
+
+def _pass_arrays(buffers, dim, columns):
+    """Signal, response and realized-row arrays of a pass of ``columns`` agents, over a `_workspace`.
+
+    A group's signals are spent once its responses are solved, so its
+    (score, cost, utility) rows reuse their buffer.
+    """
+    shared, solved = buffers
+    return (shared[: dim * columns].reshape(dim, columns), solved[: dim * columns].reshape(dim, columns),
+            shared[: 3 * columns].reshape(3, columns))
+
+
+def _differences(sc, sigma, noise, out=None, work=None):
+    """Score-gain and utility-gain differences, group 1 minus group 2, written as two rows into ``out``.
 
     Agent i of group g sees the signal rule + sigma * noise[g - 1, :, i],
     and its posterior mean is written over that signal. The groups go
-    through `flab.agents` one at a time, and group 2's rows are subtracted
-    in place from group 1's, so no effort row is kept.
+    through `flab.agents` one at a time in the `_pass_arrays` ``work``,
+    and group 2's rows are subtracted in place from group 1's. Without
+    ``out`` or ``work`` the rows or arrays are new; the block loop passes
+    both, so that a pass allocates nothing of its width.
     At sigma = 0 every agent sees the rule itself, so one column stands
     for each group and ``noise`` is not read.
     """
+    columns = 1 if sigma == 0.0 else noise.shape[-1]
+    if work is None:
+        work = _pass_arrays(_workspace(sc.dim, columns), sc.dim, columns)
+    signals, responses, gains = work
+    if out is None:
+        out = np.empty((2, columns))
     rule = sc.rule[:, None]
     # a naive agent trusts its signal outright: all its posterior weight is on the signal
     weight = 1.0 if isinstance(sc.prior, NaivePrior) else signal_weight(sc.prior.scale, sigma)
     for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
         if sigma == 0.0:
-            beliefs = rule.copy()
+            signals[...] = rule
         else:
             with np.errstate(over="ignore"):  # an overflowing signal is reported below
-                beliefs = sigma * noise[g]
-                beliefs += rule
-        if not np.isfinite(beliefs).all():
+                np.multiply(sigma, noise[g], out=signals)
+                signals += rule
+        if not np.isfinite(signals).all():
             raise Error("signal has non-finite entries")
-        responses = bayesian_best_response(cost, bayesian_posterior(mean, weight, beliefs))
-        del beliefs
-        gains = realized_quantities(cost, sc.rule, responses)
-        del responses
+        bayesian_best_response(cost, bayesian_posterior(mean, weight, signals), out=responses)
+        realized = realized_quantities(cost, sc.rule, responses, out=gains)
         if g == 0:
-            rows = np.array((gains.score_gain, gains.utility_gain))
+            out[0] = realized.score_gain
+            out[1] = realized.utility_gain
         else:
-            rows[0] -= gains.score_gain
-            rows[1] -= gains.utility_gain
-        del gains  # and with them the group's efforts
-    return rows
+            out[0] -= realized.score_gain
+            out[1] -= realized.utility_gain
+    return out
 
 
-def _block_columns(stream, size, dim):
-    """The stream's next ``size`` agents as a contiguous (group, coordinate, agent) stack.
+def _block_columns(stream, size, dim, out=None):
+    """The stream's next ``size`` agents as a (group, coordinate, agent) stack, written into ``out``.
 
     Agents take their 2d normals in the (sample, group, coordinate) order
     of one draw of shape (n, 2, d), so blocks drawn in order from one
-    stream equal that draw bit for bit.
+    stream equal that draw bit for bit. The normals are computed in place
+    in ``out``, through its transpose, or in a new contiguous stack.
     """
-    return np.ascontiguousarray(standard_normals(stream, (size, 2, dim)).transpose(1, 2, 0))
+    if out is None:
+        out = np.empty((2, dim, size))
+    standard_normals(stream, (size, 2, dim), out=out.transpose(2, 0, 1))
+    return out
 
 
-def _block_tallies(sc, sigmas, noise, padded, tallies):
+def _block_tallies(sc, sigmas, noise, padded, tallies, work):
     """Write one block's sums, residual sums and residual squares, each (levels, 2), into ``tallies``.
 
-    The levels are reduced as zeroed (levels, 2, width) stacks of at most
-    `_BLOCK` columns, by 3 `tree_sum` calls a stack. Each level fills its
-    row of a stack in passes through `_differences`: of `_PASS` agents
-    where `_PASS` divides the block, as it does every full block, and
-    else of the whole block. Equal power-of-two passes never end inside
-    BLAS's column unroll, so each column rounds as in a whole-block call;
-    a narrower last pass, or levels sharing one call, would round some
-    columns differently at d >= 3.
+    The levels are reduced as zero-padded (levels, 2, width) stacks of at
+    most `_BLOCK` columns, by 3 `tree_sum` calls a stack. Each level fills
+    its row of a stack in passes through `_differences`, of
+    `_pass_width` agents: `_PASS` in every full block. Equal power-of-two
+    passes never end inside BLAS's column unroll, so each column rounds
+    as in a whole-block call; a narrower last pass, or levels sharing one
+    call, would round some columns differently at d >= 3. ``work`` is a
+    flat buffer for the stacks and a `_workspace` for the passes, both
+    made once by `_moments`.
     """
     size = noise.shape[-1]
     # past one block, a short last block's node spans _BLOCK zero-padded terms, as in
     # the tree over all n; the padding turns a -0.0 total into +0.0 there too
     width = _BLOCK if padded else size
     depth = _BLOCK // width  # levels per stack
-    agents = _PASS if size % _PASS == 0 else size  # agents per pass
+    agents = _pass_width(size)
     sums, drifts, squares = tallies
-    stacks = np.zeros((min(depth, len(sigmas)), 2, width))  # reused; the padding columns stay zero
+    buffer, passes = work
+    passes = _pass_arrays(passes, sc.dim, agents)
+    stacks = buffer[: min(depth, len(sigmas)) * 2 * width].reshape(-1, 2, width)
+    stacks[:, :, size:] = 0.0  # the padding, which the levels leave as it is
     for lo in range(0, len(sigmas), depth):
         hi = min(lo + depth, len(sigmas))
         stack = stacks[: hi - lo]
         for rows, sigma in zip(stack, sigmas[lo:hi]):
             for start in range(0, size, agents):
-                rows[:, start : start + agents] = _differences(sc, sigma, noise[:, :, start : start + agents])
+                part = slice(start, start + agents)
+                _differences(sc, sigma, noise[:, :, part], rows[:, part], passes)
         sums[lo:hi] = tree_sum(stack)
         resid = stack[:, :, :size]  # the residuals overwrite the differences
         resid -= sums[lo:hi, :, None] / size
@@ -196,12 +237,16 @@ def _moments(sc, sigmas, n, seed):
     sums = np.empty((sizes.size, len(sigmas), 2))
     drifts = np.empty_like(sums)
     squares = np.empty_like(sums)
-    noise = np.empty((2, sc.dim, int(sizes[0])))  # one block's noise, refilled for each block
+    # every buffer the blocks use is made here once and refilled, so the block loop's
+    # heap neither grows nor shrinks and no block faults in fresh pages
+    noise = np.empty((2, sc.dim, int(sizes[0])))  # one block's noise
+    work = (np.empty(2 * min(len(sigmas) * n, _BLOCK)),  # its stacks
+            _workspace(sc.dim, max(_pass_width(s) for s in set(sizes.tolist()))))
     for b, size in enumerate(sizes.tolist()):
         block = noise[:, :, :size]
         for lo in range(0, size, _PASS):  # in stream order, a part at a time
-            block[:, :, lo : lo + _PASS] = _block_columns(stream, min(_PASS, size - lo), sc.dim)
-        _block_tallies(sc, sigmas, block, size < _BLOCK < n, (sums[b], drifts[b], squares[b]))
+            _block_columns(stream, min(_PASS, size - lo), sc.dim, block[:, :, lo : lo + _PASS])
+        _block_tallies(sc, sigmas, block, size < _BLOCK < n, (sums[b], drifts[b], squares[b]), work)
     means = tree_sum(np.moveaxis(sums, 0, -1)) / n
     m = sizes[:, None, None]
     shift = sums / m - means

@@ -740,7 +740,7 @@ class TestVerifyCommand:
         # raised inside the block loop, the oracle's one worker
         blocks = []
 
-        def fail(sc, sigma, noise):
+        def fail(sc, sigma, noise, out=None, work=None):
             blocks.append(noise)
             raise error("raised in the block loop")
 

@@ -204,13 +204,14 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         # agents stream in blocks, so the peak is one block's draws and temporaries:
-        # about 1.2 MiB for blocks of 2^14 agents at d = 2 (see the test below)
+        # about 1.3 MiB for blocks of 2^14 agents at d = 2 (see the test below)
         assert peak <= 3 * 2**20
 
     def test_peak_memory_is_one_block_one_stack_one_pass(self, common):
-        # one block's noise (512 KiB at d = 2), one stack of its levels (256 KiB) and one
-        # pass of half a block through flab.agents: about 1.2 MiB. Whole-block draws
-        # reach 1.58 MiB and whole-block passes 1.65 MiB, so the bound holds both halves
+        # one block's noise (512 KiB at d = 2), one stack of its levels (256 KiB), the
+        # buffers of one pass of half a block through flab.agents (320 KiB) and the
+        # integers of half a block's draw (256 KiB): about 1.3 MiB. Whole-block draws
+        # or passes exceed the bound
         tracemalloc.start()
         try:
             estimate_disparities(common, [0.0, 0.5, 2.0], 2**20, 1)
