@@ -23,7 +23,7 @@ from flab.linalg_core import CostMatrix, Projection, jacobi_eigh
 from flab.regimes import find_roots
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-BLOCK = 2**14  # a fixed work unit, one oracle block, so one file times two commits on the same work
+BLOCK = 2**14  # a fixed work unit of agents, so one file times two commits on the same work
 SEED = 42
 
 

@@ -4,8 +4,9 @@
 
 Run from the root of a checkout. Tier-1 `pytest` collects only `tests/`,
 so these run only when asked for. They use only `normal_stream`,
-`standard_normals`, `tree_sum`, `estimate_disparities`, `load_scenario`
-and `sigma_grid`, so one file times two versions of flab alike.
+`standard_normals`, `tree_sum`, `estimate_disparities`, `load_scenario`,
+`sigma_grid`, `Scenario`, `CommonPrior` and `CostMatrix`, so one file
+times two versions of flab alike.
 """
 
 from pathlib import Path
@@ -15,11 +16,12 @@ import pytest
 
 from flab.agents import normal_stream, standard_normals
 from flab.cli import load_scenario
-from flab.closed_form import sigma_grid
+from flab.closed_form import CommonPrior, Scenario, sigma_grid
+from flab.linalg_core import CostMatrix
 from flab.mc_oracle import estimate_disparities, tree_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-BLOCK = 2**14  # a fixed work unit, one oracle block, so one file times two commits on the same work
+BLOCK = 2**14  # a fixed work unit of agents, so one file times two commits on the same work
 SEED = 42
 
 
@@ -52,4 +54,16 @@ def test_estimate_disparities_many_levels(benchmark):
     sc = load_scenario(str(SCENARIOS / "reference_common.json")).scenario
     sigmas = [0.0, *sigma_grid(sc, 10000).tolist()]
     means, stderrs = benchmark(estimate_disparities, sc, sigmas, 1000, 1)
+    assert means.shape == stderrs.shape == (len(sigmas), 2)
+
+
+def test_estimate_disparities_highdim(benchmark):
+    # d = 32, where each agent's response terms cost O(d^2): a common prior, sigma = 0 and 2 levels
+    rng = np.random.default_rng(SEED)
+    m = rng.normal(size=(32, 32))
+    cost1 = m @ m.T / 32.0 + np.eye(32)
+    cost2 = cost1 + np.diag(rng.uniform(0.5, 1.5, size=32))
+    sc = Scenario(rng.normal(size=32), CostMatrix(cost1), CostMatrix(cost2), CommonPrior(rng.normal(size=32), 1.5))
+    sigmas = [0.0, *sigma_grid(sc, 2).tolist()]
+    means, stderrs = benchmark(estimate_disparities, sc, sigmas, 2 * 10**4, SEED)
     assert means.shape == stderrs.shape == (len(sigmas), 2)

@@ -1,49 +1,45 @@
 """Monte Carlo estimates of the disparities, built only from agent behavior.
 
-The estimators here deliberately never call the closed-form evaluators:
-each draw runs the per-agent pipeline (signal, best response, realized
-score and cost) and averages the group difference. Agreement with the
-analytic module is therefore evidence, not circularity.
+The estimators here never call the closed-form evaluators: they simulate
+agents (signal, posterior, best response, realized score and cost) and
+average the group difference, so agreement with the analytic module is
+evidence, not circularity.
+
+Each agent's gains are affine in its own noise. An agent with cost A,
+prior mean mu and rule r, at noise level sigma with signal weight w (1 if
+naive), believes mb + w sigma e, with mb = mu + w (r - mu), and responds
+xb + w sigma y, with xb = A^-1 mb and y = A^-1 e. Since A xb = mb, its
+score gain is r'xb + w sigma a and its utility gain is
+U(xb) + w sigma (1 - w) b - (w sigma)^2 c / 2, where a = r'y,
+b = (r - mu)'y and c = e'y do not depend on the level. So a level's group
+differences are its centre, the noise-free agents' difference, plus an
+affine map k of each agent's group differences D = (D_a, D_b, D_c): their
+mean is the centre plus k times the pooled means of D, and their sample
+variance is k'Sk / (n - 1), with S the pooled scatter of D. The drawn
+agents are reduced once, whatever the number of levels. A level's centre
+runs through `flab.agents` as one agent per group whose signal is the
+rule itself, and at sigma = 0 it is the estimate. So the centre is
+computed, not sampled: at sigma > 0 the simulation tests the deviations
+from it, and the sigma = 0 rows test the centre.
 
 `estimate_disparities` streams its agents in aligned blocks of `_BLOCK`,
-drawn in order from the seed's stream, so all blocks together equal one
-draw of shape (n, 2, d). A block is a (2, d, m) stack of noise columns,
-one agent per column, in one buffer that each block refills in parts of
-at most `_PASS` = 2^13 agents. Each noise level runs the block through
-`flab.agents` in passes, one group's (d, columns) signal stack at a
-time: a full block in two passes of `_PASS` agents, a shorter one in a
-single pass. At sigma = 0 every agent sees the rule itself, so one column
-per group stands for all of them. The passes fill (levels, 2, m) stacks
-of at most `_BLOCK` columns, and each stack is reduced by three
-`tree_sum` calls: per level and metric, a block keeps the tree sum of its
-score or utility differences, and the sum and the sum of squares of their
-residuals about the block's own mean. Neither shape moves a bit: equal
-power-of-two passes round every column as a whole-block call does, and
-every row of a stack sums as it would alone. Levels never share a pass,
-since BLAS rounds a column at d >= 3 by where it falls in the call.
-Means and variances are combined from the tallies in one pass. Nothing
-of length n is kept: the working set is one block's noise, one stack and
-one pass's buffers (a tracemalloc peak of 1.3 MiB at d = 2), plus
-tallies of 48 B per block and noise level (about 3 kB per level at
-n = 1e6). Those buffers are made once per estimate and refilled; the
-normals are computed in place in the noise buffer, and a pass writes its
-rows straight into the stack. The only sizeable arrays a block allocates
-are a draw part's integers and `tree_sum`'s halvings, so the heap stays
-put from block to block instead of giving pages back to the system and
-faulting them in again. Everything runs on the calling thread.
+drawn in order from the seed's stream into one reused (2, d, `_BLOCK`)
+buffer, so all blocks together equal one draw of shape (n, 2, d). An
+agent's y and D are elementwise sums over the coordinates in a fixed
+order, never BLAS, so they depend neither on the agent's place in a block
+nor on the number of BLAS threads. A block keeps 10 numbers, 80 B: the
+`tree_sum` of each row of D, their residual sums about the block's means,
+and the residual products aa, bb, cc and bc. The working set is one
+block's noise and rows, in buffers made once per estimate (a tracemalloc
+peak of about 0.6 MiB at d = 2). Everything runs on the calling thread.
+A block's sum is the node over its agents of the zero-padded pairwise
+tree over all n, and the block sums are tree-summed in block order, so
+each pooled mean equals `tree_sum` over all n bit for bit. An estimate
+depends only on (scenario, sigma, n, seed), not on the other levels.
 
-`tree_sum` is the one reduction. It sums along the last axis, so one call
-reduces a whole stack, each row bit for bit as it would alone, and the
-block totals are summed as rows over the block axis. A block's sum is the
-node over its agents of the zero-padded pairwise tree over all n, and the
-block sums are tree-summed in block order, so each mean equals `tree_sum`
-over the whole vector bit for bit. An estimate depends only on
-(scenario, sigma, n, seed), not on the other noise levels of a batch.
-
-Results are arrays: `estimate_disparities` returns the means and standard
-errors of a whole noise grid as two (levels, 2) arrays, and `compare`
-judges any such array against the analytic values elementwise, by one
-rule, into arrays of z-scores and verdicts.
+`estimate_disparities` returns a noise grid's means and standard errors as
+two (levels, 2) arrays, and `compare` judges such arrays against the
+analytic values elementwise, into arrays of z-scores and verdicts.
 """
 
 import math
@@ -65,9 +61,10 @@ from .errors import Error, WrongPriorKind
 
 _STREAM_KEY = 101
 MIN_SAMPLES = 1000  # the fewest agents an estimate accepts
-MAX_SAMPLES = 2**32  # the most; at 48 B per block and noise level, its tallies take 12 MiB a level
-_BLOCK = 2**14  # agents per block; a power of two, so blocks align with the sum tree
-_PASS = _BLOCK // 2  # agents per pass of a full block through `flab.agents`, and per part of its draw
+MAX_SAMPLES = 2**32  # the most; at 80 B per block, its tallies take 80 MiB
+_BLOCK = 2**12  # agents per block; a power of two, so blocks align with the sum tree
+# the residual products a block keeps, as pairs of its difference rows (a, b, c): aa, bb, cc, bc
+_LEFT, _RIGHT = [0, 1, 2, 1], [0, 1, 2, 2]
 Z_MAX = 4.0  # the default gate of `compare`, in standard errors
 _BELOW_MAX = np.nextafter(np.finfo(float).max, 0.0)  # the largest double's neighbour below
 
@@ -104,66 +101,50 @@ def _check_inputs(sigmas, n):
     return sigmas, n
 
 
-def _pass_width(size):
-    """Agents per pass through `flab.agents` for a block of ``size``: `_PASS` where it divides the block, else all."""
-    return _PASS if size % _PASS == 0 else size
+def _weights(sc, sigmas):
+    """The posterior weight w on the signal at each noise level."""
+    if isinstance(sc.prior, NaivePrior):
+        return np.ones(sigmas.size)  # a naive agent trusts its signal outright
+    return signal_weight(sc.prior.scale, sigmas)
 
 
-def _workspace(dim, width):
-    """Flat buffers for passes of up to ``width`` agents, for `_pass_arrays`."""
-    return np.empty(max(dim, 3) * width), np.empty(dim * width)
+def _centres(sc, sigmas):
+    """Score and utility differences, (levels, 2), of agents who see the rule itself as their signal.
 
-
-def _pass_arrays(buffers, dim, columns):
-    """Signal, response and realized-row arrays of a pass of ``columns`` agents, over a `_workspace`.
-
-    A group's signals are spent once its responses are solved, so its
-    (score, cost, utility) rows reuse their buffer.
+    Each distinct weight runs one agent per group through `flab.agents`,
+    and group 2's gains are subtracted from group 1's. At sigma = 0 this
+    is the estimate.
     """
-    shared, solved = buffers
-    return (shared[: dim * columns].reshape(dim, columns), solved[: dim * columns].reshape(dim, columns),
-            shared[: 3 * columns].reshape(3, columns))
+    weights, levels = np.unique(_weights(sc, sigmas), return_inverse=True)
+    signals, responses, gains = np.empty((sc.dim, 1)), np.empty((sc.dim, 1)), np.empty((3, 1))
+    out = np.empty((weights.size, 2))
+    for row, weight in zip(out, weights.tolist()):
+        for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
+            signals[:, 0] = sc.rule
+            bayesian_best_response(cost, bayesian_posterior(mean, weight, signals), out=responses)
+            realized = realized_quantities(cost, sc.rule, responses, out=gains)
+            gain = (realized.score_gain[0], realized.utility_gain[0])
+            row[:] = gain if g == 0 else row - gain
+    return out[levels]
 
 
-def _differences(sc, sigma, noise, out=None, work=None):
-    """Score-gain and utility-gain differences, group 1 minus group 2, written as two rows into ``out``.
+def _noise_terms(inverse, rule, mean, noise, out, work):
+    """Write a = r'y, b = (r - mu)'y and c = e'y of each noise column e, with y = A^-1 e, as the rows of ``out``.
 
-    Agent i of group g sees the signal rule + sigma * noise[g - 1, :, i],
-    and its posterior mean is written over that signal. The groups go
-    through `flab.agents` one at a time in the `_pass_arrays` ``work``,
-    and group 2's rows are subtracted in place from group 1's. Without
-    ``out`` or ``work`` the rows or arrays are new; the block loop passes
-    both, so that a pass allocates nothing of its width.
-    At sigma = 0 every agent sees the rule itself, so one column stands
-    for each group and ``noise`` is not read.
+    y is the inverse.T @ noise that `flab.agents` forms, but it and the
+    contractions are elementwise sums over the coordinates, in order, never
+    BLAS. ``work`` is two (d, m) buffers.
     """
-    columns = 1 if sigma == 0.0 else noise.shape[-1]
-    if work is None:
-        work = _pass_arrays(_workspace(sc.dim, columns), sc.dim, columns)
-    signals, responses, gains = work
-    if out is None:
-        out = np.empty((2, columns))
-    rule = sc.rule[:, None]
-    # a naive agent trusts its signal outright: all its posterior weight is on the signal
-    weight = 1.0 if isinstance(sc.prior, NaivePrior) else signal_weight(sc.prior.scale, sigma)
-    for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
-        if sigma == 0.0:
-            signals[...] = rule
-        else:
-            with np.errstate(over="ignore"):  # an overflowing signal is reported below
-                np.multiply(sigma, noise[g], out=signals)
-                signals += rule
-        if not np.isfinite(signals).all():
-            raise Error("signal has non-finite entries")
-        bayesian_best_response(cost, bayesian_posterior(mean, weight, signals), out=responses)
-        realized = realized_quantities(cost, sc.rule, responses, out=gains)
-        if g == 0:
-            out[0] = realized.score_gain
-            out[1] = realized.utility_gain
-        else:
-            out[0] -= realized.score_gain
-            out[1] -= realized.utility_gain
-    return out
+    y, scratch = work
+    np.multiply(inverse[0][:, None], noise[0], out=y)
+    for j in range(1, noise.shape[0]):
+        np.multiply(inverse[j][:, None], noise[j], out=scratch)
+        y += scratch
+    for row, factor in zip(out, (rule[:, None], (rule - mean)[:, None], noise)):
+        np.multiply(y, factor, out=scratch)
+        row[...] = scratch[0]
+        for part in scratch[1:]:
+            row += part
 
 
 def _block_columns(stream, size, dim, out=None):
@@ -180,78 +161,92 @@ def _block_columns(stream, size, dim, out=None):
     return out
 
 
-def _block_tallies(sc, sigmas, noise, padded, tallies, work):
-    """Write one block's sums, residual sums and residual squares, each (levels, 2), into ``tallies``.
+def _reduce_block(sc, noise, padded, out, work):
+    """Write one block's 10 tallies into ``out``, from its (2, d, m) ``noise``.
 
-    The levels are reduced as zero-padded (levels, 2, width) stacks of at
-    most `_BLOCK` columns, by 3 `tree_sum` calls a stack. Each level fills
-    its row of a stack in passes through `_differences`, of
-    `_pass_width` agents: `_PASS` in every full block. Equal power-of-two
-    passes never end inside BLAS's column unroll, so each column rounds
-    as in a whole-block call; a narrower last pass, or levels sharing one
-    call, would round some columns differently at d >= 3. ``work`` is a
-    flat buffer for the stacks and a `_workspace` for the passes, both
-    made once by `_moments`.
+    The tallies are the node sums of the difference rows (D_a, D_b, D_c),
+    the sums of their residuals about the block's own means, and the
+    residual products aa, bb, cc and bc. ``work`` holds the flat buffers
+    that `_moments` makes once: two for difference rows and one for the
+    response terms, which the residual products then reuse.
     """
     size = noise.shape[-1]
     # past one block, a short last block's node spans _BLOCK zero-padded terms, as in
     # the tree over all n; the padding turns a -0.0 total into +0.0 there too
     width = _BLOCK if padded else size
-    depth = _BLOCK // width  # levels per stack
-    agents = _pass_width(size)
-    sums, drifts, squares = tallies
-    buffer, passes = work
-    passes = _pass_arrays(passes, sc.dim, agents)
-    stacks = buffer[: min(depth, len(sigmas)) * 2 * width].reshape(-1, 2, width)
-    stacks[:, :, size:] = 0.0  # the padding, which the levels leave as it is
-    for lo in range(0, len(sigmas), depth):
-        hi = min(lo + depth, len(sigmas))
-        stack = stacks[: hi - lo]
-        for rows, sigma in zip(stack, sigmas[lo:hi]):
-            for start in range(0, size, agents):
-                part = slice(start, start + agents)
-                _differences(sc, sigma, noise[:, :, part], rows[:, part], passes)
-        sums[lo:hi] = tree_sum(stack)
-        resid = stack[:, :, :size]  # the residuals overwrite the differences
-        resid -= sums[lo:hi, :, None] / size
-        drifts[lo:hi] = tree_sum(resid)
-        resid *= resid
-        squares[lo:hi] = tree_sum(resid)
+    first, second, flat = work
+    diffs = first[: 3 * width].reshape(3, width)
+    diffs[:, size:] = 0.0
+    rows = (diffs[:, :size], second[: 3 * size].reshape(3, size))
+    terms = flat[: 2 * sc.dim * size].reshape(2, sc.dim, size)
+    for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
+        _noise_terms(cost.inverse, sc.rule, mean, noise[g], rows[g], terms)
+    resid = rows[0]  # group 2's terms come off group 1's, then the residuals overwrite them
+    resid -= rows[1]
+    out[:3] = tree_sum(diffs)
+    resid -= out[:3, None] / size
+    out[3:6] = tree_sum(resid)
+    products = flat[: 4 * size].reshape(4, size)
+    np.multiply(resid, resid, out=products[:3])
+    np.multiply(resid[1], resid[2], out=products[3])
+    out[6:] = tree_sum(products)
 
 
-def _moments(sc, sigmas, n, seed):
-    """Means and sample variances of the group differences, shape (levels, 2) each.
+def _moments(sc, n, seed):
+    """Pooled means (a, b, c) and scatter (aa, bb, cc, bc) of the difference rows, and the extreme normals.
 
-    Metrics are in (score, utility) order. One pass draws the aligned
-    blocks in order. Per level and metric, block b of m_b agents keeps its
-    node sum s_b and, about its own mean c_b = s_b / m_b, the sum r_b and
-    the sum of squares q_b of its residuals. The mean is the tree sum of
-    the s_b over n. The variance is the tree sum over blocks of
-    q_b + (c_b - mean) (2 r_b + m_b (c_b - mean)), over n - 1 (Chan, Golub
-    and LeVeque, Am. Stat. 37, 1983). r_b is zero but for the rounding of
-    s_b; keeping it makes the combination exact, so the result agrees with
-    a two-pass sum of squares about the mean to rounding.
+    One pass draws the aligned blocks in order. Per row, block b of m_b
+    agents keeps its node sum s_b and, about its own mean s_b / m_b, its
+    residual sum r_b and residual products q_b. A mean is the tree sum of
+    the s_b over n. With e_b = s_b / m_b - mean, the scatter of rows k and l
+    is the tree sum over blocks of q_b + e_bk (r_bl + m_b e_bl) + e_bl r_bk
+    (Chan, Golub and LeVeque, Am. Stat. 37, 1983); keeping r_b, zero but for
+    the rounding of s_b, makes it exact. The extremes are each (group,
+    coordinate)'s smallest and largest normal, as (low, high).
     """
     stream = normal_stream(seed, (_STREAM_KEY,))
     sizes = np.minimum(_BLOCK, n - np.arange(0, n, _BLOCK))
-    sums = np.empty((sizes.size, len(sigmas), 2))
-    drifts = np.empty_like(sums)
-    squares = np.empty_like(sums)
+    tallies = np.empty((sizes.size, 10))
     # every buffer the blocks use is made here once and refilled, so the block loop's
     # heap neither grows nor shrinks and no block faults in fresh pages
-    noise = np.empty((2, sc.dim, int(sizes[0])))  # one block's noise
-    work = (np.empty(2 * min(len(sigmas) * n, _BLOCK)),  # its stacks
-            _workspace(sc.dim, max(_pass_width(s) for s in set(sizes.tolist()))))
-    for b, size in enumerate(sizes.tolist()):
-        block = noise[:, :, :size]
-        for lo in range(0, size, _PASS):  # in stream order, a part at a time
-            _block_columns(stream, min(_PASS, size - lo), sc.dim, block[:, :, lo : lo + _PASS])
-        _block_tallies(sc, sigmas, block, size < _BLOCK < n, (sums[b], drifts[b], squares[b]), work)
-    means = tree_sum(np.moveaxis(sums, 0, -1)) / n
-    m = sizes[:, None, None]
-    shift = sums / m - means
-    spread = squares + shift * (2.0 * drifts + m * shift)
-    return means, tree_sum(np.moveaxis(spread, 0, -1)) / (n - 1)
+    width = int(sizes[0])
+    noise = np.empty((2, sc.dim, width))
+    work = (np.empty(3 * width), np.empty(3 * width), np.empty(max(2 * sc.dim, 4) * width))
+    low, high = np.full((2, sc.dim), np.inf), np.full((2, sc.dim), -np.inf)
+    for tally, size in zip(tallies, sizes.tolist()):
+        block = _block_columns(stream, size, sc.dim, noise[:, :, :size])
+        np.minimum(low, block.min(axis=-1), out=low)
+        np.maximum(high, block.max(axis=-1), out=high)
+        _reduce_block(sc, block, size < _BLOCK < n, tally, work)
+    sums, drifts, products = tallies[:, :3].T, tallies[:, 3:6].T, tallies[:, 6:].T
+    means = tree_sum(sums) / n
+    shift = sums / sizes - means[:, None]
+    spread = products + shift[_LEFT] * (drifts[_RIGHT] + sizes * shift[_RIGHT]) + shift[_RIGHT] * drifts[_LEFT]
+    return means, tree_sum(spread), (low, high)
+
+
+def _deviations(sc, sigmas, n, seed):
+    """Means and sample variances, each (levels, 2), of the agents' deviations from each level's centre."""
+    means, scatter, extremes = _moments(sc, n, seed)
+    # fl(sigma e + r) is monotone in e and grows in magnitude with sigma, so some signal
+    # overflows at some level exactly where an extreme one does at the largest (or nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signals = sigmas.max() * np.array(extremes) + sc.rule
+    if not np.isfinite(signals).all():
+        raise Error("signal has non-finite entries")
+    # at each level the agents deviate by ka D_a in score and by kb D_b + kc D_c in utility
+    ka = _weights(sc, sigmas) * sigmas  # w sigma
+    if isinstance(sc.prior, NaivePrior):
+        kb = np.zeros_like(ka)  # 1 - w is 0
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # where sigma^2 overflows, w is 0 and 1 - w is 1
+            s2 = sigmas * sigmas
+            kb = ka * np.where(np.isinf(s2), 1.0, s2 / (sc.prior.scale * sc.prior.scale + s2))
+    kc = -0.5 * ka * ka
+    aa, bb, cc, bc = scatter
+    shifts = np.stack((ka * means[0], kb * means[1] + kc * means[2]), axis=1)
+    variances = np.stack((ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc), axis=1)
+    return shifts, variances / (n - 1)
 
 
 def estimate_disparities(sc, sigmas, n, seed):
@@ -260,19 +255,18 @@ def estimate_disparities(sc, sigmas, n, seed):
     Returns ``(means, stderrs)``, float arrays of shape (levels, 2) whose
     rows follow ``sigmas`` and whose columns follow ``tuple(Metric)``
     (score, utility). Both groups see independent noise, and all noise
-    levels share the same random numbers. At sigma = 0 the pipeline is
-    deterministic: one evaluation gives the mean, with zero standard error.
+    levels share the same random numbers. At sigma = 0 every agent is the
+    noise-free one, so the centre is the mean, with zero standard error.
     """
     levels, n = _check_inputs(sigmas, n)
     noisy = levels != 0.0
-    means = np.zeros((levels.size, 2))
-    stderrs = np.zeros_like(means)
+    shifts = np.zeros((levels.size, 2))
+    stderrs = np.zeros_like(shifts)
     if noisy.any():
-        noisy_means, variances = _moments(sc, levels[noisy].tolist(), n, int(seed))
-        means[noisy] = noisy_means
+        shifts[noisy], variances = _deviations(sc, levels[noisy], n, int(seed))
         stderrs[noisy] = np.sqrt(variances) / math.sqrt(n)
-    if not noisy.all():
-        means[~noisy] = _differences(sc, 0.0, None)[:, 0]
+    means = _centres(sc, levels)
+    means[noisy] += shifts[noisy]
     return means, stderrs
 
 
@@ -297,10 +291,10 @@ def estimate_variance_naive(sc, sigma, n, seed):
             f"variance estimate is for the naive prior, scenario has "
             f"{type(sc.prior).__name__}"
         )
-    (sigma,), n = _check_inputs([sigma], n)
-    if sigma == 0.0:
+    levels, n = _check_inputs([sigma], n)
+    if levels[0] == 0.0:
         return 0.0, 0.0
-    _, variances = _moments(sc, [float(sigma)], n, seed)
+    _, variances = _deviations(sc, levels, n, seed)
     var = float(variances[0, 0])
     return var, var * math.sqrt(2.0 / (n - 1))
 

@@ -17,10 +17,10 @@ from flab.agents import (
     signal_weight,
     standard_normals,
 )
-from flab.closed_form import NaivePrior, Scenario
+from flab.closed_form import CommonPrior, NaivePrior, Scenario
 from flab.errors import DegeneratePrior, DimensionMismatch, Error, NegativeSigma
 from flab.linalg_core import CostMatrix
-from flab.mc_oracle import estimate_disparity
+from flab.mc_oracle import estimate_disparities, estimate_disparity
 
 PRIOR_MEAN = np.array([0.5, 2.0])
 
@@ -204,6 +204,19 @@ class TestValidation:
         # sigma * noise overflows for the largest draws
         with pytest.raises(Error, match="signal has non-finite entries"):
             estimate_disparity(sc, Metric.SCORE, 1e308, 1000, 0)
+
+    def test_common_prior_signal_rejects_non_finite(self):
+        sc = Scenario(
+            np.array([1.0, 0.5]), CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])),
+            CommonPrior(np.array([0.5, 2.0]), 1.0),
+        )
+        # the signal overflows before the posterior, whose weight on it is then 0,
+        # whichever levels come with it
+        with pytest.raises(Error, match="signal has non-finite entries"):
+            estimate_disparities(sc, [0.0, 1e308, 0.5], 1000, 0)
+        # every draw is below 8.3 in magnitude, so no signal overflows at 1e307
+        means, stderrs = estimate_disparities(sc, [0.0, 1e307], 1000, 0)
+        assert np.isfinite(means).all() and np.isfinite(stderrs).all()
 
     def test_response_rejects_wrong_width(self, cost_one):
         with pytest.raises(DimensionMismatch):

@@ -740,11 +740,11 @@ class TestVerifyCommand:
         # raised inside the block loop, the oracle's one worker
         blocks = []
 
-        def fail(sc, sigma, noise, out=None, work=None):
+        def fail(sc, noise, padded, out, work):
             blocks.append(noise)
             raise error("raised in the block loop")
 
-        monkeypatch.setattr(mc_oracle, "_differences", fail)
+        monkeypatch.setattr(mc_oracle, "_reduce_block", fail)
         assert cli.main(["verify", write_scenario(tmp_path, REF)]) == code
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: raised in the block loop\n")

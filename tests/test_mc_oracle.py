@@ -1,14 +1,28 @@
 """Monte Carlo estimator tests: determinism, calibration, mutation alarm."""
 
+import functools
+import json
 import math
+import operator
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flab import mc_oracle
-from flab.agents import Metric, normal_stream, signal_weight, standard_normals
+from flab.agents import (
+    Metric,
+    bayesian_best_response,
+    bayesian_posterior,
+    normal_stream,
+    realized_quantities,
+    signal_weight,
+    standard_normals,
+)
 from flab.closed_form import (
     CommonPrior,
     NaivePrior,
@@ -71,12 +85,13 @@ def common_d8():
 
 
 def reference_differences(sc, metric, sigma, n, seed, columns=False):
-    """One (metric, sigma) vector of group differences on whole-length arrays, with no blocks.
+    """One (metric, sigma) vector of group differences on whole-length arrays, agent by agent.
 
-    By default agents are (n, d) row stacks, as a per-call oracle held them.
-    With ``columns`` they are the transpose of a contiguous (d, n) stack, the
-    oracle's own layout: its contractions round like the oracle's at every d,
-    while the row layout agrees with it at d = 2 only.
+    This is the per-agent pipeline the oracle's algebra stands for: each
+    agent's signal, posterior, best response and realized gains, with no
+    blocks and no split into centre and deviation. By default agents are
+    (n, d) row stacks; with ``columns`` they are the transpose of a
+    contiguous (d, n) stack, as `flab.agents` holds them.
     """
     z = standard_normals(normal_stream(seed, (_STREAM_KEY,)), (n, 2, sc.dim))
     gains = []
@@ -95,41 +110,107 @@ def reference_differences(sc, metric, sigma, n, seed, columns=False):
 
 
 def reference_pipeline(sc, metric, sigma, n, seed, columns=False):
-    """Mean and two-pass standard error of the reference differences."""
+    """Mean and two-pass standard error of the per-agent reference differences."""
     diffs = reference_differences(sc, metric, sigma, n, seed, columns)
     mean = tree_sum(diffs) / n
     resid = diffs - mean
     return mean, math.sqrt(tree_sum(resid * resid) / (n - 1)) / math.sqrt(n)
 
 
+def in_order(rows):
+    """rows[0] + rows[1] + ..., added left to right."""
+    return functools.reduce(operator.add, rows)
+
+
+def reference_terms(sc, n, seed):
+    """The (3, n) difference rows (D_a, D_b, D_c) of all n agents at once, in the oracle's arithmetic.
+
+    For each group, y = A^-T e is summed over the coordinates in order, and
+    a = r'y, b = (r - mu)'y and c = e'y likewise.
+    """
+    z = standard_normals(normal_stream(seed, (_STREAM_KEY,)), (n, 2, sc.dim))
+    terms = []
+    for g, cost in enumerate((sc.cost1, sc.cost2)):
+        noise = z[:, g, :].T
+        y = in_order(cost.inverse[j][:, None] * noise[j] for j in range(sc.dim))
+        factors = (sc.rule[:, None], (sc.rule - sc.prior_means[g])[:, None], noise)
+        terms.append(np.array([in_order(factor * y) for factor in factors]))
+    return terms[0] - terms[1]
+
+
+def reference_centre(sc, weight):
+    """The (score, utility) difference of one agent per group whose signal is the rule itself."""
+    gains = []
+    for cost, mean in zip((sc.cost1, sc.cost2), sc.prior_means):
+        dx = bayesian_best_response(cost, bayesian_posterior(mean, weight, sc.rule[:, None].copy()))
+        realized = realized_quantities(cost, sc.rule, dx)
+        gains.append(np.array([realized.score_gain[0], realized.utility_gain[0]]))
+    return gains[0] - gains[1]
+
+
 def node_sum(block, n):
-    """The node over one aligned block of the pairwise tree over all n.
+    """The node over one aligned block of the pairwise tree over all n, per row.
 
     Past one block, a short last block is zero-padded to `_BLOCK` terms,
     so a -0.0 total turns +0.0 just as it does in the whole tree.
     """
-    if block.size < _BLOCK < n:
-        block = np.concatenate((block, np.zeros(_BLOCK - block.size)))
+    if block.shape[-1] < _BLOCK < n:
+        block = np.concatenate((block, np.zeros(block.shape[:-1] + (_BLOCK - block.shape[-1],))), axis=-1)
     return tree_sum(block)
 
 
-def block_moment_stderr(diffs):
-    """The standard error of ``diffs`` combined from per-block moments, as the oracle does.
+LEFT, RIGHT = [0, 1, 2, 1], [0, 1, 2, 2]  # the scatter's entries aa, bb, cc and bc
 
-    Each aligned block keeps its node sum s, and the sum and the sum of
-    squares of its residuals about s / m. The squares about the overall
-    mean follow exactly from these three, whatever rounding s carries.
+
+def block_scatter(diffs):
+    """The scatter (aa, bb, cc, bc) of the (3, n) rows about their means, combined from per-block moments.
+
+    Each aligned block keeps its node sums s, and the sums and the products
+    of its residuals about s / m. The products about the overall means
+    follow exactly from these, whatever rounding s carries.
     """
-    n = diffs.size
-    mean = tree_sum(diffs) / n
+    n = diffs.shape[-1]
+    means = tree_sum(diffs) / n
     spreads = []
     for lo in range(0, n, _BLOCK):
-        block = diffs[lo : lo + _BLOCK]
+        block = diffs[:, lo : lo + _BLOCK]
+        m = block.shape[-1]
         s = node_sum(block, n)
-        resid = block - s / block.size
-        shift = s / block.size - mean
-        spreads.append(tree_sum(resid * resid) + shift * (2.0 * tree_sum(resid) + block.size * shift))
-    return math.sqrt(tree_sum(spreads) / (n - 1)) / math.sqrt(n)
+        resid = block - s[:, None] / m
+        r = tree_sum(resid)
+        shift = s / m - means
+        spreads.append(tree_sum(resid[LEFT] * resid[RIGHT]) + shift[LEFT] * (r[RIGHT] + m * shift[RIGHT])
+                       + shift[RIGHT] * r[LEFT])
+    return tree_sum(np.array(spreads).T)
+
+
+def reference_estimates(sc, sigmas, n, seed):
+    """Means and standard errors, (levels, 2) each, from whole-n difference rows, and two-pass standard errors.
+
+    The means and the first standard errors follow the oracle's block
+    arithmetic; the two-pass ones sum the squares of each agent's
+    deviation about its mean.
+    """
+    diffs = reference_terms(sc, n, seed)
+    pooled = tree_sum(diffs) / n
+    aa, bb, cc, bc = block_scatter(diffs)
+    means, stderrs, two_pass = (np.zeros((len(sigmas), 2)) for _ in range(3))
+    for i, sigma in enumerate(sigmas):
+        naive = isinstance(sc.prior, NaivePrior)
+        weight = 1.0 if naive else signal_weight(sc.prior.scale, sigma)
+        means[i] = reference_centre(sc, weight)
+        if sigma == 0.0:
+            continue
+        ka = weight * sigma
+        kb = 0.0 if naive else ka * (sigma * sigma / (sc.prior.scale * sc.prior.scale + sigma * sigma))
+        kc = -0.5 * ka * ka
+        means[i] += (ka * pooled[0], kb * pooled[1] + kc * pooled[2])
+        variances = np.array([ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc]) / (n - 1)
+        stderrs[i] = np.sqrt(variances) / math.sqrt(n)
+        for j, deviation in enumerate((ka * diffs[0], kb * diffs[1] + kc * diffs[2])):
+            resid = deviation - tree_sum(deviation) / n
+            two_pass[i, j] = math.sqrt(tree_sum(resid * resid) / (n - 1)) / math.sqrt(n)
+    return means, stderrs, two_pass
 
 
 class TestTreeSum:
@@ -188,12 +269,23 @@ class TestBlocks:
     def test_matches_unblocked_reference(self, n, naive, common, projected, common_d8):
         for sc in (naive, common, projected, common_d8):
             means, stderrs = estimate_disparities(sc, [0.0, 0.7], n, 3)
-            for j, metric in enumerate(Metric):
-                mean, stderr = reference_pipeline(sc, metric, 0.7, n, 3, columns=True)
-                assert means[1, j] == mean
-                diffs = reference_differences(sc, metric, 0.7, n, 3, columns=True)
-                assert stderrs[1, j] == block_moment_stderr(diffs)
-                assert stderrs[1, j] == pytest.approx(stderr, rel=1e-15, abs=0.0)
+            ref_means, ref_stderrs, two_pass = reference_estimates(sc, [0.0, 0.7], n, 3)
+            assert hexes((means, stderrs)) == hexes((ref_means, ref_stderrs))
+            assert stderrs[1] == pytest.approx(two_pass[1], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [5000, 2 * _BLOCK + 7])
+    def test_agrees_with_the_per_agent_pipeline(self, n, naive, common, projected, common_d8):
+        # the centre-plus-deviation split against each agent run whole: means to 1e-6
+        # standard errors and standard errors to 1e-10 relative (measured: at most
+        # 5.8e-13 standard errors and 7.5e-16 relative over these cases)
+        sigmas = [0.25, 0.7, 4.0]
+        for sc in (naive, common, projected, common_d8):
+            means, stderrs = estimate_disparities(sc, sigmas, n, 3)
+            for i, sigma in enumerate(sigmas):
+                for j, metric in enumerate(Metric):
+                    mean, stderr = reference_pipeline(sc, metric, sigma, n, 3, columns=True)
+                    assert abs(means[i, j] - mean) <= 1e-6 * stderr
+                    assert stderrs[i, j] == pytest.approx(stderr, rel=1e-10, abs=0.0)
 
     def test_peak_memory_per_agent(self, common):
         n = 2**20
@@ -203,15 +295,13 @@ class TestBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # agents stream in blocks, so the peak is one block's draws and temporaries:
-        # about 1.3 MiB for blocks of 2^14 agents at d = 2 (see the test below)
+        # agents stream in blocks, so the peak is one block's draws and terms:
+        # about 0.6 MiB for blocks of 2^12 agents at d = 2 (see the tests below)
         assert peak <= 3 * 2**20
 
     def test_peak_memory_is_one_block_one_stack_one_pass(self, common):
-        # one block's noise (512 KiB at d = 2), one stack of its levels (256 KiB), the
-        # buffers of one pass of half a block through flab.agents (320 KiB) and the
-        # integers of half a block's draw (256 KiB): about 1.3 MiB. Whole-block draws
-        # or passes exceed the bound
+        # a looser bound than the one below, which holds one block's draws and terms
+        # (about 0.6 MiB)
         tracemalloc.start()
         try:
             estimate_disparities(common, [0.0, 0.5, 2.0], 2**20, 1)
@@ -220,27 +310,94 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak <= 1.4 * 2**20
 
+    def test_peak_memory_is_one_block(self, common):
+        # one block's noise (128 KiB at d = 2), the integers of its draw (128 KiB), two
+        # buffers of three difference rows (96 KiB each) and one of its response terms,
+        # which the residual products reuse (128 KiB): about 0.6 MiB. Per-level work
+        # or tallies exceed the bound
+        tracemalloc.start()
+        try:
+            estimate_disparities(common, [0.0, 0.5, 2.0], 2**20, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2**20
+
+    def test_peak_does_not_grow_with_levels_times_n(self, common):
+        # the tallies are 80 B per block whatever the level count: 20 KiB at n = 2^20
+        sigmas = np.linspace(0.01, 5.0, 1000)
+        peaks = []
+        for n in (2**16, 2**20):
+            tracemalloc.start()
+            try:
+                estimate_disparities(common, sigmas, n, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 256 * 1024
+
 
 def hexes(arrays):
     return [[v.hex() for v in a.ravel().tolist()] for a in arrays]
 
 
 class TestPassShapes:
-    """How many agents a draw or a pass takes decides what is held at once, never a bit."""
+    """How many agents a draw takes decides what is held at once, never a bit."""
 
     LEVELS = [0.0, 0.7, 5.0, 1e3]
 
-    # 64 splits every full block into 256 passes; 7 and 1000 divide no block
-    # here, so they split only the draws, and _BLOCK splits nothing
+    # each block is drawn in parts of at most ``bound`` agents: 7 and 1000 divide no
+    # block here, 64 divides every full one, and _BLOCK splits nothing
     @pytest.mark.parametrize("bound", [7, 64, 1000, _BLOCK])
     @pytest.mark.parametrize("n", [1000, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_pass_bound_moves_no_bit(self, bound, n, naive, common, projected, common_d8, monkeypatch):
+        whole = mc_oracle._block_columns
+
+        def in_parts(stream, size, dim, out=None):
+            out = np.empty((2, dim, size)) if out is None else out
+            for lo in range(0, size, bound):
+                whole(stream, min(bound, size - lo), dim, out[:, :, lo : lo + bound])
+            return out
+
         for sc in (naive, common, projected, common_d8):
             default = estimate_disparities(sc, self.LEVELS, n, 5)
-            monkeypatch.setattr(mc_oracle, "_PASS", bound)
+            monkeypatch.setattr(mc_oracle, "_block_columns", in_parts)
             shaped = estimate_disparities(sc, self.LEVELS, n, 5)
             monkeypatch.undo()
             assert hexes(shaped) == hexes(default)
+
+
+THREADS_CHILD = """
+import json, sys
+import numpy as np
+from flab.closed_form import CommonPrior, Scenario, sigma_grid
+from flab.linalg_core import CostMatrix
+from flab.mc_oracle import estimate_disparities
+
+rng = np.random.default_rng(32)
+m = rng.normal(size=(32, 32))
+cost1 = np.einsum("ik,jk->ij", m, m) / 32.0 + np.eye(32)
+cost2 = cost1 + np.diag(rng.uniform(0.5, 1.5, size=32))
+sc = Scenario(rng.normal(size=32), CostMatrix(cost1), CostMatrix(cost2), CommonPrior(rng.normal(size=32), 1.5))
+grids = ([0.0, *sigma_grid(sc, 3).tolist()], sigma_grid(sc, 300).tolist())
+out = [[v.hex() for a in estimate_disparities(sc, grid, n, 42) for v in a.ravel().tolist()]
+       for n in (1001, 8193) for grid in grids]
+json.dump(out, sys.stdout)
+"""
+
+
+class TestThreadCount:
+    def test_d32_estimates_ignore_blas_threads(self):
+        # at d >= 3 BLAS rounds a column by where it falls in a call, and with two
+        # threads by where the call is split, so an agent's terms never go through it
+        src = str(Path(mc_oracle.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        children = [subprocess.Popen([sys.executable, "-c", THREADS_CHILD], stdout=subprocess.PIPE,
+                                     env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+                    for threads in ("1", "2")]
+        one, two = (json.loads(child.communicate(timeout=300)[0]) for child in children)
+        assert all(child.returncode == 0 for child in children)
+        assert one == two
 
 
 class TestStreamedBlocks:
@@ -349,9 +506,9 @@ class TestBatchedEstimates:
     def test_matches_row_pipeline_reference_bit_for_bit(self, naive, common, projected):
         for sc in (naive, common, projected):
             means, stderrs = estimate_disparities(sc, self.SIGMAS[1:], 5000, 11)
-            for i, sigma in enumerate(self.SIGMAS[1:]):
-                for j, metric in enumerate(Metric):
-                    assert (means[i, j], stderrs[i, j]) == reference_pipeline(sc, metric, sigma, 5000, 11)
+            ref_means, ref_stderrs, two_pass = reference_estimates(sc, self.SIGMAS[1:], 5000, 11)
+            assert hexes((means, stderrs)) == hexes((ref_means, ref_stderrs))
+            assert stderrs == pytest.approx(two_pass, rel=1e-15, abs=0.0)
 
     def test_negative_sigma_anywhere_rejected(self, naive):
         with pytest.raises(NegativeSigma):
