@@ -8,11 +8,11 @@ group's cost matrix.
 
 Agents are columns. Signals, posterior means and feature changes are
 (d, m) arrays with one agent per column, and a single agent is a (d, 1)
-column, so the Monte Carlo oracle pushes a whole block of agents through
-the same calls that handle one. Each stage is one array operation over
-the stack: the posterior is elementwise, the response is one wide
-(d, d) @ (d, m) product, and the realized score and cost are fixed
-contractions down each column.
+column. Each stage returns a new array and leaves its arguments as they
+were: the posterior is elementwise, the response is one (d, d) @ (d, m)
+product, and the realized score and cost are fixed contractions down
+each column. The Monte Carlo oracle runs one noise-free agent per group
+and noise level through these calls.
 """
 
 import enum
@@ -108,15 +108,15 @@ class Realized(NamedTuple):
     utility_gain: np.ndarray
 
 
-def naive_best_response(cost, beliefs, out=None):
+def naive_best_response(cost, beliefs):
     """Feature changes A^-1 m that maximize m'dx - dx'A dx/2, one per belief column m.
 
     A naive agent's belief is its signal. The columns go through one
-    (d, d) @ (d, m) product with A^-T, written into ``out`` if given.
+    (d, d) @ (d, m) product with A^-T.
     """
     if beliefs.shape[0] != cost.dim:
         raise DimensionMismatch(f"belief columns of shape {beliefs.shape} for dimension {cost.dim}")
-    return np.matmul(cost.inverse.T, beliefs, out=out)
+    return np.matmul(cost.inverse.T, beliefs)
 
 
 # a Bayesian agent responds to its posterior mean as a naive one to its signal (perfbench wraps both)
@@ -124,35 +124,30 @@ bayesian_best_response = naive_best_response
 
 
 def bayesian_posterior(prior_mean, weight, signals):
-    """Posterior mean columns mu + w (s - mu), written over ``signals`` and returned.
+    """Posterior mean columns mu + w (s - mu), as a new array; ``signals`` is left as it was.
 
     ``weight`` is the `signal_weight` of the prior scale and noise level.
     The w = 1 and w = 0 endpoints give the signals and the prior mean
     verbatim, keeping zero-noise behavior exact.
     """
     mean = np.asarray(prior_mean, dtype=float)[:, None]
+    posterior = np.array(signals, dtype=float)
     if weight == 0.0:
-        signals[...] = mean
+        posterior[...] = mean
     elif weight != 1.0:
-        signals -= mean
-        signals *= weight
-        signals += mean
-    return signals
+        posterior -= mean
+        posterior *= weight
+        posterior += mean
+    return posterior
 
 
-def realized_quantities(cost, rule, dx, out=None):
+def realized_quantities(cost, rule, dx):
     """Score gain dx'r, quadratic cost dx'A dx/2 and net utility gain of each column of ``dx``.
 
     Each is one fixed contraction over the stack. BLAS and einsum may
     round a column of a wide stack differently from the same column
-    alone, so compare columns only within one stack layout. The three
-    are the rows of ``out``, a (3, m) array, or of a new one.
+    alone, so compare columns only within one stack layout.
     """
-    if out is None:
-        out = np.empty((3, dx.shape[1]))
-    score, effort, utility = out
-    np.matmul(dx.T, rule, out=score)
-    np.einsum("ji,jk,ki->i", dx, cost.matrix, dx, out=effort)
-    effort *= 0.5
-    np.subtract(score, effort, out=utility)
-    return Realized(score, effort, utility)
+    score = np.matmul(dx.T, rule)
+    effort = 0.5 * np.einsum("ji,jk,ki->i", dx, cost.matrix, dx)
+    return Realized(score, effort, score - effort)

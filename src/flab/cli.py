@@ -375,13 +375,13 @@ def render_svg(sigmas, curves, title, spacing="log"):
     return "\n".join(parts) + "\n"
 
 
+# every character XML 1.0 cannot hold: C0 controls but tab, LF and CR, lone surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _escape(text):
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-    )
+    """``text`` as SVG character data: markup escaped, and each character XML cannot hold as U+FFFD."""
+    return _NOT_XML.sub("\ufffd", str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
 def _write_outputs(outputs):

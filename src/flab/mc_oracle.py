@@ -116,13 +116,11 @@ def _centres(sc, sigmas):
     is the estimate.
     """
     weights, levels = np.unique(_weights(sc, sigmas), return_inverse=True)
-    signals, responses, gains = np.empty((sc.dim, 1)), np.empty((sc.dim, 1)), np.empty((3, 1))
     out = np.empty((weights.size, 2))
     for row, weight in zip(out, weights.tolist()):
         for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
-            signals[:, 0] = sc.rule
-            bayesian_best_response(cost, bayesian_posterior(mean, weight, signals), out=responses)
-            realized = realized_quantities(cost, sc.rule, responses, out=gains)
+            dx = bayesian_best_response(cost, bayesian_posterior(mean, weight, sc.rule[:, None]))
+            realized = realized_quantities(cost, sc.rule, dx)
             gain = (realized.score_gain[0], realized.utility_gain[0])
             row[:] = gain if g == 0 else row - gain
     return out[levels]

@@ -122,16 +122,30 @@ class TestResponses:
         values = column(0.3, -0.8)
         weight = signal_weight(1.0, 0.0)
         assert weight == 1.0
-        post = bayesian_posterior(PRIOR_MEAN, weight, values.copy())
+        post = bayesian_posterior(PRIOR_MEAN, weight, values)
         assert np.array_equal(post, values)
 
     def test_bayesian_equals_naive_at_zero_noise(self, cost_one):
         for signal in (column(1.0, 0.5), np.tile(column(1.0, 0.5), (1, 5))):
-            post = bayesian_posterior(PRIOR_MEAN, signal_weight(1.0, 0.0), signal.copy())
+            post = bayesian_posterior(PRIOR_MEAN, signal_weight(1.0, 0.0), signal)
             assert np.array_equal(
                 bayesian_best_response(cost_one, post),
                 naive_best_response(cost_one, signal),
             )
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+    def test_posterior_is_a_new_array_and_signals_keep_their_bits(self, weight):
+        rng = np.random.default_rng(29)
+        prior_mean = rng.normal(size=3)
+        signals = rng.normal(size=(3, 4))
+        before = signals.copy()
+        post = bayesian_posterior(prior_mean, weight, signals)
+        assert signals.tobytes() == before.tobytes()
+        assert not np.shares_memory(post, signals)
+        mean = prior_mean[:, None]
+        want = {0.0: np.broadcast_to(mean, signals.shape), 1.0: before}.get(weight, mean + weight * (before - mean))
+        assert post.shape == signals.shape
+        assert post.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_dogmatic_posterior_is_prior_mean(self):
         post = bayesian_posterior(PRIOR_MEAN, signal_weight(0.0, 2.0), column(0.3, -0.8))
@@ -171,7 +185,7 @@ class TestResponses:
         signals = rng.normal(size=(dim, 9))
         weight = signal_weight(2.0, 0.5)
         naive_dx = naive_best_response(cost, signals)
-        batch = bayesian_posterior(prior_mean, weight, signals.copy())
+        batch = bayesian_posterior(prior_mean, weight, signals)
         batch_dx = bayesian_best_response(cost, batch)
         batch_out = realized_quantities(cost, rule, batch_dx)
         for i in range(signals.shape[1]):

@@ -369,6 +369,25 @@ class TestSweepCommand:
         dashed = [e for e in root.iter() if e.get("stroke-dasharray")]
         assert dashed, "zero line missing"
 
+    @pytest.mark.parametrize(("name", "label", "title"), [
+        (os.fsdecode(b"\xff.json"), None, "\ufffd.json"),
+        ("\x01.json", None, "\ufffd.json"),
+        ("s.json", "a\u0001b", "a\ufffdb"),
+        ("s.json", "\ufffe", "\ufffd"),
+    ], ids=["undecodable_name", "control_name", "control_label", "noncharacter_label"])
+    def test_svg_title_xml_cannot_hold_becomes_replacement_character(self, name, label, title, tmp_path, capsys):
+        # a lone surrogate (from a file name that is not UTF-8) cannot be encoded, and C0 controls
+        # and U+FFFE are no XML characters: each becomes U+FFFD, and the file parses
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        del body["label"]
+        if label is not None:
+            body["label"] = label
+        out_svg = tmp_path / "t.svg"
+        assert cli.main(["sweep", write_scenario(tmp_path, body, name), "--points", "5", "--out-svg", str(out_svg)]) == 0
+        assert capsys.readouterr().err == ""
+        texts = [e.text for e in ET.parse(out_svg).getroot().iter() if e.tag.endswith("text")]
+        assert texts[0] == title
+
     @pytest.mark.parametrize("bad", ["--out-csv", "--out-svg"])
     @pytest.mark.parametrize("other", [True, False], ids=["other_to_file", "other_absent"])
     @pytest.mark.parametrize("kind", ["missing_dir", "directory"])

@@ -52,6 +52,8 @@ MATRICES = st.integers(1, 3).flatmap(
 )
 DROP = object()  # a sentinel: no generated JSON value is this object
 VALUES = ANY_JSON | NUMBERS | VECTORS | MATRICES | st.fixed_dictionaries({"span": st.lists(VECTORS, max_size=2)})
+# every code point but a lone surrogate, which /label refuses: an SVG title may hold characters XML cannot
+LABELS = st.text(st.characters(exclude_categories=["Cs"]), max_size=6)
 # any text, text that reads as an option, long digit strings beyond int()'s 4,300-digit limit,
 # and signed integers, some near the bounds
 COUNT_TEXT = (
@@ -88,17 +90,26 @@ def exits_cleanly(tmp, body, command, options, files, joined=True):
         assert out.getvalue() == "", (args, body)
         assert not any(p.exists() for p in outputs)
         assert err.getvalue().startswith("error: ")
+    if code == 0 and outputs:
+        ET.parse(outputs[1])
+
+
+@st.composite
+def mutations(draw):
+    """A committed scenario's key path and its new value, or DROP; a label may also be any text."""
+    name, path = draw(st.sampled_from(KEYS))
+    values = st.just(DROP) | VALUES
+    if path == ("label",):
+        values = LABELS | values
+    return name, path, draw(values)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(
-    key=st.sampled_from(KEYS),
-    value=st.just(DROP) | VALUES,
-    command=st.sampled_from(sorted(COMMANDS)),
-    files=st.booleans(),
-)
-def test_mutated_scenario_exits_cleanly(tmp_path_factory, key, value, command, files):
-    name, path = key
+@given(mutation=mutations(), command=st.sampled_from(sorted(COMMANDS)), files=st.booleans())
+@example(mutation=("reference_common", ("label",), "a\x01b"), command="sweep", files=True)
+@example(mutation=("two_crossings", ("label",), "\ufffe"), command="sweep", files=True)
+def test_mutated_scenario_exits_cleanly(tmp_path_factory, mutation, command, files):
+    name, path, value = mutation
     body = json.loads(json.dumps(COMMITTED[name]))
     parent = body
     for part in path[:-1]:

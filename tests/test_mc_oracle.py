@@ -142,7 +142,7 @@ def reference_centre(sc, weight):
     """The (score, utility) difference of one agent per group whose signal is the rule itself."""
     gains = []
     for cost, mean in zip((sc.cost1, sc.cost2), sc.prior_means):
-        dx = bayesian_best_response(cost, bayesian_posterior(mean, weight, sc.rule[:, None].copy()))
+        dx = bayesian_best_response(cost, bayesian_posterior(mean, weight, sc.rule[:, None]))
         realized = realized_quantities(cost, sc.rule, dx)
         gains.append(np.array([realized.score_gain[0], realized.utility_gain[0]]))
     return gains[0] - gains[1]
