@@ -659,8 +659,23 @@ def build_parser():
     return parser
 
 
+def _unencodable(exc):
+    """Stdout's bytes for a character its encoding cannot hold: an undecodable byte of a file
+    name (U+DC80 to U+DCFF) as that byte, as UTF-8 mode writes it, else a backslash escape."""
+    char = exc.object[exc.start]
+    raw = "\udc80" <= char <= "\udcff"
+    return bytes([ord(char) - 0xDC00]) if raw else char.encode("ascii", "backslashreplace"), exc.start + 1
+
+
 def main(argv=None):
     try:
+        if sys.stdout is None:  # Python's stdout where fd 1 is closed: print would drop every line
+            raise OSError("standard output is closed")
+        if getattr(sys.stdout, "errors", None) in ("strict", "surrogateescape"):  # Python's own handlers
+            import codecs  # loaded with the interpreter
+
+            codecs.register_error("flab.unencodable", _unencodable)
+            sys.stdout.reconfigure(errors="flab.unencodable")
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except ParseError as exc:

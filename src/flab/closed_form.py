@@ -47,7 +47,6 @@ from .linalg_core import (
 )
 
 COMMUTE_TOL = 1e-10
-EQUAL_COST_TOL = 1e-12
 
 
 def _check_scale(scale):
@@ -150,13 +149,15 @@ class Scenario:
     """Scoring rule, per-group costs, and prior specification.
 
     Construction enforces that the second group's cost dominates the
-    first's (their difference must be positive definite; an exactly zero
-    difference is admitted only for projected priors, where the equal-cost
-    overlap bounds apply) and precomputes the derived constants used by
-    every formula, over the inverse-cost gap A1^-1 - A2^-1 as `gap` (zero
-    for equal costs); a rounded gap that makes rule_sq, or a common prior's
-    prior_sq or mismatch, negative raises NotPD. A projected prior also gets
-    its known-side gap A1^-1 P1 - A2^-1 P2 and unknown-side gap
+    first's: their difference must be positive definite, or, for projected
+    priors only, where the equal-cost overlap bounds apply, labelled Zero.
+    Costs labelled Zero are one cost: `cost2` becomes the `cost1` object, for
+    the formulas, the simulated agents and the overlap bounds alike.
+    Construction precomputes the constants of every formula over the
+    inverse-cost gap A1^-1 - A2^-1 as `gap`, exactly +0.0 for one cost; a
+    rounded gap that makes rule_sq, or a common prior's prior_sq or
+    mismatch, negative raises NotPD. A projected prior also gets its
+    known-side gap A1^-1 P1 - A2^-1 P2 and unknown-side gap
     A1^-1 (I - P1) - A2^-1 (I - P2) as `known_gap` and `unknown_gap`.
     """
 
@@ -178,21 +179,15 @@ class Scenario:
         cost_gap_label = definiteness(self.cost2.matrix - self.cost1.matrix)
         if cost_gap_label is Definiteness.ZERO:
             if not isinstance(self.prior, ProjectedPrior):
-                raise AssumptionViolated(
-                    "equal costs are only admitted for projected priors"
-                )
+                raise AssumptionViolated("equal costs are only admitted for projected priors")
+            object.__setattr__(self, "cost2", self.cost1)
         elif cost_gap_label is not Definiteness.PD:
-            raise AssumptionViolated(
-                f"second cost must dominate the first; gap is {cost_gap_label}"
-            )
+            raise AssumptionViolated(f"second cost must dominate the first; gap is {cost_gap_label}")
         object.__setattr__(self, "cost_gap_label", cost_gap_label)
 
-        if cost_gap_label is Definiteness.ZERO:
-            gap = GapMatrix(np.zeros((d, d)))
-            trace_gap = 0.0
-        else:
-            gap = GapMatrix(self.cost1.inverse - self.cost2.inverse)
-            trace_gap = self.cost1.trace_inverse - self.cost2.trace_inverse
+        # x - x is +0.0, so one shared cost gives a gap and trace gap of exactly +0.0
+        gap = GapMatrix(self.cost1.inverse - self.cost2.inverse)
+        trace_gap = self.cost1.trace_inverse - self.cost2.trace_inverse
         object.__setattr__(self, "gap", gap)
 
         # a typed NonFinite below reports what overflows here
@@ -294,9 +289,8 @@ def _require_trace_gap(sc):
 
 
 def _require_equal_costs(sc, op_name):
-    defect = max_norm(sc.cost1.matrix - sc.cost2.matrix)
-    if defect > EQUAL_COST_TOL:
-        raise CostsDiffer(f"{op_name}: cost matrices differ by {defect:.3e}")
+    if sc.cost_gap_label is not Definiteness.ZERO:
+        raise CostsDiffer(f"{op_name}: needs one cost for both groups, cost gap is {sc.cost_gap_label}")
 
 
 def score_variance_naive(sc, sigma):

@@ -62,25 +62,11 @@ def _scaled_integers(values):
     return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
 
 
-def _exact_sum(products, shift):
-    """sum(products) / 2^shift for integer products, correctly rounded; overflow gives a signed inf."""
-    total = sum(products)
-    try:
-        return total / (1 << shift)  # int / int rounds correctly
-    except OverflowError:
-        return math.inf if total > 0 else -math.inf
-
-
 def kahan_dot(x, y):
-    """Inner product of two equal-length vectors, correctly rounded as by `quad_form`."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"dot of shapes {x.shape} and {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        return math.nan
-    (xs, kx), (ys, ky) = (_scaled_integers(v.tolist()) for v in (x, y))
-    return _exact_sum(map(operator.mul, xs, ys), kx + ky)
+    """Inner product of two equal-length vectors: `quad_form` with the identity, correctly rounded."""
+    if np.shape(x) != np.shape(y) or np.ndim(x) != 1:
+        raise DimensionMismatch(f"dot of shapes {np.shape(x)} and {np.shape(y)}")
+    return quad_form(x, np.eye(len(x)), y)
 
 
 def quad_form(x, matrix, y=None):
@@ -97,7 +83,11 @@ def quad_form(x, matrix, y=None):
         return math.nan
     (xs, kx), (ms, km), (ys, ky) = (_scaled_integers(v.ravel().tolist()) for v in (x, a, y))
     outer = (xi * yj for xi in xs for yj in ys)  # row-major, as ms
-    return _exact_sum(map(operator.mul, ms, outer), kx + km + ky)
+    total = sum(map(operator.mul, ms, outer))
+    try:
+        return total / (1 << (kx + km + ky))  # int / int rounds correctly
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def _rotate(x, y, c, s):

@@ -57,13 +57,17 @@ def committed_with_sweep(name, sigma_min, sigma_max, points):
     return body
 
 
-def run_flab(args, prelude="", stdout=subprocess.PIPE, **env):
-    """`flab *args` run as a fresh process, after ``prelude``, with ``env`` added."""
+def child_env(**env):
+    """os.environ with flab's source tree on PYTHONPATH and ``env`` added."""
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
+
+
+def run_flab(args, prelude="", stdout=subprocess.PIPE, preexec_fn=None, **env):
+    """`flab *args` run as a fresh process, after ``prelude``, with ``env`` added."""
     code = prelude + "import sys; from flab.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=300, check=False)
+    return subprocess.run([sys.executable, "-c", code, *args], env=child_env(**env), stdout=stdout,
+                          stderr=subprocess.PIPE, preexec_fn=preexec_fn, timeout=300, check=False)
 
 
 def fresh_flab(args, prelude="", **env):
@@ -309,6 +313,66 @@ class TestValidateCommand:
             proc = run_flab(["validate", str(SCENARIOS / "reference_naive.json")], stdout=full)
         assert proc.returncode == 1
         assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+ENCODING_CHILD = """
+import sys
+from flab.cli import main
+codes = [main([command, path]) for path in sys.argv[1:] for command in ("validate", "classify")]
+print(sys.stdout.encoding, *codes, file=sys.stderr)
+"""
+
+
+def written(text, encoding):
+    """The bytes of ``text`` on a stdout of ``encoding``, by the README's rule."""
+    out = b""
+    for char in text:
+        try:
+            out += char.encode(encoding)
+        except UnicodeEncodeError:
+            if "\udc80" <= char <= "\udcff":  # an undecodable byte of a file name
+                out += bytes([ord(char) - 0xDC00])
+            else:
+                out += char.encode("ascii", "backslashreplace")
+    return out
+
+
+class TestStdoutEncoding:
+    # characters of tests/test_cli_fuzz.py's LABELS alphabet: Latin-1 and beyond, controls,
+    # noncharacters, a combining mark, right-to-left and astral letters
+    LABELS = ["na\xefve \u2013 \xfc", "a\x01b\x7f", "\ufffe\uffff", "e\u0301 \u05d0\u05d1",
+              "\U0001f600\U0010fffd", "\x85\xa0\u2028", "\u65e5\u672c"]
+    ENVIRONMENTS = [{"PYTHONIOENCODING": "ascii"}, {"PYTHONIOENCODING": "latin-1"},
+                    {"PYTHONIOENCODING": "utf-8"}, {"LC_ALL": "C", "PYTHONUTF8": "0"}, {}]
+
+    def test_every_stdout_encoding_writes_every_name(self, tmp_path):
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        paths = [write_scenario(tmp_path, {**body, "label": label}, f"{i}.json") for i, label in enumerate(self.LABELS)]
+        del body["label"]
+        # label-less, so the name is a file name that is not UTF-8
+        unnamed = [os.fsdecode(raw) for raw in (b"\xff.json", b"caf\xe9.json")]
+        paths += [write_scenario(tmp_path, body, name) for name in unnamed]
+        names = self.LABELS + unnamed
+        children = []
+        for env in self.ENVIRONMENTS:
+            inherited = {k: v for k, v in child_env().items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+            children.append(subprocess.Popen([sys.executable, "-c", ENCODING_CHILD, *paths], env={**inherited, **env},
+                                             stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        for env, child in zip(self.ENVIRONMENTS, children):
+            out, err = child.communicate(timeout=300)
+            assert child.returncode == 0, (env, err.decode(errors="replace"))
+            encoding, *codes = err.decode().split()
+            assert codes == ["0"] * (2 * len(paths)), env
+            lines = out.split(b"\n")
+            for head in ("scenario OK: ", "classification: "):
+                expected = [head.encode() + written(name, encoding) for name in names]
+                assert [line for line in lines if line.startswith(head.encode())] == expected, env
+
+    def test_closed_stdout_exits_1(self):
+        proc = run_flab(["validate", str(SCENARIOS / "reference_naive.json")], stdout=None,
+                        preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: standard output is closed\n"
 
 
 class TestSweepCommand:
@@ -892,6 +956,31 @@ class TestBoundsCommand:
 
     def test_unequal_costs_rejected(self, tmp_path):
         assert cli.main(["bounds", write_scenario(tmp_path, REF)]) == 3
+
+    def test_unequal_projected_costs_name_their_gap(self, capsys):
+        assert cli.main(["bounds", str(SCENARIOS / "reference_projected.json")]) == 3
+        assert capsys.readouterr() == ("", "error: score_overlap_bound: needs one cost for both groups, cost gap is PD\n")
+
+    @pytest.mark.parametrize("nudge", [
+        *(lambda c, e=e: [[c[0][0] + e, 0.0], [0.0, c[1][1] + e]] for e in (1e-13, 1e-11, 1e-10, 5e-10)),
+        lambda c: [[math.nextafter(c[0][0], 3.0), 0.0], [0.0, c[1][1]]],
+        lambda c: [[math.nextafter(c[0][0], 1.0), 0.0], [0.0, c[1][1]]],
+        lambda c: [[math.nextafter(c[0][0], 3.0), 0.0], [0.0, math.nextafter(c[1][1], 1.0)]],
+        lambda c: [[c[0][0], 1e-17], [1e-17, c[1][1]]],
+    ], ids=["diag+1e-13", "diag+1e-11", "diag+1e-10", "diag+5e-10", "ulp up", "ulp down", "ulps apart", "off-diag"])
+    def test_costs_labelled_zero_are_one_cost_to_every_command(self, tmp_path, capsys, nudge):
+        # costs labelled Zero are one cost, so the agents' sigma=0 rows equal the formulas'
+        # exact 0.0 and the bounds apply
+        body = json.loads((SCENARIOS / "equal_costs_bounds.json").read_text(encoding="utf-8"))
+        body["cost2"] = nudge(body["cost2"])
+        path = write_scenario(tmp_path, body)
+        assert cli.main(["validate", path]) == 0
+        assert "  cost gap: Zero\n" in capsys.readouterr().out
+        assert cli.main(["verify", path, "--n", "20000", "--seed", "3", "--points", "2"]) == 0
+        assert cli.main(["bounds", path, "--points", "3"]) == 0
+        capsys.readouterr()
+        assert cli.main(["classify", path]) == 3  # as on exactly equal costs
+        assert capsys.readouterr() == ("", "error: trace gap must be positive\n")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_noise_gives_finite_slacks(self, tmp_path, capsys):

@@ -54,6 +54,8 @@ DROP = object()  # a sentinel: no generated JSON value is this object
 VALUES = ANY_JSON | NUMBERS | VECTORS | MATRICES | st.fixed_dictionaries({"span": st.lists(VECTORS, max_size=2)})
 # every code point but a lone surrogate, which /label refuses: an SVG title may hold characters XML cannot
 LABELS = st.text(st.characters(exclude_categories=["Cs"]), max_size=6)
+# the (encoding, errors) of a captured stdout: the default UTF-8 mode's, and ones that cannot hold every label
+STDOUTS = st.tuples(st.sampled_from(["utf-8", "ascii", "latin-1"]), st.sampled_from(["strict", "surrogateescape"]))
 # any text, text that reads as an option, long digit strings beyond int()'s 4,300-digit limit,
 # and signed integers, some near the bounds
 COUNT_TEXT = (
@@ -66,11 +68,12 @@ COUNT_TEXT = (
 )
 
 
-def exits_cleanly(tmp, body, command, options, files, joined=True):
+def exits_cleanly(tmp, body, command, options, files, joined=True, stdout=("utf-8", "strict")):
     """Run ``command`` on ``body``: a known exit code, and on exit 2 or 3 no output and one reason.
 
     Each option is passed as ``--n=TEXT``, or, unless ``joined``, as the
     two words ``--n TEXT``, where a text such as ``-x`` reads as an option.
+    The captured stdout has the ``(encoding, errors)`` of ``stdout``.
     """
     scenario = tmp / "scenario.json"
     scenario.write_text(json.dumps(body), encoding="utf-8")
@@ -82,12 +85,13 @@ def exits_cleanly(tmp, body, command, options, files, joined=True):
         outputs = [tmp / "curves.csv", tmp / "curves.svg"]
         args += ["--out-csv", str(outputs[0]), "--out-svg", str(outputs[1])]
 
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), *stdout), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
+    out.flush()
     assert code in (0, 2, 3, 4, 5), err.getvalue()
     if code in (2, 3):
-        assert out.getvalue() == "", (args, body)
+        assert out.buffer.getvalue() == b"", (args, body)
         assert not any(p.exists() for p in outputs)
         assert err.getvalue().startswith("error: ")
     if code == 0 and outputs:
@@ -105,10 +109,12 @@ def mutations(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(mutation=mutations(), command=st.sampled_from(sorted(COMMANDS)), files=st.booleans())
-@example(mutation=("reference_common", ("label",), "a\x01b"), command="sweep", files=True)
-@example(mutation=("two_crossings", ("label",), "\ufffe"), command="sweep", files=True)
-def test_mutated_scenario_exits_cleanly(tmp_path_factory, mutation, command, files):
+@given(mutation=mutations(), command=st.sampled_from(sorted(COMMANDS)), files=st.booleans(), stdout=STDOUTS)
+@example(mutation=("reference_common", ("label",), "a\x01b"), command="sweep", files=True, stdout=("utf-8", "surrogateescape"))
+@example(mutation=("two_crossings", ("label",), "\ufffe"), command="sweep", files=True, stdout=("utf-8", "surrogateescape"))
+@example(mutation=("reference_naive", ("label",), "na\xefve \u2013 \xfc"), command="validate", files=False,
+         stdout=("ascii", "strict"))
+def test_mutated_scenario_exits_cleanly(tmp_path_factory, mutation, command, files, stdout):
     name, path, value = mutation
     body = json.loads(json.dumps(COMMITTED[name]))
     parent = body
@@ -118,7 +124,7 @@ def test_mutated_scenario_exits_cleanly(tmp_path_factory, mutation, command, fil
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    exits_cleanly(tmp_path_factory.mktemp("fuzz"), body, command, COMMANDS[command], files)
+    exits_cleanly(tmp_path_factory.mktemp("fuzz"), body, command, COMMANDS[command], files, stdout=stdout)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

@@ -139,6 +139,20 @@ class TestScenarioConstruction:
         assert sc.trace_gap == 0.0
         assert sc.constants.rule_sq == 0.0
 
+    @pytest.mark.parametrize("cost2", [
+        *(np.diag([2.0 + e, 1.0 + e]) for e in (1e-13, 1e-11, 5e-10)),
+        np.diag([math.nextafter(2.0, 3.0), 1.0]),
+        np.diag([math.nextafter(2.0, 1.0), 1.0]),
+        np.diag([math.nextafter(2.0, 3.0), math.nextafter(1.0, 0.0)]),
+    ], ids=["diag+1e-13", "diag+1e-11", "diag+5e-10", "ulp up", "ulp down", "ulps apart"])
+    def test_zero_labelled_costs_are_one_cost(self, projected, cost2):
+        cost = CostMatrix(np.diag([2.0, 1.0]))
+        sc = Scenario(RULE, cost, CostMatrix(cost2), projected.prior)
+        assert sc.cost_gap_label is Definiteness.ZERO
+        assert sc.cost1 is cost and sc.cost2 is cost
+        gaps = [*sc.gap.raw.ravel().tolist(), *sc.gap.sym.ravel().tolist(), sc.trace_gap, sc.constants.rule_sq]
+        assert all(g == 0.0 and math.copysign(1.0, g) == 1.0 for g in gaps)  # +0.0, not -0.0
+
 
 def exact_form(x, matrix, y):
     """float() of the exact rational x'My, every float read as the rational it is."""
@@ -404,6 +418,10 @@ class TestOverlapBounds:
         with pytest.raises(CostsDiffer):
             score_overlap_bound(projected, 1.0)
         with pytest.raises(CostsDiffer):
+            utility_overlap_bound(projected, 1.0)
+
+    def test_unequal_costs_message_names_the_cost_gap(self, projected):
+        with pytest.raises(CostsDiffer, match=r"^utility_overlap_bound: needs one cost for both groups, cost gap is PD$"):
             utility_overlap_bound(projected, 1.0)
 
 
