@@ -12,16 +12,17 @@ column. Each stage returns a new array and leaves its arguments as they
 were: the posterior is elementwise, the response is one (d, d) @ (d, m)
 product, and the realized score and cost are fixed contractions down
 each column. The Monte Carlo oracle runs one noise-free agent per group
-and noise level through these calls.
+and distinct signal weight through these calls.
 """
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DegeneratePrior, DimensionMismatch, Error, NegativeSigma
+from .errors import DimensionMismatch, Error, NegativeSigma
 
 _TWO_53 = float(2**53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -82,24 +83,27 @@ def scalar_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _check_scale(scale):
+    """Reject a prior scale that is not finite and positive, or whose square overflows or underflows to 0."""
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise Error(f"prior scale must be finite and positive, got {scale}")
+    if not 0.0 < scale * scale < math.inf:
+        raise Error(f"prior scale {scale:g} squares out of floating-point range")
+
+
 def signal_weight(prior_scale, sigma):
-    """Posterior weight on the signal relative to the prior.
+    """Posterior weight g^2 / (g^2 + sigma^2) on the signal, for the prior scale g.
 
     ``sigma`` is a scalar or an array; each entry is weighted on its own.
-    Equals 1 at zero noise and 0 for a dogmatic (zero-scale) prior; both
-    endpoints are returned exactly rather than through the generic ratio.
+    A scale that is not finite and positive, or whose square leaves
+    floating-point range, raises Error. So g^2 is finite and positive: the
+    weight is exactly 1 at zero noise, and exactly 0 where sigma^2 overflows.
     """
     s = noise_scales(sigma)
-    if prior_scale < 0.0:
-        raise Error(f"prior scale {prior_scale} is negative")
-    if prior_scale == 0.0:
-        if np.any(s == 0.0):
-            raise DegeneratePrior("prior scale and noise scale are both zero")
-        return scalar_or_array(np.zeros_like(s))
+    _check_scale(prior_scale)
     g2 = prior_scale * prior_scale
-    with np.errstate(over="ignore"):  # an overflowing sigma^2 gives the limit weight 0
-        weight = g2 / (g2 + s * s)
-    return scalar_or_array(np.where(s == 0.0, 1.0, weight))
+    with np.errstate(over="ignore"):
+        return scalar_or_array(g2 / (g2 + s * s))
 
 
 class Realized(NamedTuple):

@@ -431,8 +431,9 @@ def cmd_validate(args):
     if isinstance(sc.prior, NaivePrior):
         print("  prior: naive")
         print(f"  score disparity (all noise levels): {_g5(c.rule_sq)}")
-        if sc.trace_gap > 0.0:
-            print(f"  utility crossing: {_g5(neutrality_sigma_naive(sc))}")
+        crossing = neutrality_sigma_naive(sc) if sc.trace_gap > 0.0 else None
+        if crossing is not None:
+            print(f"  utility crossing: {_g5(crossing)}")
         return _EXIT_OK
     if isinstance(sc.prior, CommonPrior):
         print(f"  prior: common, scale {_g5(sc.prior.scale)}")
@@ -493,10 +494,9 @@ def cmd_classify(args):
     if isinstance(sc.prior, NaivePrior):
         fs = sc.constants.rule_sq
         lines.append(f"  score: constant {_g5(fs)} ({label_region(fs)})")
-        if sc.trace_gap > 0.0:
-            lines.append(f"  utility: MonotoneDecreasing, crossing at {_g5(neutrality_sigma_naive(sc))}")
-        else:
-            lines.append("  utility: MonotoneDecreasing, no crossing")
+        crossing = neutrality_sigma_naive(sc) if sc.trace_gap > 0.0 else None
+        where = "no crossing" if crossing is None else f"crossing at {_g5(crossing)}"
+        lines.append(f"  utility: MonotoneDecreasing, {where}")
         print("\n".join(lines))
         return _EXIT_OK
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .agents import Metric, noise_scales, scalar_or_array, signal_weight
+from .agents import Metric, _check_scale, noise_scales, scalar_or_array, signal_weight
 from .errors import (
     AssumptionViolated,
     CostsDiffer,
@@ -47,16 +47,6 @@ from .linalg_core import (
 )
 
 COMMUTE_TOL = 1e-10
-
-
-def _check_scale(scale):
-    """Reject a scale `signal_weight` cannot square: non-finite, negative, or
-    positive with a square that overflows or underflows to 0."""
-    if not (math.isfinite(scale) and scale >= 0.0):
-        raise Error(f"prior scale must be finite and nonnegative, got {scale}")
-    square = scale * scale
-    if not math.isfinite(square) or (scale > 0.0 and square == 0.0):
-        raise Error(f"prior scale {scale:g} squares out of floating-point range")
 
 
 @dataclass(frozen=True)
@@ -258,11 +248,6 @@ class Scenario:
         return self.cost1.dim
 
     @property
-    def prior_scale(self):
-        """Prior scale, or 0.0 for the naive prior."""
-        return getattr(self.prior, "scale", 0.0)
-
-    @property
     def commuting(self):
         return self.commute_defect <= COMMUTE_TOL
 
@@ -301,9 +286,15 @@ def score_variance_naive(sc, sigma):
 
 
 def neutrality_sigma_naive(sc):
-    """Noise scale at which the naive utility disparity crosses zero."""
+    """Noise scale at which the naive utility disparity crosses zero, if any.
+
+    A zero rule gives a curve that leaves 0 going down, so its start is no
+    crossing and this returns None.
+    """
     _require_prior(sc, NaivePrior, "neutrality_sigma_naive")
     _require_trace_gap(sc)
+    if sc.constants.rule_sq == 0.0:
+        return None
     return math.sqrt(sc.constants.rule_sq / sc.trace_gap)
 
 
@@ -316,8 +307,6 @@ def neutrality_sigma_score_bayes(sc):
     """
     if isinstance(sc.prior, NaivePrior):
         raise WrongPriorKind("neutrality_sigma_score_bayes needs a belief-carrying prior")
-    if sc.prior.scale <= 0.0:
-        raise Error("score neutrality needs a positive prior scale")
     c = sc.constants
     if c.cross >= 0.0:
         return None
@@ -353,14 +342,9 @@ def utility_overlap_bound(sc, sigma):
     return _overlap_bound(sc, 0.5 * (1.0 - signal_weight(sc.prior.scale, sigma)) ** 2)
 
 
-def noise_unit(sc):
-    """Scale factor for noise grids: the prior scale, floored at one."""
-    return max(sc.prior_scale, 1.0)
-
-
 def noise_range(sc):
-    """Default noise interval, three decades either side of `noise_unit`."""
-    u = noise_unit(sc)
+    """Default noise interval, three decades either side of the prior scale floored at one."""
+    u = max(getattr(sc.prior, "scale", 1.0), 1.0)
     return 1e-3 * u, 1e3 * u
 
 

@@ -30,10 +30,6 @@ class NegativeSigma(Error):
     """Noise scale must be nonnegative."""
 
 
-class DegeneratePrior(Error):
-    """Prior scale and noise scale are both zero; the posterior weight is 0/0."""
-
-
 class WrongPriorKind(Error):
     """Operation called on a scenario whose prior kind does not support it."""
 

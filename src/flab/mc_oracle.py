@@ -224,7 +224,10 @@ def _moments(sc, n, seed):
 
 
 def _deviations(sc, sigmas, n, seed):
-    """Means and sample variances, each (levels, 2), of the agents' deviations from each level's centre."""
+    """Means and sample variances, each (levels, 2), of the agents' deviations from each level's centre.
+
+    A level where either is not finite raises Error.
+    """
     means, scatter, extremes = _moments(sc, n, seed)
     # fl(sigma e + r) is monotone in e and grows in magnitude with sigma, so some signal
     # overflows at some level exactly where an extreme one does at the largest (or nan)
@@ -234,16 +237,20 @@ def _deviations(sc, sigmas, n, seed):
         raise Error("signal has non-finite entries")
     # at each level the agents deviate by ka D_a in score and by kb D_b + kc D_c in utility
     ka = _weights(sc, sigmas) * sigmas  # w sigma
-    if isinstance(sc.prior, NaivePrior):
-        kb = np.zeros_like(ka)  # 1 - w is 0
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # where sigma^2 overflows, w is 0 and 1 - w is 1
+    aa, bb, cc, bc = scatter
+    # the check below reports what overflows here, as the one above does for the signals
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(sc.prior, NaivePrior):
+            kb = np.zeros_like(ka)  # 1 - w is 0
+        else:  # where sigma^2 overflows, w is 0 and 1 - w is 1
             s2 = sigmas * sigmas
             kb = ka * np.where(np.isinf(s2), 1.0, s2 / (sc.prior.scale * sc.prior.scale + s2))
-    kc = -0.5 * ka * ka
-    aa, bb, cc, bc = scatter
-    shifts = np.stack((ka * means[0], kb * means[1] + kc * means[2]), axis=1)
-    variances = np.stack((ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc), axis=1)
+        kc = -0.5 * ka * ka
+        shifts = np.stack((ka * means[0], kb * means[1] + kc * means[2]), axis=1)
+        variances = np.stack((ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc), axis=1)
+    bad = np.flatnonzero(~(np.isfinite(shifts) & np.isfinite(variances)).all(axis=1))
+    if bad.size:
+        raise Error(f"estimate at sigma={sigmas[bad[0]]:g} is out of floating-point range")
     return shifts, variances / (n - 1)
 
 

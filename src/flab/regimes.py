@@ -26,7 +26,7 @@ from .closed_form import (
     neutrality_sigma_score_bayes,
     noise_range,
 )
-from .errors import AssumptionViolated, Error, InvalidBracket, NonFinite
+from .errors import AssumptionViolated, InvalidBracket, NonFinite
 from .linalg_core import Definiteness, label_eigenvalues, max_norm, span_within
 
 SIGN_TOL = 1e-10
@@ -190,8 +190,6 @@ def critical_prior_scale(sc):
 def _classify_utility(sc):
     c = sc.constants
     scale = sc.prior.scale
-    if scale <= 0.0:
-        raise Error("utility classification needs a positive prior scale")
     crit_sq = _critical_scale_sq(sc)
     if scale * scale <= crit_sq:
         case = UtilityCase.MONOTONE_DECREASING
@@ -426,8 +424,6 @@ def classify_utility_projected_matrix(sc):
     _require_trace_gap(sc)
     c = sc.constants
     scale = sc.prior.scale
-    if scale <= 0.0:
-        raise Error("matrix classification needs a positive prior scale")
 
     known_label = sc.known_gap.label
     if known_label not in _SEMI_POSITIVE:

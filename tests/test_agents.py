@@ -18,7 +18,7 @@ from flab.agents import (
     standard_normals,
 )
 from flab.closed_form import CommonPrior, NaivePrior, Scenario
-from flab.errors import DegeneratePrior, DimensionMismatch, Error, NegativeSigma
+from flab.errors import DimensionMismatch, Error, NegativeSigma
 from flab.linalg_core import CostMatrix
 from flab.mc_oracle import estimate_disparities, estimate_disparity
 
@@ -77,8 +77,10 @@ class TestSignalWeight:
     def test_zero_noise_gives_full_weight(self):
         assert signal_weight(1.5, 0.0) == 1.0
 
-    def test_zero_scale_gives_zero_weight(self):
-        assert signal_weight(0.0, 2.0) == 0.0
+    def test_zero_scale_rejected(self):
+        for sigma in (2.0, 0.0):
+            with pytest.raises(Error, match="must be finite and positive, got 0.0"):
+                signal_weight(0.0, sigma)
 
     def test_generic_value(self):
         # scale 1, noise 1: weight 1/2 exactly
@@ -87,10 +89,6 @@ class TestSignalWeight:
     def test_monotone_in_noise(self):
         weights = [signal_weight(1.0, s) for s in (0.1, 0.5, 1.0, 5.0, 50.0)]
         assert weights == sorted(weights, reverse=True)
-
-    def test_degenerate_pair_rejected(self):
-        with pytest.raises(DegeneratePrior):
-            signal_weight(0.0, 0.0)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(NegativeSigma):
@@ -148,7 +146,9 @@ class TestResponses:
         assert post.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_dogmatic_posterior_is_prior_mean(self):
-        post = bayesian_posterior(PRIOR_MEAN, signal_weight(0.0, 2.0), column(0.3, -0.8))
+        # weight 0, as where sigma^2 overflows
+        assert signal_weight(1.0, 1e200) == 0.0
+        post = bayesian_posterior(PRIOR_MEAN, 0.0, column(0.3, -0.8))
         assert np.array_equal(post, column(*PRIOR_MEAN))
 
     def test_response_maximizes_believed_objective(self):

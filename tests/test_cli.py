@@ -626,6 +626,14 @@ class TestClassifyCommand:
         assert "MonotoneDecreasing" in out
         assert "0.6742" in out
 
+    def test_zero_rule_naive_has_no_crossing(self, tmp_path, capsys):
+        # the utility curve leaves 0 going down, as a common prior's does with a zero rule and mean
+        path = write_scenario(tmp_path, variant(rule=[0.0, 0.0]))
+        assert cli.main(["validate", path]) == 0
+        assert "crossing" not in capsys.readouterr().out
+        assert cli.main(["classify", path]) == 0
+        assert "  utility: MonotoneDecreasing, no crossing\n" in capsys.readouterr().out
+
     def test_common_nonmonotone(self, tmp_path, capsys):
         body = variant(prior={"kind": "common", "mean": [0.5, 2.0], "scale": 2.0})
         assert cli.main(["classify", write_scenario(tmp_path, body)]) == 0
@@ -784,6 +792,26 @@ class TestVerifyCommand:
         body["prior"]["scale"] = 1e-6
         assert cli.main(["verify", write_scenario(tmp_path, body), "--n", "100000", "--seed", "42"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, n, points, code", [
+        (1e100, "1000", "3", 3),
+        (1e77, "100000", "6", 3),
+        (1e76, "100000", "6", 0),
+    ])
+    def test_overflowing_variance_is_one_error_line(self, scale, n, points, code, tmp_path, capsys):
+        # (w sigma)^4 in the utility variance overflows at the top of the grid, though its square root would not
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        body["prior"]["scale"] = scale
+        args = ["verify", write_scenario(tmp_path, body), "--n", n, "--seed", "1", "--points", points]
+        assert cli.main(args) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert re.fullmatch(r"error: estimate at sigma=\S+ is out of floating-point range\n", err)
+        else:
+            assert err == "" and "inf" not in out
+            assert out.endswith("all comparisons passed\n")
 
     def test_stdout_independent_of_cpu_affinity(self, tmp_path):
         args = ["verify", write_scenario(tmp_path, REF), "--n", str(3 * _BLOCK + 5), "--points", "2"]

@@ -1,7 +1,8 @@
 """Property tests of the command line: a committed scenario with one key
 changed to any JSON value, or dropped, any valid sweep grid, or any text as
 the value of a count option, never crashes a subcommand, and a parse error
-or a violated assumption leaves no output behind."""
+or a violated assumption leaves no output behind. The command line and the
+library also admit the same prior scales."""
 
 import contextlib
 import io
@@ -11,10 +12,15 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flab import cli
+from flab.agents import signal_weight
+from flab.closed_form import CommonPrior, ProjectedPrior
+from flab.errors import Error
+from flab.linalg_core import Projection
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 COMMITTED = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in sorted(SCENARIOS.glob("*.json"))}
@@ -169,3 +175,39 @@ def test_any_sweep_grid_exits_cleanly(tmp_path_factory, name, sweep):
     if (tmp / "curves.svg").exists():
         root = ET.parse(tmp / "curves.svg").getroot()
         assert sum(e.tag.endswith("polyline") for e in root.iter()) == 2
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(scale=st.floats(allow_nan=False, allow_infinity=False))
+@example(scale=0.0)
+@example(scale=-0.0)
+@example(scale=5e-324)
+@example(scale=1e-170)
+@example(scale=1.3e154)
+@example(scale=1e160)
+@example(scale=-2.0)
+def test_cli_and_library_admit_the_same_prior_scales(tmp_path_factory, scale):
+    tmp = tmp_path_factory.mktemp("scale")
+    square = scale * scale
+    want = 2 if scale <= 0.0 else 3 if not 0.0 < square < math.inf else 0
+    for name in ("reference_common", "reference_projected"):
+        body = json.loads(json.dumps(COMMITTED[name]))
+        body["prior"]["scale"] = scale
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["validate", str(path)]) == want, err.getvalue()
+        assert ("/prior/scale" in err.getvalue()) == (want == 2)
+    eye = Projection(np.eye(2))
+    for build in (
+        lambda: CommonPrior(np.zeros(2), scale),
+        lambda: ProjectedPrior(eye, eye, scale),
+        lambda: signal_weight(scale, 1.0),
+    ):
+        try:
+            build()
+        except Error:
+            assert want != 0
+        else:
+            assert want == 0

@@ -24,7 +24,7 @@ from flab.closed_form import (
     endpoints,
     neutrality_sigma_naive,
     neutrality_sigma_score_bayes,
-    noise_unit,
+    noise_range,
     overlap_proxy,
     score_overlap_bound,
     score_variance_naive,
@@ -34,8 +34,8 @@ from flab.closed_form import (
 from flab.errors import (
     AssumptionViolated,
     CostsDiffer,
-    DegeneratePrior,
     DimensionMismatch,
+    Error,
     NegativeSigma,
     NonCommuting,
     WrongPriorKind,
@@ -267,7 +267,7 @@ class TestCommonPriorFormulas:
     @pytest.mark.filterwarnings("error")
     def test_infinity_limits(self, common):
         c = common.constants
-        big = 1e6 * noise_unit(common)
+        big = 1e3 * noise_range(common)[1]
         assert disparity_value(common, Metric.SCORE, big) == pytest.approx(c.cross, rel=1e-6)
         limit = c.cross - 0.5 * c.prior_sq
         assert limit == pytest.approx(-0.5729166666666666, rel=1e-13)
@@ -475,7 +475,7 @@ def _same_bits(array, scalars):
 
 
 def _weight(scale, sigma):
-    return 0.0 if scale == 0.0 else scale * scale / (scale * scale + sigma * sigma)
+    return scale * scale / (scale * scale + sigma * sigma)
 
 
 def _loop_value(sc, metric, sigma):
@@ -531,13 +531,6 @@ class TestArrayEvaluation:
             assert _same_bits(np.array(scalars), [pair[i] for pair in loop])
             assert _same_bits(bound(sc, self.SIGMAS), scalars)
 
-    def test_zero_prior_scale_is_exact(self, costs):
-        sc = Scenario(RULE, costs[0], costs[1], CommonPrior(PRIOR_MEAN, 0.0))
-        sigmas = self.SIGMAS[1:]
-        assert np.all(disparity_value(sc, Metric.SCORE, sigmas) == sc.constants.cross)
-        loop = [_loop_value(sc, Metric.UTILITY, float(s)) for s in sigmas]
-        assert _same_bits(disparity_value(sc, Metric.UTILITY, sigmas), loop)
-
     @pytest.mark.parametrize("kind", ["naive", "common", "projected"])
     @pytest.mark.parametrize("metric", [Metric.SCORE, Metric.UTILITY])
     def test_negative_sigma_anywhere_rejected(self, kind, metric, request):
@@ -553,8 +546,17 @@ class TestArrayEvaluation:
             with pytest.raises(NegativeSigma):
                 bound(sc, np.array([1.0, -2.0]))
 
-    def test_degenerate_zero_noise_anywhere_rejected(self, costs):
-        sc = Scenario(RULE, costs[0], costs[1], CommonPrior(PRIOR_MEAN, 0.0))
-        for metric in (Metric.SCORE, Metric.UTILITY):
-            with pytest.raises(DegeneratePrior):
-                disparity_value(sc, metric, np.array([1.0, 0.0, 2.0]))
+
+class TestPriorScale:
+    """One check decides a prior scale, for both prior kinds and the signal weight alike."""
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -2.0, math.nan, math.inf, 1e-170, 1e160])
+    def test_refused_everywhere(self, scale):
+        eye = Projection(np.eye(2))
+        for build in (
+            lambda: CommonPrior(PRIOR_MEAN, scale),
+            lambda: ProjectedPrior(eye, eye, scale),
+            lambda: signal_weight(scale, 1.0),
+        ):
+            with pytest.raises(Error, match="prior scale"):
+                build()

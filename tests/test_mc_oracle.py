@@ -484,6 +484,18 @@ class TestEstimates:
         b = estimate_disparity(naive, Metric.SCORE, 0.5, 2000, 11)
         assert a == b
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_variance_rejected(self):
+        # the utility variance holds (w sigma)^4, which overflows near sigma = 1e77 at this scale
+        sc = Scenario(
+            RULE, CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])),
+            CommonPrior(np.array([0.5, 2.0]), 1e100),
+        )
+        means, stderrs = estimate_disparities(sc, [0.0, 1e70], 1000, 1)
+        assert np.isfinite(means).all() and np.isfinite(stderrs).all()
+        with pytest.raises(Error, match=r"^estimate at sigma=1e\+100 is out of floating-point range$"):
+            estimate_disparities(sc, [0.0, 1e70, 1e100, 1e103], 1000, 1)
+
 
 class TestBatchedEstimates:
     SIGMAS = (0.0, 0.25, 1.0, 4.0)
