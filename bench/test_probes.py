@@ -74,3 +74,54 @@ def test_probe_classify_common_prior(benchmark, tmp_path):
             kind: {str(code): n for (k, code), n in sorted(by_rule.items()) if k == kind} for kind in RULE_KINDS
         },
     })
+
+
+def neutrality_scenarios(seed=3, count=400):
+    """The neutrality probe's d=2 projected-prior scenarios, whose known-subspace gap is negative definite.
+
+    Per scenario, in this draw order from ``default_rng(seed)``: the rule,
+    a standard normal 2-vector times 10^U(-3, 6), A1 = diag U(0.5, 3),
+    A2 = A1 + diag U(0.3, 2) and the prior scale 10^U(-3, 3). The first
+    projector is 0 and the second the identity.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rule = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 6.0)
+        a1 = rng.uniform(0.5, 3.0, size=2)
+        a2 = a1 + rng.uniform(0.3, 2.0, size=2)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        yield {
+            "label": "neutrality probe",
+            "dimension": 2,
+            "rule": rule.tolist(),
+            "cost1": np.diag(a1).tolist(),
+            "cost2": np.diag(a2).tolist(),
+            "prior": {"kind": "projected", "subspace1": np.zeros((2, 2)).tolist(),
+                      "subspace2": np.eye(2).tolist(), "scale": float(scale)},
+        }
+
+
+def test_probe_classify_projected_neutrality(benchmark, tmp_path):
+    # the neutrality probe: exit 4 from a score that misses zero at its own crossing, or a count mismatch
+    paths = []
+    for i, spec in enumerate(neutrality_scenarios()):
+        path = tmp_path / f"p{i:03d}.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        paths.append(str(path))
+
+    def run():
+        results = []
+        for path in paths:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                results.append((cli.main(["classify", path]), out.getvalue()))
+        return results
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    by_code = Counter(code for code, _ in results)
+    benchmark.extra_info.update({
+        "scenarios": len(results),
+        "exit_codes": {str(code): n for code, n in sorted(by_code.items())},
+        "vanishing_no_lines": sum(out.count("vanishes at the crossing: NO") for _, out in results),
+        "mismatch_lines": sum(out.count("MISMATCH") for _, out in results),
+    })

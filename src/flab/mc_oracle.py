@@ -15,12 +15,14 @@ b = (r - mu)'y and c = e'y do not depend on the level. So a level's group
 differences are its centre, the noise-free agents' difference, plus an
 affine map k of each agent's group differences D = (D_a, D_b, D_c): their
 mean is the centre plus k times the pooled means of D, and their sample
-variance is k'Sk / (n - 1), with S the pooled scatter of D. The drawn
-agents are reduced once, whatever the number of levels. A level's centre
-runs through `flab.agents` as one agent per group whose signal is the
-rule itself, and at sigma = 0 it is the estimate. So the centre is
-computed, not sampled: at sigma > 0 the simulation tests the deviations
-from it, and the sigma = 0 rows test the centre.
+variance is k'Sk / (n - 1), with S the pooled scatter of D. Scaling k by
+a power of two first is exact in the normal range (Higham, 2002, 2.1),
+so k'Sk overflows only where the standard error does. The drawn agents
+are reduced once, whatever the number of levels. A level's centre runs
+through `flab.agents` as one agent per group whose signal is the rule
+itself, and at sigma = 0 it is the estimate. So the centre is computed,
+not sampled: at sigma > 0 the simulation tests the deviations from it,
+and the sigma = 0 rows test the centre.
 
 `estimate_disparities` streams its agents in aligned blocks of `_BLOCK`,
 drawn in order from the seed's stream into one reused (2, d, `_BLOCK`)
@@ -38,8 +40,9 @@ each pooled mean equals `tree_sum` over all n bit for bit. An estimate
 depends only on (scenario, sigma, n, seed), not on the other levels.
 
 `estimate_disparities` returns a noise grid's means and standard errors as
-two (levels, 2) arrays, and `compare` judges such arrays against the
-analytic values elementwise, into arrays of z-scores and verdicts.
+two (levels, 2) arrays; its one overflow check, at the end, refuses the
+first level where either is not finite. `compare` judges such arrays
+against the analytic values elementwise, into z-scores and verdicts.
 """
 
 import math
@@ -191,7 +194,7 @@ def _reduce_block(sc, noise, padded, out, work):
 
 
 def _moments(sc, n, seed):
-    """Pooled means (a, b, c) and scatter (aa, bb, cc, bc) of the difference rows, and the extreme normals.
+    """Pooled means (a, b, c) and scatter (aa, bb, cc, bc) of the difference rows.
 
     One pass draws the aligned blocks in order. Per row, block b of m_b
     agents keeps its node sum s_b and, about its own mean s_b / m_b, its
@@ -199,8 +202,7 @@ def _moments(sc, n, seed):
     the s_b over n. With e_b = s_b / m_b - mean, the scatter of rows k and l
     is the tree sum over blocks of q_b + e_bk (r_bl + m_b e_bl) + e_bl r_bk
     (Chan, Golub and LeVeque, Am. Stat. 37, 1983); keeping r_b, zero but for
-    the rounding of s_b, makes it exact. The extremes are each (group,
-    coordinate)'s smallest and largest normal, as (low, high).
+    the rounding of s_b, makes it exact.
     """
     stream = normal_stream(seed, (_STREAM_KEY,))
     sizes = np.minimum(_BLOCK, n - np.arange(0, n, _BLOCK))
@@ -210,48 +212,36 @@ def _moments(sc, n, seed):
     width = int(sizes[0])
     noise = np.empty((2, sc.dim, width))
     work = (np.empty(3 * width), np.empty(3 * width), np.empty(max(2 * sc.dim, 4) * width))
-    low, high = np.full((2, sc.dim), np.inf), np.full((2, sc.dim), -np.inf)
     for tally, size in zip(tallies, sizes.tolist()):
         block = _block_columns(stream, size, sc.dim, noise[:, :, :size])
-        np.minimum(low, block.min(axis=-1), out=low)
-        np.maximum(high, block.max(axis=-1), out=high)
         _reduce_block(sc, block, size < _BLOCK < n, tally, work)
     sums, drifts, products = tallies[:, :3].T, tallies[:, 3:6].T, tallies[:, 6:].T
     means = tree_sum(sums) / n
     shift = sums / sizes - means[:, None]
     spread = products + shift[_LEFT] * (drifts[_RIGHT] + sizes * shift[_RIGHT]) + shift[_RIGHT] * drifts[_LEFT]
-    return means, tree_sum(spread), (low, high)
+    return means, tree_sum(spread)
 
 
 def _deviations(sc, sigmas, n, seed):
-    """Means and sample variances, each (levels, 2), of the agents' deviations from each level's centre.
+    """Means, sample variances over 4^e, and exponents e of the agents' deviations from each level's centre.
 
-    A level where either is not finite raises Error.
+    Means and variances are (levels, 2). Each level's k is scaled by 2^-e,
+    e the exponent of its largest entry, before k'Sk is formed.
     """
-    means, scatter, extremes = _moments(sc, n, seed)
-    # fl(sigma e + r) is monotone in e and grows in magnitude with sigma, so some signal
-    # overflows at some level exactly where an extreme one does at the largest (or nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        signals = sigmas.max() * np.array(extremes) + sc.rule
-    if not np.isfinite(signals).all():
-        raise Error("signal has non-finite entries")
+    means, (aa, bb, cc, bc) = _moments(sc, n, seed)
     # at each level the agents deviate by ka D_a in score and by kb D_b + kc D_c in utility
     ka = _weights(sc, sigmas) * sigmas  # w sigma
-    aa, bb, cc, bc = scatter
-    # the check below reports what overflows here, as the one above does for the signals
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(sc.prior, NaivePrior):
-            kb = np.zeros_like(ka)  # 1 - w is 0
-        else:  # where sigma^2 overflows, w is 0 and 1 - w is 1
-            s2 = sigmas * sigmas
-            kb = ka * np.where(np.isinf(s2), 1.0, s2 / (sc.prior.scale * sc.prior.scale + s2))
-        kc = -0.5 * ka * ka
-        shifts = np.stack((ka * means[0], kb * means[1] + kc * means[2]), axis=1)
-        variances = np.stack((ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc), axis=1)
-    bad = np.flatnonzero(~(np.isfinite(shifts) & np.isfinite(variances)).all(axis=1))
-    if bad.size:
-        raise Error(f"estimate at sigma={sigmas[bad[0]]:g} is out of floating-point range")
-    return shifts, variances / (n - 1)
+    if isinstance(sc.prior, NaivePrior):
+        kb = np.zeros_like(ka)  # 1 - w is 0
+    else:  # where sigma^2 overflows, w is 0 and 1 - w is 1
+        s2 = sigmas * sigmas
+        kb = ka * np.where(np.isinf(s2), 1.0, s2 / (sc.prior.scale * sc.prior.scale + s2))
+    kc = -0.5 * ka * ka
+    shifts = np.stack((ka * means[0], kb * means[1] + kc * means[2]), axis=1)
+    _, exponents = np.frexp(np.abs([ka, kb, kc]).max(axis=0))
+    ka, kb, kc = (np.ldexp(k, -exponents) for k in (ka, kb, kc))
+    variances = np.stack((ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc), axis=1)
+    return shifts, variances / (n - 1), exponents
 
 
 def estimate_disparities(sc, sigmas, n, seed):
@@ -262,16 +252,20 @@ def estimate_disparities(sc, sigmas, n, seed):
     (score, utility). Both groups see independent noise, and all noise
     levels share the same random numbers. At sigma = 0 every agent is the
     noise-free one, so the centre is the mean, with zero standard error.
+    The first level whose mean or standard error is not finite raises Error.
     """
     levels, n = _check_inputs(sigmas, n)
     noisy = levels != 0.0
-    shifts = np.zeros((levels.size, 2))
-    stderrs = np.zeros_like(shifts)
-    if noisy.any():
-        shifts[noisy], variances = _deviations(sc, levels[noisy], n, int(seed))
-        stderrs[noisy] = np.sqrt(variances) / math.sqrt(n)
-    means = _centres(sc, levels)
-    means[noisy] += shifts[noisy]
+    stderrs = np.zeros((levels.size, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = _centres(sc, levels)
+        if noisy.any():
+            shifts, variances, exponents = _deviations(sc, levels[noisy], n, int(seed))
+            means[noisy] += shifts
+            stderrs[noisy] = np.ldexp(np.sqrt(variances) / math.sqrt(n), exponents[:, None])
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stderrs)).all(axis=1))
+    if bad.size:
+        raise Error(f"estimate at sigma={levels[bad[0]]:g} is out of floating-point range")
     return means, stderrs
 
 
@@ -299,8 +293,11 @@ def estimate_variance_naive(sc, sigma, n, seed):
     levels, n = _check_inputs([sigma], n)
     if levels[0] == 0.0:
         return 0.0, 0.0
-    _, variances = _deviations(sc, levels, n, seed)
-    var = float(variances[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, variances, exponents = _deviations(sc, levels, n, seed)
+        var = float(np.ldexp(variances[0, 0], 2 * exponents[0]))
+    if not math.isfinite(var):
+        raise Error(f"estimate at sigma={levels[0]:g} is out of floating-point range")
     return var, var * math.sqrt(2.0 / (n - 1))
 
 

@@ -336,7 +336,8 @@ def neutrality_condition_projected(sc):
         checks.append(("first projector differs from the identity", not _is_identity(sc.prior.subspace1)))
         sigma = neutrality_sigma_score_bayes(sc)
         if sigma is not None:
-            vanishes = abs(disparity_value(sc, Metric.SCORE, sigma)) <= 1e-10
+            at_zero, at_inf = endpoints(sc, Metric.SCORE)  # the tolerance `classify_score_bayes` puts on this curve
+            vanishes = abs(disparity_value(sc, Metric.SCORE, sigma)) <= SIGN_TOL * (1.0 + abs(at_zero) + abs(at_inf))
             checks.append(("score disparity vanishes at the crossing", vanishes))
     return NeutralityCondition(
         MatrixConditionReport(

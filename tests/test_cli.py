@@ -753,6 +753,33 @@ class TestClassifyCommand:
         assert cli.main(["classify", write_scenario(tmp_path, self.PROJECTED)]) == 4
         assert "- forced check: NO" in capsys.readouterr().out
 
+    # the known-subspace gap is negative definite, and the crossing's score residual is -2.4e-7 on terms of 1.6e9
+    LARGE_RULE_NEUTRAL = variant(
+        rule=[33212.072819146, -41588.58243424358],
+        cost1=[[1.9554050901609195, 0.0], [0.0, 0.7353216056009979]],
+        cost2=[[2.991720888562925, 0.0], [0.0, 1.8497088124404157]],
+        prior={
+            "kind": "projected",
+            "subspace1": [[0.0, 0.0], [0.0, 0.0]],
+            "subspace2": [[1.0, 0.0], [0.0, 1.0]],
+            "scale": 0.009087271168968543,
+        },
+    )
+
+    def test_neutrality_tolerance_scales_with_the_curve(self, tmp_path, capsys):
+        assert cli.main(["classify", write_scenario(tmp_path, self.LARGE_RULE_NEUTRAL)]) == 0
+        out = capsys.readouterr().out
+        assert "    - score disparity vanishes at the crossing: yes\n" in out
+        assert "    crossing at 0.010106\n" in out
+
+    def test_neutrality_off_the_crossing_exits_4(self, tmp_path, capsys, monkeypatch):
+        from flab import regimes
+
+        true_sigma = regimes.neutrality_sigma_score_bayes
+        monkeypatch.setattr(regimes, "neutrality_sigma_score_bayes", lambda sc: 1.01 * true_sigma(sc))
+        assert cli.main(["classify", write_scenario(tmp_path, self.LARGE_RULE_NEUTRAL)]) == 4
+        assert "    - score disparity vanishes at the crossing: NO\n" in capsys.readouterr().out
+
     def test_sampled_rule_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):
         from flab.linalg_core import Definiteness
         from flab.regimes import MatrixVerdict, ProjectedMatrixReport
@@ -794,24 +821,38 @@ class TestVerifyCommand:
         assert "FAIL" not in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale, n, points, code", [
-        (1e100, "1000", "3", 3),
-        (1e77, "100000", "6", 3),
-        (1e76, "100000", "6", 0),
+    @pytest.mark.parametrize("scale, costs, n, points, refused", [
+        (1e76, None, "100000", "6", None),
+        (1e77, None, "100000", "6", None),
+        (1e100, None, "100000", "6", None),
+        (1e150, None, "100000", "6", None),
+        (1e152, (1e-8, 2e-8), "1000", "3", "1e+152"),
     ])
-    def test_overflowing_variance_is_one_error_line(self, scale, n, points, code, tmp_path, capsys):
-        # (w sigma)^4 in the utility variance overflows at the top of the grid, though its square root would not
+    def test_out_of_range_estimate_is_one_error_line(self, scale, costs, n, points, refused, tmp_path, capsys):
+        # (w sigma)^4 in the utility variance overflows near sigma = 1e77, though the standard error
+        # does not; with costs of 1e-8 the utility mean, about -(w sigma)^2 1e8 / 2, leaves range near 2e150
         body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
         body["prior"]["scale"] = scale
+        if costs:
+            body["cost1"], body["cost2"] = (np.diag([c, c]).tolist() for c in costs)
         args = ["verify", write_scenario(tmp_path, body), "--n", n, "--seed", "1", "--points", points]
-        assert cli.main(args) == code
+        assert cli.main(args) == (3 if refused else 0)
         out, err = capsys.readouterr()
-        if code:
+        if refused:
             assert out == ""
-            assert re.fullmatch(r"error: estimate at sigma=\S+ is out of floating-point range\n", err)
+            assert err == f"error: estimate at sigma={refused} is out of floating-point range\n"
         else:
             assert err == "" and "inf" not in out
             assert out.endswith("all comparisons passed\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_centre_is_one_error_line(self, tmp_path, capsys):
+        # the formulas' rule_sq, 1.32e308, is in range, but group 1's noise-free score gain, 2.16e308, is not
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        body["rule"] = [1.2e154, 1.2e154]
+        args = ["verify", write_scenario(tmp_path, body), "--n", "1000", "--seed", "1", "--points", "2"]
+        assert cli.main(args) == 3
+        assert capsys.readouterr() == ("", "error: estimate at sigma=0 is out of floating-point range\n")
 
     def test_stdout_independent_of_cpu_affinity(self, tmp_path):
         args = ["verify", write_scenario(tmp_path, REF), "--n", str(3 * _BLOCK + 5), "--points", "2"]

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from flab import mc_oracle
 from flab.agents import (
@@ -484,17 +486,107 @@ class TestEstimates:
         b = estimate_disparity(naive, Metric.SCORE, 0.5, 2000, 11)
         assert a == b
 
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_variance_rejected(self):
-        # the utility variance holds (w sigma)^4, which overflows near sigma = 1e77 at this scale
+    def test_huge_levels_scale_exactly(self, naive):
+        # k'Sk holds (w sigma)^4, past range from sigma = 1e77, so each level's k is scaled by a power of
+        # two first, exactly: sigma times 2^300 gives the score stderr times 2^300 and the utility's times 4^300
+        means, stderrs = estimate_disparities(naive, [0.75, math.ldexp(0.75, 300)], 1000, 1)
+        assert np.isfinite(means).all()
+        assert stderrs[1, 0] == math.ldexp(stderrs[0, 0], 300)
+        assert stderrs[1, 1] == math.ldexp(stderrs[0, 1], 600)
+
+    def test_large_prior_scale_levels_estimated(self):
+        # a variance formed from the unscaled k, with (w sigma)^4 in it, overflows at 1e100 and 1e103
         sc = Scenario(
             RULE, CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])),
             CommonPrior(np.array([0.5, 2.0]), 1e100),
         )
-        means, stderrs = estimate_disparities(sc, [0.0, 1e70], 1000, 1)
+        sigmas = np.array([1e70, 1e100, 1e103])
+        analytic = np.stack([disparity_value(sc, metric, sigmas) for metric in Metric], axis=1)
+        means, stderrs = estimate_disparities(sc, sigmas, 1000, 1)
+        assert np.isfinite(stderrs).all() and (stderrs > 0.0).all()
+        assert compare(analytic, means, stderrs)[1].all()
+
+    def test_out_of_range_mean_rejected(self):
+        # with costs of 1e-8, the utility mean, about -(w sigma)^2 1e8 / 2, leaves range near sigma = 2e150
+        sc = Scenario(
+            RULE, CostMatrix(np.diag([1e-8, 1e-8])), CostMatrix(np.diag([2e-8, 2e-8])),
+            CommonPrior(np.array([0.5, 2.0]), 1e152),
+        )
+        means, stderrs = estimate_disparities(sc, [0.0, 1e149, 1e150], 1000, 1)
         assert np.isfinite(means).all() and np.isfinite(stderrs).all()
-        with pytest.raises(Error, match=r"^estimate at sigma=1e\+100 is out of floating-point range$"):
-            estimate_disparities(sc, [0.0, 1e70, 1e100, 1e103], 1000, 1)
+        with pytest.raises(Error, match=r"^estimate at sigma=1e\+152 is out of floating-point range$"):
+            estimate_disparities(sc, [0.0, 1e149, 1e152, 1e155], 1000, 1)
+
+    def test_out_of_range_centre_rejected(self, common):
+        # rule_sq is 1.32e308, but group 1's noise-free score gain r'A^-1 r is 2.16e308
+        sc = Scenario(np.array([1.2e154, 1.2e154]), common.cost1, common.cost2, common.prior)
+        with pytest.raises(Error, match=r"^estimate at sigma=0 is out of floating-point range$"):
+            estimate_disparities(sc, [0.0], 1000, 1)
+
+    def test_naive_level_out_of_range_rejected(self, naive):
+        # kc = -(w sigma)^2 / 2 overflows at 1e308, and with it the utility mean
+        with pytest.raises(Error, match=r"^estimate at sigma=1e\+308 is out of floating-point range$"):
+            estimate_disparity(naive, Metric.SCORE, 1e308, 1000, 0)
+        with pytest.raises(Error, match=r"^estimate at sigma=1e\+308 is out of floating-point range$"):
+            estimate_variance_naive(naive, 1e308, 1000, 0)
+
+    def test_common_prior_level_past_range_is_the_limit(self, common):
+        # sigma^2 overflows at 1e308, so the weight is 0: every agent is the prior's, with no spread
+        means, stderrs = estimate_disparities(common, [0.0, 1e308, 0.5], 1000, 0)
+        assert np.isfinite(means).all()
+        assert (stderrs[1] == 0.0).all()
+        analytic = [disparity_value(common, metric, 1e308) for metric in Metric]
+        _, passed, exact = compare(analytic, means[1], stderrs[1])
+        assert passed.all() and exact.all()
+
+
+def seeded_scenario(seed):
+    """A d=2 scenario with a rule up to 1e154, costs down to 1e-8 and either prior, from ``seed``.
+
+    A scenario whose constants leave floating-point range is refused, and
+    the example with it.
+    """
+    rng = np.random.default_rng(seed)
+    rule = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 154.0)
+    a1 = 10.0 ** rng.uniform(-8.0, 2.0, size=2)
+    a2 = a1 * (1.0 + rng.uniform(0.1, 2.0, size=2))
+    prior = NaivePrior() if rng.integers(2) else CommonPrior(rng.normal(size=2), 10.0 ** rng.uniform(-3.0, 150.0))
+    try:
+        return Scenario(rule, CostMatrix(np.diag(a1)), CostMatrix(np.diag(a2)), prior)
+    except Error:
+        reject()
+
+
+LEVELS = st.one_of(
+    st.sampled_from([0.0, 1e77, 1e154, 1e200, 1e300, 1e308, float(np.finfo(float).max)]),
+    st.floats(0.0, 1e300),
+    st.floats(0.0, 1.0).map(lambda u: 10.0 ** (616.0 * u - 308.0)),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), sigmas=st.lists(LEVELS, min_size=1, max_size=5))
+def test_estimates_are_finite_or_name_the_first_level_out_of_range(seed, sigmas):
+    # a RuntimeWarning fails this test; an estimate depends on its level alone, so each level is tried alone
+    sc = seeded_scenario(seed)
+    alone, refused = [], None
+    for sigma in sigmas:
+        try:
+            means, stderrs = estimate_disparities(sc, [sigma], 1000, 1)
+        except Error as exc:
+            refused = str(exc)
+            assert refused == f"estimate at sigma={sigma:g} is out of floating-point range"
+            break
+        assert np.isfinite(means).all() and np.isfinite(stderrs).all()
+        alone.append((means, stderrs))
+    if refused:
+        with pytest.raises(Error) as caught:
+            estimate_disparities(sc, sigmas, 1000, 1)
+        assert str(caught.value) == refused
+    else:
+        means, stderrs = estimate_disparities(sc, sigmas, 1000, 1)
+        assert np.array_equal(means, np.concatenate([m for m, _ in alone]))
+        assert np.array_equal(stderrs, np.concatenate([s for _, s in alone]))
 
 
 class TestBatchedEstimates:
