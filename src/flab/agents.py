@@ -22,14 +22,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatch, Error, NegativeSigma
+from .errors import DimensionMismatch, Error, NegativeSigma, NonFinite
 
 _TWO_53 = float(2**53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class Metric(enum.Enum):
-    """Which realized quantity a disparity compares between groups."""
+    """Which realized quantity a disparity compares; ``Metric(x)`` takes a member or its value, else raises Error."""
 
     SCORE = "score"
     UTILITY = "utility"
@@ -37,15 +37,21 @@ class Metric(enum.Enum):
     def __str__(self):
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        raise Error(f"unknown metric {value!r}, expected 'score' or 'utility'")
+
 
 def normal_stream(seed, key=()):
     """Independent counter-based random stream for (seed, key).
 
     Streams are value-typed: every call builds a fresh generator, so two
     consumers with the same (seed, key) see identical draws and never
-    share mutable state.
+    share mutable state. The seed and key entries are read by ``int``; a negative one raises Error.
     """
     entropy = (int(seed),) + tuple(int(k) for k in key)
+    if min(entropy) < 0:
+        raise Error(f"seed and key must be non-negative, got seed {seed} and key {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -70,11 +76,13 @@ def standard_normals(stream, shape, out=None):
 
 
 def noise_scales(sigma):
-    """sigma as a float array; a negative entry anywhere raises NegativeSigma."""
+    """sigma as a float array of finite levels >= 0; the first bad entry raises NegativeSigma if < 0, else NonFinite."""
     s = np.asarray(sigma, dtype=float)
-    negative = s[s < 0.0]
-    if negative.size:
-        raise NegativeSigma(f"noise scale {negative[0]} is negative")
+    bad = s[(s < 0.0) | ~np.isfinite(s)]
+    if bad.size and bad[0] < 0.0:
+        raise NegativeSigma(f"noise scale {bad[0]} is negative")
+    if bad.size:
+        raise NonFinite(f"noise scale {bad[0]} is not finite")
     return s
 
 
@@ -94,7 +102,7 @@ def _check_scale(scale):
 def signal_weight(prior_scale, sigma):
     """Posterior weight g^2 / (g^2 + sigma^2) on the signal, for the prior scale g.
 
-    ``sigma`` is a scalar or an array; each entry is weighted on its own.
+    ``sigma`` is a scalar or an array of finite levels, each weighted on its own.
     A scale that is not finite and positive, or whose square leaves
     floating-point range, raises Error. So g^2 is finite and positive: the
     weight is exactly 1 at zero noise, and exactly 0 where sigma^2 overflows.

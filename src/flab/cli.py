@@ -293,7 +293,7 @@ _SVG_COLORS = ("#1f6feb", "#d1242f", "#2da44e", "#9a6700")
 def render_svg(sigmas, curves, title, spacing="log"):
     """Minimal deterministic line chart: linear y, dashed zero line.
 
-    ``curves`` is a sequence of (name, values) pairs over the shared grid.
+    ``curves`` is a sequence of (name, finite values) pairs over the shared grid.
     The x axis follows the grid's ``spacing``: "log" puts ticks at whole
     decades, "linear" at quarters of the range, which may start at zero.
     """
@@ -313,7 +313,7 @@ def render_svg(sigmas, curves, title, spacing="log"):
     if x_hi == x_lo:  # a log grid so narrow that both ends have one log10: every point mid-axis
         x_lo -= 1.0
         x_hi += 1.0
-    all_vals = [float(v) for _, values in curves for v in values if math.isfinite(v)]
+    all_vals = [float(v) for _, values in curves for v in values]
     y_lo = min(all_vals + [0.0])
     y_hi = max(all_vals + [0.0])
     if y_hi - y_lo < 1e-300:
@@ -359,11 +359,7 @@ def render_svg(sigmas, curves, title, spacing="log"):
         line(ml, sy(0.0), ml + inner_w, sy(0.0), 'stroke="#555555" stroke-width="1" stroke-dasharray="6 4"')
     for idx, (name, values) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        pts = " ".join(
-            f"{sx(lx[i]):.2f},{sy(float(v)):.2f}"
-            for i, v in enumerate(values)
-            if math.isfinite(v)
-        )
+        pts = " ".join(f"{sx(lx[i]):.2f},{sy(float(v)):.2f}" for i, v in enumerate(values))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{pts}"/>'
         )
@@ -603,13 +599,12 @@ def cmd_bounds(args):
     _require_finite("utility slack", utility_slack, grid)
     columns = (grid, score, score_bound, score_slack, utility, utility_bound, utility_slack)
     print("  sigma        |score|      score_bound  slack        |utility|    utility_bound  slack")
-    worst = math.inf
     for s, afs, bs, slack_s, afu, bu, slack_u in zip(*(c.tolist() for c in columns)):
-        worst = min(worst, slack_s, slack_u)
         print(
             f"  {_g5(s):<12} {afs:<12.6g} {bs:<12.6g} {slack_s:<12.3e} "
             f"{afu:<12.6g} {bu:<14.6g} {slack_u:.3e}",
         )
+    worst = min(score_slack.min(), utility_slack.min())
     print(f"worst slack: {worst:.3e}")
     if worst < -1e-12:
         print("bound violated")

@@ -361,6 +361,7 @@ def endpoints(sc, metric):
     is -inf. Projected utility needs each projector to commute with its
     group's inverse cost, else NonCommuting.
     """
+    metric = Metric(metric)
     c = sc.constants
     naive = isinstance(sc.prior, NaivePrior)
     if metric is Metric.SCORE:
@@ -373,24 +374,25 @@ def endpoints(sc, metric):
 def disparity_value(sc, metric, sigma):
     """Analytic score or utility disparity of the scenario at noise scale sigma.
 
-    For naive agents the score disparity is constant and the utility
-    disparity is half of it less a noise tax, unbounded below. The
-    belief-carrying priors share one score and one utility formula over
-    the scenario's constants, with the exact `endpoints` value at zero
-    noise. Projected utility is valid only when each projector commutes
-    with its group's inverse cost; a violation raises NonCommuting rather
-    than returning a wrong value.
+    The metric is read by `Metric` and sigma by `noise_scales`, which refuses a nan
+    or infinite level; the limit is `endpoints`' to state. For naive agents the score
+    disparity is constant and the utility disparity is half of it less a noise tax,
+    unbounded below. The belief-carrying priors share one score and one utility
+    formula over the scenario's constants, with the exact `endpoints` value at zero
+    noise. Projected utility is valid only when each projector commutes with its
+    group's inverse cost; a violation raises NonCommuting rather than returning a
+    wrong value.
     """
+    metric = Metric(metric)
+    s = noise_scales(sigma)
     at_zero, at_inf = endpoints(sc, metric)
     c = sc.constants
     if isinstance(sc.prior, NaivePrior):
-        s = noise_scales(sigma)
         if metric is Metric.SCORE:
             return scalar_or_array(np.full(s.shape, at_zero))
         with np.errstate(over="ignore"):  # unbounded below; an overflow gives -inf
             return scalar_or_array(0.5 * (c.rule_sq - s * s * c.trace_gap))
-    w = signal_weight(sc.prior.scale, sigma)
-    s = np.asarray(sigma, dtype=float)
+    w = signal_weight(sc.prior.scale, s)
     if metric is Metric.SCORE:
         level = (1.0 - w) * c.cross + w * c.rule_sq
     else:

@@ -17,7 +17,7 @@ from flab.agents import (
     signal_weight,
     standard_normals,
 )
-from flab.errors import DimensionMismatch, Error, NegativeSigma
+from flab.errors import DimensionMismatch, Error, NegativeSigma, NonFinite
 from flab.linalg_core import CostMatrix
 
 PRIOR_MEAN = np.array([0.5, 2.0])
@@ -51,6 +51,11 @@ class TestStreams:
         assert abs(z.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
         # symmetry of the inverse-CDF construction
         assert abs(np.mean(z**3)) <= 4.0 * math.sqrt(15.0 / n)
+
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (-1.5, (1,)), (3, (-2,))])
+    def test_negative_seed_or_key_refused(self, seed, key):
+        with pytest.raises(Error, match="must be non-negative"):
+            normal_stream(seed, key)
 
     def test_shape_is_respected(self):
         z = standard_normals(normal_stream(5), (7, 2, 3))
@@ -208,6 +213,17 @@ class TestValidation:
         with pytest.raises(NegativeSigma):
             noise_scales(-1.0)
 
+    @pytest.mark.parametrize("sigma, error", [
+        (math.nan, NonFinite), (math.inf, NonFinite), (-math.inf, NegativeSigma),
+        ([0.5, -1.0, math.nan], NegativeSigma), ([0.0, 1e308, math.inf, -1.0], NonFinite),
+    ])
+    def test_noise_scales_are_finite(self, sigma, error):
+        # the first entry that is no finite level names the error; the limit is `endpoints`' to state
+        with pytest.raises(error):
+            noise_scales(sigma)
+        with pytest.raises(error):
+            signal_weight(2.0, sigma)
+
     def test_response_rejects_wrong_width(self, cost_one):
         with pytest.raises(DimensionMismatch):
             naive_best_response(cost_one, np.zeros((3, 1)))
@@ -215,3 +231,8 @@ class TestValidation:
     def test_metric_values(self):
         assert Metric("score") is Metric.SCORE
         assert Metric("utility") is Metric.UTILITY
+
+    @pytest.mark.parametrize("value", ["bogus", "Score", 0, None, ["score"]])
+    def test_unknown_metric_is_a_typed_error(self, value):
+        with pytest.raises(Error, match=r"^unknown metric .*, expected 'score' or 'utility'$"):
+            Metric(value)

@@ -21,9 +21,11 @@ import numpy as np
 import pytest
 
 from flab import cli, mc_oracle
+from flab.agents import Metric
+from flab.closed_form import disparity_value, endpoints, neutrality_sigma_score_bayes
 from flab.errors import NonFinite
 from flab.mc_oracle import _BLOCK
-from flab.regimes import RegionLabel, label_region
+from flab.regimes import SIGN_TOL, RegionLabel, label_region
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -178,24 +180,51 @@ class TestParsing:
         assert ranks == [(1, 2), (1, 2), (16, 16), (1, 2), (16, 16), (1, 2)]
         assert solves == []
 
+    # each file's bytes, and how its one stderr line starts (the whole line where the README documents it)
     MALFORMED = {
-        "not UTF-8": (json.dumps(variant(label="café"), ensure_ascii=False).encode("latin-1"), "/"),
-        "nested 100,000 deep": (b"[" * 100_000, "/"),
-        "5,001-digit integer": (json.dumps(REF).replace('"dimension": 2', '"dimension": 1' + "0" * 5000).encode(), "/"),
-        "integer beyond float range": (json.dumps(variant(rule=[10**400, 0.5])).encode(), "/rule/0"),
-        "lone surrogate": (json.dumps(variant(label="\ud800")).encode(), "/label"),
+        "not UTF-8": (json.dumps(variant(label="café"), ensure_ascii=False).encode("latin-1"), "/: "),
+        "nested 100,000 deep": (b"[" * 100_000, "/: "),
+        "5,001-digit integer": (json.dumps(REF).replace('"dimension": 2', '"dimension": 1' + "0" * 5000).encode(), "/: "),
+        "integer beyond float range": (json.dumps(variant(rule=[10**400, 0.5])).encode(), "/rule/0: "),
+        "lone surrogate": (json.dumps(variant(label="\ud800")).encode(), "/label: "),
+        "infinite rule entry": (
+            json.dumps(variant(rule=[math.inf, 0.5])).encode(),
+            "/rule/0: expected a finite number, got inf\n",
+        ),
+        "nan prior scale": (
+            json.dumps(variant(prior={"kind": "common", "mean": [0.5, 2.0], "scale": math.nan})).encode(),
+            "/prior/scale: expected a finite number, got nan\n",
+        ),
+        "unknown prior kind": (
+            json.dumps(variant(prior={"kind": "dogmatic"})).encode(),
+            "/prior/kind: unknown prior kind 'dogmatic'\n",
+        ),
+        "unknown spacing": (
+            json.dumps(variant(sweep={"sigma_min": 1e-3, "sigma_max": 10.0, "points": 21, "spacing": "cubic"})).encode(),
+            "/sweep/spacing: expected 'log' or 'linear', got 'cubic'\n",
+        ),
+        "negative linear sigma_min": (
+            json.dumps(variant(sweep={"sigma_min": -1.0, "sigma_max": 10.0, "points": 21, "spacing": "linear"})).encode(),
+            "/sweep/sigma_min: noise scale cannot be negative\n",
+        ),
+        "span not vectors": (
+            json.dumps(variant(prior={
+                "kind": "projected", "subspace1": {"span": 3}, "subspace2": [[1.0, 0.0], [0.0, 1.0]], "scale": 1.0,
+            })).encode(),
+            "/prior/subspace1/span: expected an array of vectors\n",
+        ),
     }
 
     @pytest.mark.parametrize("command", [["validate"], ["sweep", "--out-csv", "c.csv", "--out-svg", "c.svg"]])
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_is_one_parse_error(self, case, command, tmp_path, capsys, monkeypatch):
-        raw, pointer = self.MALFORMED[case]
+        raw, start = self.MALFORMED[case]
         (tmp_path / "scenario.json").write_bytes(raw)
         monkeypatch.chdir(tmp_path)
         assert cli.main([command[0], "scenario.json", *command[1:]]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"error: {pointer}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {start}") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     # the option parser's own usage errors; "S" stands for a scenario path
@@ -771,6 +800,17 @@ class TestClassifyCommand:
         out = capsys.readouterr().out
         assert "    - score disparity vanishes at the crossing: yes\n" in out
         assert "    crossing at 0.010106\n" in out
+
+    def test_common_prior_score_crossing(self, tmp_path, capsys):
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        body["prior"]["mean"] = [-0.5, -2.0]
+        path = write_scenario(tmp_path, body)
+        assert cli.main(["classify", path]) == 0
+        assert "  score: Decreasing, crossing at 1.451\n" in capsys.readouterr().out
+        sc = cli.load_scenario(path).scenario
+        at_zero, at_inf = endpoints(sc, Metric.SCORE)  # the band `classify_score_bayes` puts on this curve
+        crossing = disparity_value(sc, Metric.SCORE, neutrality_sigma_score_bayes(sc))
+        assert abs(crossing) <= SIGN_TOL * (1.0 + abs(at_zero) + abs(at_inf))
 
     def test_neutrality_off_the_crossing_exits_4(self, tmp_path, capsys, monkeypatch):
         from flab import regimes

@@ -38,6 +38,7 @@ from flab.errors import (
     Error,
     NegativeSigma,
     NonCommuting,
+    NonFinite,
     WrongPriorKind,
 )
 from flab.linalg_core import CostMatrix, Definiteness, Projection, definiteness, max_norm
@@ -545,6 +546,46 @@ class TestArrayEvaluation:
         for bound in (score_overlap_bound, utility_overlap_bound):
             with pytest.raises(NegativeSigma):
                 bound(sc, np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("kind", ["naive", "common", "projected"])
+    @pytest.mark.parametrize("metric", [Metric.SCORE, Metric.UTILITY])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, kind, metric, bad, request):
+        # no level stands for the infinite-noise limit: that is `endpoints`' to state
+        sc = request.getfixturevalue(kind)
+        for sigma in (bad, np.array([0.0, 1.0, bad, 2.0])):
+            with pytest.raises(NonFinite, match=f"^noise scale {bad} is not finite$"):
+                disparity_value(sc, metric, sigma)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected_by_variance_and_bounds(self, naive, bad):
+        cost = CostMatrix(np.diag([2.0, 1.0]))
+        prior = ProjectedPrior(Projection(np.diag([1.0, 0.0])), Projection(np.eye(2)), 1.0)
+        sc = Scenario(RULE, cost, cost, prior)
+        for call in (
+            lambda: score_variance_naive(naive, bad),
+            lambda: score_overlap_bound(sc, np.array([1.0, bad])),
+            lambda: utility_overlap_bound(sc, bad),
+        ):
+            with pytest.raises(NonFinite):
+                call()
+
+
+class TestMetricArgument:
+    """`Metric(x)` reads every metric: a member and its value select it, anything else is refused."""
+
+    @pytest.mark.parametrize("kind", ["naive", "common", "projected"])
+    def test_value_selects_its_member(self, kind, request):
+        sc = request.getfixturevalue(kind)
+        for metric in Metric:
+            assert endpoints(sc, metric.value) == endpoints(sc, metric)
+            assert disparity_value(sc, metric.value, 1.0) == disparity_value(sc, metric, 1.0)
+
+    @pytest.mark.parametrize("metric", ["bogus", "Score", 0, None])
+    def test_any_other_metric_is_refused(self, common, metric):
+        for call in (lambda: endpoints(common, metric), lambda: disparity_value(common, metric, 1.0)):
+            with pytest.raises(Error, match="^unknown metric"):
+                call()
 
 
 class TestPriorScale:

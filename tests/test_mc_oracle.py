@@ -33,7 +33,7 @@ from flab.closed_form import (
     disparity_value,
     score_variance_naive,
 )
-from flab.errors import Error, NegativeSigma, WrongPriorKind
+from flab.errors import Error, NegativeSigma, NonFinite, WrongPriorKind
 from flab.linalg_core import CostMatrix, Projection
 from flab.mc_oracle import (
     _BLOCK,
@@ -49,6 +49,10 @@ from flab.mc_oracle import (
 )
 
 RULE = np.array([1.0, 0.5])
+# scenarios/reference_common.json
+REFERENCE_COMMON = Scenario(
+    RULE, CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])), CommonPrior(np.array([0.5, 2.0]), 2.0)
+)
 
 
 @pytest.fixture
@@ -486,6 +490,23 @@ class TestEstimates:
         b = estimate_disparity(naive, Metric.SCORE, 0.5, 2000, 11)
         assert a == b
 
+    def test_unknown_metric_is_a_typed_error(self, naive):
+        with pytest.raises(Error, match="^unknown metric 'bogus'"):
+            estimate_disparity(naive, "bogus", 0.5, 2000, 11)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, naive, common, bad):
+        # refused where the level is read, as the formulas refuse it, not as an estimate out of range
+        for sc in (naive, common):
+            with pytest.raises(NonFinite, match=f"^noise scale {bad} is not finite$"):
+                estimate_disparities(sc, [0.5, bad], 2000, 0)
+        with pytest.raises(NonFinite, match=f"^noise scale {bad} is not finite$"):
+            estimate_variance_naive(naive, bad, 2000, 0)
+
+    def test_negative_seed_rejected(self, common):
+        with pytest.raises(Error, match="must be non-negative"):
+            estimate_disparities(common, [1.0], 1000, -1)
+
     def test_huge_levels_scale_exactly(self, naive):
         # k'Sk holds (w sigma)^4, past range from sigma = 1e77, so each level's k is scaled by a power of
         # two first, exactly: sigma times 2^300 gives the score stderr times 2^300 and the utility's times 4^300
@@ -587,6 +608,31 @@ def test_estimates_are_finite_or_name_the_first_level_out_of_range(seed, sigmas)
         means, stderrs = estimate_disparities(sc, sigmas, 1000, 1)
         assert np.array_equal(means, np.concatenate([m for m, _ in alone]))
         assert np.array_equal(stderrs, np.concatenate([s for _, s in alone]))
+
+
+def refused_or(call):
+    """The call's value, or None where it raises a flab Error."""
+    try:
+        return call()
+    except Error:
+        return None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    metric=st.sampled_from([*Metric, "score", "utility", "bogus", 0, None]),
+    sigma=st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 5e-324, 1e308])),
+)
+def test_formulas_and_oracle_read_the_same_arguments(metric, sigma):
+    # both halves read the metric through `Metric` and the level through `noise_scales`
+    sc = REFERENCE_COMMON
+    formula = refused_or(lambda: disparity_value(sc, metric, sigma))
+    estimate = refused_or(lambda: estimate_disparity(sc, metric, sigma, 1000, 1))
+    assert (formula is None) == (estimate is None)
+    if formula is not None:
+        member = Metric(metric)
+        assert formula == disparity_value(sc, member, sigma)
+        assert estimate == estimate_disparity(sc, member, sigma, 1000, 1)
 
 
 class TestBatchedEstimates:
