@@ -47,11 +47,9 @@ def normal_stream(seed, key=()):
 
     Streams are value-typed: every call builds a fresh generator, so two
     consumers with the same (seed, key) see identical draws and never
-    share mutable state. The seed and key entries are read by ``int``; a negative one raises Error.
+    share mutable state. The seed and each key entry are read by `_integer`, as integers >= 0.
     """
-    entropy = (int(seed),) + tuple(int(k) for k in key)
-    if min(entropy) < 0:
-        raise Error(f"seed and key must be non-negative, got seed {seed} and key {key}")
+    entropy = (_integer(seed, "seed", 0),) + tuple(_integer(k, "key", 0) for k in key)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -84,6 +82,22 @@ def noise_scales(sigma):
     if bad.size:
         raise NonFinite(f"noise scale {bad[0]} is not finite")
     return s
+
+
+def _integer(value, noun, low, high=math.inf):
+    """``value`` as an int in [low, high]: a Python or numpy integer, or a float that holds one exactly.
+
+    Anything else raises Error: a bool, a string, None, nan, inf or a fraction. -1.5 reads as negative.
+    """
+    value = value.item() if isinstance(value, np.generic) else value  # a numpy scalar as its Python number
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and value < low:
+        raise Error(f"need at least {low} {noun}, got {value}" if low else f"{noun} must be non-negative, got {value}")
+    if number and value > high:
+        raise Error(f"need at most {high} {noun}, got {value}")
+    if not number or isinstance(value, float) and not (math.isfinite(value) and value.is_integer()):
+        raise Error(f"{noun} must be an integer, got {value!r}")
+    return int(value)
 
 
 def scalar_or_array(values):

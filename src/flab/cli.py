@@ -18,6 +18,7 @@ import numpy as np
 
 from .agents import Metric
 from .closed_form import (
+    MAX_POINTS,
     CommonPrior,
     NaivePrior,
     ProjectedPrior,
@@ -54,7 +55,6 @@ _EXIT_ASSUMPTION = 3
 _EXIT_VERIFY = 4
 _EXIT_BOUND = 5
 
-MAX_POINTS = 10**7  # the most noise levels a grid may have
 MAX_DIGITS = 17  # the longest integer any field or option takes
 
 

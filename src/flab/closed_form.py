@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .agents import Metric, _check_scale, noise_scales, scalar_or_array, signal_weight
+from .agents import Metric, _check_scale, _integer, noise_scales, scalar_or_array, signal_weight
 from .errors import (
     AssumptionViolated,
     CostsDiffer,
@@ -47,6 +47,7 @@ from .linalg_core import (
 )
 
 COMMUTE_TOL = 1e-10
+MAX_POINTS = 10**7  # the most noise levels a grid may have
 
 
 @dataclass(frozen=True)
@@ -87,17 +88,17 @@ class ProjectedPrior:
 
 @dataclass(frozen=True)
 class DisparityConstants:
-    """Scalar constants every disparity formula is built from: each is one
-    `quad_form` over the scenario's float gap matrices, correctly rounded.
+    """Scalar constants every disparity formula is built from: each but trace_gap
+    is one `quad_form` over the scenario's float gap matrices, correctly rounded.
 
     With r the rule, mu a common prior's mean and G = `Scenario.gap`, the
     symmetrized A1^-1 - A2^-1: rule_sq = r'Gr is the full-transparency score
-    disparity, trace_gap = trace G, cross = mu'Gr, prior_sq = mu'G mu and
-    mismatch = (mu - r)'G(mu - r). For a projected prior, cross = prior_sq =
-    r'Kr, the infinite-noise score disparity, and mismatch = r'Ur, with K and
-    U the known-side and unknown-side gaps (`Scenario.known_gap`,
-    `Scenario.unknown_gap`; K + U = A1^-1 - A2^-1). The naive prior has
-    rule_sq and trace_gap only.
+    disparity, trace_gap = trace G as tr A1^-1 - tr A2^-1, a difference of two
+    rounded traces, cross = mu'Gr, prior_sq = mu'G mu and mismatch =
+    (mu - r)'G(mu - r). For a projected prior, cross = prior_sq = r'Kr, the
+    infinite-noise score disparity, and mismatch = r'Ur, with K and U the
+    known-side and unknown-side gaps (`Scenario.known_gap`, `Scenario.unknown_gap`;
+    K + U = A1^-1 - A2^-1). The naive prior has rule_sq and trace_gap only.
     """
 
     rule_sq: float
@@ -349,8 +350,8 @@ def noise_range(sc):
 
 
 def sigma_grid(sc, points=241):
-    """Log-spaced noise grid over the default noise interval."""
-    return np.geomspace(*noise_range(sc), points)
+    """Log-spaced noise grid over the default noise interval; ``points`` is an integer from 1 to MAX_POINTS, else Error."""
+    return np.geomspace(*noise_range(sc), _integer(points, "points", 1, MAX_POINTS))
 
 
 def endpoints(sc, metric):

@@ -18,11 +18,11 @@ mean is the centre plus k times the pooled means of D, and their sample
 variance is k'Sk / (n - 1), with S the pooled scatter of D. Scaling k by
 a power of two first is exact in the normal range (Higham, 2002, 2.1),
 so k'Sk overflows only where the standard error does. The drawn agents
-are reduced once, whatever the number of levels. A level's centre runs
-through `flab.agents` as one agent per group whose signal is the rule
-itself, and at sigma = 0 it is the estimate. So the centre is computed,
-not sampled: at sigma > 0 the simulation tests the deviations from it,
-and the sigma = 0 rows test the centre.
+are reduced once, whatever the levels, even all zero. A level's centre
+runs through `flab.agents` as one agent per group whose signal is the
+rule itself. sigma = 0 is the level whose k is 0, so its estimate is the
+centre. The centre is computed, not sampled: at sigma > 0 the simulation
+tests the deviations from it, and the sigma = 0 rows test the centre.
 
 `estimate_disparities` streams its agents in aligned blocks of `_BLOCK`,
 drawn in order from the seed's stream into one reused (2, d, `_BLOCK`)
@@ -46,11 +46,13 @@ against the analytic values elementwise, into z-scores and verdicts.
 """
 
 import math
+import sys
 
 import numpy as np
 
 from .agents import (
     Metric,
+    _integer,
     bayesian_best_response,
     bayesian_posterior,
     noise_scales,
@@ -59,8 +61,8 @@ from .agents import (
     signal_weight,
     standard_normals,
 )
-from .closed_form import NaivePrior
-from .errors import Error, WrongPriorKind
+from .closed_form import NaivePrior, _require_prior
+from .errors import Error
 
 _STREAM_KEY = 101
 MIN_SAMPLES = 1000  # the fewest agents an estimate accepts
@@ -94,31 +96,21 @@ def tree_sum(values):
     return float(buf[0]) if v.ndim == 1 else buf[..., 0]
 
 
-def _check_inputs(sigmas, n):
-    sigmas = noise_scales(sigmas)
-    n = int(n)
-    if n < MIN_SAMPLES:
-        raise Error(f"need at least {MIN_SAMPLES} samples, got {n}")
-    if n > MAX_SAMPLES:
-        raise Error(f"need at most {MAX_SAMPLES} samples, got {n}")
-    return sigmas, n
-
-
 def _weights(sc, sigmas):
-    """The posterior weight w on the signal at each noise level."""
+    """The signal weight w and its complement 1 - w at each noise level; 1 - w is 1 where sigma^2 overflows."""
     if isinstance(sc.prior, NaivePrior):
-        return np.ones(sigmas.size)  # a naive agent trusts its signal outright
-    return signal_weight(sc.prior.scale, sigmas)
+        return np.ones(sigmas.size), np.zeros(sigmas.size)  # a naive agent trusts its signal outright
+    s2, g2 = sigmas * sigmas, sc.prior.scale * sc.prior.scale
+    return signal_weight(sc.prior.scale, sigmas), np.where(np.isinf(s2), 1.0, s2 / (g2 + s2))
 
 
 def _centres(sc, sigmas):
     """Score and utility differences, (levels, 2), of agents who see the rule itself as their signal.
 
     Each distinct weight runs one agent per group through `flab.agents`,
-    and group 2's gains are subtracted from group 1's. At sigma = 0 this
-    is the estimate.
+    and group 2's gains are subtracted from group 1's.
     """
-    weights, levels = np.unique(_weights(sc, sigmas), return_inverse=True)
+    weights, levels = np.unique(_weights(sc, sigmas)[0], return_inverse=True)
     out = np.empty((weights.size, 2))
     for row, weight in zip(out, weights.tolist()):
         for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
@@ -229,13 +221,10 @@ def _deviations(sc, sigmas, n, seed):
     e the exponent of its largest entry, before k'Sk is formed.
     """
     means, (aa, bb, cc, bc) = _moments(sc, n, seed)
+    weight, complement = _weights(sc, sigmas)
     # at each level the agents deviate by ka D_a in score and by kb D_b + kc D_c in utility
-    ka = _weights(sc, sigmas) * sigmas  # w sigma
-    if isinstance(sc.prior, NaivePrior):
-        kb = np.zeros_like(ka)  # 1 - w is 0
-    else:  # where sigma^2 overflows, w is 0 and 1 - w is 1
-        s2 = sigmas * sigmas
-        kb = ka * np.where(np.isinf(s2), 1.0, s2 / (sc.prior.scale * sc.prior.scale + s2))
+    ka = weight * sigmas  # w sigma
+    kb = ka * complement  # w sigma (1 - w)
     kc = -0.5 * ka * ka
     shifts = np.stack((ka * means[0], kb * means[1] + kc * means[2]), axis=1)
     _, exponents = np.frexp(np.abs([ka, kb, kc]).max(axis=0))
@@ -250,19 +239,16 @@ def estimate_disparities(sc, sigmas, n, seed):
     Returns ``(means, stderrs)``, float arrays of shape (levels, 2) whose
     rows follow ``sigmas`` and whose columns follow ``tuple(Metric)``
     (score, utility). Both groups see independent noise, and all noise
-    levels share the same random numbers. At sigma = 0 every agent is the
-    noise-free one, so the centre is the mean, with zero standard error.
-    The first level whose mean or standard error is not finite raises Error.
+    levels share the same random numbers, so every grid draws n agents from
+    the seed. sigma = 0 is the level whose k is 0: its mean is the centre and
+    its standard error 0. The first level whose mean or standard error is
+    not finite raises Error; ``n`` and ``seed`` are read by `_integer`.
     """
-    levels, n = _check_inputs(sigmas, n)
-    noisy = levels != 0.0
-    stderrs = np.zeros((levels.size, 2))
+    levels, n = noise_scales(sigmas), _integer(n, "samples", MIN_SAMPLES, MAX_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
-        means = _centres(sc, levels)
-        if noisy.any():
-            shifts, variances, exponents = _deviations(sc, levels[noisy], n, int(seed))
-            means[noisy] += shifts
-            stderrs[noisy] = np.ldexp(np.sqrt(variances) / math.sqrt(n), exponents[:, None])
+        shifts, variances, exponents = _deviations(sc, levels, n, seed)
+        means = _centres(sc, levels) + shifts
+        stderrs = np.ldexp(np.sqrt(variances) / math.sqrt(n), exponents[:, None])
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stderrs)).all(axis=1))
     if bad.size:
         raise Error(f"estimate at sigma={levels[bad[0]]:g} is out of floating-point range")
@@ -281,18 +267,12 @@ def estimate_disparity(sc, metric, sigma, n, seed):
 def estimate_variance_naive(sc, sigma, n, seed):
     """Estimate the variance of the naive score-gain difference, as a (variance, stderr) pair.
 
-    The differences are the ones `estimate_disparities` averages. The
-    standard error uses the chi-square approximation for a sample
-    variance, s^2 * sqrt(2 / (n - 1)).
+    The differences are the ones `estimate_disparities` averages, and at
+    sigma = 0, whose k is 0, both are 0. The standard error uses the
+    chi-square approximation for a sample variance, s^2 * sqrt(2 / (n - 1)).
     """
-    if not isinstance(sc.prior, NaivePrior):
-        raise WrongPriorKind(
-            f"variance estimate is for the naive prior, scenario has "
-            f"{type(sc.prior).__name__}"
-        )
-    levels, n = _check_inputs([sigma], n)
-    if levels[0] == 0.0:
-        return 0.0, 0.0
+    _require_prior(sc, NaivePrior, "estimate_variance_naive")
+    levels, n = noise_scales([sigma]), _integer(n, "samples", MIN_SAMPLES, MAX_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
         _, variances, exponents = _deviations(sc, levels, n, seed)
         var = float(np.ldexp(variances[0, 0], 2 * exponents[0]))
@@ -309,8 +289,13 @@ def compare(analytic, means, stderrs, z_max=Z_MAX):
     magnitude, which a z-score cannot resolve: there ``z`` is 0 and
     ``passed`` says the two values agree to 1e-12 absolutely. Elsewhere
     ``z`` is the estimate's discrepancy in standard errors and ``passed``
-    says |z| <= z_max. A mismatch is a failed entry, never an error.
+    says |z| <= z_max. A mismatch is a failed entry, never an error; a
+    z_max that is not a finite positive number raises Error.
     """
+    gate = z_max.item() if isinstance(z_max, np.generic) else z_max  # a numpy scalar as its Python number
+    if isinstance(gate, bool) or not isinstance(gate, (int, float)) or not 0.0 < gate <= sys.float_info.max:
+        raise Error(f"z_max must be finite and positive, got {z_max!r}")
+    z_max = float(gate)
     analytic, means, stderrs = (np.asarray(a, dtype=float) for a in (analytic, means, stderrs))
     scale, other = np.abs(analytic), np.abs(means)
     scale = np.where(other > scale, other, scale)  # Python's max: a nan analytic wins, a nan mean loses

@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .agents import Metric, normal_stream, standard_normals
+from .agents import Metric, _integer, normal_stream, standard_normals
 from .closed_form import (
+    MAX_POINTS,
     CommonPrior,
     ProjectedPrior,
     _require_commuting,
@@ -54,6 +55,11 @@ def label_region(value):
     return RegionLabel.NEUTRALITY
 
 
+def _score_band(at_zero, at_inf):
+    """The neutral band of a score curve, scaled by its zero-noise value and infinite-noise limit."""
+    return SIGN_TOL * (1.0 + abs(at_inf) + abs(at_zero))
+
+
 @dataclass(frozen=True)
 class RootScan:
     """Sign-change roots plus grid points that touch zero without crossing."""
@@ -87,13 +93,14 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     below 1e-12 relative width. A run of adjacent grid points with
     0 < |value| < 1e-11, none of them next to a sign change, is one
     tangential contact, reported at its point nearest zero (the first on
-    ties) rather than counted as a root.
+    ties) rather than counted as a root. ``points`` is an integer from 2
+    to MAX_POINTS, else Error.
     """
     lo = float(sigma_lo)
     hi = float(sigma_hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise InvalidBracket(f"need finite 0 < lo < hi, got ({sigma_lo}, {sigma_hi})")
-    grid = np.geomspace(lo, hi, points)
+    grid = np.geomspace(lo, hi, _integer(points, "points", 2, MAX_POINTS))
     vals = np.asarray(curve_fn(grid), dtype=float)
     # as with Python floats, 0 * inf is a quiet nan and a huge product a quiet inf
     with np.errstate(invalid="ignore", over="ignore"):
@@ -139,8 +146,7 @@ def classify_score_bayes(sc):
     """
     _require_prior(sc, CommonPrior, "classify_score_bayes")
     at_zero, at_inf = endpoints(sc, Metric.SCORE)
-    tol = SIGN_TOL * (1.0 + abs(at_inf) + abs(at_zero))
-    if abs(at_inf - at_zero) <= tol:
+    if abs(at_inf - at_zero) <= _score_band(at_zero, at_inf):
         trend = ScoreTrend.CONSTANT
     elif at_inf < at_zero:
         trend = ScoreTrend.DECREASING
@@ -336,8 +342,7 @@ def neutrality_condition_projected(sc):
         checks.append(("first projector differs from the identity", not _is_identity(sc.prior.subspace1)))
         sigma = neutrality_sigma_score_bayes(sc)
         if sigma is not None:
-            at_zero, at_inf = endpoints(sc, Metric.SCORE)  # the tolerance `classify_score_bayes` puts on this curve
-            vanishes = abs(disparity_value(sc, Metric.SCORE, sigma)) <= SIGN_TOL * (1.0 + abs(at_zero) + abs(at_inf))
+            vanishes = abs(disparity_value(sc, Metric.SCORE, sigma)) <= _score_band(*endpoints(sc, Metric.SCORE))
             checks.append(("score disparity vanishes at the crossing", vanishes))
     return NeutralityCondition(
         MatrixConditionReport(

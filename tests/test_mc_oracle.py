@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from flab import mc_oracle
 from flab.agents import (
     Metric,
+    _integer,
     bayesian_best_response,
     bayesian_posterior,
     normal_stream,
@@ -26,19 +27,24 @@ from flab.agents import (
     standard_normals,
 )
 from flab.closed_form import (
+    MAX_POINTS,
     CommonPrior,
     NaivePrior,
     ProjectedPrior,
     Scenario,
+    disparity_curve,
     disparity_value,
     score_variance_naive,
+    sigma_grid,
 )
 from flab.errors import Error, NegativeSigma, NonFinite, WrongPriorKind
 from flab.linalg_core import CostMatrix, Projection
+from flab.regimes import RootScan, find_roots
 from flab.mc_oracle import (
     _BLOCK,
     _STREAM_KEY,
     MAX_SAMPLES,
+    MIN_SAMPLES,
     Z_MAX,
     _block_columns,
     compare,
@@ -753,3 +759,142 @@ class TestCompare:
         z, passed, _ = compare(analytic * 1.01, *estimate_disparity(naive, Metric.SCORE, sigma, 100000, 42))
         assert not passed
         assert abs(z) > 5.0
+
+
+# every reader of an integer or gate argument, as (argument, lowest, highest, calls); each call takes the
+# argument and returns a value that an accepted argument must share with its exact int (or float, for z_max)
+NAIVE = Scenario(RULE, CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])), NaivePrior())
+CHEAP = 4096  # the largest count the property runs through an estimate or a grid; above it, the reader alone
+READERS = {
+    "seed": (0, math.inf, [
+        lambda x: estimate_disparities(REFERENCE_COMMON, [0.0, 1.0], 1000, x),
+        lambda x: estimate_disparity(REFERENCE_COMMON, "utility", 1.0, 1000, x),
+        lambda x: estimate_variance_naive(NAIVE, 1.0, 1000, x),
+        lambda x: standard_normals(normal_stream(x), (4,)),
+    ]),
+    "key": (0, math.inf, [lambda x: standard_normals(normal_stream(3, (x,)), (4,))]),
+    "n": (MIN_SAMPLES, MAX_SAMPLES, [
+        lambda x: estimate_disparities(REFERENCE_COMMON, [0.0, 1.0], x, 1),
+        lambda x: estimate_disparity(REFERENCE_COMMON, "score", 1.0, x, 1),
+        lambda x: estimate_variance_naive(NAIVE, 0.0, x, 1),
+    ]),
+    "scan points": (2, MAX_POINTS, [lambda x: find_roots(lambda s: s - 1.0, 0.5, 2.0, x)]),
+    "grid points": (1, MAX_POINTS, [
+        lambda x: sigma_grid(REFERENCE_COMMON, x),
+        lambda x: disparity_curve(REFERENCE_COMMON, Metric.SCORE, points=x).values,
+    ]),
+    "z_max": (None, None, [lambda x: compare([0.0, 1.0, 2.0], [0.5, 1.0, -1.0], [0.25, 0.0, 1.0], x)]),
+}
+ARGUMENTS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.integers(-10**4, 10**4).map(float),
+    st.integers(-10**4, 10**4).map(np.int64),
+    st.integers(0, 10**4).map(np.uint64),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.sampled_from([
+        1.0, 2.0, 1000.0, 1000.9, 2.7, -1.5, -0.0, 0.5, 2.0**53, 1e300, math.nan, math.inf, -math.inf,
+        True, False, np.True_, None, "3", "", b"7", 1j,
+    ]),
+)
+
+
+def bits(value):
+    """Every number in a nest of tuples, RootScans and arrays, as hex strings."""
+    if isinstance(value, RootScan):
+        return bits((value.crossings, value.tangential))
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    return [float(v).hex() for v in np.ravel(value)]
+
+
+def accepted(argument, value):
+    """The exact int (or float, for z_max) the reader of ``argument`` must accept ``value`` as, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return None
+    value = value.item() if isinstance(value, np.generic) else value
+    low, high, _ = READERS[argument]
+    if argument == "z_max":
+        return float(value) if 0.0 < value <= sys.float_info.max else None
+    if isinstance(value, float) and not (math.isfinite(value) and value.is_integer()):
+        return None
+    return int(value) if low <= value <= high else None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(argument=st.sampled_from(sorted(READERS)), value=ARGUMENTS)
+def test_each_argument_reader_accepts_exact_values_in_range_and_refuses_the_rest(argument, value):
+    # a builtin exception, or a RuntimeWarning, fails this test
+    low, high, calls = READERS[argument]
+    exact = accepted(argument, value)
+    if exact is None:
+        for call in calls:
+            with pytest.raises(Error):
+                call(value)
+    elif argument in ("n", "scan points", "grid points") and exact > CHEAP:
+        got = _integer(value, argument, low, high)
+        assert type(got) is int and got == exact
+    else:
+        for call in calls:
+            assert bits(call(value)) == bits(call(exact))
+
+
+class TestIntegerArguments:
+    """The cases that the bare ``int`` reads and the zero-noise shortcut let through or turned into builtin errors."""
+
+    @pytest.mark.parametrize("seed", [math.nan, 2.7, "3", True, -1])
+    def test_bad_seed_is_refused_by_every_estimate(self, naive, seed):
+        # nan raised ValueError, 2.7 drew seed 2's agents, "3" and True were read as 3 and 1
+        for sigmas in ([1.0], [0.0]):  # a grid of zeros read no seed at all
+            with pytest.raises(Error):
+                estimate_disparities(naive, sigmas, 1000, seed)
+        for sigma in (1.0, 0.0):
+            with pytest.raises(Error):
+                estimate_disparity(naive, Metric.SCORE, sigma, 1000, seed)
+            with pytest.raises(Error):
+                estimate_variance_naive(naive, sigma, 1000, seed)
+        with pytest.raises(Error):
+            normal_stream(seed)
+
+    @pytest.mark.parametrize("n", [math.nan, 1000.9, "1000"])
+    def test_bad_sample_count_is_refused_by_every_estimate(self, naive, n):
+        # nan raised ValueError and 1000.9 was read as 1000
+        with pytest.raises(Error):
+            estimate_disparities(naive, [0.0, 1.0], n, 1)
+        with pytest.raises(Error):
+            estimate_disparity(naive, Metric.SCORE, 1.0, n, 1)
+        with pytest.raises(Error):
+            estimate_variance_naive(naive, 1.0, n, 1)
+
+    def test_messages_check_the_range_first(self, naive):
+        with pytest.raises(Error, match=r"^seed must be non-negative, got -1.5$"):
+            estimate_disparities(naive, [0.0], 1000, -1.5)
+        with pytest.raises(Error, match=r"^need at least 1000 samples, got 999.5$"):
+            estimate_disparities(naive, [0.0], 999.5, 1)
+        with pytest.raises(Error, match=rf"^need at most {MAX_SAMPLES} samples, got inf$"):
+            estimate_disparities(naive, [0.0], math.inf, 1)
+        with pytest.raises(Error, match=r"^samples must be an integer, got nan$"):
+            estimate_disparities(naive, [0.0], math.nan, 1)
+
+
+class TestGateAndGridArguments:
+    @pytest.mark.parametrize("z_max", [-1.0, 0.0, math.nan, math.inf, -math.inf, "4", None, True, 10**400])
+    def test_compare_refuses_a_gate_that_is_not_finite_and_positive(self, z_max):
+        # -1 put every entry in exact mode, 0 passed a 1e-13 gap, and nan failed every entry
+        with pytest.raises(Error, match="^z_max must be finite and positive"):
+            compare([1.0], [1.5], [0.1], z_max=z_max)
+
+    @pytest.mark.parametrize("points", [1, 0, -3, 1.5, math.nan, "5", None, True, MAX_POINTS + 1])
+    def test_find_roots_needs_two_points(self, points):
+        # 1 and 0 scanned nothing and returned an empty RootScan
+        with pytest.raises(Error):
+            find_roots(lambda s: s - 1.0, 0.5, 2.0, points=points)
+
+    @pytest.mark.parametrize("points", [0, -3, 1.5, math.nan, "5", None, True, MAX_POINTS + 1])
+    def test_grids_need_one_point(self, common, points):
+        # 1.5 raised TypeError, -3 ValueError, and 0 gave an empty grid
+        with pytest.raises(Error):
+            sigma_grid(common, points)
+        with pytest.raises(Error):
+            disparity_curve(common, Metric.SCORE, points=points)
