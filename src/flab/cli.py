@@ -23,9 +23,11 @@ from .closed_form import (
     NaivePrior,
     ProjectedPrior,
     Scenario,
+    _noise_grid,
     disparity_value,
     endpoints,
     neutrality_sigma_naive,
+    noise_range,
     score_overlap_bound,
     sigma_grid,
     utility_overlap_bound,
@@ -62,7 +64,7 @@ MAX_DIGITS = 17  # the longest integer any field or option takes
 class SweepConfig:
     sigma_lo: float
     sigma_hi: float
-    points: int
+    points: "int | None"  # None: the command's own default
     spacing: str
 
 
@@ -75,8 +77,11 @@ class McConfig:
 
 @dataclass(frozen=True)
 class LoadedScenario:
+    """A parsed scenario file. A file without a sweep block gets `noise_range`, log-spaced,
+    at each command's default number of points."""
+
     scenario: Scenario
-    sweep: "SweepConfig | None"
+    sweep: SweepConfig
     mc: "McConfig | None"
     name: str  # for display: the file's "label", else its base name
 
@@ -254,18 +259,8 @@ def load_scenario(path):
     sweep = _parse_sweep(root["sweep"]) if "sweep" in root else None
     mc = _parse_mc(root["mc"]) if "mc" in root else None
     scenario = Scenario(rule, cost1, cost2, prior)
+    sweep = sweep or SweepConfig(*noise_range(scenario), None, "log")
     return LoadedScenario(scenario, sweep, mc, label or os.path.basename(path))
-
-
-def _sweep_sigmas(loaded, points=None, default_points=241):
-    cfg = loaded.sweep
-    if points is None:
-        points = default_points if cfg is None else cfg.points
-    if cfg is None:
-        return sigma_grid(loaded.scenario, points=points)
-    if cfg.spacing == "log":
-        return np.geomspace(cfg.sigma_lo, cfg.sigma_hi, points)
-    return np.linspace(cfg.sigma_lo, cfg.sigma_hi, points)
 
 
 def _g17(x):
@@ -290,12 +285,12 @@ def _require_finite(name, values, grid):
 _SVG_COLORS = ("#1f6feb", "#d1242f", "#2da44e", "#9a6700")
 
 
-def render_svg(sigmas, curves, title, spacing="log"):
+def render_svg(sigmas, curves, title, spacing):
     """Minimal deterministic line chart: linear y, dashed zero line.
 
     ``curves`` is a sequence of (name, finite values) pairs over the shared grid.
-    The x axis follows the grid's ``spacing``: "log" puts ticks at whole
-    decades, "linear" at quarters of the range, which may start at zero.
+    The x axis follows the grid's ``spacing``, the sweep config's: "log" puts ticks
+    at whole decades, "linear" at quarters of the range, which may start at zero.
     """
     width, height = 720.0, 460.0
     ml, mr, mt, mb = 70.0, 24.0, 34.0, 52.0
@@ -427,7 +422,7 @@ def cmd_validate(args):
     if isinstance(sc.prior, NaivePrior):
         print("  prior: naive")
         print(f"  score disparity (all noise levels): {_g5(c.rule_sq)}")
-        crossing = neutrality_sigma_naive(sc) if sc.trace_gap > 0.0 else None
+        crossing = neutrality_sigma_naive(sc)
         if crossing is not None:
             print(f"  utility crossing: {_g5(crossing)}")
         return _EXIT_OK
@@ -450,7 +445,8 @@ def cmd_validate(args):
 def cmd_sweep(args):
     points = None if args.points is None else _count(args.points, "--points", 2, MAX_POINTS)
     loaded = load_scenario(args.scenario)
-    grid = _sweep_sigmas(loaded, points)
+    cfg = loaded.sweep
+    grid = _noise_grid(cfg.sigma_lo, cfg.sigma_hi, points or cfg.points or 241, cfg.spacing)
     scores = disparity_value(loaded.scenario, Metric.SCORE, grid)
     utilities = disparity_value(loaded.scenario, Metric.UTILITY, grid)
     _require_finite("score disparity", scores, grid)
@@ -463,8 +459,7 @@ def cmd_sweep(args):
     outputs = [("--out-csv", args.out_csv, csv_text)] if args.out_csv else []
     if args.out_svg:
         curves = [("score disparity", scores), ("utility disparity", utilities)]
-        spacing = "log" if loaded.sweep is None else loaded.sweep.spacing
-        outputs.append(("--out-svg", args.out_svg, render_svg(sigmas, curves, loaded.name, spacing)))
+        outputs.append(("--out-svg", args.out_svg, render_svg(sigmas, curves, loaded.name, cfg.spacing)))
     _write_outputs(outputs)  # before stdout gets a byte
     if args.out_csv:
         print(f"wrote {args.out_csv} ({len(sigmas)} rows)")
@@ -490,7 +485,7 @@ def cmd_classify(args):
     if isinstance(sc.prior, NaivePrior):
         fs = sc.constants.rule_sq
         lines.append(f"  score: constant {_g5(fs)} ({label_region(fs)})")
-        crossing = neutrality_sigma_naive(sc) if sc.trace_gap > 0.0 else None
+        crossing = neutrality_sigma_naive(sc)
         where = "no crossing" if crossing is None else f"crossing at {_g5(crossing)}"
         lines.append(f"  utility: MonotoneDecreasing, {where}")
         print("\n".join(lines))
@@ -586,8 +581,8 @@ def cmd_verify(args):
 def cmd_bounds(args):
     points = None if args.points is None else _count(args.points, "--points", 2, MAX_POINTS)
     loaded = load_scenario(args.scenario)
-    sc = loaded.scenario
-    grid = _sweep_sigmas(loaded, points, default_points=21)
+    sc, cfg = loaded.scenario, loaded.sweep
+    grid = _noise_grid(cfg.sigma_lo, cfg.sigma_hi, points or cfg.points or 21, cfg.spacing)
     score = np.abs(disparity_value(sc, Metric.SCORE, grid))
     utility = np.abs(disparity_value(sc, Metric.UTILITY, grid))
     score_bound = score_overlap_bound(sc, grid)

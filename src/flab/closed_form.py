@@ -289,12 +289,11 @@ def score_variance_naive(sc, sigma):
 def neutrality_sigma_naive(sc):
     """Noise scale at which the naive utility disparity crosses zero, if any.
 
-    A zero rule gives a curve that leaves 0 going down, so its start is no
-    crossing and this returns None.
+    The curve (rule_sq - sigma^2 trace_gap) / 2 never falls through zero for a
+    zero rule, whose start is no crossing, or a trace gap that is not positive.
     """
     _require_prior(sc, NaivePrior, "neutrality_sigma_naive")
-    _require_trace_gap(sc)
-    if sc.constants.rule_sq == 0.0:
+    if sc.constants.rule_sq == 0.0 or sc.trace_gap <= 0.0:
         return None
     return math.sqrt(sc.constants.rule_sq / sc.trace_gap)
 
@@ -349,9 +348,14 @@ def noise_range(sc):
     return 1e-3 * u, 1e3 * u
 
 
+def _noise_grid(lo, hi, points, spacing="log"):
+    """Every noise grid flab builds: ``points`` levels from lo to hi, log-spaced, or evenly for "linear"."""
+    return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, points)
+
+
 def sigma_grid(sc, points=241):
-    """Log-spaced noise grid over the default noise interval; ``points`` is an integer from 1 to MAX_POINTS, else Error."""
-    return np.geomspace(*noise_range(sc), _integer(points, "points", 1, MAX_POINTS))
+    """Log-spaced `_noise_grid` over `noise_range`; ``points`` is an integer from 1 to MAX_POINTS, else Error."""
+    return _noise_grid(*noise_range(sc), _integer(points, "points", 1, MAX_POINTS))
 
 
 def endpoints(sc, metric):

@@ -19,6 +19,7 @@ from .closed_form import (
     MAX_POINTS,
     CommonPrior,
     ProjectedPrior,
+    _noise_grid,
     _require_commuting,
     _require_prior,
     _require_trace_gap,
@@ -84,7 +85,7 @@ def _bisect(fn, lo, hi, f_lo):
 
 
 def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
-    """Locate zeros of a curve on a log grid over [sigma_lo, sigma_hi].
+    """Locate zeros of a curve on a log grid over [sigma_lo, sigma_hi], built by `_noise_grid`.
 
     ``curve_fn`` must accept an array: the whole grid is evaluated in one
     call, and bisection then calls it with single floats. Grid points
@@ -100,7 +101,7 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     hi = float(sigma_hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
         raise InvalidBracket(f"need finite 0 < lo < hi, got ({sigma_lo}, {sigma_hi})")
-    grid = np.geomspace(lo, hi, _integer(points, "points", 2, MAX_POINTS))
+    grid = _noise_grid(lo, hi, _integer(points, "points", 2, MAX_POINTS))
     vals = np.asarray(curve_fn(grid), dtype=float)
     # as with Python floats, 0 * inf is a quiet nan and a huge product a quiet inf
     with np.errstate(invalid="ignore", over="ignore"):

@@ -6,6 +6,7 @@ by hand or with straightforward high-precision arithmetic, not by
 running this package.
 """
 
+import ast
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -41,7 +42,7 @@ from flab.errors import (
     NonFinite,
     WrongPriorKind,
 )
-from flab.linalg_core import CostMatrix, Definiteness, Projection, definiteness, max_norm
+from flab.linalg_core import CostMatrix, Definiteness, Projection, definiteness, kahan_dot, max_norm, quad_form
 
 RULE = np.array([1.0, 0.5])
 PRIOR_MEAN = np.array([0.5, 2.0])
@@ -248,6 +249,12 @@ class TestNaiveFormulas:
         with pytest.raises(WrongPriorKind):
             neutrality_sigma_naive(common)
 
+    @pytest.mark.parametrize("trace_gap", [0.0, -0.0, -1e-17])
+    def test_no_crossing_without_a_positive_trace_gap(self, naive, trace_gap):
+        # (rule_sq - sigma^2 trace_gap) / 2 then never falls through zero
+        object.__setattr__(naive, "trace_gap", trace_gap)
+        assert neutrality_sigma_naive(naive) is None
+
 
 class TestCommonPriorFormulas:
     def test_score_reference_value(self, common):
@@ -433,6 +440,21 @@ class TestCurves:
         assert grid[0] == pytest.approx(1e-3, rel=1e-12)
         assert grid[-1] == pytest.approx(1e3, rel=1e-12)
 
+    def test_noise_grid_is_the_one_numpy_grid_call(self):
+        # every noise grid of flab comes from closed_form._noise_grid, so a change to
+        # how grids are built (their bits under CPU dispatch, say) lands in one function
+        src = Path(__file__).resolve().parent.parent / "src" / "flab"
+        inside, outside = [], []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            builders = (fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_noise_grid")
+            owned = {id(node) for fn in builders for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                name = getattr(node, "attr", getattr(node, "id", None))
+                if isinstance(node, (ast.Attribute, ast.Name)) and name in ("geomspace", "linspace"):
+                    (inside if id(node) in owned else outside).append(f"{path.name}:{node.lineno}")
+        assert len(inside) == 2 and not outside, outside
+
     def test_grid_scales_with_prior(self, costs):
         sc = Scenario(RULE, costs[0], costs[1], CommonPrior(PRIOR_MEAN, 5.0))
         grid = sigma_grid(sc)
@@ -601,3 +623,32 @@ class TestPriorScale:
         ):
             with pytest.raises(Error, match="prior scale"):
                 build()
+
+
+COSTS = (CostMatrix(np.diag([2.0, 1.0])), CostMatrix(np.diag([4.0, 3.0])))
+
+
+class TestTypedErrors:
+    """Library guards that the command line never reaches: each raises its own typed error."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: CommonPrior(np.array([math.nan, 0.0]), 1.0), Error, r"^prior mean must be a finite vector, got \["),
+        (lambda: CommonPrior(np.zeros((2, 2)), 1.0), Error, r"^prior mean must be a finite vector, got \[\["),
+        (lambda: ProjectedPrior(Projection(np.eye(2)), Projection(np.eye(3)), 1.0), DimensionMismatch,
+         r"^projector dims 2 and 3$"),
+        (lambda: Scenario(RULE, COSTS[0], CostMatrix(np.diag([4.0, 3.0, 2.0])), NaivePrior()), DimensionMismatch,
+         r"^cost dims 2 and 3$"),
+        (lambda: Scenario(RULE, *COSTS, ProjectedPrior(Projection(np.eye(3)), Projection(np.eye(3)), 1.0)),
+         DimensionMismatch, r"^projector dim 3 for dimension 2$"),
+        (lambda: Scenario(RULE, *COSTS, object()), WrongPriorKind, r"^unsupported prior object$"),
+        (lambda: kahan_dot(np.ones(2), np.ones(3)), DimensionMismatch, r"^dot of shapes \(2,\) and \(3,\)$"),
+        (lambda: quad_form(np.ones(2), np.eye(3)), DimensionMismatch,
+         r"^quadratic form of shapes \(2,\), \(3, 3\), \(2,\)$"),
+        (lambda: Projection.from_span([[1, 2, 3]], dim=2), DimensionMismatch,
+         r"^span vector shape \(3,\), expected \(2,\)$"),
+    ], ids=["nan mean", "2-d mean", "projector dims", "cost dims", "projector on scenario", "unknown prior",
+            "kahan_dot shapes", "quad_form shapes", "span vector"])
+    def test_guard_raises_its_typed_error(self, build, error, message):
+        with pytest.raises(Error, match=message) as excinfo:
+            build()
+        assert excinfo.type is error

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flab import regimes
 from flab.agents import normal_stream, standard_normals
 from flab.closed_form import (
     CommonPrior,
@@ -82,6 +83,11 @@ class TestFindRoots:
 
     def test_exact_grid_zero_counts_once(self):
         scan = find_roots(lambda x: x - 1.0, 0.5, 2.0, points=3)
+        assert scan.crossings == (1.0,)
+
+    def test_exact_zero_at_a_bisection_midpoint_is_the_root(self):
+        # the grid is [0.5, 1.5]; bisection's first midpoint 1.0 reads exactly zero
+        scan = find_roots(lambda x: x - 1.0, 0.5, 1.5, points=2)
         assert scan.crossings == (1.0,)
 
     def test_tangential_touch_reported_separately(self):
@@ -348,6 +354,19 @@ class TestTwoRootRegion:
         assert regime.count_matches
         assert regime.roots[0] == pytest.approx(0.9104792783509308, rel=1e-9)
         assert regime.roots[1] == pytest.approx(3.089032410592724, rel=1e-9)
+
+    def test_zero_at_the_minimum_predicts_one_tangent_crossing(self, fixture_scenario, monkeypatch):
+        # the committed two_crossings scenario, with its utility minimum read as exactly 0.0
+        sigma_min = classify_utility_bayes(fixture_scenario).sigma_min
+        value = regimes.disparity_value
+
+        def zero_at_minimum(sc, metric, sigma):
+            return 0.0 if np.ndim(sigma) == 0 and sigma == sigma_min else value(sc, metric, sigma)
+
+        monkeypatch.setattr(regimes, "disparity_value", zero_at_minimum)
+        regime = classify_utility_bayes(fixture_scenario)
+        assert regime.minimum_value == 0.0
+        assert regime.predicted_roots == 1
 
     def test_smaller_scale_leaves_region(self, costs):
         assert not two_root_region_check(common_scenario(costs, 0.4 * RULE, 1.2))
