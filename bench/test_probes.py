@@ -125,3 +125,62 @@ def test_probe_classify_projected_neutrality(benchmark, tmp_path):
         "vanishing_no_lines": sum(out.count("vanishes at the crossing: NO") for _, out in results),
         "mismatch_lines": sum(out.count("MISMATCH") for _, out in results),
     })
+
+
+MULTIPLES = (0.5, 1.0, 2.0, 4.0)
+
+
+def exact_multiple_scenarios(seed=11, count=250):
+    """The exact-multiple probe's d=2 common-prior scenarios, as (t, scenario dict) pairs, whose mean is t·rule.
+
+    Per draw, in this draw order from ``default_rng(seed)``: the rule, a
+    standard normal 2-vector, A1 = diag U(0.5, 3), A2 = A1 + diag U(0.3, 2)
+    and the prior scale 10^U(-1, 2). Each draw gives one scenario per t in
+    MULTIPLES. At t = 2 the utility limit cross - prior_sq / 2 is exactly 0.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rule = rng.standard_normal(2)
+        a1 = rng.uniform(0.5, 3.0, size=2)
+        a2 = a1 + rng.uniform(0.3, 2.0, size=2)
+        scale = 10.0 ** rng.uniform(-1.0, 2.0)
+        for t in MULTIPLES:
+            yield t, {
+                "label": f"exact-multiple probe, mean {t} rule",
+                "dimension": 2,
+                "rule": rule.tolist(),
+                "cost1": np.diag(a1).tolist(),
+                "cost2": np.diag(a2).tolist(),
+                "prior": {"kind": "common", "mean": (t * rule).tolist(), "scale": float(scale)},
+            }
+
+
+def test_probe_classify_exact_multiple(benchmark, tmp_path):
+    # the exact-multiple probe (ROADMAP items 2 and 13): exit 4 is a count mismatch
+    paths = []
+    for i, (t, spec) in enumerate(exact_multiple_scenarios()):
+        path = tmp_path / f"m{i:04d}.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        paths.append((t, str(path)))
+
+    def run():
+        results = []
+        for t, path in paths:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["classify", path])
+            results.append((t, code, "(value -" in out.getvalue()))
+        return results
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    by_multiple = Counter((t, code) for t, code, _ in results)
+    below_zero = Counter((t, code) for t, code, negative in results if negative)
+    benchmark.extra_info.update({
+        "scenarios": len(results),
+        "exits_by_multiple": {
+            str(t): {str(code): n for (m, code), n in sorted(by_multiple.items()) if m == t} for t in MULTIPLES
+        },
+        "negative_minimum_exits_by_multiple": {
+            str(t): {str(code): n for (m, code), n in sorted(below_zero.items()) if m == t} for t in MULTIPLES
+        },
+    })

@@ -286,14 +286,22 @@ def score_variance_naive(sc, sigma):
     return scalar_or_array(s * s * quad_form(sc.rule, 0.5 * (sq + sq.T)))
 
 
+def _sign_changes(values):
+    """Sign changes between adjacent nonzero values: a zero start, limit or minimum
+    is a touch, not a crossing, as `regimes.find_roots` reports a touch as tangential."""
+    signs = [v > 0.0 for v in values if v != 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def neutrality_sigma_naive(sc):
     """Noise scale at which the naive utility disparity crosses zero, if any.
 
-    The curve (rule_sq - sigma^2 trace_gap) / 2 never falls through zero for a
-    zero rule, whose start is no crossing, or a trace gap that is not positive.
+    The curve (rule_sq - sigma^2 trace_gap) / 2 crosses once when its `endpoints`
+    change sign: never for a zero rule, whose start is no crossing, nor for a
+    trace gap that is not positive, which leaves the curve no way down.
     """
     _require_prior(sc, NaivePrior, "neutrality_sigma_naive")
-    if sc.constants.rule_sq == 0.0 or sc.trace_gap <= 0.0:
+    if sc.trace_gap <= 0.0 or not _sign_changes(endpoints(sc, Metric.UTILITY)):
         return None
     return math.sqrt(sc.constants.rule_sq / sc.trace_gap)
 
@@ -301,14 +309,15 @@ def neutrality_sigma_naive(sc):
 def neutrality_sigma_score_bayes(sc):
     """Noise scale where a belief-carrying prior's score disparity vanishes, if any.
 
-    A crossing exists exactly when the prior/rule pairing in the gap metric
-    (for a projected prior, the known-side value) is negative; otherwise
-    returns None.
+    The score runs monotonically from rule_sq to the prior/rule pairing in the
+    gap metric (for a projected prior, the known-side value), so it crosses once
+    when those `endpoints` change sign: a negative pairing with a nonzero rule.
+    Otherwise returns None.
     """
     if isinstance(sc.prior, NaivePrior):
         raise WrongPriorKind("neutrality_sigma_score_bayes needs a belief-carrying prior")
     c = sc.constants
-    if c.cross >= 0.0:
+    if not _sign_changes(endpoints(sc, Metric.SCORE)):
         return None
     return math.sqrt(-c.rule_sq / c.cross) * sc.prior.scale
 

@@ -23,6 +23,7 @@ from .closed_form import (
     _require_commuting,
     _require_prior,
     _require_trace_gap,
+    _sign_changes,
     disparity_value,
     endpoints,
     neutrality_sigma_score_bayes,
@@ -195,7 +196,6 @@ def critical_prior_scale(sc):
 
 
 def _classify_utility(sc):
-    c = sc.constants
     scale = sc.prior.scale
     crit_sq = _critical_scale_sq(sc)
     if scale * scale <= crit_sq:
@@ -209,23 +209,12 @@ def _classify_utility(sc):
         fu_min = disparity_value(sc, Metric.UTILITY, sigma_min)
 
     at_zero, at_inf = endpoints(sc, Metric.UTILITY)
-    if at_zero == 0.0:
-        # the curve leaves 0 going down, so its start is no crossing
-        predicted = 1 if case is UtilityCase.NON_MONOTONE and fu_min < 0.0 < at_inf else 0
-    elif c.prior_sq > 2.0 * c.cross:
-        predicted = 1
-    elif case is UtilityCase.MONOTONE_DECREASING:
-        predicted = 0
-    elif fu_min > 0.0:
-        predicted = 0
-    elif fu_min < 0.0:
-        predicted = 2
-    else:
-        predicted = 1
+    shape = (at_zero, at_inf) if fu_min is None else (at_zero, fu_min, at_inf)
+    predicted = _sign_changes(shape)
     scan = find_roots(lambda s: disparity_value(sc, Metric.UTILITY, s), *noise_range(sc))
     return UtilityRegime(
         case=case,
-        critical_scale=critical_prior_scale(sc),
+        critical_scale=math.sqrt(max(crit_sq, 0.0)),
         sigma_min=sigma_min,
         minimum_value=fu_min,
         predicted_roots=predicted,
@@ -240,8 +229,9 @@ def classify_utility_bayes(sc):
 
     Monotone decrease holds up to the critical prior scale; beyond it the
     curve dips to an interior minimum before rising toward its limit. The
-    predicted crossing count (0, 1, or 2) is keyed on the prior norm test
-    and the sign at the minimum, then checked against a numeric scan.
+    predicted crossing count (0, 1, or 2) is the number of sign changes
+    across the zero-noise value, the minimum if any, and the limit, with
+    a zero among them no crossing; it is checked against a numeric scan.
     """
     _require_prior(sc, CommonPrior, "classify_utility_bayes")
     return _classify_utility(sc)

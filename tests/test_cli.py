@@ -671,6 +671,22 @@ class TestClassifyCommand:
         assert "5.2035" in out
         assert "predicted 1, match" in out
 
+    def test_mean_at_twice_the_rule_has_one_crossing(self, tmp_path, capsys):
+        # the utility limit cross - prior_sq / 2 is exactly 0, so the dip below zero is crossed once
+        body = variant(prior={"kind": "common", "mean": [2.0, 1.0], "scale": 2.0})
+        assert cli.main(["classify", write_scenario(tmp_path, body)]) == 0
+        assert "  utility crossings: 1 at [0.76696] (predicted 1, match)\n" in capsys.readouterr().out
+
+    def test_underflowed_rule_has_no_score_crossing(self, tmp_path, capsys):
+        # rule_sq underflows to 0.0, so the score starts at zero and falls from there
+        body = variant(rule=[1e-170, 1e-170], prior={"kind": "common", "mean": [-1.0, -1.0], "scale": 2.0})
+        path = write_scenario(tmp_path, body)
+        assert cli.main(["classify", path]) == 0
+        assert "  score: Constant\n" in capsys.readouterr().out
+        sc = cli.load_scenario(path).scenario
+        assert sc.constants.rule_sq == 0.0 and sc.constants.cross < 0.0
+        assert neutrality_sigma_score_bayes(sc) is None
+
     PROJECTED = variant(
         prior={
             "kind": "projected",

@@ -20,6 +20,7 @@ from flab.closed_form import (
     NaivePrior,
     ProjectedPrior,
     Scenario,
+    _sign_changes,
     disparity_curve,
     disparity_value,
     endpoints,
@@ -254,6 +255,21 @@ class TestNaiveFormulas:
         # (rule_sq - sigma^2 trace_gap) / 2 then never falls through zero
         object.__setattr__(naive, "trace_gap", trace_gap)
         assert neutrality_sigma_naive(naive) is None
+
+
+@pytest.mark.parametrize(
+    "values, changes",
+    [
+        ((1.0, -1.0), 1),
+        ((0.0, -1.0), 0),  # a zero start is no crossing
+        ((1.0, -1.0, 0.0), 1),  # nor is a zero limit
+        ((1.0, 0.0, 1.0), 0),  # nor a touch at the minimum
+        ((1.0, -1.0, 1.0), 2),
+        ((1.0, -math.inf), 1),
+    ],
+)
+def test_sign_changes(values, changes):
+    assert _sign_changes(values) == changes
 
 
 class TestCommonPriorFormulas:

@@ -355,8 +355,9 @@ class TestTwoRootRegion:
         assert regime.roots[0] == pytest.approx(0.9104792783509308, rel=1e-9)
         assert regime.roots[1] == pytest.approx(3.089032410592724, rel=1e-9)
 
-    def test_zero_at_the_minimum_predicts_one_tangent_crossing(self, fixture_scenario, monkeypatch):
-        # the committed two_crossings scenario, with its utility minimum read as exactly 0.0
+    def test_zero_at_the_minimum_predicts_no_crossing(self, fixture_scenario, monkeypatch):
+        # the committed two_crossings scenario, with its utility minimum read as exactly 0.0:
+        # the curve touches zero there without crossing it, as find_roots counts a touch
         sigma_min = classify_utility_bayes(fixture_scenario).sigma_min
         value = regimes.disparity_value
 
@@ -366,7 +367,7 @@ class TestTwoRootRegion:
         monkeypatch.setattr(regimes, "disparity_value", zero_at_minimum)
         regime = classify_utility_bayes(fixture_scenario)
         assert regime.minimum_value == 0.0
-        assert regime.predicted_roots == 1
+        assert regime.predicted_roots == 0
 
     def test_smaller_scale_leaves_region(self, costs):
         assert not two_root_region_check(common_scenario(costs, 0.4 * RULE, 1.2))
