@@ -12,13 +12,17 @@ uses only ``flab.cli.main``, so one file probes two versions of flab alike.
 import contextlib
 import io
 import json
+import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from flab import cli
 
 RULE_KINDS = ("zero", "tiny", "unit")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def classify_scenarios(seed=7, count=600):
@@ -183,4 +187,65 @@ def test_probe_classify_exact_multiple(benchmark, tmp_path):
         "negative_minimum_exits_by_multiple": {
             str(t): {str(code): n for (m, code), n in sorted(below_zero.items()) if m == t} for t in MULTIPLES
         },
+    })
+
+
+# (a, b): costs times 2^a, and rule, prior mean, prior scale and sweep range times 2^b (ROADMAP item 17)
+UNIT_CHANGES = ((5, 0), (-7, 0), (0, 3), (0, -4), (9, 6), (40, 0), (-30, 0), (0, -20), (-10, -10),
+                (20, 0), (-20, 0), (0, 20), (10, 10), (-4, -2), (0, -499))
+UNIT_COMMANDS = (("validate",), ("sweep",), ("classify",), ("verify", "--n", "20000", "--seed", "1"), ("bounds",))
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
+
+
+def rescaled(spec, a, b):
+    """``spec`` in other units: costs times 2^a, and every length (rule, mean, scale, sweep range) times 2^b."""
+    out = json.loads(json.dumps(spec))
+    out["cost1"], out["cost2"] = ([[math.ldexp(v, a) for v in row] for row in spec[k]] for k in ("cost1", "cost2"))
+    out["rule"] = [math.ldexp(v, b) for v in spec["rule"]]
+    if "mean" in spec["prior"]:
+        out["prior"]["mean"] = [math.ldexp(v, b) for v in spec["prior"]["mean"]]
+    if "scale" in spec["prior"]:
+        out["prior"]["scale"] = math.ldexp(spec["prior"]["scale"], b)
+    if "sweep" in spec:
+        for key in ("sigma_min", "sigma_max"):
+            out["sweep"][key] = math.ldexp(spec["sweep"][key], b)
+    return out
+
+
+def test_probe_change_of_units(benchmark, tmp_path):
+    # the change-of-units recipe (ROADMAP item 17, step 1): a run differs when its exit code differs, or its
+    # stdout with every number as "#" and runs of spaces as one (labels, trends, cases, crossing lists, verdicts)
+    originals = sorted(SCENARIOS.glob("*.json"))
+    cases = []
+    for a, b in UNIT_CHANGES:
+        folder = tmp_path / f"{a}_{b}"
+        folder.mkdir()
+        for path in originals:
+            copy = folder / path.name
+            copy.write_text(json.dumps(rescaled(json.loads(path.read_text(encoding="utf-8")), a, b)), encoding="utf-8")
+            cases.append(((a, b), path, copy))
+
+    def outcome(command, path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command[0], str(path), *command[1:]])
+        return code, re.sub(r" +", " ", _NUMBER.sub("#", out.getvalue()))  # column widths follow the numbers
+
+    def run():
+        base = {(c, p): outcome(c, p) for c in UNIT_COMMANDS for p in originals}
+        return [(change, command[0], path.stem, base[command, path], outcome(command, copy))
+                for change, path, copy in cases for command in UNIT_COMMANDS]
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    exit_differs = Counter((change, command) for change, command, _, (c0, _), (c1, _) in results if c0 != c1)
+    differs = Counter((change, command) for change, command, _, before, after in results if before != after)
+    benchmark.extra_info.update({
+        "runs": len(results),
+        "differing_runs": sum(differs.values()),
+        "differing_exit_codes": sum(exit_differs.values()),
+        "differing_by_command": {c: sum(n for (_, cmd), n in differs.items() if cmd == c) for c, *_ in UNIT_COMMANDS},
+        "differing_by_change": {f"{a},{b}": sum(n for (ch, _), n in differs.items() if ch == (a, b))
+                                for a, b in UNIT_CHANGES},
+        "differing_scenarios": sorted({f"{a},{b} {cmd} {name}" for (a, b), cmd, name, before, after in results
+                                       if before != after}),
     })

@@ -263,10 +263,6 @@ def load_scenario(path):
     return LoadedScenario(scenario, sweep, mc, label or os.path.basename(path))
 
 
-def _g17(x):
-    return f"{float(x):.17g}"
-
-
 def _g5(x):
     return f"{float(x):.5g}"
 
@@ -297,23 +293,17 @@ def render_svg(sigmas, curves, title, spacing):
     inner_w = width - ml - mr
     inner_h = height - mt - mb
     if spacing == "log":
-        lx = [math.log10(float(s)) for s in sigmas]
+        lx = [math.log10(s) for s in sigmas]
         decades = range(math.ceil(lx[0] - 1e-9), math.floor(lx[-1] + 1e-9) + 1)
-        ticks = [(float(k), f"1e{k}") for k in decades]
+        ticks = [(k, f"1e{k}") for k in decades]
     else:
-        lx = [float(s) for s in sigmas]
+        lx = sigmas
         quarters = (lx[0] + f * (lx[-1] - lx[0]) for f in (0.0, 0.25, 0.5, 0.75, 1.0))
         ticks = [(v, f"{v:.3g}") for v in quarters]
-    x_lo, x_hi = lx[0], lx[-1]
-    if x_hi == x_lo:  # a log grid so narrow that both ends have one log10: every point mid-axis
-        x_lo -= 1.0
-        x_hi += 1.0
-    all_vals = [float(v) for _, values in curves for v in values]
-    y_lo = min(all_vals + [0.0])
-    y_hi = max(all_vals + [0.0])
-    if y_hi - y_lo < 1e-300:
-        y_lo -= 1.0
-        y_hi += 1.0
+    all_vals = [v for _, values in curves for v in values] + [0.0]
+    spans = ((lx[0], lx[-1]), (min(all_vals), max(all_vals)))
+    # an empty span (a log grid whose ends share one log10, or curves that are all zero) widens by 1 each way
+    (x_lo, x_hi), (y_lo, y_hi) = ((lo - 1.0, hi + 1.0) if hi == lo else (lo, hi) for lo, hi in spans)
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -354,7 +344,7 @@ def render_svg(sigmas, curves, title, spacing):
         line(ml, sy(0.0), ml + inner_w, sy(0.0), 'stroke="#555555" stroke-width="1" stroke-dasharray="6 4"')
     for idx, (name, values) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        pts = " ".join(f"{sx(lx[i]):.2f},{sy(float(v)):.2f}" for i, v in enumerate(values))
+        pts = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(lx, values))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{pts}"/>'
         )
@@ -442,24 +432,32 @@ def cmd_validate(args):
     return _EXIT_OK
 
 
-def cmd_sweep(args):
+def _curves(args, default_points):
+    """The loaded scenario, its noise grid and the score and utility disparities over it.
+
+    ``--points`` is read before the scenario file; without it the grid has the
+    sweep block's number of points, else ``default_points``.
+    """
     points = None if args.points is None else _count(args.points, "--points", 2, MAX_POINTS)
     loaded = load_scenario(args.scenario)
     cfg = loaded.sweep
-    grid = _noise_grid(cfg.sigma_lo, cfg.sigma_hi, points or cfg.points or 241, cfg.spacing)
-    scores = disparity_value(loaded.scenario, Metric.SCORE, grid)
-    utilities = disparity_value(loaded.scenario, Metric.UTILITY, grid)
+    grid = _noise_grid(cfg.sigma_lo, cfg.sigma_hi, points or cfg.points or default_points, cfg.spacing)
+    return loaded, grid, *(disparity_value(loaded.scenario, metric, grid) for metric in Metric)
+
+
+def cmd_sweep(args):
+    loaded, grid, scores, utilities = _curves(args, 241)
     _require_finite("score disparity", scores, grid)
     _require_finite("utility disparity", utilities, grid)
     scores, utilities, sigmas = scores.tolist(), utilities.tolist(), grid.tolist()
     lines = [CSV_HEADER]
     for s, fs, fu in zip(sigmas, scores, utilities):
-        lines.append(f"{_g17(s)},{_g17(fs)},{_g17(fu)},{label_region(fs)},{label_region(fu)},,,")
+        lines.append(f"{s:.17g},{fs:.17g},{fu:.17g},{label_region(fs).value},{label_region(fu).value},,,")
     csv_text = "\n".join(lines) + "\n"
     outputs = [("--out-csv", args.out_csv, csv_text)] if args.out_csv else []
     if args.out_svg:
         curves = [("score disparity", scores), ("utility disparity", utilities)]
-        outputs.append(("--out-svg", args.out_svg, render_svg(sigmas, curves, loaded.name, cfg.spacing)))
+        outputs.append(("--out-svg", args.out_svg, render_svg(sigmas, curves, loaded.name, loaded.sweep.spacing)))
     _write_outputs(outputs)  # before stdout gets a byte
     if args.out_csv:
         print(f"wrote {args.out_csv} ({len(sigmas)} rows)")
@@ -579,12 +577,9 @@ def cmd_verify(args):
 
 
 def cmd_bounds(args):
-    points = None if args.points is None else _count(args.points, "--points", 2, MAX_POINTS)
-    loaded = load_scenario(args.scenario)
-    sc, cfg = loaded.scenario, loaded.sweep
-    grid = _noise_grid(cfg.sigma_lo, cfg.sigma_hi, points or cfg.points or 21, cfg.spacing)
-    score = np.abs(disparity_value(sc, Metric.SCORE, grid))
-    utility = np.abs(disparity_value(sc, Metric.UTILITY, grid))
+    loaded, grid, score, utility = _curves(args, 21)
+    sc = loaded.scenario
+    score, utility = np.abs(score), np.abs(utility)
     score_bound = score_overlap_bound(sc, grid)
     utility_bound = utility_overlap_bound(sc, grid)
     score_slack = score_bound - score

@@ -2,7 +2,8 @@
 
 Every precondition failure raises one of these rather than a bare
 ValueError, so callers (and the command-line tool) can map failures
-to exit codes without string matching.
+to exit codes without string matching. An empty matrix, or an empty
+list of eigenvalues, is a `DimensionMismatch`.
 """
 
 

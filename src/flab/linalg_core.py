@@ -33,8 +33,8 @@ _JACOBI_SAFE_EXPONENT = 400  # beyond 2^400 or below 2^-400 the squared norm can
 
 def _as_square(matrix):
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise Error("matrix has non-finite entries")
     return a
@@ -184,7 +184,9 @@ class Definiteness(enum.Enum):
 def label_eigenvalues(w):
     """The `definiteness` label of a symmetric matrix with eigenvalues ``w``."""
     w = np.asarray(w, dtype=float)
-    tau = 1e-9 * (1.0 + (float(np.abs(w).max()) if w.size else 0.0))
+    if w.size == 0:
+        raise DimensionMismatch("no eigenvalues to label")
+    tau = 1e-9 * (1.0 + float(np.abs(w).max()))
     lo = float(w.min())
     hi = float(w.max())
     if abs(lo) <= tau and abs(hi) <= tau:

@@ -462,6 +462,26 @@ class TestSweepCommand:
         dashed = [e for e in root.iter() if e.get("stroke-dasharray")]
         assert dashed, "zero line missing"
 
+    def test_svg_spans_curves_below_1e_300(self, tmp_path):
+        # reference_common with rule, mean, scale and sweep times 2^-499: the utility crosses zero,
+        # from about -2.1e-301 to 7.8e-302, and the plot keeps that span rather than drawing it flat
+        body = json.loads((SCENARIOS / "reference_common.json").read_text(encoding="utf-8"))
+        scale = 2.0 ** -499
+        body["rule"] = [v * scale for v in body["rule"]]
+        body["prior"]["mean"] = [v * scale for v in body["prior"]["mean"]]
+        body["prior"]["scale"] *= scale
+        body["sweep"]["sigma_min"] *= scale
+        body["sweep"]["sigma_max"] *= scale
+        out_csv, out_svg = tmp_path / "c.csv", tmp_path / "p.svg"
+        assert cli.main(["sweep", write_scenario(tmp_path, body), "--out-csv", str(out_csv),
+                         "--out-svg", str(out_svg)]) == 0
+        utilities = [float(row.split(",")[2]) for row in out_csv.read_text(encoding="utf-8").split("\n")[1:-1]]
+        assert min(utilities) < 0.0 < max(utilities) < 1e-300
+        root = ET.parse(out_svg).getroot()
+        utility = [e for e in root.iter() if e.tag.endswith("polyline")][1]
+        assert len({point.split(",")[1] for point in utility.get("points").split()}) > 1
+        assert [e for e in root.iter() if e.get("stroke-dasharray")], "zero line missing"
+
     @pytest.mark.parametrize(("name", "label", "title"), [
         (os.fsdecode(b"\xff.json"), None, "\ufffd.json"),
         ("\x01.json", None, "\ufffd.json"),

@@ -3,7 +3,9 @@
 The digests pin output bytes across refactors: `verify` stdout at each
 scenario's own n and seed and on one 3001-level grid, the `sweep` CSV and SVG files
 (one set on a linear grid), the `bounds` table, and the `classify` and `validate` reports. A change that moves them on purpose records the old and
-new digests in CHANGES.md.
+new digests in CHANGES.md. Two more files, in tests/data, are what
+`perfbench/gen.py --seed 1` writes for the `dense_grid` workload: their
+20,000-point `sweep` files and a 10,000-point `bounds` table are pinned too.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import pytest
 from flab import cli
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DATA = Path(__file__).resolve().parent / "data"
 
 VERIFY = {
     "reference_naive": "260225e67e3e29730beb68ce590e5205d3187f69f55de8527afbda240fd44011",
@@ -42,6 +45,13 @@ SWEEP_LINEAR = "9a118c4683adc335fd1df8ee9ce88fe91b993d96ffeb4ffea3be90da4ba1ab2d
 BOUNDS = {
     "equal_costs_bounds": "63a6acbd74be41a0dbe01d6c68e81807656e41158f7813bf4582cc6fcd559518",
 }
+
+# the dense_grid workload's inputs, as perfbench/gen.py --seed 1 writes them
+DENSE_SWEEP = {
+    "dense_common": "c3584b139ebc4da255c878298b510a7c5490092e20ea4da139aa99b8737e05b3",
+    "dense_equal": "c55cfcd55d40505c060328f939c459e0065fe22b7d3c0b767c8ff802324bedd6",
+}
+DENSE_BOUNDS = "4a4b4d7e9805b98554839983e881d1be6dc13aa0d1c727751dc6748ad42e3c15"  # dense_equal --points 10000
 
 # equal_costs_bounds is left out: its zero trace gap makes classify exit 3
 CLASSIFY = {
@@ -97,6 +107,18 @@ def test_sweep_files_linear_grid(tmp_path):
     csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
     assert cli.main(["sweep", str(path), "--out-csv", str(csv), "--out-svg", str(svg)]) == 0
     assert _sha256(csv.read_bytes() + svg.read_bytes()) == SWEEP_LINEAR
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SWEEP))
+def test_dense_sweep_files(name, tmp_path):
+    csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert cli.main(["sweep", str(DATA / f"{name}.json"), "--out-csv", str(csv), "--out-svg", str(svg)]) == 0
+    assert _sha256(csv.read_bytes() + svg.read_bytes()) == DENSE_SWEEP[name]
+
+
+def test_dense_bounds_stdout(capsys):
+    assert cli.main(["bounds", str(DATA / "dense_equal.json"), "--points", "10000"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == DENSE_BOUNDS
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))

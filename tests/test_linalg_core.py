@@ -471,3 +471,14 @@ class TestCheckSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(Error):
             check_symmetric(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CostMatrix(np.zeros((0, 0))),
+    lambda: definiteness(np.zeros((0, 0))),
+    lambda: linalg_core.label_eigenvalues([]),
+    lambda: quad_form(np.zeros(0), np.zeros((0, 0))),
+], ids=["cost_matrix", "definiteness", "label_eigenvalues", "quad_form"])
+def test_empty_matrix_is_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch):
+        call()
