@@ -1,24 +1,30 @@
-"""Run perfbench on two checkouts in alternating pairs, and summarise each end-to-end metric.
+"""Compare two checkouts in alternating pairs: perfbench, the bench/ suite and the defect probes.
 
-    python bench/pairs.py PARENT_DIR CHANGE_DIR [--pairs K] [--workload W ...] [--out FILE]
+    python bench/pairs.py PARENT CHANGE [--pairs K] [--workload W ...] [-k EXPR] [--out FILE]
 
-PARENT_DIR and CHANGE_DIR are whole checkouts, for example two
-``git archive`` copies. perfbench/run.py runs from the root of each, so
-each side reads its own files and writes its own perfbench/_work. Pair p
-runs every workload once on each side with ``--seed p``, odd pairs the
-parent first and even pairs the change first, so a machine that grows
-busier or quieter during the run does not favour one side. The command,
-the run length, the gated workloads and each metric's bound come from
-this checkout's BENCHMARK.json.
+PARENT and CHANGE are whole checkouts, for example two ``git archive``
+copies. Pair p runs on each side, odd pairs the parent first and even
+pairs the change first, so a machine that grows busier or quieter during
+the run does not favour one side:
 
-The output is one JSON object. It holds every run's last line, which is
-perfbench's result, with the run's round count beside it: the operations
-attempted over the operations per round that the run printed first.
-Per workload and metric it holds both sides' medians, the parent's
-interquartile range (inclusive quartiles), the change's median over the
-parent's beside the bound, and the number of pairs in which the change
-read lower. Only the standard library is used, and nothing on the machine
-is set.
+- every workload of perfbench/run.py with ``--seed p``, from the root of
+  each checkout, so each side reads its own files and writes its own
+  perfbench/_work. The command, the run length, the gated workloads and
+  each metric's bound come from this checkout's BENCHMARK.json.
+- with ``-k EXPR``, the bench/ cases that EXPR selects, once: this
+  checkout's bench files against the side's src (``-o pythonpath=SIDE/src``),
+  so the bench files must use only names and signatures both sides share.
+  Each case keeps its pytest-benchmark minimum.
+
+After the pairs, bench/test_probes.py runs once on each side, the parent
+first, and each probe keeps its ``extra_info``.
+
+The output is one JSON object with a section for each part. The perfbench
+section holds every run's last line, which is perfbench's result, with
+the run's round count beside it: the operations attempted over the
+operations per round that the run printed first. `summarise` gives each
+workload's metrics and each bench/ case the same summary. Only the
+standard library is used, and nothing on the machine is set.
 """
 
 import argparse
@@ -27,6 +33,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +42,7 @@ SIDES = ("parent", "change")
 _OPS_PER_ROUND = re.compile(r"(\d+) operations per round")
 
 
-def run(checkout, workload, seed, benchmark):
+def perfbench(checkout, workload, seed, benchmark):
     """One perfbench run from the root of ``checkout``: its result line and its round count."""
     proc = subprocess.run(
         [*benchmark["command"], "--workload", workload, "--seed", str(seed),
@@ -47,33 +54,63 @@ def run(checkout, workload, seed, benchmark):
     return {"rounds": result["attempted"] / per_round, "result": result}
 
 
-def _quartiles(values):
-    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+def benchmarks(checkout, *selection):
+    """pytest-benchmark's report on the cases of this checkout's bench/ that ``selection`` picks,
+    run against the flab in ``checkout``/src."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "bench.json"
+        subprocess.run(
+            [sys.executable, "-m", "pytest", *selection, "-q", "-p", "no:cacheprovider",
+             "-o", f"pythonpath={Path(checkout) / 'src'}", "--benchmark-quiet", f"--benchmark-json={out}"],
+            cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+        )
+        return json.loads(out.read_text(encoding="utf-8"))["benchmarks"]
 
 
-def summarise(runs, workloads, metrics):
-    """Per workload: each metric's medians, the parent's IQR, the ratio against its bound, and the
-    pairs the change read lower; then each side's operations, correct runs and round counts."""
+def summarise(parent, change, better="lower", bound=None):
+    """Both sides' medians over the pairs, the parent's interquartile range (inclusive quartiles),
+    the change's median over the parent's beside ``bound`` if there is one, the pairs in which the
+    change read better, and whether that shows a gain: at least ten pairs, the change better in at
+    least nine of each ten, and its median better than the parent's by more than the parent's
+    interquartile range."""
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
+    before, after = statistics.median(parent), statistics.median(change)
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+    entry = {"parent_median": before, "change_median": after, "parent_iqr": q3 - q1,
+             "change_over_parent": after / before}
+    if bound is not None:
+        entry["bound"] = bound
+        entry["within_bound"] = after / before <= 1.0 + bound if sign > 0 else after / before >= 1.0 - bound
+    shown = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and sign * (before - after) > q3 - q1
+    entry.update(change_better_pairs=wins, pairs=len(parent), gain_shown=shown)
+    return entry
+
+
+def pairs(parent, change, count, workloads, selection, benchmark):
+    checkouts = dict(zip(SIDES, (parent, change)))
+    runs, rounds = [], []
+    for pair in range(1, count + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for workload in workloads:
+            for side in order:
+                runs.append({"pair": pair, "side": side, "workload": workload,
+                             **perfbench(checkouts[side], workload, pair, benchmark)})
+        if selection:
+            for side in order:
+                report = benchmarks(checkouts[side], "bench", "-k", selection)
+                rounds.append({"pair": pair, "side": side, "min_s": {b["name"]: b["stats"]["min"] for b in report}})
+    probes = {side: {b["name"]: b["extra_info"] for b in benchmarks(checkouts[side], "bench/test_probes.py")}
+              for side in SIDES}
+
     summary = {}
     for workload in workloads:
-        mine = {side: sorted((r for r in runs if r["workload"] == workload and r["side"] == side),
-                             key=lambda r: r["pair"]) for side in SIDES}
-        entry = summary[workload] = {}
-        for metric in metrics:
-            name, bound = metric["name"], metric["bound"]
-            parent, change = ([r["result"]["metrics"][name]["value"] for r in mine[side]] for side in SIDES)
-            q1, _, q3 = _quartiles(parent)
-            ratio = statistics.median(change) / statistics.median(parent)
-            entry[name] = {
-                "parent_median": statistics.median(parent),
-                "change_median": statistics.median(change),
-                "parent_iqr": q3 - q1,
-                "change_over_parent": ratio,
-                "bound": bound,
-                "within_bound": ratio <= 1.0 + bound if metric["better"] == "lower" else ratio >= 1.0 - bound,
-                "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
-                "pairs": len(parent),
-            }
+        mine = {side: [r for r in runs if r["workload"] == workload and r["side"] == side] for side in SIDES}
+        entry = summary[workload] = {
+            m["name"]: summarise(*([r["result"]["metrics"][m["name"]]["value"] for r in mine[side]]
+                                   for side in SIDES), m["better"], m["bound"])
+            for m in benchmark["end_to_end"]
+        }
         for side in SIDES:
             results = [r["result"] for r in mine[side]]
             entry[f"{side}_operations"] = {
@@ -82,19 +119,13 @@ def summarise(runs, workloads, metrics):
                 "runs_correct": sum(r["correct"] for r in results),
                 "rounds": [r["rounds"] for r in mine[side]],
             }
-    return summary
-
-
-def pairs(parent, change, count, workloads, benchmark):
-    runs = []
-    for pair in range(1, count + 1):
-        order = (("parent", parent), ("change", change))
-        for workload in workloads:
-            for side, checkout in order if pair % 2 else order[::-1]:
-                runs.append({"pair": pair, "side": side, "workload": workload,
-                             **run(checkout, workload, pair, benchmark)})
-    return {"parent": str(parent), "change": str(change), "runs": runs,
-            "summary": summarise(runs, workloads, benchmark["end_to_end"])}
+    result = {"parent": str(parent), "change": str(change), "perfbench": {"runs": runs, "summary": summary}}
+    if selection:
+        cases = {case: summarise(*([r["min_s"][case] for r in rounds if r["side"] == side] for side in SIDES))
+                 for case in rounds[0]["min_s"]}
+        result["suite"] = {"selection": selection, "runs": rounds, "summary": cases}
+    result["probes"] = probes
+    return result
 
 
 def main(argv=None):
@@ -106,9 +137,11 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=gated,
                         help="a workload to run (repeatable); default: every gated workload")
+    parser.add_argument("-k", dest="selection", help="pytest -k expression of the bench/ cases to time")
     parser.add_argument("--out", type=Path, help="write the JSON here instead of to stdout")
     args = parser.parse_args(argv)
-    result = pairs(args.parent.resolve(), args.change.resolve(), args.pairs, args.workload or gated, benchmark)
+    result = pairs(args.parent.resolve(), args.change.resolve(), args.pairs, args.workload or gated,
+                   args.selection, benchmark)
     text = json.dumps(result, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

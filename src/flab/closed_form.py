@@ -88,13 +88,12 @@ class ProjectedPrior:
 
 @dataclass(frozen=True)
 class DisparityConstants:
-    """Scalar constants every disparity formula is built from: each but trace_gap
-    is one `quad_form` over the scenario's float gap matrices, correctly rounded.
+    """Scalar constants every disparity formula is built from: each is one
+    exact sum over the scenario's float gap matrices, correctly rounded.
 
     With r the rule, mu a common prior's mean and G = `Scenario.gap`, the
     symmetrized A1^-1 - A2^-1: rule_sq = r'Gr is the full-transparency score
-    disparity, trace_gap = trace G as tr A1^-1 - tr A2^-1, a difference of two
-    rounded traces, cross = mu'Gr, prior_sq = mu'G mu and mismatch =
+    disparity, trace_gap = trace G, cross = mu'Gr, prior_sq = mu'G mu and mismatch =
     (mu - r)'G(mu - r). For a projected prior, cross = prior_sq = r'Kr, the
     infinite-noise score disparity, and mismatch = r'Ur, with K and U the
     known-side and unknown-side gaps (`Scenario.known_gap`, `Scenario.unknown_gap`;
@@ -178,12 +177,12 @@ class Scenario:
 
         # x - x is +0.0, so one shared cost gives a gap and trace gap of exactly +0.0
         gap = GapMatrix(self.cost1.inverse - self.cost2.inverse)
-        trace_gap = self.cost1.trace_inverse - self.cost2.trace_inverse
         object.__setattr__(self, "gap", gap)
 
         # a typed NonFinite below reports what overflows here
         with np.errstate(over="ignore", invalid="ignore"):
             rule_sq = quad_form(rule, gap.sym)
+            trace_gap = kahan_dot(np.diagonal(gap.raw), np.ones(d))
 
             known = unknown = None
             if isinstance(self.prior, NaivePrior):

@@ -218,7 +218,7 @@ def _freeze(array):
 
 
 class CostMatrix:
-    """Positive-definite quadratic cost with cached inverse and inverse trace.
+    """Positive-definite quadratic cost with cached inverse.
 
     Construction validates symmetry, positive definiteness, and a largest
     eigenvalue whose square is finite (below about 1.3e154); the inverse
@@ -241,7 +241,6 @@ class CostMatrix:
         self.matrix = _freeze(a)
         self.inverse = _freeze(inv)
         self.eigenvalues = _freeze(w)
-        self.trace_inverse = float(np.trace(inv))
         self.dim = a.shape[0]
 
     def __repr__(self):

@@ -81,6 +81,14 @@ class TestScenarioConstruction:
     def test_trace_gap_reference(self, naive):
         assert naive.trace_gap == pytest.approx(11.0 / 12.0, rel=1e-14)
 
+    def test_trace_gap_is_the_exact_diagonal_sum_rounded_once(self):
+        from flab.cli import load_scenario
+
+        # on this d=32 scenario a difference of the two rounded inverse traces is 1 ulp off
+        sc = load_scenario(str(Path(__file__).resolve().parent / "data" / "highdim_projected.json")).scenario
+        assert sc.trace_gap == float(sum(map(Fraction, np.diagonal(sc.gap.raw).tolist())))
+        assert sc.trace_gap.hex() == "0x1.b3b6bc4044743p+2"
+
     def test_constants_reference(self, common):
         c = common.constants
         assert c.rule_sq == pytest.approx(5.0 / 12.0, rel=1e-12)

@@ -6,6 +6,8 @@ scenario's own n and seed and on one 3001-level grid, the `sweep` CSV and SVG fi
 new digests in CHANGES.md. Two more files, in tests/data, are what
 `perfbench/gen.py --seed 1` writes for the `dense_grid` workload: their
 20,000-point `sweep` files and a 10,000-point `bounds` table are pinned too.
+The Monte Carlo oracle's bits are pinned in process, on the four scenarios
+with an `mc` block and the d=32 files `perfbench/gen.py --seed 7` writes.
 """
 
 import hashlib
@@ -16,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from flab import cli
+from flab.closed_form import sigma_grid
+from flab.mc_oracle import estimate_disparities
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
@@ -69,6 +73,13 @@ VALIDATE = {
     "equal_costs_bounds": "88cdd5e3818f71c2f16958c60e5f8c0b91077750caeb7a7d9797711f585a887f",
 }
 
+# sha256 of the float.hex lines of every estimate_disparities mean and then every standard error, at
+# seed 42, n = 1000 and 100003, and sigma = 0 followed by sigma_grid(sc, 6), scenario by scenario
+ORACLE = "d2b2e2acf5eb07bbd7efd7f15fefa4c61e4f43aba5dcdf110a2c3cbdffa17d77"
+ORACLE_FILES = (*(SCENARIOS / f"{name}.json" for name in ("reference_common", "reference_naive",
+                                                          "reference_projected", "two_crossings")),
+                DATA / "highdim_common.json", DATA / "highdim_projected.json")
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -89,6 +100,16 @@ def test_verify_starts_no_thread(capsys, monkeypatch):
     # n = 100000 is four blocks of agents, so the block loop runs four times
     assert cli.main(["verify", str(SCENARIOS / "reference_naive.json")]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == VERIFY["reference_naive"]
+
+
+def test_oracle_bits():
+    lines = []
+    for path in ORACLE_FILES:
+        sc = cli.load_scenario(str(path)).scenario
+        for n in (1000, 100003):
+            for values in estimate_disparities(sc, [0.0, *sigma_grid(sc, 6)], n, 42):
+                lines += [v.hex() for v in values.ravel().tolist()]
+    assert _sha256("\n".join(lines).encode()) == ORACLE
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))

@@ -231,10 +231,9 @@ class TestCompensatedSums:
 
 
 class TestCostMatrix:
-    def test_inverse_and_trace(self):
+    def test_inverse(self):
         cost = CostMatrix(np.diag([2.0, 1.0]))
         assert max_norm(cost.inverse - np.diag([0.5, 1.0])) == 0.0
-        assert cost.trace_inverse == 1.5
         assert cost.dim == 2
 
     def test_inverse_of_rotated_matrix(self):
