@@ -6,11 +6,12 @@ Run from the root of a checkout. One benchmark per layer: scenario parse,
 `Scenario` construction (its Jacobi eigensolves) with a shared or a
 projected prior, a `Projection` alone, the closed-form curve over a grid,
 the root scan, the agents' response and realized quantities for one
-block, and `jacobi_eigh` alone. They use only names
+block, and `jacobi_eigh` and `kahan_dot` alone. They use only names
 and signatures the previous commit shares, so one file times two
 versions of flab alike. The slow solves run a few rounds only.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from flab.agents import Metric, naive_best_response, realized_quantities
 from flab.cli import load_scenario
 from flab.closed_form import CommonPrior, ProjectedPrior, Scenario, disparity_value, noise_range, sigma_grid
-from flab.linalg_core import CostMatrix, Projection, jacobi_eigh
+from flab.linalg_core import CostMatrix, Projection, jacobi_eigh, kahan_dot
 from flab.regimes import find_roots
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -128,3 +129,10 @@ def test_jacobi_eigh(benchmark, d):
     rounds = {32: 5, 64: 3, 128: 2}[d]
     w, v = benchmark.pedantic(jacobi_eigh, args=(matrix,), rounds=rounds, iterations=1, warmup_rounds=0)
     assert w.shape == (d,) and v.shape == (d, d)
+
+
+@pytest.mark.parametrize("d", [2, 32, 64])
+def test_kahan_dot(benchmark, d):
+    # the exact inner product `Scenario` construction takes for `trace_gap`
+    x, y = np.random.default_rng(d).normal(size=(2, d))
+    assert math.isfinite(benchmark(kahan_dot, x, y))

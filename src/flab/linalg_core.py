@@ -62,11 +62,26 @@ def _scaled_integers(values):
     return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
 
 
+def _rounded(total, shift):
+    """The integer ``total`` over 2^shift, correctly rounded, or a signed inf where that overflows."""
+    try:
+        return total / (1 << shift)  # int / int rounds correctly
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def kahan_dot(x, y):
-    """Inner product of two equal-length vectors: `quad_form` with the identity, correctly rounded."""
-    if np.shape(x) != np.shape(y) or np.ndim(x) != 1:
+    """Inner product of two equal-length nonempty vectors, correctly rounded: the d products x_k y_k
+    are summed exactly as integers and divided once, so it equals `quad_form` with the identity.
+    Overflow gives a signed inf, and a non-finite entry gives nan.
+    """
+    if np.shape(x) != np.shape(y) or np.ndim(x) != 1 or np.size(x) == 0:
         raise DimensionMismatch(f"dot of shapes {np.shape(x)} and {np.shape(y)}")
-    return quad_form(x, np.eye(len(x)), y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        return math.nan
+    (xs, kx), (ys, ky) = _scaled_integers(x.tolist()), _scaled_integers(y.tolist())
+    return _rounded(sum(map(operator.mul, xs, ys)), kx + ky)
 
 
 def quad_form(x, matrix, y=None):
@@ -83,11 +98,7 @@ def quad_form(x, matrix, y=None):
         return math.nan
     (xs, kx), (ms, km), (ys, ky) = (_scaled_integers(v.ravel().tolist()) for v in (x, a, y))
     outer = (xi * yj for xi in xs for yj in ys)  # row-major, as ms
-    total = sum(map(operator.mul, ms, outer))
-    try:
-        return total / (1 << (kx + km + ky))  # int / int rounds correctly
-    except OverflowError:
-        return math.inf if total > 0 else -math.inf
+    return _rounded(sum(map(operator.mul, ms, outer)), kx + km + ky)
 
 
 def _rotate(x, y, c, s):

@@ -213,6 +213,16 @@ class TestCompensatedSums:
                 exact = sum(Fraction(a) * Fraction(b) for a, b in zip(x.tolist(), y.tolist()))
                 assert kahan_dot(x, y) == float(exact)
 
+    def test_kahan_dot_is_quad_form_with_the_identity(self):
+        # the d diagonal products summed as quad_form sums the d^2, from subnormals to overflow and nan
+        rng = np.random.default_rng(64)
+        for d in (1, 2, 3, 8, 32, 64):
+            for case in range(100):
+                x, y = rng.choice([-1.0, 1.0], size=(2, d)) * 10.0 ** rng.uniform(-320.0, 300.0, size=(2, d))
+                if case % 10 == 0:
+                    x[rng.integers(d)] = rng.choice([np.inf, -np.inf, np.nan])
+                assert kahan_dot(x, y).hex() == quad_form(x, np.eye(d), y).hex()
+
     def test_overflow_gives_ieee_values(self):
         # each term is finite, but the total overflows
         big = np.array([1e154, 1e154])
@@ -477,7 +487,8 @@ class TestCheckSymmetric:
     lambda: definiteness(np.zeros((0, 0))),
     lambda: linalg_core.label_eigenvalues([]),
     lambda: quad_form(np.zeros(0), np.zeros((0, 0))),
-], ids=["cost_matrix", "definiteness", "label_eigenvalues", "quad_form"])
+    lambda: kahan_dot(np.zeros(0), np.zeros(0)),
+], ids=["cost_matrix", "definiteness", "label_eigenvalues", "quad_form", "kahan_dot"])
 def test_empty_matrix_is_a_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch):
         call()
