@@ -14,7 +14,8 @@ the run does not favour one side:
 - with ``-k EXPR``, the bench/ cases that EXPR selects, once: this
   checkout's bench files against the side's src (``-o pythonpath=SIDE/src``),
   so the bench files must use only names and signatures both sides share.
-  Each case keeps its pytest-benchmark minimum.
+  Each case keeps its pytest-benchmark minimum, and its ``extra_info``
+  where it records one.
 
 After the pairs, bench/test_probes.py runs once on each side, the parent
 first, and each probe keeps its ``extra_info``.
@@ -99,7 +100,8 @@ def pairs(parent, change, count, workloads, selection, benchmark):
         if selection:
             for side in order:
                 report = benchmarks(checkouts[side], "bench", "-k", selection)
-                rounds.append({"pair": pair, "side": side, "min_s": {b["name"]: b["stats"]["min"] for b in report}})
+                rounds.append({"pair": pair, "side": side, "min_s": {b["name"]: b["stats"]["min"] for b in report},
+                               "extra_info": {b["name"]: b["extra_info"] for b in report if b.get("extra_info")}})
     probes = {side: {b["name"]: b["extra_info"] for b in benchmarks(checkouts[side], "bench/test_probes.py")}
               for side in SIDES}
 

@@ -1,8 +1,9 @@
-"""In-process timings of flab's layers below the oracle (pytest-benchmark).
+"""Timings of flab's layers below the oracle (pytest-benchmark).
 
     python -m pytest bench --benchmark-json=bench.json
 
-Run from the root of a checkout. One benchmark per layer: scenario parse,
+Run from the root of a checkout. One benchmark per layer: start-up (a
+fresh interpreter's `import flab.cli`), then in process scenario parse,
 `Scenario` construction (its Jacobi eigensolves) with a shared or a
 projected prior, a `Projection` alone, the closed-form curve over a grid,
 the root scan, the agents' response and realized quantities for one
@@ -11,12 +12,17 @@ and signatures the previous commit shares, so one file times two
 versions of flab alike. The slow solves run a few rounds only.
 """
 
+import compileall
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flab
 from flab.agents import Metric, naive_best_response, realized_quantities
 from flab.cli import load_scenario
 from flab.closed_form import CommonPrior, ProjectedPrior, Scenario, disparity_value, noise_range, sigma_grid
@@ -37,6 +43,22 @@ def random_spd(rng, d, floor):
     basis = np.linalg.qr(rng.normal(size=(d, d)))[0]
     m = basis @ np.diag(floor + 2.0 * rng.uniform(size=d)) @ basis.T
     return 0.5 * (m + m.T)
+
+
+def test_cli_import(benchmark):
+    # the start-up every command pays: a fresh interpreter importing the flab under test, its
+    # bytecode written first; extra_info keeps one `-X importtime` run's cumulative µs
+    src = Path(flab.__file__).resolve().parent
+    compileall.compile_dir(src, quiet=1)
+    command = [sys.executable, "-c", "import flab.cli"]
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    benchmark.pedantic(subprocess.run, args=(command,), kwargs={"env": env, "check": True},
+                       rounds=15, iterations=1, warmup_rounds=1)
+    trace = subprocess.run([sys.executable, "-X", "importtime", *command[1:]],
+                           env=env, check=True, capture_output=True, text=True).stderr
+    rows = (line.split("|") for line in trace.splitlines())
+    cumulative = {row[2].strip(): int(row[1]) for row in rows if len(row) == 3 and row[1].strip().isdigit()}
+    benchmark.extra_info["import_us"] = {name: cumulative[name] for name in ("numpy", "scipy.special", "flab.cli")}
 
 
 def test_load_scenario(benchmark):

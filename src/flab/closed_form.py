@@ -173,35 +173,24 @@ class Scenario:
             object.__setattr__(self, "cost2", self.cost1)
         elif cost_gap_label is not Definiteness.PD:
             raise AssumptionViolated(f"second cost must dominate the first; gap is {cost_gap_label}")
-        object.__setattr__(self, "cost_gap_label", cost_gap_label)
 
         # x - x is +0.0, so one shared cost gives a gap and trace gap of exactly +0.0
         gap = GapMatrix(self.cost1.inverse - self.cost2.inverse)
-        object.__setattr__(self, "gap", gap)
 
         # a typed NonFinite below reports what overflows here
         with np.errstate(over="ignore", invalid="ignore"):
-            rule_sq = quad_form(rule, gap.sym)
-            trace_gap = kahan_dot(np.diagonal(gap.raw), np.ones(d))
-
-            known = unknown = None
+            # every prior kind shares the head (rule_sq, trace_gap); a belief-carrying
+            # prior adds the tail (cross, prior_sq, mismatch)
+            head = (quad_form(rule, gap.sym), kahan_dot(np.diagonal(gap.raw), np.ones(d)))
+            tail, known, unknown, commute_defect = (), None, None, 0.0
             if isinstance(self.prior, NaivePrior):
-                constants = DisparityConstants(rule_sq=rule_sq, trace_gap=trace_gap)
                 means = (np.zeros(d), np.zeros(d))
-                commute_defect = 0.0
             elif isinstance(self.prior, CommonPrior):
                 mean = self.prior.mean
                 if mean.shape != (d,):
                     raise DimensionMismatch(f"prior mean shape {mean.shape} for dimension {d}")
-                constants = DisparityConstants(
-                    rule_sq=rule_sq,
-                    trace_gap=trace_gap,
-                    cross=quad_form(mean, gap.sym, rule),
-                    prior_sq=quad_form(mean, gap.sym),
-                    mismatch=quad_form(mean - rule, gap.sym),
-                )
+                tail = (quad_form(mean, gap.sym, rule), quad_form(mean, gap.sym), quad_form(mean - rule, gap.sym))
                 means = (mean, mean)
-                commute_defect = 0.0
             elif isinstance(self.prior, ProjectedPrior):
                 p1 = self.prior.subspace1
                 p2 = self.prior.subspace2
@@ -213,13 +202,7 @@ class Scenario:
                     self.cost1.inverse @ (eye - p1.matrix) - self.cost2.inverse @ (eye - p2.matrix)
                 )
                 known_side = quad_form(rule, known.raw)
-                constants = DisparityConstants(
-                    rule_sq=rule_sq,
-                    trace_gap=trace_gap,
-                    cross=known_side,
-                    prior_sq=known_side,
-                    mismatch=quad_form(rule, unknown.raw),
-                )
+                tail = (known_side, known_side, quad_form(rule, unknown.raw))
                 means = (p1.matrix @ rule, p2.matrix @ rule)
                 commute_defect = max(
                     max_norm(p1.matrix @ self.cost1.inverse - self.cost1.inverse @ p1.matrix),
@@ -227,6 +210,7 @@ class Scenario:
                 )
             else:
                 raise WrongPriorKind(f"unsupported prior {type(self.prior).__name__}")
+        constants = DisparityConstants(*head, *tail)
         bad = [k for k, v in vars(constants).items() if v is not None and not math.isfinite(v)]
         if bad:
             raise NonFinite(f"derived constant {bad[0]} is out of floating-point range")
@@ -236,12 +220,12 @@ class Scenario:
         if negative:
             raise NotPD(f"inverse-cost gap is negative: {negative[0]} = {getattr(constants, negative[0]):.6e}")
 
-        object.__setattr__(self, "trace_gap", trace_gap)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "prior_means", means)
-        object.__setattr__(self, "commute_defect", commute_defect)
-        object.__setattr__(self, "known_gap", known)
-        object.__setattr__(self, "unknown_gap", unknown)
+        derived = dict(
+            cost_gap_label=cost_gap_label, gap=gap, trace_gap=constants.trace_gap, constants=constants,
+            prior_means=means, commute_defect=commute_defect, known_gap=known, unknown_gap=unknown,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self):

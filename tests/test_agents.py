@@ -28,6 +28,13 @@ def column(*values):
     return np.array(values, dtype=float)[:, None]
 
 
+def plain(state):
+    """A bit generator's state with its arrays as lists, so two states compare with ==."""
+    if isinstance(state, dict):
+        return {k: plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
 @pytest.fixture
 def cost_one():
     return CostMatrix(np.diag([2.0, 1.0]))
@@ -60,6 +67,16 @@ class TestStreams:
     def test_shape_is_respected(self):
         z = standard_normals(normal_stream(5), (7, 2, 3))
         assert z.shape == (7, 2, 3)
+
+    @pytest.mark.parametrize("size", [1, 3, 5, 7, 4097, (3, 2, 5)])
+    def test_one_philox_word_per_normal(self, size):
+        # standard_normals rests on this: over [0, 2^53) the bounded sampler keeps the top 53 bits
+        # of one 64-bit word per value and never rejects, so n normals advance the stream n words
+        for seed, key in [(0, ()), (9, (1,)), (123, (2, 7)), (2**40, (5,))]:
+            sampled, raw = normal_stream(seed, key), normal_stream(seed, key)
+            words = raw.bit_generator.random_raw(size) >> np.uint64(11)
+            assert np.array_equal(sampled.integers(0, 2**53, size), words)
+            assert plain(sampled.bit_generator.state) == plain(raw.bit_generator.state)
 
     def test_largest_integer_gives_finite_draw(self):
         class Stub:

@@ -66,6 +66,20 @@ def test_rounds_alternate_and_summary_counts_wins(monkeypatch):
                                 "change": {"test_probe": {"side": "change"}}}
 
 
+def test_suite_rounds_keep_each_case_extra_info(monkeypatch):
+    runner = load_runner()
+
+    def benchmarks(checkout, *selection):
+        side = Path(checkout).name
+        return [{"name": "test_timed", "stats": {"min": 1.0}, "extra_info": {"side": side}},
+                {"name": "test_plain", "stats": {"min": 2.0}, "extra_info": {}}]
+
+    monkeypatch.setattr(runner, "benchmarks", benchmarks)
+    result = runner.pairs("parent", "change", 1, [], "test", BENCHMARK)
+    assert [run["extra_info"] for run in result["suite"]["runs"]] == [
+        {"test_timed": {"side": "parent"}}, {"test_timed": {"side": "change"}}]
+
+
 def test_pairs_alternate_and_summary_reads_each_metric(monkeypatch):
     runner = load_runner()
     walls = {"parent": iter([2.0, 2.0, 4.0]), "change": iter([1.0, 3.0, 2.5])}

@@ -479,6 +479,21 @@ class TestCurves:
                     (inside if id(node) in owned else outside).append(f"{path.name}:{node.lineno}")
         assert len(inside) == 2 and not outside, outside
 
+    def test_scipy_is_one_import_of_ndtri_in_agents(self):
+        # flab's whole scipy surface is agents' ndtri, so replacing scipy is one import line
+        src = Path(__file__).resolve().parent.parent / "src" / "flab"
+        found = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+        assert found == [("agents.py", "scipy.special.ndtri")]
+
     def test_grid_scales_with_prior(self, costs):
         sc = Scenario(RULE, costs[0], costs[1], CommonPrior(PRIOR_MEAN, 5.0))
         grid = sigma_grid(sc)
