@@ -9,10 +9,15 @@ probes and the tests read it alike against any version of flab.
 A recipe is a generator of (key, scenario dict) pairs, the key being what
 its probe tallies by. Each draws from its own ``default_rng(seed)`` in a
 fixed order, so a recipe edit changes its digest.
+
+``exact_crossings`` is the model's own crossing count for a d=2 scenario,
+in exact rational arithmetic, against which the probes measure the count
+``classify`` prints.
 """
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -133,3 +138,60 @@ def unit_change_scenarios():
     for a, b in UNIT_CHANGES:
         for name, spec in originals:
             yield ((a, b), name), rescaled(spec, a, b)
+
+
+def _inverse(matrix):
+    """The exact inverse of a 2x2 matrix of floats, as rows of Fractions."""
+    (p, q), (r, s) = ([Fraction(v) for v in row] for row in matrix)
+    det = p * s - q * r
+    return [[s / det, -q / det], [-r / det, p / det]]
+
+
+def _form(m, x):
+    """x' M x."""
+    return sum(x[i] * m[i][j] * x[j] for i in range(2) for j in range(2))
+
+
+def _open_unit_roots(a, b, c):
+    """The simple roots of a w² + b w + c in 0 < w < 1, decided exactly; a double root, or a root at
+    w = 0 or w = 1, touches zero and is not counted."""
+    lo, hi = c, a + b + c
+    if lo * hi < 0:
+        return 1  # one sign change, so one simple root
+    if a == 0 or b * b - 4 * a * c <= 0:
+        return 0  # a line with no sign change, no real root, or a double root
+    vertex = -b / (2 * a)
+    if lo == 0 or hi == 0:  # one root at an end, the other as far past the vertex
+        return int(0 < 2 * vertex - (0 if lo == 0 else 1) < 1)
+    return 2 if lo * a > 0 and 0 < vertex < 1 else 0
+
+
+def exact_crossings(spec):
+    """The model's count of utility crossings in 0 < σ < ∞ for a d=2 scenario dict with a common or a
+    full-matrix projected prior, in exact rational arithmetic on its floats.
+
+    With the signal weight w = g²/(g² + σ²) for prior scale g, the utility disparity is
+    U(w) = a w² + b w + L, where a = (g²T - M)/2, b = M - g²T/2 and L = (Δ r'A⁻¹r - M)/2, over
+    M = Δ q'A⁻¹q, T = Δ tr A⁻¹ and q_i = r - μ_i, for group i's exact inverse cost A_i⁻¹ and own
+    prior mean μ_i (the mean, or P_i r), Δ being group 1 minus group 2. σ maps one to one onto
+    0 < w < 1, so the count is U's simple roots there. Any other scenario raises ValueError.
+    """
+    prior = spec["prior"]
+    full_matrices = all(isinstance(prior.get(k, []), list) for k in ("subspace1", "subspace2"))
+    if spec["dimension"] != 2 or prior["kind"] not in ("common", "projected") or not full_matrices:
+        raise ValueError("exact_crossings takes d=2 scenarios with a common or full-matrix projected prior")
+    rule = [Fraction(v) for v in spec["rule"]]
+    if prior["kind"] == "common":
+        means = [[Fraction(v) for v in prior["mean"]]] * 2
+    else:
+        means = [[sum(Fraction(p) * x for p, x in zip(row, rule)) for row in prior[k]]
+                 for k in ("subspace1", "subspace2")]
+    rule_gap = mismatch = trace_gap = 0
+    for sign, cost, mean in zip((1, -1), (spec["cost1"], spec["cost2"]), means):
+        inverse = _inverse(cost)
+        q = [x - m for x, m in zip(rule, mean)]
+        rule_gap += sign * _form(inverse, rule)
+        mismatch += sign * _form(inverse, q)
+        trace_gap += sign * (inverse[0][0] + inverse[1][1])
+    g2t = Fraction(prior["scale"]) ** 2 * trace_gap
+    return _open_unit_roots((g2t - mismatch) / 2, mismatch - g2t / 2, (rule_gap - mismatch) / 2)

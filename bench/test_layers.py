@@ -6,10 +6,11 @@ Run from the root of a checkout. One benchmark per layer: start-up (a
 fresh interpreter's `import flab.cli`), then in process scenario parse,
 `Scenario` construction (its Jacobi eigensolves) with a shared or a
 projected prior, a `Projection` alone, the closed-form curve over a grid,
-the root scan, the agents' response and realized quantities for one
-block, and `jacobi_eigh` and `kahan_dot` alone. They use only names
-and signatures the previous commit shares, so one file times two
-versions of flab alike. The slow solves run a few rounds only.
+the root scan, the projector certificates, the agents' response and
+realized quantities for one block, and `jacobi_eigh` and `kahan_dot`
+alone. They use only names and signatures the previous commit shares,
+so one file times two versions of flab alike. The slow solves run a few
+rounds only.
 """
 
 import compileall
@@ -26,10 +27,18 @@ import flab
 from flab.agents import Metric, naive_best_response, realized_quantities
 from flab.cli import load_scenario
 from flab.closed_form import CommonPrior, ProjectedPrior, Scenario, disparity_value, noise_range, sigma_grid
+from flab.errors import AssumptionViolated
 from flab.linalg_core import CostMatrix, Projection, jacobi_eigh, kahan_dot
-from flab.regimes import find_roots
+from flab.regimes import (
+    classify_utility_projected_matrix,
+    exploitation_condition_projected,
+    find_roots,
+    monotonicity_condition_projected,
+    neutrality_condition_projected,
+)
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 BLOCK = 2**14  # a fixed work unit of agents, so one file times two commits on the same work
 SEED = 42
 
@@ -129,6 +138,26 @@ def test_find_roots_two_crossings(benchmark):
     sc = committed("two_crossings")
     scan = benchmark(find_roots, lambda s: disparity_value(sc, Metric.UTILITY, s), *noise_range(sc))
     assert len(scan.crossings) == 2
+
+
+@pytest.mark.parametrize("path, rounds", [(SCENARIOS / "reference_projected.json", 20),
+                                          (ROOT / "tests" / "data" / "highdim_projected.json", 3)],
+                         ids=["reference_projected", "highdim_projected"])
+def test_projected_certificates(benchmark, path, rounds):
+    # the three certificates and the rule-agnostic verdict `flab classify` prints for a projected prior, each
+    # round on a freshly loaded scenario, so the eigensolves of the two gap labels are timed with them
+    def certify(sc):
+        reports = [exploitation_condition_projected(sc), neutrality_condition_projected(sc).report,
+                   monotonicity_condition_projected(sc)]
+        try:
+            classify_utility_projected_matrix(sc)
+        except AssumptionViolated:
+            pass  # what classify prints as "not applicable", as on reference_projected's indefinite known gap
+        return reports
+
+    reports = benchmark.pedantic(certify, setup=lambda: ((load_scenario(str(path)).scenario,), {}),
+                                 rounds=rounds, iterations=1)
+    assert len(reports) == 3
 
 
 def test_naive_best_response_one_block(benchmark):

@@ -7,6 +7,8 @@ scenario of one recipe in ``bench/recipes.py`` and records its tally in
 ``benchmark.extra_info``, so ``--benchmark-json`` puts the counts in the
 same file as the timings. A probe measures; it asserts no count. It uses
 only ``flab.cli.main``, so one file probes two versions of flab alike.
+The classify probes also measure the printed crossing count against the
+exact model's (``recipes.exact_crossings``) on every run that exits 0.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from flab import cli
 
 UNIT_COMMANDS = (("validate",), ("sweep",), ("classify",), ("verify", "--n", "20000", "--seed", "1"), ("bounds",))
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
+_CROSSINGS = re.compile(r"utility crossings: (\d+)")
 
 
 def run(benchmark, tmp_path, recipe, commands=(("classify",),)):
@@ -41,6 +44,15 @@ def run(benchmark, tmp_path, recipe, commands=(("classify",),)):
     return list(zip(keys, runs))
 
 
+def model_check(scenarios, results):
+    """The exit-0 classify runs, and those among them whose printed crossing count differs from the
+    exact model's, as ``exit0_checked`` and ``exit0_model_differs``."""
+    printed = [(spec, int(_CROSSINGS.search(out).group(1)))
+               for (_, spec), (_, [(code, out)]) in zip(scenarios, results) if code == 0]
+    return {"exit0_checked": len(printed),
+            "exit0_model_differs": sum(count != recipes.exact_crossings(spec) for spec, count in printed)}
+
+
 def exits(codes):
     """``{"code": n}`` over exit codes, in code order."""
     return {str(code): n for code, n in sorted(Counter(codes).items())}
@@ -48,33 +60,39 @@ def exits(codes):
 
 def test_probe_classify_common_prior(benchmark, tmp_path):
     # the crossing-count probe (ROADMAP items 2 and 13): exit 4 is a count mismatch
-    results = run(benchmark, tmp_path, recipes.classify_scenarios())
+    scenarios = list(recipes.classify_scenarios())
+    results = run(benchmark, tmp_path, scenarios)
     benchmark.extra_info.update({
         "scenarios": len(results),
         "exit_codes": exits(code for _, [(code, _)] in results),
         "exits_by_rule": {kind: exits(code for k, [(code, _)] in results if k == kind) for kind in recipes.RULE_KINDS},
+        **model_check(scenarios, results),
     })
 
 
 def test_probe_classify_projected_neutrality(benchmark, tmp_path):
     # the neutrality probe: exit 4 from a score that misses zero at its own crossing, or a count mismatch
-    results = run(benchmark, tmp_path, recipes.neutrality_scenarios())
+    scenarios = list(recipes.neutrality_scenarios())
+    results = run(benchmark, tmp_path, scenarios)
     benchmark.extra_info.update({
         "scenarios": len(results),
         "exit_codes": exits(code for _, [(code, _)] in results),
         "vanishing_no_lines": sum(out.count("vanishes at the crossing: NO") for _, [(_, out)] in results),
         "mismatch_lines": sum(out.count("MISMATCH") for _, [(_, out)] in results),
+        **model_check(scenarios, results),
     })
 
 
 def test_probe_classify_exact_multiple(benchmark, tmp_path):
     # the exact-multiple probe (ROADMAP items 2 and 13): exit 4 is a count mismatch
-    results = run(benchmark, tmp_path, recipes.exact_multiple_scenarios())
+    scenarios = list(recipes.exact_multiple_scenarios())
+    results = run(benchmark, tmp_path, scenarios)
     benchmark.extra_info.update({
         "scenarios": len(results),
         "exits_by_multiple": {str(t): exits(code for m, [(code, _)] in results if m == t) for t in recipes.MULTIPLES},
         "negative_minimum_exits_by_multiple": {str(t): exits(code for m, [(code, out)] in results
                                                              if m == t and "(value -" in out) for t in recipes.MULTIPLES},
+        **model_check(scenarios, results),
     })
 
 

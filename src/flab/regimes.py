@@ -34,7 +34,10 @@ from .linalg_core import Definiteness, label_eigenvalues, max_norm, span_within
 
 SIGN_TOL = 1e-10
 TANGENT_TOL = 1e-11
+_PD = (Definiteness.PD,)
+_ND = (Definiteness.ND,)
 _SEMI_POSITIVE = (Definiteness.PD, Definiteness.PSD, Definiteness.ZERO)
+_SEMI_NEGATIVE = (Definiteness.ND, Definiteness.NSD)
 
 
 class RegionLabel(enum.Enum):
@@ -214,7 +217,7 @@ def _classify_utility(sc):
     scan = find_roots(lambda s: disparity_value(sc, Metric.UTILITY, s), *noise_range(sc))
     return UtilityRegime(
         case=case,
-        critical_scale=math.sqrt(max(crit_sq, 0.0)),
+        critical_scale=critical_prior_scale(sc),
         sigma_min=sigma_min,
         minimum_value=fu_min,
         predicted_roots=predicted,
@@ -283,6 +286,14 @@ def _is_zero(p):
     return max_norm(p.matrix) <= 1e-9
 
 
+def _certificate(name, label, guaranteed, implied):
+    """The report for a gap labelled ``label``: guaranteed when ``label`` is among ``guaranteed``,
+    its checks each (description, verdict) of the ``(labels, description, verdict)`` rows of
+    ``implied`` whose labels include ``label``, in order."""
+    checks = tuple((desc, ok) for labels, desc, ok in implied if label in labels)
+    return MatrixConditionReport(name, label, label in guaranteed, checks)
+
+
 def exploitation_condition_projected(sc):
     """Certificate that the advantaged group leads at every noise scale.
 
@@ -291,23 +302,12 @@ def exploitation_condition_projected(sc):
     group to know the whole space.
     """
     _require_prior(sc, ProjectedPrior, "exploitation_condition_projected")
-    lab = sc.known_gap.label
-    guaranteed = lab in _SEMI_POSITIVE
-    checks = []
-    if guaranteed:
-        # null spaces are orthogonal complements, so their containment is
-        # the reverse containment of the spans
-        checks.append(
-            (
-                "null space of first projector within null space of second",
-                span_within(sc.prior.subspace2, sc.prior.subspace1),
-            )
-        )
-    if lab is Definiteness.PD:
-        checks.append(("first projector is the identity", _is_identity(sc.prior.subspace1)))
-    return MatrixConditionReport(
-        "score exploitation at every noise scale", lab, guaranteed, tuple(checks)
-    )
+    p1, p2 = sc.prior.subspace1, sc.prior.subspace2
+    # null spaces are orthogonal complements, so their containment is the reverse containment of the spans
+    return _certificate("score exploitation at every noise scale", sc.known_gap.label, _SEMI_POSITIVE, (
+        (_SEMI_POSITIVE, "null space of first projector within null space of second", span_within(p2, p1)),
+        (_PD, "first projector is the identity", _is_identity(p1)),
+    ))
 
 
 class NeutralityCondition(NamedTuple):
@@ -325,22 +325,16 @@ def neutrality_condition_projected(sc):
     """
     _require_prior(sc, ProjectedPrior, "neutrality_condition_projected")
     lab = sc.known_gap.label
-    guaranteed = lab is Definiteness.ND
-    checks = []
-    sigma = None
-    if guaranteed:
-        checks.append(("second projector is the identity", _is_identity(sc.prior.subspace2)))
-        checks.append(("first projector differs from the identity", not _is_identity(sc.prior.subspace1)))
-        sigma = neutrality_sigma_score_bayes(sc)
-        if sigma is not None:
-            vanishes = abs(disparity_value(sc, Metric.SCORE, sigma)) <= _score_band(*endpoints(sc, Metric.SCORE))
-            checks.append(("score disparity vanishes at the crossing", vanishes))
-    return NeutralityCondition(
-        MatrixConditionReport(
-            "score neutrality for every rule", lab, guaranteed, tuple(checks)
-        ),
-        sigma,
-    )
+    p1, p2 = sc.prior.subspace1, sc.prior.subspace2
+    implied = [
+        (_ND, "second projector is the identity", _is_identity(p2)),
+        (_ND, "first projector differs from the identity", not _is_identity(p1)),
+    ]
+    sigma = neutrality_sigma_score_bayes(sc) if lab in _ND else None
+    if sigma is not None:
+        vanishes = abs(disparity_value(sc, Metric.SCORE, sigma)) <= _score_band(*endpoints(sc, Metric.SCORE))
+        implied.append((_ND, "score disparity vanishes at the crossing", vanishes))
+    return NeutralityCondition(_certificate("score neutrality for every rule", lab, _ND, implied), sigma)
 
 
 def monotonicity_condition_projected(sc):
@@ -352,30 +346,14 @@ def monotonicity_condition_projected(sc):
     projector to vanish outright.
     """
     _require_prior(sc, ProjectedPrior, "monotonicity_condition_projected")
-    lab = sc.unknown_gap.label
-    checks = []
-    if lab in _SEMI_POSITIVE:
-        checks.append(
-            (
-                "span of first projector within span of second",
-                span_within(sc.prior.subspace1, sc.prior.subspace2),
-            )
-        )
-    if lab is Definiteness.PD:
-        checks.append(("first projector is zero", _is_zero(sc.prior.subspace1)))
-    if lab in (Definiteness.ND, Definiteness.NSD):
-        checks.append(
-            (
-                "span of second projector within span of first",
-                span_within(sc.prior.subspace2, sc.prior.subspace1),
-            )
-        )
-    if lab is Definiteness.ND:
-        checks.append(("second projector is zero", _is_zero(sc.prior.subspace2)))
-        checks.append(("first projector is nonzero", not _is_zero(sc.prior.subspace1)))
-    return MatrixConditionReport(
-        "score disparity trend", lab, lab is not Definiteness.INDEFINITE, tuple(checks)
-    )
+    p1, p2 = sc.prior.subspace1, sc.prior.subspace2
+    return _certificate("score disparity trend", sc.unknown_gap.label, _SEMI_POSITIVE + _SEMI_NEGATIVE, (
+        (_SEMI_POSITIVE, "span of first projector within span of second", span_within(p1, p2)),
+        (_PD, "first projector is zero", _is_zero(p1)),
+        (_SEMI_NEGATIVE, "span of second projector within span of first", span_within(p2, p1)),
+        (_ND, "second projector is zero", _is_zero(p2)),
+        (_ND, "first projector is nonzero", not _is_zero(p1)),
+    ))
 
 
 class MatrixVerdict(enum.Enum):

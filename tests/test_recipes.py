@@ -1,4 +1,5 @@
-"""bench/recipes.py: the defect probes' scenario recipes, pinned by digest.
+"""bench/recipes.py: the defect probes' scenario recipes, pinned by digest, and the exact model's
+crossing count, pinned on scenarios whose count is known.
 
 The probes' counts in CHANGES.md and every BENCH file are counts over
 these scenarios, so a recipe edit that moves one draw must show here.
@@ -7,10 +8,12 @@ these scenarios, so a recipe edit that moves one draw must show here.
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from flab import cli
 from flab.cli import load_scenario
 from flab.errors import Error
 
@@ -55,3 +58,27 @@ def test_every_scenario_loads_or_is_refused_with_a_flab_error(name, tmp_path):
             load_scenario(str(path))
         except Error:
             pass  # a refusal the command reports with its exit code, as the costs times 2^-30 are today
+
+
+@pytest.mark.parametrize("name, count", [("reference_common", 1), ("two_crossings", 2), ("reference_projected", 0)])
+def test_exact_crossings_of_the_committed_scenarios_equal_the_printed_count(name, count, capsys):
+    assert recipes.exact_crossings(dict(recipes.committed_scenarios())[name]) == count
+    assert cli.main(["classify", str(ROOT / "scenarios" / f"{name}.json")]) == 0
+    assert re.search(r"utility crossings: (\d+)", capsys.readouterr().out).group(1) == str(count)
+
+
+@pytest.mark.parametrize("t, count", [(1.99999999, 2), (2.0, 1)])
+def test_exact_crossings_of_a_mean_near_twice_the_rule(t, count):
+    # at t = 1.99999999 classify's scan window holds one of the two roots, so it exits 4 with a count of 1
+    spec = dict(recipes.committed_scenarios())["reference_common"]
+    spec["prior"] = {"kind": "common", "mean": [t * v for v in spec["rule"]], "scale": 1.0}
+    assert recipes.exact_crossings(spec) == count
+
+
+def test_exact_crossings_of_a_double_root_and_of_a_zero_rule():
+    # U(w) = 25/16 w^2 - 5/8 w + 1/16 = (25/16)(w - 1/5)^2 touches zero at w = 1/5
+    spec = {"dimension": 2, "rule": [2.0, 0.0], "cost1": [[1.0, 0.0], [0.0, 1.0]],
+            "cost2": [[2.0, 0.0], [0.0, 4.0]], "prior": {"kind": "common", "mean": [0.5, -1.0], "scale": 2.0}}
+    assert recipes.exact_crossings(spec) == 0
+    spec["rule"] = [0.0, 0.0]
+    assert recipes.exact_crossings(spec) == 0

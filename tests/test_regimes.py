@@ -450,6 +450,55 @@ class TestMatrixConditions:
         assert all(ok for _, ok in up.checks)
 
 
+_NULL_SPACES = "null space of first projector within null space of second"
+_SPAN_1_IN_2 = "span of first projector within span of second"
+_SPAN_2_IN_1 = "span of second projector within span of first"
+_VANISHES = "score disparity vanishes at the crossing"
+
+
+# (certificate, masks of P1 and P2, rule, label of its gap, guaranteed, descriptions of its checks);
+# with the `costs` fixture the known-side gap is diag(m1 / 2 - m2 / 4, m1' - m2' / 3) and the
+# unknown-side gap the same over the complements 1 - m
+CERTIFICATE_ROWS = [
+    ("exploitation", [1, 1], [1, 0], RULE, Definiteness.PD, True, (_NULL_SPACES, "first projector is the identity")),
+    ("exploitation", [1, 0], [0, 0], RULE, Definiteness.PSD, True, (_NULL_SPACES,)),
+    ("exploitation", [0, 0], [0, 0], RULE, Definiteness.ZERO, True, (_NULL_SPACES,)),
+    ("exploitation", [0, 0], [1, 1], RULE, Definiteness.ND, False, ()),
+    ("exploitation", [0, 0], [1, 0], RULE, Definiteness.NSD, False, ()),
+    ("exploitation", [1, 0], [1, 1], RULE, Definiteness.INDEFINITE, False, ()),
+    ("neutrality", [1, 1], [1, 0], RULE, Definiteness.PD, False, ()),
+    ("neutrality", [1, 0], [0, 0], RULE, Definiteness.PSD, False, ()),
+    ("neutrality", [0, 0], [0, 0], RULE, Definiteness.ZERO, False, ()),
+    ("neutrality", [0, 0], [1, 1], RULE, Definiteness.ND, True,
+     ("second projector is the identity", "first projector differs from the identity", _VANISHES)),
+    ("neutrality", [0, 0], [1, 1], np.zeros(2), Definiteness.ND, True,
+     ("second projector is the identity", "first projector differs from the identity")),
+    ("neutrality", [0, 0], [1, 0], RULE, Definiteness.NSD, False, ()),
+    ("neutrality", [1, 0], [1, 1], RULE, Definiteness.INDEFINITE, False, ()),
+    ("monotonicity", [0, 0], [1, 0], RULE, Definiteness.PD, True, (_SPAN_1_IN_2, "first projector is zero")),
+    ("monotonicity", [0, 1], [1, 1], RULE, Definiteness.PSD, True, (_SPAN_1_IN_2,)),
+    ("monotonicity", [1, 1], [1, 1], RULE, Definiteness.ZERO, True, (_SPAN_1_IN_2,)),
+    ("monotonicity", [1, 1], [0, 0], RULE, Definiteness.ND, True,
+     (_SPAN_2_IN_1, "second projector is zero", "first projector is nonzero")),
+    ("monotonicity", [1, 1], [0, 1], RULE, Definiteness.NSD, True, (_SPAN_2_IN_1,)),
+    ("monotonicity", [0, 1], [1, 0], RULE, Definiteness.INDEFINITE, False, ()),
+]
+
+
+@pytest.mark.parametrize("name, mask1, mask2, rule, label, guaranteed, descriptions", CERTIFICATE_ROWS)
+def test_certificate_lists_the_facts_its_label_implies(costs, name, mask1, mask2, rule, label, guaranteed,
+                                                       descriptions):
+    prior = ProjectedPrior(Projection(np.diag(np.asarray(mask1, float))),
+                           Projection(np.diag(np.asarray(mask2, float))), 2.0)
+    sc = Scenario(rule, costs[0], costs[1], prior)
+    report = getattr(regimes, f"{name}_condition_projected")(sc)
+    if name == "neutrality":
+        report = report.report
+    assert (report.label, report.guaranteed) == (label, guaranteed)
+    assert tuple(desc for desc, _ in report.checks) == descriptions
+    assert all(ok for _, ok in report.checks)
+
+
 def rotated_projected_scenarios(seed, count):
     """Commuting projected scenarios at d = 2..4: costs and projectors share a random basis."""
     rng = np.random.default_rng(seed)
