@@ -10,9 +10,11 @@ A recipe is a generator of (key, scenario dict) pairs, the key being what
 its probe tallies by. Each draws from its own ``default_rng(seed)`` in a
 fixed order, so a recipe edit changes its digest.
 
-``exact_crossings`` is the model's own crossing count for a d=2 scenario,
-in exact rational arithmetic, against which the probes measure the count
-``classify`` prints.
+``exact_crossings`` is the model's own crossing count, and
+``exact_constants`` its disparity constants, for a scenario of dimension
+at most MAX_EXACT_DIM, from exact inverses of its float costs by Gauss–Jordan
+elimination over ``Fraction``s. Against them the probes measure the count
+``classify`` prints and the constants ``load_scenario`` builds.
 """
 
 import json
@@ -25,6 +27,8 @@ import numpy as np
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RULE_KINDS = ("zero", "tiny", "unit")
 MULTIPLES = (0.5, 1.0, 2.0, 4.0)
+MAX_EXACT_DIM = 8  # the largest dimension the exact model takes
+CONSTANTS = ("rule_sq", "trace_gap", "cross", "prior_sq", "mismatch")  # flab's `DisparityConstants`, in order
 # (a, b): costs times 2^a, and rule, prior mean, prior scale and sweep range times 2^b (ROADMAP item 17)
 UNIT_CHANGES = ((5, 0), (-7, 0), (0, 3), (0, -4), (9, 6), (40, 0), (-30, 0), (0, -20), (-10, -10),
                 (20, 0), (-20, 0), (0, 20), (10, 10), (-4, -2), (0, -499))
@@ -110,6 +114,61 @@ def exact_multiple_scenarios(seed=11, count=250):
             }
 
 
+def _reflection(rng, d):
+    """A random orthogonal basis as the columns of one Householder reflection I - 2vv'/v'v, for a standard
+    normal d-vector v, in elementwise numpy with v'v correctly rounded, so its bits do not depend on LAPACK."""
+    v = rng.standard_normal(d)
+    return np.eye(d) - np.multiply.outer(v, v) * (2.0 / math.fsum(v * v))
+
+
+def _in_basis(basis, weights):
+    """Σ_k weights_k h_k h_k' over the basis columns h_k, summed in order, elementwise and exactly symmetric."""
+    out = np.zeros((len(weights), len(weights)))
+    for h, weight in zip(basis.T, weights):
+        out += weight * np.multiply.outer(h, h)
+    return out
+
+
+def small_dimension_scenarios(seed=1, count=600):
+    """Common- and projected-prior scenarios at d ≤ 4, keyed by (d, prior kind, rule kind).
+
+    Per scenario, in this draw order from ``default_rng(seed)``: d from {2, 3, 4}, the prior kind
+    (common or projected), the rule kind (1e-9·z or z, for a standard normal d-vector z), then z and
+    the prior scale 10^U(-3, 3). A common prior then takes a basis H1, A1 with eigenvalues U(0.5, 3)
+    in H1, a basis H2, A2 = A1 plus eigenvalues U(0.3, 2) in H2, and a mean, a fresh standard normal
+    d-vector times 1e-9, 1 or 10. A projected prior takes one basis H, A1 with eigenvalues λ = U(0.5, 3)
+    and A2 with λ + U(0.3, 2), both in H, and each group's projector onto a random subset of H's
+    columns, so that both commute with the inverse costs. Each basis is one `_reflection`.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        prior_kind = ("common", "projected")[rng.integers(2)]
+        rule_kind = ("tiny", "unit")[rng.integers(2)]
+        z = rng.standard_normal(d)
+        rule = 1e-9 * z if rule_kind == "tiny" else z
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        basis = _reflection(rng, d)
+        low = rng.uniform(0.5, 3.0, size=d)
+        cost1 = _in_basis(basis, low)
+        if prior_kind == "common":
+            cost2 = cost1 + _in_basis(_reflection(rng, d), rng.uniform(0.3, 2.0, size=d))
+            mean = rng.standard_normal(d) * (1e-9, 1.0, 10.0)[rng.integers(3)]
+            prior = {"kind": "common", "mean": mean.tolist(), "scale": float(scale)}
+        else:
+            cost2 = _in_basis(basis, low + rng.uniform(0.3, 2.0, size=d))
+            p1, p2 = (_in_basis(basis, subset).tolist() for subset in rng.integers(2, size=(2, d)))
+            prior = {"kind": "projected", "subspace1": p1, "subspace2": p2, "scale": float(scale)}
+        yield (d, prior_kind, rule_kind), {
+            "label": f"small-dimension probe, d={d}, {prior_kind} prior, {rule_kind} rule",
+            "dimension": d,
+            "rule": rule.tolist(),
+            "cost1": cost1.tolist(),
+            "cost2": cost2.tolist(),
+            "prior": prior,
+        }
+
+
 def rescaled(spec, a, b):
     """``spec`` in other units: costs times 2^a, and every length (rule, mean, scale, sweep range) times 2^b."""
     out = json.loads(json.dumps(spec))
@@ -141,15 +200,25 @@ def unit_change_scenarios():
 
 
 def _inverse(matrix):
-    """The exact inverse of a 2x2 matrix of floats, as rows of Fractions."""
-    (p, q), (r, s) = ([Fraction(v) for v in row] for row in matrix)
-    det = p * s - q * r
-    return [[s / det, -q / det], [-r / det, p / det]]
+    """The exact inverse of a square matrix of floats, as rows of Fractions, by Gauss–Jordan elimination."""
+    d = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(matrix)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if rows[r][col] != 0)  # a singular matrix raises StopIteration
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(d):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    return [row[d:] for row in rows]
 
 
-def _form(m, x):
-    """x' M x."""
-    return sum(x[i] * m[i][j] * x[j] for i in range(2) for j in range(2))
+def _form(m, x, y=None):
+    """x' M y (x' M x by default)."""
+    y = x if y is None else y
+    return sum(x[i] * m[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
 
 
 def _open_unit_roots(a, b, c):
@@ -166,9 +235,54 @@ def _open_unit_roots(a, b, c):
     return 2 if lo * a > 0 and 0 < vertex < 1 else 0
 
 
+def _exact_inputs(spec):
+    """A scenario dict's rule, prior and each group's (exact inverse cost, own prior mean), as Fractions;
+    the mean is None for a naive prior. Raises ValueError past MAX_EXACT_DIM or on a span-form projector."""
+    prior = spec["prior"]
+    full_matrices = all(isinstance(prior.get(k, []), list) for k in ("subspace1", "subspace2"))
+    if not 1 <= spec["dimension"] <= MAX_EXACT_DIM or not full_matrices:
+        raise ValueError(f"the exact model takes dimensions up to {MAX_EXACT_DIM} and full-matrix projectors")
+    rule = [Fraction(v) for v in spec["rule"]]
+    if prior["kind"] == "common":
+        means = [[Fraction(v) for v in prior["mean"]]] * 2
+    elif prior["kind"] == "projected":
+        means = [[sum(Fraction(p) * x for p, x in zip(row, rule)) for row in prior[k]]
+                 for k in ("subspace1", "subspace2")]
+    else:
+        means = [None, None]
+    return rule, prior, list(zip((_inverse(spec[k]) for k in ("cost1", "cost2")), means))
+
+
+def exact_constants(spec):
+    """The model's disparity constants for a scenario dict, in exact rational arithmetic on its floats, by
+    flab's own definitions (`DisparityConstants`): a dict of Fractions keyed by constant name.
+
+    Each is a group difference Δ, group 1 minus group 2, over the exact inverse costs A_i⁻¹: rule_sq =
+    Δ r'A⁻¹r and trace_gap = Δ tr A⁻¹ for every prior; for a common prior with mean μ, cross = Δ μ'A⁻¹r,
+    prior_sq = Δ μ'A⁻¹μ and mismatch = Δ (μ - r)'A⁻¹(μ - r); for a projected prior with projectors P_i,
+    cross = prior_sq = Δ r'A⁻¹P r and mismatch = Δ r'A⁻¹(I - P) r. A naive prior has the first two only.
+    Dimensions past MAX_EXACT_DIM and span-form projectors raise ValueError.
+    """
+    rule, prior, groups = _exact_inputs(spec)
+    out = dict.fromkeys(("rule_sq", "trace_gap") if prior["kind"] == "naive" else CONSTANTS, Fraction(0))
+    for sign, (inverse, mean) in zip((1, -1), groups):
+        out["rule_sq"] += sign * _form(inverse, rule)
+        out["trace_gap"] += sign * sum(inverse[i][i] for i in range(len(rule)))
+        if prior["kind"] == "common":
+            out["cross"] += sign * _form(inverse, mean, rule)
+            out["prior_sq"] += sign * _form(inverse, mean)
+            out["mismatch"] += sign * _form(inverse, [m - x for m, x in zip(mean, rule)])
+        elif prior["kind"] == "projected":
+            known = sign * _form(inverse, rule, mean)  # r'A⁻¹(P r)
+            out["cross"] += known
+            out["prior_sq"] += known
+            out["mismatch"] += sign * _form(inverse, rule) - known
+    return out
+
+
 def exact_crossings(spec):
-    """The model's count of utility crossings in 0 < σ < ∞ for a d=2 scenario dict with a common or a
-    full-matrix projected prior, in exact rational arithmetic on its floats.
+    """The model's count of utility crossings in 0 < σ < ∞ for a scenario dict of dimension at most
+    MAX_EXACT_DIM with a common or full-matrix projected prior, in exact rational arithmetic on its floats.
 
     With the signal weight w = g²/(g² + σ²) for prior scale g, the utility disparity is
     U(w) = a w² + b w + L, where a = (g²T - M)/2, b = M - g²T/2 and L = (Δ r'A⁻¹r - M)/2, over
@@ -176,22 +290,14 @@ def exact_crossings(spec):
     prior mean μ_i (the mean, or P_i r), Δ being group 1 minus group 2. σ maps one to one onto
     0 < w < 1, so the count is U's simple roots there. Any other scenario raises ValueError.
     """
-    prior = spec["prior"]
-    full_matrices = all(isinstance(prior.get(k, []), list) for k in ("subspace1", "subspace2"))
-    if spec["dimension"] != 2 or prior["kind"] not in ("common", "projected") or not full_matrices:
-        raise ValueError("exact_crossings takes d=2 scenarios with a common or full-matrix projected prior")
-    rule = [Fraction(v) for v in spec["rule"]]
-    if prior["kind"] == "common":
-        means = [[Fraction(v) for v in prior["mean"]]] * 2
-    else:
-        means = [[sum(Fraction(p) * x for p, x in zip(row, rule)) for row in prior[k]]
-                 for k in ("subspace1", "subspace2")]
+    rule, prior, groups = _exact_inputs(spec)
+    if prior["kind"] not in ("common", "projected"):
+        raise ValueError("exact_crossings takes a common or a full-matrix projected prior")
     rule_gap = mismatch = trace_gap = 0
-    for sign, cost, mean in zip((1, -1), (spec["cost1"], spec["cost2"]), means):
-        inverse = _inverse(cost)
+    for sign, (inverse, mean) in zip((1, -1), groups):
         q = [x - m for x, m in zip(rule, mean)]
         rule_gap += sign * _form(inverse, rule)
         mismatch += sign * _form(inverse, q)
-        trace_gap += sign * (inverse[0][0] + inverse[1][1])
+        trace_gap += sign * sum(inverse[i][i] for i in range(len(rule)))
     g2t = Fraction(prior["scale"]) ** 2 * trace_gap
     return _open_unit_roots((g2t - mismatch) / 2, mismatch - g2t / 2, (rule_gap - mismatch) / 2)

@@ -6,11 +6,10 @@ Run from the root of a checkout. One benchmark per layer: start-up (a
 fresh interpreter's `import flab.cli`), then in process scenario parse,
 `Scenario` construction (its Jacobi eigensolves) with a shared or a
 projected prior, a `Projection` alone, the closed-form curve over a grid,
-the root scan, the projector certificates, the agents' response and
-realized quantities for one block, and `jacobi_eigh` and `kahan_dot`
-alone. They use only names and signatures the previous commit shares,
-so one file times two versions of flab alike. The slow solves run a few
-rounds only.
+the root scan, the projector certificates, and `jacobi_eigh` and
+`kahan_dot` alone. They use only names and signatures the previous
+commit shares, so one file times two versions of flab alike. The slow
+solves run a few rounds only.
 """
 
 import compileall
@@ -24,7 +23,7 @@ import numpy as np
 import pytest
 
 import flab
-from flab.agents import Metric, naive_best_response, realized_quantities
+from flab.agents import Metric
 from flab.cli import load_scenario
 from flab.closed_form import CommonPrior, ProjectedPrior, Scenario, disparity_value, noise_range, sigma_grid
 from flab.errors import AssumptionViolated
@@ -39,8 +38,6 @@ from flab.regimes import (
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
-BLOCK = 2**14  # a fixed work unit of agents, so one file times two commits on the same work
-SEED = 42
 
 
 def committed(name):
@@ -158,20 +155,6 @@ def test_projected_certificates(benchmark, path, rounds):
     reports = benchmark.pedantic(certify, setup=lambda: ((load_scenario(str(path)).scenario,), {}),
                                  rounds=rounds, iterations=1)
     assert len(reports) == 3
-
-
-def test_naive_best_response_one_block(benchmark):
-    sc = committed("reference_common")
-    beliefs = np.random.default_rng(SEED).normal(size=(sc.dim, BLOCK))
-    dx = benchmark(naive_best_response, sc.cost1, beliefs)
-    assert dx.shape == (sc.dim, BLOCK)
-
-
-def test_realized_quantities_one_block(benchmark):
-    sc = committed("reference_common")
-    dx = np.random.default_rng(SEED).normal(size=(sc.dim, BLOCK))
-    realized = benchmark(realized_quantities, sc.cost1, sc.rule, dx)
-    assert realized.utility_gain.shape == (BLOCK,)
 
 
 @pytest.mark.parametrize("d", [32, 64, 128])

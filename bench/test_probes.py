@@ -6,19 +6,24 @@ Run from the root of a checkout. Each probe runs the command on every
 scenario of one recipe in ``bench/recipes.py`` and records its tally in
 ``benchmark.extra_info``, so ``--benchmark-json`` puts the counts in the
 same file as the timings. A probe measures; it asserts no count. It uses
-only ``flab.cli.main``, so one file probes two versions of flab alike.
-The classify probes also measure the printed crossing count against the
-exact model's (``recipes.exact_crossings``) on every run that exits 0.
+only ``flab.cli.main`` and ``flab.cli.load_scenario``, so one file probes
+two versions of flab alike. The classify probes also measure the printed
+crossing count against the exact model's (``recipes.exact_crossings``) on
+every run that exits 0, and the ulp probe measures each loaded scenario's
+constants against the model's (``recipes.exact_constants``).
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import recipes
 from flab import cli
+from flab.errors import Error
 
 UNIT_COMMANDS = (("validate",), ("sweep",), ("classify",), ("verify", "--n", "20000", "--seed", "1"), ("bounds",))
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
@@ -94,6 +99,69 @@ def test_probe_classify_exact_multiple(benchmark, tmp_path):
                                                              if m == t and "(value -" in out) for t in recipes.MULTIPLES},
         **model_check(scenarios, results),
     })
+
+
+def test_probe_classify_small_dimension(benchmark, tmp_path):
+    # the exact model's d <= 4 recipe (ROADMAP item 22): exit 4 is a count mismatch, and an exit 0 whose
+    # count differs from the model's would be a wrong exit 0
+    scenarios = list(recipes.small_dimension_scenarios())
+    results = run(benchmark, tmp_path, scenarios)
+    benchmark.extra_info.update({
+        "scenarios": len(results),
+        "exits_by_key": {" ".join(map(str, key)): exits(code for k, [(code, _)] in results if k == key)
+                         for key in sorted({k for k, _ in results})},
+        **model_check(scenarios, results),
+    })
+
+
+def ulps(value, exact):
+    """|value - exact| in units in the last place of the exact value, or None for a nonzero value
+    against an exact 0 (0 where both are 0)."""
+    if exact == 0:
+        return None if value else 0.0
+    near = float(exact)
+    unit = math.ulp(near)
+    if abs(Fraction(near)) > abs(exact) and math.frexp(near)[0] in (0.5, -0.5):
+        unit /= 2.0  # the exact value lies below the power of two it rounds up to
+    return float(abs(Fraction(value) - exact) / Fraction(unit))
+
+
+def test_probe_constants_ulps(benchmark, tmp_path):
+    # the yardstick of ROADMAP item 3: each constant of every scenario that load_scenario accepts and the
+    # exact model takes, in ulps of the model's value; the round times the loads
+    recipe_names = ("committed", "classify", "neutrality", "exact_multiple", "small_dimension")
+    scenarios = [(name, spec) for name in recipe_names for _, spec in getattr(recipes, f"{name}_scenarios")()]
+    paths = []
+    for i, (_, spec) in enumerate(scenarios):
+        paths.append(tmp_path / f"{i:04d}.json")
+        paths[-1].write_text(json.dumps(spec), encoding="utf-8")
+
+    def load(path):
+        try:
+            return cli.load_scenario(str(path)).scenario
+        except Error:
+            return None  # a refusal the command reports with its exit code
+
+    loaded = benchmark.pedantic(lambda: [load(p) for p in paths], rounds=1, iterations=1)
+    profile = {name: {} for name in recipe_names}
+    for (name, spec), sc in zip(scenarios, loaded):
+        try:
+            exact = recipes.exact_constants(spec)
+        except ValueError:
+            continue  # a span-form projector
+        if sc is None:
+            continue
+        for constant, value in exact.items():
+            row = profile[name].setdefault(constant, {"compared": 0, "worst_ulps": 0.0, "above_half_ulp": 0,
+                                                      "nonzero_against_exact_zero": 0})
+            error = ulps(getattr(sc.constants, constant), value)
+            row["compared"] += 1
+            if error is None:
+                row["nonzero_against_exact_zero"] += 1
+            else:
+                row["worst_ulps"] = max(row["worst_ulps"], round(error, 2))
+                row["above_half_ulp"] += error > 0.5
+    benchmark.extra_info.update({"ulps": profile})
 
 
 def test_probe_change_of_units(benchmark, tmp_path):

@@ -214,25 +214,6 @@ def _moments(sc, n, seed):
     return means, tree_sum(spread)
 
 
-def _deviations(sc, sigmas, n, seed):
-    """Means, sample variances over 4^e, and exponents e of the agents' deviations from each level's centre.
-
-    Means and variances are (levels, 2). Each level's k is scaled by 2^-e,
-    e the exponent of its largest entry, before k'Sk is formed.
-    """
-    means, (aa, bb, cc, bc) = _moments(sc, n, seed)
-    weight, complement = _weights(sc, sigmas)
-    # at each level the agents deviate by ka D_a in score and by kb D_b + kc D_c in utility
-    ka = weight * sigmas  # w sigma
-    kb = ka * complement  # w sigma (1 - w)
-    kc = -0.5 * ka * ka
-    shifts = np.stack((ka * means[0], kb * means[1] + kc * means[2]), axis=1)
-    _, exponents = np.frexp(np.abs([ka, kb, kc]).max(axis=0))
-    ka, kb, kc = (np.ldexp(k, -exponents) for k in (ka, kb, kc))
-    variances = np.stack((ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc), axis=1)
-    return shifts, variances / (n - 1), exponents
-
-
 def estimate_disparities(sc, sigmas, n, seed):
     """Estimate both group disparities at each noise level from one seed.
 
@@ -246,7 +227,17 @@ def estimate_disparities(sc, sigmas, n, seed):
     """
     levels, n = noise_scales(sigmas), _integer(n, "samples", MIN_SAMPLES, MAX_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
-        shifts, variances, exponents = _deviations(sc, levels, n, seed)
+        pooled, (aa, bb, cc, bc) = _moments(sc, n, seed)
+        weight, complement = _weights(sc, levels)
+        # at each level the agents deviate by ka D_a in score and by kb D_b + kc D_c in utility
+        ka = weight * levels  # w sigma
+        kb = ka * complement  # w sigma (1 - w)
+        kc = -0.5 * ka * ka
+        shifts = np.stack((ka * pooled[0], kb * pooled[1] + kc * pooled[2]), axis=1)
+        # each level's k is scaled by 2^-e, e the exponent of its largest entry, before k'Sk is formed
+        _, exponents = np.frexp(np.abs([ka, kb, kc]).max(axis=0))
+        ka, kb, kc = (np.ldexp(k, -exponents) for k in (ka, kb, kc))
+        variances = np.stack((ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc), axis=1) / (n - 1)
         means = _centres(sc, levels) + shifts
         stderrs = np.ldexp(np.sqrt(variances) / math.sqrt(n), exponents[:, None])
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stderrs)).all(axis=1))
@@ -267,17 +258,16 @@ def estimate_disparity(sc, metric, sigma, n, seed):
 def estimate_variance_naive(sc, sigma, n, seed):
     """Estimate the variance of the naive score-gain difference, as a (variance, stderr) pair.
 
-    The differences are the ones `estimate_disparities` averages, and at
-    sigma = 0, whose k is 0, both are 0. The standard error uses the
-    chi-square approximation for a sample variance, s^2 * sqrt(2 / (n - 1)).
+    The variance is n times the square of the score's standard error from
+    `estimate_disparity`, so at sigma = 0 both are 0. Its standard error
+    uses the chi-square approximation for a sample variance,
+    s^2 * sqrt(2 / (n - 1)).
     """
     _require_prior(sc, NaivePrior, "estimate_variance_naive")
-    levels, n = noise_scales([sigma]), _integer(n, "samples", MIN_SAMPLES, MAX_SAMPLES)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, variances, exponents = _deviations(sc, levels, n, seed)
-        var = float(np.ldexp(variances[0, 0], 2 * exponents[0]))
+    _, stderr = estimate_disparity(sc, Metric.SCORE, sigma, n, seed)  # which reads sigma and n
+    var = n * stderr**2
     if not math.isfinite(var):
-        raise Error(f"estimate at sigma={levels[0]:g} is out of floating-point range")
+        raise Error(f"estimate at sigma={float(sigma):g} is out of floating-point range")
     return var, var * math.sqrt(2.0 / (n - 1))
 
 

@@ -674,8 +674,10 @@ class TestBatchedEstimates:
 class TestVarianceEstimator:
     def test_keeps_its_bits(self, naive):
         var, stderr = estimate_variance_naive(naive, 1.0, 100000, 42)
-        assert var == float.fromhex("0x1.2f2abb665d0fdp-1")
-        assert stderr == float.fromhex("0x1.5b166521c2f80p-9")
+        assert var == float.fromhex("0x1.2f2abb665d0fbp-1")
+        assert stderr == float.fromhex("0x1.5b166521c2f7ep-9")
+        # the variance is a view of the score estimate's standard error
+        assert var == 100000 * estimate_disparity(naive, Metric.SCORE, 1.0, 100000, 42)[1] ** 2
 
     def test_matches_analytic_law(self, naive):
         var, stderr = estimate_variance_naive(naive, 1.0, 100000, 42)

@@ -1,16 +1,21 @@
 """bench/recipes.py: the defect probes' scenario recipes, pinned by digest, and the exact model's
-crossing count, pinned on scenarios whose count is known.
+crossing count and constants, pinned on scenarios whose values are known, with the property that
+``classify`` never exits 0 with a crossing count other than the model's.
 
 The probes' counts in CHANGES.md and every BENCH file are counts over
 these scenarios, so a recipe edit that moves one draw must show here.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flab import cli
@@ -30,12 +35,13 @@ def load_recipes():
 recipes = load_recipes()
 
 # (scenarios, sha256 of every scenario as sorted-key JSON, one a line), recorded from the generators
-# as they stood in bench/test_probes.py before they moved
+# as they stood in bench/test_probes.py before they moved, and from the d <= 4 recipe as it landed
 DIGESTS = {
     "classify_scenarios": (600, "543a5cea8b6080b2b655e5e55ec2428fe580cdb66c715afaf89436c320ac6e04"),
     "neutrality_scenarios": (400, "e5ef128c245dbd45ec3464c0cfb7392c411fa23d9064574c7503846ca72c918e"),
     "exact_multiple_scenarios": (1000, "d70ab7ca01c2603fe07d75f0e68c2a2f48559f64d0e5198ccf1edbe38c898ae1"),
     "unit_change_scenarios": (75, "fbcb5ce5eddf103fc339c630e37168400c3ee4f4502d13c9c7980f1da29794b6"),
+    "small_dimension_scenarios": (600, "9d131055b6db4b7622c8bce7d119cecc37d9f31eca425a468a0712249d644cfb"),
 }
 
 
@@ -82,3 +88,61 @@ def test_exact_crossings_of_a_double_root_and_of_a_zero_rule():
     assert recipes.exact_crossings(spec) == 0
     spec["rule"] = [0.0, 0.0]
     assert recipes.exact_crossings(spec) == 0
+
+
+def test_exact_constants_of_the_committed_scenarios():
+    # G = A1^-1 - A2^-1 = diag(1/4, 2/3) and r = (1, 1/2) on all three; reference_projected knows e1 in
+    # group 1 and everything in group 2, so cross = r'A1^-1 P1 r - r'A2^-1 r = 1/2 - 1/3
+    specs = dict(recipes.committed_scenarios())
+    constants = {name: {k: str(v) for k, v in recipes.exact_constants(specs[name]).items()}
+                 for name in ("reference_common", "reference_projected", "reference_naive")}
+    assert constants == {
+        "reference_common": {"rule_sq": "5/12", "trace_gap": "11/12", "cross": "19/24", "prior_sq": "131/48",
+                             "mismatch": "25/16"},
+        "reference_projected": {"rule_sq": "5/12", "trace_gap": "11/12", "cross": "1/6", "prior_sq": "1/6",
+                                "mismatch": "1/4"},
+        "reference_naive": {"rule_sq": "5/12", "trace_gap": "11/12"},
+    }
+
+
+def test_exact_inverse_at_every_small_dimension():
+    for key, spec in recipes.small_dimension_scenarios(count=12):
+        cost = [[Fraction(v) for v in row] for row in spec["cost2"]]
+        inverse = recipes._inverse(spec["cost2"])
+        d = key[0]
+        assert [[sum(inverse[i][k] * cost[k][j] for k in range(d)) for j in range(d)] for i in range(d)] == \
+            [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def test_exact_model_refuses_what_it_does_not_model():
+    specs = dict(recipes.committed_scenarios())
+    with pytest.raises(ValueError):
+        recipes.exact_crossings(specs["reference_naive"])
+    for model in (recipes.exact_crossings, recipes.exact_constants):
+        with pytest.raises(ValueError):
+            model(specs["equal_costs_bounds"])  # a span-form projector
+        wide = {"dimension": 9, "rule": [1.0] * 9, "cost1": np.eye(9).tolist(), "cost2": (2 * np.eye(9)).tolist(),
+                "prior": {"kind": "common", "mean": [0.0] * 9, "scale": 1.0}}
+        with pytest.raises(ValueError):
+            model(wide)
+
+
+def test_classify_exits_0_only_with_the_exact_crossing_count(tmp_path):
+    # a wrong exit 0 is the worst outcome a check can give: wherever classify exits 0 on a scenario the
+    # model takes, its printed count is the model's, on the committed scenarios and 300 draws at d <= 4
+    scenarios = [*recipes.committed_scenarios(), *recipes.small_dimension_scenarios(count=300)]
+    checked = 0
+    for i, (_, spec) in enumerate(scenarios):
+        try:
+            count = recipes.exact_crossings(spec)
+        except ValueError:
+            continue  # a naive prior or a span-form projector
+        path = tmp_path / f"{i:04d}.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["classify", str(path)])
+        if code == 0:
+            checked += 1
+            assert re.search(r"utility crossings: (\d+)", out.getvalue()).group(1) == str(count), spec
+    assert checked > 100
