@@ -116,15 +116,14 @@ def test_exact_inverse_at_every_small_dimension():
 
 def test_exact_model_refuses_what_it_does_not_model():
     specs = dict(recipes.committed_scenarios())
+    wide = {"dimension": 9, "rule": [1.0] * 9, "cost1": np.eye(9).tolist(), "cost2": (2 * np.eye(9)).tolist(),
+            "prior": {"kind": "common", "mean": [0.0] * 9, "scale": 1.0}}
     with pytest.raises(ValueError):
         recipes.exact_crossings(specs["reference_naive"])
     for model in (recipes.exact_crossings, recipes.exact_constants):
-        with pytest.raises(ValueError):
-            model(specs["equal_costs_bounds"])  # a span-form projector
-        wide = {"dimension": 9, "rule": [1.0] * 9, "cost1": np.eye(9).tolist(), "cost2": (2 * np.eye(9)).tolist(),
-                "prior": {"kind": "common", "mean": [0.0] * 9, "scale": 1.0}}
-        with pytest.raises(ValueError):
-            model(wide)
+        for spec in (specs["equal_costs_bounds"], wide):  # a span-form projector, and d = 9
+            with pytest.raises(ValueError):
+                model(spec)
 
 
 def test_classify_exits_0_only_with_the_exact_crossing_count(tmp_path):
