@@ -10,11 +10,12 @@ A recipe is a generator of (key, scenario dict) pairs, the key being what
 its probe tallies by. Each draws from its own ``default_rng(seed)`` in a
 fixed order, so a recipe edit changes its digest.
 
-``exact_crossings`` is the model's own crossing count, and
-``exact_constants`` its disparity constants, for a scenario of dimension
-at most MAX_EXACT_DIM, from exact inverses of its float costs by Gauss–Jordan
-elimination over ``Fraction``s. Against them the probes measure the count
-``classify`` prints and the constants ``load_scenario`` builds.
+``exact_crossings`` is the model's own crossing count, ``exact_constants``
+its disparity constants and ``exact_disparity`` its curves, for a scenario
+of dimension at most MAX_EXACT_DIM, from exact inverses of its float costs
+by Gauss–Jordan elimination over ``Fraction``s. Against them the probes
+measure the count ``classify`` prints, the constants ``load_scenario``
+builds and the values ``disparity_value`` gives.
 """
 
 import json
@@ -278,6 +279,26 @@ def exact_constants(spec):
             out["prior_sq"] += known
             out["mismatch"] += sign * _form(inverse, rule) - known
     return out
+
+
+def exact_disparity(spec, metric, sigma):
+    """The model's score or utility disparity at the float noise level ``sigma``, an exact Fraction from
+    `exact_constants`, with the signal weight w = g²/(g² + σ²) taken exactly on the floats g and σ.
+
+    As flab's `disparity_value` states them over its constants: a naive prior's score is rule_sq and
+    its utility (rule_sq - σ² trace_gap)/2; a common or projected prior's score is
+    (1 - w) cross + w rule_sq and its utility -(w²/2)(mismatch + σ² trace_gap) + w mismatch + cross -
+    prior_sq/2, which at σ = 0 is rule_sq/2. ``metric`` is "score" or "utility".
+    """
+    c, prior = exact_constants(spec), spec["prior"]
+    s2 = Fraction(sigma) ** 2
+    if prior["kind"] == "naive":
+        return c["rule_sq"] if metric == "score" else (c["rule_sq"] - s2 * c["trace_gap"]) / 2
+    g2 = Fraction(prior["scale"]) ** 2
+    w = g2 / (g2 + s2)
+    if metric == "score":
+        return (1 - w) * c["cross"] + w * c["rule_sq"]
+    return -(w * w / 2) * (c["mismatch"] + s2 * c["trace_gap"]) + w * c["mismatch"] + c["cross"] - c["prior_sq"] / 2
 
 
 def exact_crossings(spec):

@@ -6,13 +6,16 @@ Run from the root of a checkout. One benchmark per layer: start-up (a
 fresh interpreter's `import flab.cli`), then in process scenario parse,
 `Scenario` construction (its Jacobi eigensolves) with a shared or a
 projected prior, a `Projection` alone, the closed-form curve over a grid,
-the root scan, the projector certificates, and `jacobi_eigh` and
-`kahan_dot` alone. They use only names and signatures the previous
-commit shares, so one file times two versions of flab alike. The slow
-solves run a few rounds only.
+the root scan, the projector certificates, `jacobi_eigh` and `kahan_dot`
+alone, and whole `sweep` and `bounds` commands through `cli.main` on the
+`dense_grid` workload's inputs. They use only names and signatures the
+previous commit shares, so one file times two versions of flab alike. The
+slow solves run a few rounds only.
 """
 
 import compileall
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 import flab
+from flab import cli
 from flab.agents import Metric
 from flab.cli import load_scenario
 from flab.closed_form import CommonPrior, ProjectedPrior, Scenario, disparity_value, noise_range, sigma_grid
@@ -38,6 +42,7 @@ from flab.regimes import (
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+DATA = ROOT / "tests" / "data"  # the dense_grid inputs, as perfbench/gen.py --seed 1 writes them
 
 
 def committed(name):
@@ -170,3 +175,26 @@ def test_kahan_dot(benchmark, d):
     # the exact inner product `Scenario` construction takes for `trace_gap`
     x, y = np.random.default_rng(d).normal(size=(2, d))
     assert math.isfinite(benchmark(kahan_dot, x, y))
+
+
+def quiet_main(argv):
+    """`cli.main` on ``argv`` with its output captured: its exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_cli_sweep_dense_files(benchmark, tmp_path):
+    # `flab sweep --out-csv --out-svg` on 20,000 levels, in process: the curves, the CSV rows and the SVG
+    argv = ["sweep", str(DATA / "dense_common.json"),
+            "--out-csv", str(tmp_path / "out.csv"), "--out-svg", str(tmp_path / "out.svg")]
+    code, _ = benchmark.pedantic(quiet_main, args=(argv,), rounds=10, iterations=1, warmup_rounds=1)
+    assert code == 0
+
+
+def test_cli_bounds_dense(benchmark):
+    # `flab bounds --points 10000` on the equal-cost input, in process: the bound curves and the table rows
+    argv = ["bounds", str(DATA / "dense_equal.json"), "--points", "10000"]
+    code, out = benchmark.pedantic(quiet_main, args=(argv,), rounds=10, iterations=1, warmup_rounds=1)
+    assert code == 0 and out

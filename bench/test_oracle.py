@@ -6,9 +6,8 @@ Run from the root of a checkout. Tier-1 `pytest` collects only `tests/`,
 so these run only when asked for. They use only `normal_stream`,
 `standard_normals`, `tree_sum`, `estimate_disparities`, `load_scenario`,
 `sigma_grid`, `Scenario`, `CommonPrior` and `CostMatrix`, and the
-oracle's two inner stages `_reduce_block` and `_centres`, with the
-signatures the previous commit shares, so one file times two versions of
-flab alike.
+oracle's block loop `_moments`, with the signatures the previous commit
+shares, so one file times two versions of flab alike.
 """
 
 from pathlib import Path
@@ -20,7 +19,7 @@ from flab.agents import normal_stream, standard_normals
 from flab.cli import load_scenario
 from flab.closed_form import CommonPrior, Scenario, sigma_grid
 from flab.linalg_core import CostMatrix
-from flab.mc_oracle import _centres, _reduce_block, estimate_disparities, tree_sum
+from flab.mc_oracle import _moments, estimate_disparities, tree_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BLOCK = 2**14  # a fixed work unit of agents, so one file times two commits on the same work
@@ -42,23 +41,12 @@ def test_tree_sum_row_stack(benchmark):
     assert totals.shape == (2,)
 
 
-def test_reduce_block_one_block(benchmark):
-    # the per-agent stage: one block's response terms, group differences and 10 tallies at d = 2
+def test_moments_one_block(benchmark):
+    # the per-agent stage on one of the oracle's blocks at d = 2: its draw, response terms, group
+    # differences and 10 tallies, then the pooled moments
     sc = load_scenario(str(SCENARIOS / "reference_common.json")).scenario
-    draws = standard_normals(normal_stream(SEED, (101,)), (ORACLE_BLOCK, 2, sc.dim))
-    noise = np.ascontiguousarray(draws.transpose(1, 2, 0))  # (group, coordinate, agent)
-    work = tuple(np.empty(k * ORACLE_BLOCK) for k in (3, 3, max(2 * sc.dim, 4)))
-    tally = np.empty(10)
-    benchmark(_reduce_block, sc, noise, False, tally, work)
-    assert np.isfinite(tally).all()
-
-
-def test_centres_many_levels(benchmark):
-    # the noise-free agent per group and level that `flab verify --points 10000` runs
-    sc = load_scenario(str(SCENARIOS / "reference_common.json")).scenario
-    sigmas = sigma_grid(sc, 10000)
-    centres = benchmark(_centres, sc, sigmas)
-    assert centres.shape == (sigmas.size, 2)
+    means, scatter = benchmark(_moments, sc, ORACLE_BLOCK, SEED)
+    assert means.shape == (3,) and scatter.shape == (4,)
 
 
 @pytest.mark.parametrize("n", [10**5, 10**6])

@@ -6,11 +6,13 @@ Run from the root of a checkout. Each probe runs the command on every
 scenario of one recipe in ``bench/recipes.py`` and records its tally in
 ``benchmark.extra_info``, so ``--benchmark-json`` puts the counts in the
 same file as the timings. A probe measures; it asserts no count. It uses
-only ``flab.cli.main`` and ``flab.cli.load_scenario``, so one file probes
-two versions of flab alike. The classify probes also measure the printed
-crossing count against the exact model's (``recipes.exact_crossings``) on
-every run that exits 0, and the ulp probe measures each loaded scenario's
-constants against the model's (``recipes.exact_constants``).
+only ``flab.cli.main``, ``flab.cli.load_scenario`` and, for the curves,
+``flab.closed_form.sigma_grid`` and ``disparity_value``, so one file
+probes two versions of flab alike. The classify probes also measure the
+printed crossing count against the exact model's
+(``recipes.exact_crossings``) on every run that exits 0, and the ulp
+probes measure each loaded scenario's constants and curves against the
+model's (``recipes.exact_constants``, ``recipes.exact_disparity``).
 """
 
 import contextlib
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 import recipes
 from flab import cli
+from flab.closed_form import disparity_value, sigma_grid
 from flab.errors import Error
 
 UNIT_COMMANDS = (("validate",), ("sweep",), ("classify",), ("verify", "--n", "20000", "--seed", "1"), ("bounds",))
@@ -161,6 +164,32 @@ def test_probe_constants_ulps(benchmark, tmp_path):
             else:
                 row["worst_ulps"] = max(row["worst_ulps"], round(error, 2))
                 row["above_half_ulp"] += error > 0.5
+    benchmark.extra_info.update({"ulps": profile})
+
+
+def test_probe_curve_ulps(benchmark):
+    # the yardstick of ROADMAP items 13 and 22: disparity_value on each committed scenario's 241-point
+    # sigma_grid, per metric, in ulps of the model's value at the same float level; the round times the curves
+    scenarios = []
+    for name, spec in recipes.committed_scenarios():
+        try:
+            recipes.exact_constants(spec)
+        except ValueError:
+            continue  # a span-form projector
+        sc = cli.load_scenario(str(recipes.SCENARIOS / f"{name}.json")).scenario
+        scenarios.append((name, spec, sc, sigma_grid(sc)))
+    metrics = ("score", "utility")
+    curves = benchmark.pedantic(lambda: [[disparity_value(sc, m, grid) for m in metrics] for _, _, sc, grid in scenarios],
+                                rounds=1, iterations=1)
+    profile = {}
+    for (name, spec, _, grid), values in zip(scenarios, curves):
+        for metric, curve in zip(metrics, values):
+            errors = [ulps(value, recipes.exact_disparity(spec, metric, sigma))
+                      for sigma, value in zip(grid.tolist(), curve.tolist())]
+            measured = [e for e in errors if e is not None]
+            profile.setdefault(name, {})[metric] = {
+                "points": len(errors), "worst_ulps": round(max(measured), 2),
+                "above_half_ulp": sum(e > 0.5 for e in measured), "nonzero_against_exact_zero": errors.count(None)}
     benchmark.extra_info.update({"ulps": profile})
 
 

@@ -104,15 +104,16 @@ def _weights(sc, sigmas):
     return signal_weight(sc.prior.scale, sigmas), np.where(np.isinf(s2), 1.0, s2 / (g2 + s2))
 
 
-def _centres(sc, sigmas):
+def _centres(sc, weights):
     """Score and utility differences, (levels, 2), of agents who see the rule itself as their signal.
 
-    Each distinct weight runs one agent per group through `flab.agents`,
-    and group 2's gains are subtracted from group 1's.
+    ``weights`` holds each level's signal weight. Each distinct weight runs
+    one agent per group through `flab.agents`, and group 2's gains are
+    subtracted from group 1's.
     """
-    weights, levels = np.unique(_weights(sc, sigmas)[0], return_inverse=True)
-    out = np.empty((weights.size, 2))
-    for row, weight in zip(out, weights.tolist()):
+    distinct, levels = np.unique(weights, return_inverse=True)
+    out = np.empty((distinct.size, 2))
+    for row, weight in zip(out, distinct.tolist()):
         for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
             dx = bayesian_best_response(cost, bayesian_posterior(mean, weight, sc.rule[:, None]))
             realized = realized_quantities(cost, sc.rule, dx)
@@ -154,37 +155,6 @@ def _block_columns(stream, size, dim, out=None):
     return out
 
 
-def _reduce_block(sc, noise, padded, out, work):
-    """Write one block's 10 tallies into ``out``, from its (2, d, m) ``noise``.
-
-    The tallies are the node sums of the difference rows (D_a, D_b, D_c),
-    the sums of their residuals about the block's own means, and the
-    residual products aa, bb, cc and bc. ``work`` holds the flat buffers
-    that `_moments` makes once: two for difference rows and one for the
-    response terms, which the residual products then reuse.
-    """
-    size = noise.shape[-1]
-    # past one block, a short last block's node spans _BLOCK zero-padded terms, as in
-    # the tree over all n; the padding turns a -0.0 total into +0.0 there too
-    width = _BLOCK if padded else size
-    first, second, flat = work
-    diffs = first[: 3 * width].reshape(3, width)
-    diffs[:, size:] = 0.0
-    rows = (diffs[:, :size], second[: 3 * size].reshape(3, size))
-    terms = flat[: 2 * sc.dim * size].reshape(2, sc.dim, size)
-    for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
-        _noise_terms(cost.inverse, sc.rule, mean, noise[g], rows[g], terms)
-    resid = rows[0]  # group 2's terms come off group 1's, then the residuals overwrite them
-    resid -= rows[1]
-    out[:3] = tree_sum(diffs)
-    resid -= out[:3, None] / size
-    out[3:6] = tree_sum(resid)
-    products = flat[: 4 * size].reshape(4, size)
-    np.multiply(resid, resid, out=products[:3])
-    np.multiply(resid[1], resid[2], out=products[3])
-    out[6:] = tree_sum(products)
-
-
 def _moments(sc, n, seed):
     """Pooled means (a, b, c) and scatter (aa, bb, cc, bc) of the difference rows.
 
@@ -199,14 +169,30 @@ def _moments(sc, n, seed):
     stream = normal_stream(seed, (_STREAM_KEY,))
     sizes = np.minimum(_BLOCK, n - np.arange(0, n, _BLOCK))
     tallies = np.empty((sizes.size, 10))
-    # every buffer the blocks use is made here once and refilled, so the block loop's
-    # heap neither grows nor shrinks and no block faults in fresh pages
+    # every buffer the blocks use is made here once and refilled, so the block loop's heap
+    # neither grows nor shrinks and no block faults in fresh pages: the noise, group 1's
+    # difference rows, group 2's, and the response terms, which the residual products reuse
     width = int(sizes[0])
     noise = np.empty((2, sc.dim, width))
-    work = (np.empty(3 * width), np.empty(3 * width), np.empty(max(2 * sc.dim, 4) * width))
-    for tally, size in zip(tallies, sizes.tolist()):
+    diffs, group2, flat = np.empty((3, width)), np.empty(3 * width), np.empty(max(2 * sc.dim, 4) * width)
+    for out, size in zip(tallies, sizes.tolist()):
         block = _block_columns(stream, size, sc.dim, noise[:, :, :size])
-        _reduce_block(sc, block, size < _BLOCK < n, tally, work)
+        # past one block, a short last block's node spans _BLOCK zero-padded terms, as in
+        # the tree over all n; the padding turns a -0.0 total into +0.0 there too
+        diffs[:, size:] = 0.0
+        rows = (diffs[:, :size], group2[: 3 * size].reshape(3, size))
+        terms = flat[: 2 * sc.dim * size].reshape(2, sc.dim, size)
+        for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
+            _noise_terms(cost.inverse, sc.rule, mean, block[g], rows[g], terms)
+        resid = rows[0]  # group 2's terms come off group 1's, then the residuals overwrite them
+        resid -= rows[1]
+        out[:3] = tree_sum(diffs)
+        resid -= out[:3, None] / size
+        out[3:6] = tree_sum(resid)
+        products = flat[: 4 * size].reshape(4, size)
+        np.multiply(resid, resid, out=products[:3])
+        np.multiply(resid[1], resid[2], out=products[3])
+        out[6:] = tree_sum(products)
     sums, drifts, products = tallies[:, :3].T, tallies[:, 3:6].T, tallies[:, 6:].T
     means = tree_sum(sums) / n
     shift = sums / sizes - means[:, None]
@@ -238,7 +224,7 @@ def estimate_disparities(sc, sigmas, n, seed):
         _, exponents = np.frexp(np.abs([ka, kb, kc]).max(axis=0))
         ka, kb, kc = (np.ldexp(k, -exponents) for k in (ka, kb, kc))
         variances = np.stack((ka * ka * aa, kb * kb * bb + 2.0 * kb * kc * bc + kc * kc * cc), axis=1) / (n - 1)
-        means = _centres(sc, levels) + shifts
+        means = _centres(sc, weight) + shifts
         stderrs = np.ldexp(np.sqrt(variances) / math.sqrt(n), exponents[:, None])
     bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stderrs)).all(axis=1))
     if bad.size:

@@ -968,11 +968,11 @@ class TestVerifyCommand:
         # raised inside the block loop, the oracle's one worker
         blocks = []
 
-        def fail(sc, noise, padded, out, work):
+        def fail(inverse, rule, mean, noise, out, work):
             blocks.append(noise)
             raise error("raised in the block loop")
 
-        monkeypatch.setattr(mc_oracle, "_reduce_block", fail)
+        monkeypatch.setattr(mc_oracle, "_noise_terms", fail)
         assert cli.main(["verify", write_scenario(tmp_path, REF)]) == code
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: raised in the block loop\n")

@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of CLI outputs on the committed scenarios.
 
 The digests pin output bytes across refactors: `verify` stdout at each
-scenario's own n and seed and on one 3001-level grid, the `sweep` CSV and SVG files
+scenario's own n and seed, on one 3001-level grid and at perfbench's
+`mc_large_n` n and seed, the `sweep` CSV and SVG files
 (one set on a linear grid), the `bounds` table, and the `classify` and `validate` reports. A change that moves them on purpose records the old and
 new digests in CHANGES.md. Two more files, in tests/data, are what
 `perfbench/gen.py --seed 1` writes for the `dense_grid` workload: their
@@ -31,6 +32,10 @@ VERIFY = {
     "two_crossings": "50c9902fab2fb20d41feb9bfdb45f606cff843dbc53856a349c5302cd6fe16f6",
     # row formatting over arrays far longer than the six default levels
     "reference_common --n 1000 --seed 1 --points 3000": "79fa5d6b57d8d54b3fae8bfda70bdc20159c074102ee8718725a90038943b33c",
+    # the mc_large_n workload of perfbench: 245 blocks of agents, the last one of 576
+    "reference_naive --n 1000000 --seed 42": "3b5e16aeeed8310d67cee5c8c8a235ef4e8b04b970fb1c157fc45d9f39b78880",
+    "reference_common --n 1000000 --seed 42": "7e8c8f8a40739b8a245df7b1eae784ab65737e5c346385c8d6acfce1201ef320",
+    "reference_projected --n 1000000 --seed 42": "5d1ddff3f39308288f8a9796723dffc5bbace3f13b8b4705b55467ef03f91882",
 }
 
 # sha256 of the CSV bytes followed by the SVG bytes
@@ -97,7 +102,7 @@ def test_verify_starts_no_thread(capsys, monkeypatch):
         raise AssertionError(f"verify started thread {thread.name}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    # n = 100000 is four blocks of agents, so the block loop runs four times
+    # n = 100000 is 25 blocks of 2^12 agents, 24 full and one of 1,696, so the block loop runs 25 times
     assert cli.main(["verify", str(SCENARIOS / "reference_naive.json")]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == VERIFY["reference_naive"]
 

@@ -1,6 +1,6 @@
 """bench/recipes.py: the defect probes' scenario recipes, pinned by digest, and the exact model's
-crossing count and constants, pinned on scenarios whose values are known, with the property that
-``classify`` never exits 0 with a crossing count other than the model's.
+crossing count, constants and zero-noise disparities, pinned on scenarios whose values are known, with
+the property that ``classify`` never exits 0 with a crossing count other than the model's.
 
 The probes' counts in CHANGES.md and every BENCH file are counts over
 these scenarios, so a recipe edit that moves one draw must show here.
@@ -103,6 +103,22 @@ def test_exact_constants_of_the_committed_scenarios():
                                 "mismatch": "1/4"},
         "reference_naive": {"rule_sq": "5/12", "trace_gap": "11/12"},
     }
+
+
+def test_exact_disparity_at_zero_noise_is_the_full_transparency_value():
+    # at sigma = 0 every agent sees the rule: the score disparity is rule_sq and the utility one half of it,
+    # flab's `endpoints` value, on the committed scenarios the model takes and 60 draws at d <= 4
+    scenarios = [*recipes.committed_scenarios(), *recipes.small_dimension_scenarios(count=60)]
+    checked = 0
+    for _, spec in scenarios:
+        try:
+            rule_sq = recipes.exact_constants(spec)["rule_sq"]
+        except ValueError:
+            continue  # a span-form projector
+        assert recipes.exact_disparity(spec, "score", 0.0) == rule_sq
+        assert recipes.exact_disparity(spec, "utility", 0.0) == rule_sq / 2
+        checked += 1
+    assert checked == 64
 
 
 def test_exact_inverse_at_every_small_dimension():
