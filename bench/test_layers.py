@@ -6,9 +6,9 @@ Run from the root of a checkout. One benchmark per layer: start-up (a
 fresh interpreter's `import flab.cli`), then in process scenario parse,
 `Scenario` construction (its Jacobi eigensolves) with a shared or a
 projected prior, a `Projection` alone, the closed-form curve over a grid,
-the root scan, the projector certificates, `jacobi_eigh` and `kahan_dot`
-alone, and whole `sweep` and `bounds` commands through `cli.main` on the
-`dense_grid` workload's inputs. They use only names and signatures the
+the root scan, the utility classifiers, the projector certificates,
+`jacobi_eigh` and `kahan_dot` alone, and whole `sweep` and `bounds`
+commands through `cli.main` on the `dense_grid` workload's inputs. They use only names and signatures the
 previous commit shares, so one file times two versions of flab alike. The
 slow solves run a few rounds only.
 """
@@ -33,6 +33,8 @@ from flab.closed_form import CommonPrior, ProjectedPrior, Scenario, disparity_va
 from flab.errors import AssumptionViolated
 from flab.linalg_core import CostMatrix, Projection, jacobi_eigh, kahan_dot
 from flab.regimes import (
+    classify_utility_bayes,
+    classify_utility_projected,
     classify_utility_projected_matrix,
     exploitation_condition_projected,
     find_roots,
@@ -69,7 +71,9 @@ def test_cli_import(benchmark):
                            env=env, check=True, capture_output=True, text=True).stderr
     rows = (line.split("|") for line in trace.splitlines())
     cumulative = {row[2].strip(): int(row[1]) for row in rows if len(row) == 3 and row[1].strip().isdigit()}
-    benchmark.extra_info["import_us"] = {name: cumulative[name] for name in ("numpy", "scipy.special", "flab.cli")}
+    # fractions (with decimal) loads for the classifiers' exact curves; None where a version does not import it
+    benchmark.extra_info["import_us"] = {name: cumulative.get(name)
+                                         for name in ("numpy", "scipy.special", "fractions", "decimal", "flab.cli")}
 
 
 def test_load_scenario(benchmark):
@@ -140,6 +144,16 @@ def test_find_roots_two_crossings(benchmark):
     sc = committed("two_crossings")
     scan = benchmark(find_roots, lambda s: disparity_value(sc, Metric.UTILITY, s), *noise_range(sc))
     assert len(scan.crossings) == 2
+
+
+@pytest.mark.parametrize("name, classify", [("reference_common", classify_utility_bayes),
+                                             ("two_crossings", classify_utility_bayes),
+                                             ("reference_projected", classify_utility_projected)])
+def test_classify_curves(benchmark, name, classify):
+    # the utility case analysis `flab classify` prints: the exact curve, its crossing count and the root scan
+    sc = committed(name)
+    regime = benchmark(classify, sc)
+    assert regime.count_matches
 
 
 @pytest.mark.parametrize("path, rounds", [(SCENARIOS / "reference_projected.json", 20),

@@ -47,6 +47,7 @@ from .regimes import (
     label_region,
     monotonicity_condition_projected,
     neutrality_condition_projected,
+    scan_utility,
 )
 
 CSV_HEADER = "sigma,score_disparity,utility_disparity,score_region,utility_region,mc_mean,mc_stderr,z"
@@ -476,6 +477,14 @@ def _certificate_lines(report):
     ]
 
 
+def _crossings_line(roots, predicted):
+    """The utility crossings the scan found, against the predicted count."""
+    return (
+        f"  utility crossings: {len(roots)} at [{', '.join(_g5(r) for r in roots)}] "
+        f"(predicted {predicted}, {'match' if len(roots) == predicted else 'MISMATCH'})"
+    )
+
+
 def cmd_classify(args):
     loaded = load_scenario(args.scenario)
     sc = loaded.scenario
@@ -484,10 +493,14 @@ def cmd_classify(args):
         fs = sc.constants.rule_sq
         lines.append(f"  score: constant {_g5(fs)} ({label_region(fs)})")
         crossing = neutrality_sigma_naive(sc)
+        exact = () if crossing is None else (crossing,)
+        found = scan_utility(sc, exact).crossings
         where = "no crossing" if crossing is None else f"crossing at {_g5(crossing)}"
         lines.append(f"  utility: MonotoneDecreasing, {where}")
+        if len(found) != len(exact):  # the scan disagrees with the formula
+            lines.append(_crossings_line(found, len(exact)))
         print("\n".join(lines))
-        return _EXIT_OK
+        return _EXIT_OK if len(found) == len(exact) else _EXIT_VERIFY
 
     passed = []  # one entry per internal cross-check; any False exits 4
     if isinstance(sc.prior, CommonPrior):
@@ -523,12 +536,7 @@ def cmd_classify(args):
     if regime.case is UtilityCase.NON_MONOTONE:
         line += f", minimum at {_g5(regime.sigma_min)} (value {_g5(regime.minimum_value)})"
     lines.append(line)
-    lines.append(
-        f"  utility crossings: {len(regime.roots)} at "
-        f"[{', '.join(_g5(r) for r in regime.roots)}] "
-        f"(predicted {regime.predicted_roots}, "
-        f"{'match' if regime.count_matches else 'MISMATCH'})",
-    )
+    lines.append(_crossings_line(regime.roots, regime.predicted_roots))
 
     score_zero, score_inf = map(label_region, endpoints(sc, Metric.SCORE))
     if score_zero is score_inf and score_zero is not RegionLabel.NEUTRALITY:

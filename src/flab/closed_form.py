@@ -14,11 +14,14 @@ evaluator, the classifiers and the command line all read. Common-prior and
 projected-prior disparities go through one shared routine over the same
 five derived constants, so the algebraic reduction between the two prior
 families is also an implementation-level identity rather than a
-coincidence of two formulas.
+coincidence of two formulas. Every other fact of a curve (its crossings,
+its turning point and the critical prior scale) is read from one exact
+polynomial of degree at most 2, the private `_Curve`.
 """
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -269,40 +272,17 @@ def score_variance_naive(sc, sigma):
     return scalar_or_array(s * s * quad_form(sc.rule, 0.5 * (sq + sq.T)))
 
 
-def _sign_changes(values):
-    """Sign changes between adjacent nonzero values: a zero start, limit or minimum
-    is a touch, not a crossing, as `regimes.find_roots` reports a touch as tangential."""
-    signs = [v > 0.0 for v in values if v != 0.0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def neutrality_sigma_naive(sc):
-    """Noise scale at which the naive utility disparity crosses zero, if any.
-
-    The curve (rule_sq - sigma^2 trace_gap) / 2 crosses once when its `endpoints`
-    change sign: never for a zero rule, whose start is no crossing, nor for a
-    trace gap that is not positive, which leaves the curve no way down.
-    """
+    """Noise scale at which the naive utility disparity crosses zero, if any."""
     _require_prior(sc, NaivePrior, "neutrality_sigma_naive")
-    if sc.trace_gap <= 0.0 or not _sign_changes(endpoints(sc, Metric.UTILITY)):
-        return None
-    return math.sqrt(sc.constants.rule_sq / sc.trace_gap)
+    return next(iter(_Curve.of(sc, Metric.UTILITY).roots), None)
 
 
 def neutrality_sigma_score_bayes(sc):
-    """Noise scale where a belief-carrying prior's score disparity vanishes, if any.
-
-    The score runs monotonically from rule_sq to the prior/rule pairing in the
-    gap metric (for a projected prior, the known-side value), so it crosses once
-    when those `endpoints` change sign: a negative pairing with a nonzero rule.
-    Otherwise returns None.
-    """
+    """Noise scale where a belief-carrying prior's score disparity vanishes, if any."""
     if isinstance(sc.prior, NaivePrior):
         raise WrongPriorKind("neutrality_sigma_score_bayes needs a belief-carrying prior")
-    c = sc.constants
-    if not _sign_changes(endpoints(sc, Metric.SCORE)):
-        return None
-    return math.sqrt(-c.rule_sq / c.cross) * sc.prior.scale
+    return next(iter(_Curve.of(sc, Metric.SCORE).roots), None)
 
 
 def overlap_proxy(sc):
@@ -407,3 +387,80 @@ def disparity_curve(sc, metric, sigmas=None, points=241):
     """Sample a disparity curve and attach its analytic `endpoints`."""
     grid = sigma_grid(sc, points=points) if sigmas is None else np.asarray(sigmas, float)
     return DisparityCurve(grid, disparity_value(sc, metric, grid), *endpoints(sc, metric))
+
+
+def _to_float(x):
+    """The float nearest the Fraction x, or an infinity of its sign past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+@dataclass(frozen=True)
+class _Curve:
+    """A disparity curve as an exact polynomial c2 x^2 + c1 x + c0, in `Fraction`s of the float constants.
+
+    A belief-carrying prior's x is the signal weight w = g^2 / (g^2 + sigma^2) for its scale g, 1 at
+    sigma = 0 and 0 in the limit: the score is (rule_sq - cross) w + cross, and the utility has a =
+    (g^2 T - M) / 2, b = M - g^2 T / 2 and L = cross - prior_sq / 2, for M = mismatch and T = trace_gap.
+    A naive prior's x is sigma^2 (``scale`` None). ``at_zero`` is `endpoints`' value at sigma = 0: the
+    utility's a + b + L = M / 2 + L equals it only up to rounding, which decides its sign for a tiny rule.
+    """
+
+    c2: Fraction
+    c1: Fraction
+    c0: Fraction
+    at_zero: Fraction
+    scale: "float | None"
+
+    @classmethod
+    def of(cls, sc, metric):
+        c, g = sc.constants, getattr(sc.prior, "scale", None)
+        rule_sq = Fraction(c.rule_sq)
+        if Metric(metric) is Metric.SCORE:
+            cross = rule_sq if g is None else Fraction(c.cross)
+            return cls(0, rule_sq - cross, cross, rule_sq, g)
+        if g is None:
+            return cls(0, -Fraction(sc.trace_gap) / 2, rule_sq / 2, rule_sq / 2, g)
+        mismatch = Fraction(c.mismatch)
+        b = mismatch - Fraction(g) ** 2 * Fraction(sc.trace_gap) / 2
+        return cls(mismatch / 2 - b, b, Fraction(c.cross) - Fraction(c.prior_sq) / 2, rule_sq / 2, g)
+
+    def _sigma(self, u):
+        return (self.scale or 1.0) * math.sqrt(_to_float(u))
+
+    @property
+    def roots(self):
+        """The noise scales of the simple zeros at 0 < sigma < inf, ascending; a double zero, or one at
+        sigma = 0, only touches zero. In u = sigma^2 / g^2 (sigma^2 for a naive prior) the curve has the
+        sign of p2 u^2 + p1 u + p0, (1 + u)^2 times the curve at w = 1 / (1 + u), with p0 = ``at_zero``
+        and p2 the limit. Its zeros q / p2 and p0 / q, for q = -(p1 + sign(p1) sqrt(disc)) / 2, have
+        exact signs, and the stable formula puts each sigma within a few ulps."""
+        p2, p1 = (self.c2, self.c1) if self.scale is None else (self.c0, self.c1 + 2 * self.c0)
+        p0 = self.at_zero
+        if not p2:
+            zeros = (-p0 / p1,) if p1 else ()
+        else:
+            disc = p1 * p1 - 4 * p2 * p0
+            if disc <= 0:
+                return ()
+            root = Fraction(math.isqrt(disc.numerator * disc.denominator << 128), disc.denominator << 64)
+            q = -(p1 + root if p1 >= 0 else p1 - root) / 2
+            zeros = (q / p2, p0 / q)
+        return tuple(sorted(self._sigma(u) for u in zeros if u > 0))
+
+    @property
+    def vertex(self):
+        """A utility's minimum as (sigma, value), or None: for T > 0 it lies inside 0 < w < 1 where b < 0,
+        at w = -b / (2 a), so sigma = g sqrt((2 a + b) / -b) = g / sqrt(1 - 2 M / (g^2 T))."""
+        if self.c1 >= 0:
+            return None
+        return self._sigma((2 * self.c2 + self.c1) / -self.c1), _to_float(self.c0 - self.c1**2 / (4 * self.c2))
+
+    @property
+    def critical_scale(self):
+        """A utility's sqrt(2 M / T) for T > 0, or 0 for M <= 0: the scale where b = 0, and the vertex leaves
+        0 < w < 1 at w = 0. As a + b = M / 2 and 2 a + b = g^2 T / 2, 2 M / T = 2 g^2 (a + b) / (2 a + b)."""
+        ratio = 2 * Fraction(self.scale) ** 2 * (self.c2 + self.c1) / (2 * self.c2 + self.c1)
+        return math.sqrt(max(_to_float(ratio), 0.0))

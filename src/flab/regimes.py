@@ -1,14 +1,15 @@
 """Regime classification and the numeric validation behind it.
 
 Disparity curves are classified twice on purpose: once through the exact
-case analysis (signs, critical scales, matrix definiteness) and once by
-brute-force root counting on a log grid. The classifiers report both and
-whether they agree, so a formula bug shows up as a disagreement instead
-of silently propagating.
+case analysis (the curve's exact polynomial, matrix definiteness) and once
+by brute-force root counting on a log grid that brackets every exact root.
+The classifiers report both and whether they agree, so a formula bug shows
+up as a disagreement instead of silently propagating.
 """
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,11 +20,11 @@ from .closed_form import (
     MAX_POINTS,
     CommonPrior,
     ProjectedPrior,
+    _Curve,
     _noise_grid,
     _require_commuting,
     _require_prior,
     _require_trace_gap,
-    _sign_changes,
     disparity_value,
     endpoints,
     neutrality_sigma_score_bayes,
@@ -107,9 +108,8 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
         raise InvalidBracket(f"need finite 0 < lo < hi, got ({sigma_lo}, {sigma_hi})")
     grid = _noise_grid(lo, hi, _integer(points, "points", 2, MAX_POINTS))
     vals = np.asarray(curve_fn(grid), dtype=float)
-    # as with Python floats, 0 * inf is a quiet nan and a huge product a quiet inf
-    with np.errstate(invalid="ignore", over="ignore"):
-        change = vals[:-1] * vals[1:] < 0.0
+    signs = np.sign(vals)  # the product of two values below 1e-162 would underflow to 0
+    change = signs[:-1] * signs[1:] < 0.0
     crossings = grid[vals == 0.0].tolist()
     for i in np.flatnonzero(change):
         crossings.append(_bisect(curve_fn, float(grid[i]), float(grid[i + 1]), float(vals[i])))
@@ -182,48 +182,45 @@ class UtilityRegime:
     sigma_min: "float | None"
     minimum_value: "float | None"
     predicted_roots: int
+    exact_roots: tuple
     roots: tuple
     tangential: tuple
     count_matches: bool
 
 
-def _critical_scale_sq(sc):
-    """2 mismatch / trace gap, the signed square of the critical prior scale."""
-    _require_trace_gap(sc)
-    return 2.0 * sc.constants.mismatch / sc.trace_gap
-
-
 def critical_prior_scale(sc):
     """Prior scale below which the utility disparity decreases monotonically."""
-    return math.sqrt(max(_critical_scale_sq(sc), 0.0))
+    _require_trace_gap(sc)
+    return _Curve.of(sc, Metric.UTILITY).critical_scale
+
+
+def scan_utility(sc, exact_roots):
+    """`find_roots` on the utility curve over `noise_range`, widened only where one of the ascending
+    ``exact_roots`` lies outside it, to one decade past the outermost, within the positive floats."""
+    lo, hi = noise_range(sc)
+    if exact_roots:
+        lo = max(min(lo, exact_roots[0] / 10.0), sys.float_info.min)
+        hi = min(max(hi, 10.0 * exact_roots[-1]), sys.float_info.max)
+    return find_roots(lambda s: disparity_value(sc, Metric.UTILITY, s), lo, hi)
 
 
 def _classify_utility(sc):
-    scale = sc.prior.scale
-    crit_sq = _critical_scale_sq(sc)
-    if scale * scale <= crit_sq:
-        case = UtilityCase.MONOTONE_DECREASING
-        sigma_min = None
-        fu_min = None
-    else:
-        case = UtilityCase.NON_MONOTONE
-        ratio = crit_sq / (scale * scale)
-        sigma_min = scale * math.sqrt(1.0 / (1.0 - ratio))
-        fu_min = disparity_value(sc, Metric.UTILITY, sigma_min)
-
-    at_zero, at_inf = endpoints(sc, Metric.UTILITY)
-    shape = (at_zero, at_inf) if fu_min is None else (at_zero, fu_min, at_inf)
-    predicted = _sign_changes(shape)
-    scan = find_roots(lambda s: disparity_value(sc, Metric.UTILITY, s), *noise_range(sc))
+    _require_trace_gap(sc)
+    curve = _Curve.of(sc, Metric.UTILITY)
+    exact = curve.roots
+    vertex = curve.vertex
+    sigma_min, fu_min = vertex or (None, None)
+    scan = scan_utility(sc, exact)
     return UtilityRegime(
-        case=case,
-        critical_scale=critical_prior_scale(sc),
+        case=UtilityCase.MONOTONE_DECREASING if vertex is None else UtilityCase.NON_MONOTONE,
+        critical_scale=curve.critical_scale,
         sigma_min=sigma_min,
         minimum_value=fu_min,
-        predicted_roots=predicted,
+        predicted_roots=len(exact),
+        exact_roots=exact,
         roots=scan.crossings,
         tangential=scan.tangential,
-        count_matches=len(scan.crossings) == predicted,
+        count_matches=len(scan.crossings) == len(exact),
     )
 
 
@@ -232,9 +229,9 @@ def classify_utility_bayes(sc):
 
     Monotone decrease holds up to the critical prior scale; beyond it the
     curve dips to an interior minimum before rising toward its limit. The
-    predicted crossing count (0, 1, or 2) is the number of sign changes
-    across the zero-noise value, the minimum if any, and the limit, with
-    a zero among them no crossing; it is checked against a numeric scan.
+    predicted crossing count (0, 1, or 2) is the exact count of the curve's
+    simple zeros, a touch of zero being no crossing; it is checked against
+    a numeric scan over `noise_range`, widened to bracket every exact root.
     """
     _require_prior(sc, CommonPrior, "classify_utility_bayes")
     return _classify_utility(sc)

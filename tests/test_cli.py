@@ -683,6 +683,16 @@ class TestClassifyCommand:
         assert cli.main(["classify", path]) == 0
         assert "  utility: MonotoneDecreasing, no crossing\n" in capsys.readouterr().out
 
+    def test_naive_scan_disagreement_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the naive utility crossing is checked by the same root scan as a belief-carrying prior's
+        from flab.regimes import RootScan
+
+        monkeypatch.setattr(cli, "scan_utility", lambda sc, exact: RootScan((), ()))
+        assert cli.main(["classify", write_scenario(tmp_path, REF)]) == 4
+        out = capsys.readouterr().out
+        assert out.endswith("  utility: MonotoneDecreasing, crossing at 0.6742\n"
+                            "  utility crossings: 0 at [] (predicted 1, MISMATCH)\n")
+
     def test_common_nonmonotone(self, tmp_path, capsys):
         body = variant(prior={"kind": "common", "mean": [0.5, 2.0], "scale": 2.0})
         assert cli.main(["classify", write_scenario(tmp_path, body)]) == 0

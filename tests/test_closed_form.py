@@ -20,7 +20,7 @@ from flab.closed_form import (
     NaivePrior,
     ProjectedPrior,
     Scenario,
-    _sign_changes,
+    _Curve,
     disparity_curve,
     disparity_value,
     endpoints,
@@ -266,18 +266,22 @@ class TestNaiveFormulas:
 
 
 @pytest.mark.parametrize(
-    "values, changes",
+    "coefficients, roots",
     [
-        ((1.0, -1.0), 1),
-        ((0.0, -1.0), 0),  # a zero start is no crossing
-        ((1.0, -1.0, 0.0), 1),  # nor is a zero limit
-        ((1.0, 0.0, 1.0), 0),  # nor a touch at the minimum
-        ((1.0, -1.0, 1.0), 2),
-        ((1.0, -math.inf), 1),
+        ((0, -1, 1, None), (1.0,)),  # a naive utility, falling through zero at t = sigma^2 = 1
+        ((0, -1, 0, None), ()),  # a zero start is no crossing
+        ((2, -1, 0, 2.0), (2.0,)),  # w (2w - 1): nor is a zero limit
+        ((4, -4, 1, 2.0), ()),  # (2w - 1)^2: nor a touch at the minimum
+        ((8, -6, 1, 2.0), (2.0, 2.0 * math.sqrt(3.0))),  # (2w - 1)(4w - 1), at w = 1/2 and 1/4
+        ((0, 2, -1, 2.0), (2.0,)),  # a score from 1 at w = 1 to -1 in the limit
     ],
 )
-def test_sign_changes(values, changes):
-    assert _sign_changes(values) == changes
+def test_curve_roots(coefficients, roots):
+    # in the signal weight w = g^2 / (g^2 + sigma^2), for g = 2: w = 1/2 at sigma = 2
+    *terms, scale = coefficients
+    c2, c1, c0 = map(Fraction, terms)
+    at_zero = c0 if scale is None else c2 + c1 + c0
+    assert _Curve(c2, c1, c0, at_zero, scale).roots == roots
 
 
 class TestCommonPriorFormulas:

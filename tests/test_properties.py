@@ -3,7 +3,9 @@
 Scenarios have d = 2..4, costs and projectors in random orthonormal bases,
 and a second cost that dominates the first (or equals it, for the overlap
 bounds). Hypothesis runs derandomized with a fixed example count, so these
-tests draw the same scenarios on every run.
+tests draw the same scenarios on every run. The crossing properties draw a
+seed for the acceptance tests' own generator and keep every draw it makes,
+the far-root ones that acceptance test 06 skips included.
 """
 
 import math
@@ -20,14 +22,18 @@ from flab.closed_form import (
     Scenario,
     disparity_value,
     endpoints,
+    noise_range,
     score_overlap_bound,
     sigma_grid,
     utility_overlap_bound,
 )
 from flab.linalg_core import CostMatrix, Projection
-from flab.regimes import classify_utility_bayes, classify_utility_projected
+from flab.regimes import classify_utility_bayes, classify_utility_projected, two_root_region_check
+from test_acceptance import draw_cost_pair_and_vectors, log_argmin
+from test_recipes import recipes
 
 PROPERTY = settings(max_examples=120, derandomize=True, deadline=None, database=None)
+SEEDED = settings(PROPERTY, max_examples=60)
 # past about 1.3e154 sigma^2 overflows, which the evaluator maps to the limit
 HUGE_SIGMAS = [1e6, 1e12, 1e150, 1e200, 1e300]
 
@@ -123,3 +129,70 @@ def test_overlap_bounds_never_undercut(sc):
         slack = bound(sc, sigmas) - np.abs(disparity_value(sc, metric, sigmas))
         # the slack `flab bounds` allows
         assert np.all(slack >= -1e-12), metric
+
+
+def acceptance_scenario(rng, scale):
+    """The next common-prior scenario of the acceptance tests' generator, past the short rules it rejects, at
+    the prior scale ``scale(constants)``, for the constants at scale 1; a None scale rejects the draw too."""
+    while True:
+        drawn = draw_cost_pair_and_vectors(rng)
+        if drawn is None:
+            continue
+        th, a1, a2, th0 = drawn
+        gam = scale(Scenario(th, CostMatrix(a1), CostMatrix(a2), CommonPrior(th0, 1.0)).constants)
+        if gam is not None:
+            return Scenario(th, CostMatrix(a1), CostMatrix(a2), CommonPrior(th0, gam))
+
+
+def as_spec(sc):
+    """A common-prior scenario as the scenario dict the exact model reads."""
+    return {"dimension": sc.dim, "rule": sc.rule.tolist(), "cost1": sc.cost1.matrix.tolist(),
+            "cost2": sc.cost2.matrix.tolist(),
+            "prior": {"kind": "common", "mean": sc.prior.mean.tolist(), "scale": sc.prior.scale}}
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1))
+def test_predicted_crossings_are_the_exact_models_and_the_scans(seed):
+    # acceptance test 06's draws, every one kept: the scan's window brackets every exact root
+    rng = np.random.default_rng(seed)
+    sc = acceptance_scenario(rng, lambda c: float(rng.uniform(0.2, 4.0)))
+    regime = classify_utility_bayes(sc)
+    assert regime.predicted_roots == recipes.exact_crossings(as_spec(sc)) == len(regime.roots)
+    assert regime.count_matches
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1))
+def test_minimum_is_the_numeric_argmin(seed):
+    # acceptance test 05's common-prior draws: a prior scale 1.1 to 3 times the critical one
+    rng = np.random.default_rng(seed)
+
+    def past_critical(c):
+        if c.mismatch < 1e-6:
+            return None
+        return math.sqrt(2.0 * c.mismatch / c.trace_gap) * float(rng.uniform(1.1, 3.0))
+
+    sc = acceptance_scenario(rng, past_critical)
+    regime = classify_utility_bayes(sc)
+    numeric = log_argmin(lambda s: disparity_value(sc, Metric.UTILITY, s), *noise_range(sc))
+    assert abs(numeric - regime.sigma_min) <= 1e-4 * regime.sigma_min
+
+
+@SEEDED
+@given(seed=st.integers(0, 2**32 - 1))
+def test_two_root_region_has_two_exact_roots(seed):
+    # acceptance test 07's draws: a prior scale 1.05 to 2 times the larger of the region's two thresholds
+    rng = np.random.default_rng(seed)
+
+    def inside(c):
+        if not c.prior_sq < 2.0 * c.cross:
+            return None
+        thr_a = math.sqrt((2.0 * c.cross - c.prior_sq + 3.0 * c.rule_sq) / c.trace_gap)
+        thr_b = math.sqrt((2.0 / c.trace_gap) * math.sqrt(c.mismatch))
+        return max(thr_a, thr_b) * float(rng.uniform(1.05, 2.0))
+
+    sc = acceptance_scenario(rng, inside)
+    assert two_root_region_check(sc)
+    regime = classify_utility_bayes(sc)
+    assert regime.predicted_roots == len(regime.exact_roots) == 2

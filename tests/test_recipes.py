@@ -20,7 +20,9 @@ import pytest
 
 from flab import cli
 from flab.cli import load_scenario
+from flab.closed_form import noise_range
 from flab.errors import Error
+from flab.regimes import classify_utility_bayes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,21 +75,54 @@ def test_exact_crossings_of_the_committed_scenarios_equal_the_printed_count(name
     assert re.search(r"utility crossings: (\d+)", capsys.readouterr().out).group(1) == str(count)
 
 
+def classify_crossings(spec, tmp_path):
+    """``classify``'s exit code on a scenario dict, and the counts its crossings line prints: found and predicted."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["classify", str(path)])
+    found = re.search(r"utility crossings: (\d+) at \[.*\] \(predicted (\d+), ", out.getvalue())
+    return code, found and tuple(map(int, found.groups()))
+
+
 @pytest.mark.parametrize("t, count", [(1.99999999, 2), (2.0, 1)])
-def test_exact_crossings_of_a_mean_near_twice_the_rule(t, count):
-    # at t = 1.99999999 classify's scan window holds one of the two roots, so it exits 4 with a count of 1
+def test_exact_crossings_of_a_mean_near_twice_the_rule(t, count, tmp_path):
+    # at t = 1.99999999 the second root lies at sigma = 3162.3, past noise_range's 1000: the scan widens to it
     spec = dict(recipes.committed_scenarios())["reference_common"]
     spec["prior"] = {"kind": "common", "mean": [t * v for v in spec["rule"]], "scale": 1.0}
     assert recipes.exact_crossings(spec) == count
+    assert classify_crossings(spec, tmp_path) == (0, (count, count))
 
 
-def test_exact_crossings_of_a_double_root_and_of_a_zero_rule():
+def test_exact_crossings_of_a_double_root_and_of_a_zero_rule(tmp_path):
     # U(w) = 25/16 w^2 - 5/8 w + 1/16 = (25/16)(w - 1/5)^2 touches zero at w = 1/5
     spec = {"dimension": 2, "rule": [2.0, 0.0], "cost1": [[1.0, 0.0], [0.0, 1.0]],
             "cost2": [[2.0, 0.0], [0.0, 4.0]], "prior": {"kind": "common", "mean": [0.5, -1.0], "scale": 2.0}}
     assert recipes.exact_crossings(spec) == 0
+    assert classify_crossings(spec, tmp_path) == (0, (0, 0))
     spec["rule"] = [0.0, 0.0]
     assert recipes.exact_crossings(spec) == 0
+    assert classify_crossings(spec, tmp_path) == (0, (0, 0))
+
+
+@pytest.mark.parametrize("name, change, count", [("reference_common", None, 2), ("reference_common", (-10, -10), 1),
+                                                 ("two_crossings", (-10, -10), 2)])
+def test_classify_brackets_roots_outside_the_default_window(name, change, count, tmp_path):
+    # a mean of (2 - 2^-40) times the rule puts the second root at sigma = 3.9e6, past 1e6 times the prior scale 2;
+    # costs, rule, mean and scale times 2^-10 put each root below noise_range's 1e-3
+    spec = dict(recipes.committed_scenarios())[name]
+    if change is None:
+        spec["prior"]["mean"] = [(2.0 - 2.0**-40) * v for v in spec["rule"]]
+    else:
+        spec = recipes.rescaled(spec, *change)
+    assert recipes.exact_crossings(spec) == count
+    assert classify_crossings(spec, tmp_path) == (0, (count, count))
+    sc = load_scenario(str(tmp_path / "scenario.json")).scenario
+    roots = classify_utility_bayes(sc).exact_roots
+    lo, hi = noise_range(sc)
+    assert len(roots) == count and not lo <= roots[0] <= roots[-1] <= hi
+    assert change is not None or roots[-1] > 1e6 * sc.prior.scale
 
 
 def test_exact_constants_of_the_committed_scenarios():

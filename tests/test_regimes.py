@@ -98,6 +98,12 @@ class TestFindRoots:
         assert len(scan.tangential) == 1
         assert scan.tangential[0] == pytest.approx(c, rel=1e-12)
 
+    def test_sign_change_whose_product_underflows(self):
+        # 1e-170 (1.1 - x) changes sign between two grid points whose values' product underflows to -0.0
+        scan = find_roots(lambda x: 1e-170 * (1.1 - x), 0.5, 2.0)
+        assert len(scan.crossings) == 1
+        assert scan.crossings[0] == pytest.approx(1.1, rel=1e-9)
+
     def test_no_roots(self):
         scan = find_roots(lambda x: 1.0 + x, 0.1, 10.0)
         assert scan.crossings == ()
@@ -145,7 +151,7 @@ def loop_find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
         if a == 0.0:
             crossings.append(float(grid[i]))
             continue
-        if a * b < 0.0:
+        if a < 0.0 < b or b < 0.0 < a:
             change[i] = True
             crossings.append(_bisect(curve_fn, float(grid[i]), float(grid[i + 1]), a))
     if vals[-1] == 0.0:
@@ -355,19 +361,16 @@ class TestTwoRootRegion:
         assert regime.roots[0] == pytest.approx(0.9104792783509308, rel=1e-9)
         assert regime.roots[1] == pytest.approx(3.089032410592724, rel=1e-9)
 
-    def test_zero_at_the_minimum_predicts_no_crossing(self, fixture_scenario, monkeypatch):
-        # the committed two_crossings scenario, with its utility minimum read as exactly 0.0:
-        # the curve touches zero there without crossing it, as find_roots counts a touch
-        sigma_min = classify_utility_bayes(fixture_scenario).sigma_min
-        value = regimes.disparity_value
-
-        def zero_at_minimum(sc, metric, sigma):
-            return 0.0 if np.ndim(sigma) == 0 and sigma == sigma_min else value(sc, metric, sigma)
-
-        monkeypatch.setattr(regimes, "disparity_value", zero_at_minimum)
-        regime = classify_utility_bayes(fixture_scenario)
-        assert regime.minimum_value == 0.0
-        assert regime.predicted_roots == 0
+    def test_zero_at_the_minimum_predicts_no_crossing(self):
+        # costs I and 2I, a mean equal to the rule (3/8, 3/8) and scale 3/4: the utility is
+        # (9/128) (u - 1)^2 / (1 + u)^2 in u = sigma^2 / scale^2, exactly 0 at its minimum sigma = 3/4,
+        # which touches zero without crossing it, as find_roots counts a touch
+        rule = np.array([0.375, 0.375])
+        sc = Scenario(rule, CostMatrix(np.eye(2)), CostMatrix(2.0 * np.eye(2)), CommonPrior(rule.copy(), 0.75))
+        regime = classify_utility_bayes(sc)
+        assert (regime.sigma_min, regime.minimum_value) == (0.75, 0.0)
+        assert regime.predicted_roots == 0 and regime.exact_roots == regime.roots == ()
+        assert regime.count_matches
 
     def test_smaller_scale_leaves_region(self, costs):
         assert not two_root_region_check(common_scenario(costs, 0.4 * RULE, 1.2))
