@@ -10,6 +10,7 @@ oracle's block loop `_moments`, with the signatures the previous commit
 shares, so one file times two versions of flab alike.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from flab.linalg_core import CostMatrix
 from flab.mc_oracle import _moments, estimate_disparities, tree_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 BLOCK = 2**14  # a fixed work unit of agents, so one file times two commits on the same work
 ORACLE_BLOCK = 2**12  # the agents of one of the oracle's own blocks
 SEED = 42
@@ -41,11 +43,32 @@ def test_tree_sum_row_stack(benchmark):
     assert totals.shape == (2,)
 
 
+def traced_peak(fn, *args):
+    """tracemalloc's peak, in bytes, of one call of ``fn`` after a warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_moments_one_block(benchmark):
     # the per-agent stage on one of the oracle's blocks at d = 2: its draw, response terms, group
-    # differences and 10 tallies, then the pooled moments
+    # differences and 10 tallies, then the pooled moments; extra_info keeps the tracemalloc peak
     sc = load_scenario(str(SCENARIOS / "reference_common.json")).scenario
+    benchmark.extra_info["peak_bytes"] = traced_peak(_moments, sc, ORACLE_BLOCK, SEED)
     means, scatter = benchmark(_moments, sc, ORACLE_BLOCK, SEED)
+    assert means.shape == (3,) and scatter.shape == (4,)
+
+
+def test_moments_highdim(benchmark):
+    # the same stage at d = 32 on five blocks, where the block's buffers grow with d; extra_info
+    # keeps the tracemalloc peak
+    sc = load_scenario(str(DATA / "highdim_common.json")).scenario
+    benchmark.extra_info["peak_bytes"] = traced_peak(_moments, sc, 2 * 10**4, SEED)
+    means, scatter = benchmark(_moments, sc, 2 * 10**4, SEED)
     assert means.shape == (3,) and scatter.shape == (4,)
 
 

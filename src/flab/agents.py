@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from .errors import DimensionMismatch, Error, NegativeSigma, NonFinite
 
-_TWO_53 = float(2**53)
+_HALF_STEP = 2.0**-54  # half the spacing of the 53-bit uniforms
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -56,19 +56,17 @@ def normal_stream(seed, key=()):
 def standard_normals(stream, shape, out=None):
     """Standard normal draws via inverse CDF on the counter stream, written into ``out`` if given.
 
-    Each normal consumes exactly one 64-bit draw of the stream: a range of
-    2^53 divides 2^64, so the bounded integer sampler never rejects. Each
-    53-bit integer k becomes the uniform (k + 0.5) / 2^53, rounded to
-    a double. Below 2^52 that is the exact midpoint; above it k + 0.5 rounds
-    to an even integer, and k = 2^53 - 1 rounds up to u = 1, where the
-    inverse CDF is +inf. That one value is clamped to the largest double
-    below 1, so every draw is finite and a function of k alone.
-    ``out`` may be any float array of ``shape``, a strided view too.
+    Each normal consumes exactly one 64-bit draw of the stream, whose top
+    53 bits k give `Generator.random`'s k / 2^53. Adding half a step rounds
+    once to the double nearest the uniform (k + 0.5) / 2^53. Below 2^52 that
+    is the exact midpoint; above it k + 0.5 rounds to an even integer, and
+    k = 2^53 - 1 rounds up to u = 1, where the inverse CDF is +inf. That one
+    value is clamped to the largest double below 1, so every draw is finite
+    and a function of k alone. ``out`` may be a C-contiguous float array of
+    ``shape``, as `Generator.random` requires.
     """
-    u = np.empty(shape) if out is None else out
-    u[...] = stream.integers(0, 2**53, size=shape)
-    u += 0.5
-    u /= _TWO_53
+    u = stream.random(shape, out=out)
+    u += _HALF_STEP
     np.minimum(u, _BELOW_ONE, out=u)
     return ndtri(u, out=u)
 

@@ -25,19 +25,21 @@ centre. The centre is computed, not sampled: at sigma > 0 the simulation
 tests the deviations from it, and the sigma = 0 rows test the centre.
 
 `estimate_disparities` streams its agents in aligned blocks of `_BLOCK`,
-drawn in order from the seed's stream into one reused (2, d, `_BLOCK`)
-buffer, so all blocks together equal one draw of shape (n, 2, d). An
-agent's y and D are elementwise sums over the coordinates in a fixed
-order, never BLAS, so they depend neither on the agent's place in a block
-nor on the number of BLAS threads. A block keeps 10 numbers, 80 B: the
-`tree_sum` of each row of D, their residual sums about the block's means,
-and the residual products aa, bb, cc and bc. The working set is one
-block's noise and rows, in buffers made once per estimate (a tracemalloc
-peak of about 0.6 MiB at d = 2). Everything runs on the calling thread.
-A block's sum is the node over its agents of the zero-padded pairwise
-tree over all n, and the block sums are tree-summed in block order, so
-each pooled mean equals `tree_sum` over all n bit for bit. An estimate
-depends only on (scenario, sigma, n, seed), not on the other levels.
+each one `Generator.random` fill from the seed's stream, in order, so all
+blocks together equal one draw of shape (n, 2, d). An agent's y and D are
+elementwise sums over the coordinates in a fixed order, never BLAS, so
+they depend neither on the agent's place in a block nor on the number of
+BLAS threads. A block keeps 10 numbers, 80 B: the `tree_sum` of each row
+of D, their residual sums about the block's means, and the residual
+products aa, bb, cc and bc. Each estimate makes four buffers once: the
+noise as (2, d, `_BLOCK`) coordinate rows, two groups' (3, `_BLOCK`) rows,
+and max(2d, 4) `_BLOCK` doubles of work for the draw, the response terms
+and the residual products (a tracemalloc peak of about 0.6 MiB at d = 2).
+Everything runs on the calling thread. A block's sum is the node over
+its agents of the zero-padded pairwise tree over all n, and the block
+sums are tree-summed in block order, so each pooled mean equals
+`tree_sum` over all n bit for bit. An estimate depends only on
+(scenario, sigma, n, seed), not on the other levels.
 
 `estimate_disparities` returns a noise grid's means and standard errors as
 two (levels, 2) arrays; its one overflow check, at the end, refuses the
@@ -141,20 +143,6 @@ def _noise_terms(inverse, rule, mean, noise, out, work):
             row += part
 
 
-def _block_columns(stream, size, dim, out=None):
-    """The stream's next ``size`` agents as a (group, coordinate, agent) stack, written into ``out``.
-
-    Agents take their 2d normals in the (sample, group, coordinate) order
-    of one draw of shape (n, 2, d), so blocks drawn in order from one
-    stream equal that draw bit for bit. The normals are computed in place
-    in ``out``, through its transpose, or in a new contiguous stack.
-    """
-    if out is None:
-        out = np.empty((2, dim, size))
-    standard_normals(stream, (size, 2, dim), out=out.transpose(2, 0, 1))
-    return out
-
-
 def _moments(sc, n, seed):
     """Pooled means (a, b, c) and scatter (aa, bb, cc, bc) of the difference rows.
 
@@ -171,17 +159,20 @@ def _moments(sc, n, seed):
     tallies = np.empty((sizes.size, 10))
     # every buffer the blocks use is made here once and refilled, so the block loop's heap
     # neither grows nor shrinks and no block faults in fresh pages: the noise, group 1's
-    # difference rows, group 2's, and the response terms, which the residual products reuse
+    # difference rows, group 2's, and the work for the draw, response terms and products
     width = int(sizes[0])
     noise = np.empty((2, sc.dim, width))
     diffs, group2, flat = np.empty((3, width)), np.empty(3 * width), np.empty(max(2 * sc.dim, 4) * width)
     for out, size in zip(tallies, sizes.tolist()):
-        block = _block_columns(stream, size, sc.dim, noise[:, :, :size])
+        # the (agent, group, coordinate) order of one (n, 2, d) draw, so blocks drawn in order
+        # equal it; one copy makes each group's coordinate rows contiguous
+        work, block = flat[: 2 * sc.dim * size], noise[:, :, :size]
+        block[...] = standard_normals(stream, (size, 2, sc.dim), out=work.reshape(size, 2, sc.dim)).transpose(1, 2, 0)
         # past one block, a short last block's node spans _BLOCK zero-padded terms, as in
         # the tree over all n; the padding turns a -0.0 total into +0.0 there too
         diffs[:, size:] = 0.0
         rows = (diffs[:, :size], group2[: 3 * size].reshape(3, size))
-        terms = flat[: 2 * sc.dim * size].reshape(2, sc.dim, size)
+        terms = work.reshape(2, sc.dim, size)
         for g, (cost, mean) in enumerate(zip((sc.cost1, sc.cost2), sc.prior_means)):
             _noise_terms(cost.inverse, sc.rule, mean, block[g], rows[g], terms)
         resid = rows[0]  # group 2's terms come off group 1's, then the residuals overwrite them

@@ -93,14 +93,15 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     """Locate zeros of a curve on a log grid over [sigma_lo, sigma_hi], built by `_noise_grid`.
 
     ``curve_fn`` must accept an array: the whole grid is evaluated in one
-    call, and bisection then calls it with single floats. Grid points
-    where the curve is exactly zero are roots. Sign changes between
-    adjacent grid points are refined by bisection until the bracket is
-    below 1e-12 relative width. A run of adjacent grid points with
-    0 < |value| < 1e-11, none of them next to a sign change, is one
-    tangential contact, reported at its point nearest zero (the first on
-    ties) rather than counted as a root. ``points`` is an integer from 2
-    to MAX_POINTS, else Error.
+    call, and bisection then calls it with single floats. A grid point
+    where the curve is exactly zero, or a run of them, is a root at its
+    first point when the nearest nonzero values on either side have
+    opposite signs. Sign changes between adjacent grid points are refined
+    by bisection until the bracket is below 1e-12 relative width. A run of
+    adjacent grid points with |value| < 1e-11, none of them next to a sign
+    change or in a root's run of zeros, is one tangential contact, reported
+    at its point nearest zero (the first on ties) rather than counted as a
+    root. ``points`` is an integer from 2 to MAX_POINTS, else Error.
     """
     lo = float(sigma_lo)
     hi = float(sigma_hi)
@@ -110,13 +111,20 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     vals = np.asarray(curve_fn(grid), dtype=float)
     signs = np.sign(vals)  # the product of two values below 1e-162 would underflow to 0
     change = signs[:-1] * signs[1:] < 0.0
-    crossings = grid[vals == 0.0].tolist()
+    # each grid point's nearest nonzero values at or before it and at or after it; a grid end
+    # indexes the appended 0, no sign
+    zero, at = vals == 0.0, np.arange(vals.size)
+    before = np.maximum.accumulate(np.where(zero, -1, at))
+    after = np.minimum.accumulate(np.where(zero, vals.size, at)[::-1])[::-1]
+    padded = np.append(signs, 0.0)
+    crossing_zero = zero & (padded[before] * padded[after] < 0.0)
+    crossings = grid[crossing_zero & ~np.insert(crossing_zero[:-1], 0, False)].tolist()
     for i in np.flatnonzero(change):
         crossings.append(_bisect(curve_fn, float(grid[i]), float(grid[i + 1]), float(vals[i])))
 
     near_change = np.append(change, False) | np.insert(change, 0, False)
     mag = np.abs(vals)
-    tiny = (mag > 0.0) & (mag < TANGENT_TOL) & ~near_change
+    tiny = (mag < TANGENT_TOL) & ~crossing_zero & ~near_change
     edges = np.diff(tiny.astype(np.int8), prepend=0, append=0)
     runs = zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
     tangential = tuple(float(grid[s + np.argmin(mag[s:e])]) for s, e in runs)

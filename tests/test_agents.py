@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtri
 
 from flab.agents import (
+    _BELOW_ONE,
     Metric,
     bayesian_best_response,
     bayesian_posterior,
@@ -70,19 +71,29 @@ class TestStreams:
 
     @pytest.mark.parametrize("size", [1, 3, 5, 7, 4097, (3, 2, 5)])
     def test_one_philox_word_per_normal(self, size):
-        # standard_normals rests on this: over [0, 2^53) the bounded sampler keeps the top 53 bits
-        # of one 64-bit word per value and never rejects, so n normals advance the stream n words
+        # standard_normals rests on this: the uniform sampler keeps the top 53 bits k of one
+        # 64-bit word per value, as k / 2^53, so n normals advance the stream n words
         for seed, key in [(0, ()), (9, (1,)), (123, (2, 7)), (2**40, (5,))]:
             sampled, raw = normal_stream(seed, key), normal_stream(seed, key)
             words = raw.bit_generator.random_raw(size) >> np.uint64(11)
-            assert np.array_equal(sampled.integers(0, 2**53, size), words)
+            assert np.array_equal(sampled.random(size), words * 2.0**-53)
             assert plain(sampled.bit_generator.state) == plain(raw.bit_generator.state)
+
+    def test_half_step_gives_the_midpoint_uniform(self):
+        # standard_normals' k / 2^53 + 2^-54 is the uniform (k + 0.5) / 2^53 rounded once,
+        # checked in plain float arithmetic on edge values and on seeded raw Philox words
+        edges = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+        words = np.random.Philox(np.random.SeedSequence(2024)).random_raw(10**6) >> np.uint64(11)
+        k = np.concatenate([edges, words]).astype(float)
+        stepped = np.minimum(k * 2.0**-53 + 2.0**-54, _BELOW_ONE)
+        midpoint = np.minimum((k + 0.5) / 2.0**53, _BELOW_ONE)
+        assert np.array_equal(stepped.view(np.uint64), midpoint.view(np.uint64))
 
     def test_largest_integer_gives_finite_draw(self):
         class Stub:
-            def integers(self, low, high, size):
-                assert (low, high) == (0, 2**53)
-                return np.array([2**53 - 1, 0, 2**52 + 1]).reshape(size)
+            def random(self, size, out):
+                assert out is None
+                return np.array([2**53 - 1, 0, 2**52 + 1]).reshape(size) * 2.0**-53
 
         z = standard_normals(Stub(), (3,))
         below_one = float.fromhex("0x1.fffffffffffffp-1")

@@ -707,6 +707,17 @@ class TestClassifyCommand:
         assert cli.main(["classify", write_scenario(tmp_path, body)]) == 0
         assert "  utility crossings: 1 at [0.76696] (predicted 1, match)\n" in capsys.readouterr().out
 
+    def test_touch_on_a_grid_point_is_no_crossing(self, tmp_path, capsys):
+        # the exact double root sigma = 1 is the middle point of the scan's grid, where the
+        # utility curve reads exactly 0.0 and is positive on both sides
+        body = variant(rule=[0.5, 0.5], cost1=[[1.0, 0.0], [0.0, 1.0]], cost2=[[2.0, 0.0], [0.0, 2.0]],
+                       prior={"kind": "common", "mean": [0.5, 0.5], "scale": 1.0})
+        path = write_scenario(tmp_path, body)
+        sc = cli.load_scenario(path).scenario
+        assert disparity_value(sc, Metric.UTILITY, 1.0) == 0.0
+        assert cli.main(["classify", path]) == 0
+        assert "  utility crossings: 0 at [] (predicted 0, match)\n" in capsys.readouterr().out
+
     def test_underflowed_rule_has_no_score_crossing(self, tmp_path, capsys):
         # rule_sq underflows to 0.0, so the score starts at zero and falls from there
         body = variant(rule=[1e-170, 1e-170], prior={"kind": "common", "mean": [-1.0, -1.0], "scale": 2.0})

@@ -46,7 +46,6 @@ from flab.mc_oracle import (
     MAX_SAMPLES,
     MIN_SAMPLES,
     Z_MAX,
-    _block_columns,
     compare,
     estimate_disparities,
     estimate_disparity,
@@ -323,10 +322,10 @@ class TestBlocks:
         assert peak <= 1.4 * 2**20
 
     def test_peak_memory_is_one_block(self, common):
-        # one block's noise (128 KiB at d = 2), the integers of its draw (128 KiB), two
-        # buffers of three difference rows (96 KiB each) and one of its response terms,
-        # which the residual products reuse (128 KiB): about 0.6 MiB. Per-level work
-        # or tallies exceed the bound
+        # one block's noise (128 KiB at d = 2), two buffers of three difference rows
+        # (96 KiB each) and one that takes its draw, then its response terms, then the
+        # residual products (128 KiB), with the scenario's and scipy's own: about 0.6 MiB.
+        # Per-level work or tallies exceed the bound
         tracemalloc.start()
         try:
             estimate_disparities(common, [0.0, 0.5, 2.0], 2**20, 1)
@@ -363,17 +362,17 @@ class TestPassShapes:
     @pytest.mark.parametrize("bound", [7, 64, 1000, _BLOCK])
     @pytest.mark.parametrize("n", [1000, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_pass_bound_moves_no_bit(self, bound, n, naive, common, projected, common_d8, monkeypatch):
-        whole = mc_oracle._block_columns
+        whole = mc_oracle.standard_normals
 
-        def in_parts(stream, size, dim, out=None):
-            out = np.empty((2, dim, size)) if out is None else out
-            for lo in range(0, size, bound):
-                whole(stream, min(bound, size - lo), dim, out[:, :, lo : lo + bound])
+        def in_parts(stream, shape, out=None):
+            out = np.empty(shape) if out is None else out
+            for lo in range(0, shape[0], bound):
+                whole(stream, out[lo : lo + bound].shape, out[lo : lo + bound])
             return out
 
         for sc in (naive, common, projected, common_d8):
             default = estimate_disparities(sc, self.LEVELS, n, 5)
-            monkeypatch.setattr(mc_oracle, "_block_columns", in_parts)
+            monkeypatch.setattr(mc_oracle, "standard_normals", in_parts)
             shaped = estimate_disparities(sc, self.LEVELS, n, 5)
             monkeypatch.undo()
             assert hexes(shaped) == hexes(default)
@@ -420,11 +419,12 @@ class TestStreamedBlocks:
         # each block skips ahead past the draws of the blocks before it, by
         # drawing them; an odd d leaves Philox's four-draw buffer part-used
         n = 2 * _BLOCK + 5
-        whole = standard_normals(normal_stream(7, (_STREAM_KEY,)), (n, 2, dim)).transpose(1, 2, 0)
+        whole = standard_normals(normal_stream(7, (_STREAM_KEY,)), (n, 2, dim))
         stream = normal_stream(7, (_STREAM_KEY,))
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            assert np.array_equal(_block_columns(stream, hi - lo, dim), whole[:, :, lo:hi])
+            block = standard_normals(stream, (hi - lo, 2, dim), out=np.empty((hi - lo, 2, dim)))
+            assert np.array_equal(block, whole[lo:hi])
 
     @staticmethod
     def traced_peak(sc, n, seed):

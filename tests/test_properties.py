@@ -160,6 +160,9 @@ def test_predicted_crossings_are_the_exact_models_and_the_scans(seed):
     regime = classify_utility_bayes(sc)
     assert regime.predicted_roots == recipes.exact_crossings(as_spec(sc)) == len(regime.roots)
     assert regime.count_matches
+    # and the scan's bisection finds each exact root, not only as many crossings
+    for scanned, exact in zip(regime.roots, regime.exact_roots):
+        assert math.isclose(scanned, exact, rel_tol=1e-9)
 
 
 @SEEDED

@@ -85,6 +85,23 @@ class TestFindRoots:
         scan = find_roots(lambda x: x - 1.0, 0.5, 2.0, points=3)
         assert scan.crossings == (1.0,)
 
+    @pytest.mark.parametrize(
+        "vals, crossings, tangential",
+        [
+            ([1.0, 0.0, 1.0], (), (1,)),  # a grid zero between equal signs touches
+            ([-1.0, 0.0, 0.0, 1.0], (1,), ()),  # a run of zeros between opposite signs crosses once
+            ([1.0, 0.0, 0.0, 1.0], (), (1,)),  # between equal signs it touches once
+            ([0.0, 0.0, 1.0, 2.0], (), (0,)),  # at a grid end it has one side only
+            ([1.0, 1e-12, 0.0, 1e-12, 1.0], (), (2,)),  # tiny neighbours join its one contact
+            ([1.0, 0.0, math.nan, -1.0], (), (1,)),  # nan has no sign
+        ],
+    )
+    def test_zero_run_crosses_only_between_opposite_signs(self, vals, crossings, tangential):
+        grid = np.geomspace(0.5, 2.0, len(vals))
+        scan = find_roots(lambda x: np.array(vals) if np.ndim(x) else -1.0, 0.5, 2.0, points=len(vals))
+        assert scan.crossings == tuple(float(grid[i]) for i in crossings)
+        assert scan.tangential == tuple(float(grid[i]) for i in tangential)
+
     def test_exact_zero_at_a_bisection_midpoint_is_the_root(self):
         # the grid is [0.5, 1.5]; bisection's first midpoint 1.0 reads exactly zero
         scan = find_roots(lambda x: x - 1.0, 0.5, 1.5, points=2)
@@ -148,20 +165,31 @@ def loop_find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     change = [False] * (len(grid) - 1)
     for i in range(len(grid) - 1):
         a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            crossings.append(float(grid[i]))
-            continue
         if a < 0.0 < b or b < 0.0 < a:
             change[i] = True
             crossings.append(_bisect(curve_fn, float(grid[i]), float(grid[i + 1]), a))
-    if vals[-1] == 0.0:
-        crossings.append(float(grid[-1]))
+
+    crossing_zero = [False] * len(grid)
+    i = 0
+    while i < len(grid):
+        if vals[i] != 0.0:
+            i += 1
+            continue
+        j = i
+        while j < len(grid) and vals[j] == 0.0:
+            j += 1
+        left = vals[i - 1] if i > 0 else 0.0
+        right = vals[j] if j < len(grid) else 0.0
+        if left < 0.0 < right or right < 0.0 < left:
+            crossings.append(float(grid[i]))
+            crossing_zero[i:j] = [True] * (j - i)
+        i = j
 
     tangential = []
     cluster = []
     for i, v in enumerate(vals):
         near_change = (i > 0 and change[i - 1]) or (i < len(change) and change[i])
-        if abs(v) < TANGENT_TOL and v != 0.0 and not near_change:
+        if abs(v) < TANGENT_TOL and not crossing_zero[i] and not near_change:
             cluster.append(i)
         elif cluster:
             best = min(cluster, key=lambda j: abs(vals[j]))
@@ -260,7 +288,7 @@ class TestFindRootsMatchesLoopScan:
             assert scan == loop_find_roots(ref_fn, SCAN_LO, SCAN_HI, points)
             assert calls == ref_calls
             seen["crossings"] += bool(scan.crossings)
-            seen["grid zeros"] += bool(set(scan.crossings) & set(grid.tolist()))
+            seen["grid zeros"] += bool(np.any(np.asarray(curve(grid)) == 0.0))
             seen["tangential"] += bool(scan.tangential)
         if points > 3:
             # the family reaches each branch of the scan, so the match means something
