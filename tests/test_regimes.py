@@ -279,7 +279,7 @@ class TestFindRootsMatchesLoopScan:
     def test_same_scan_and_same_calls(self, family, points):
         rng = np.random.default_rng(points)
         grid = np.geomspace(SCAN_LO, SCAN_HI, points)
-        seen = {"crossings": 0, "grid zeros": 0, "tangential": 0}
+        seen = {"crossings": 0, "grid crossings": 0, "grid touches": 0, "tangential": 0}
         for _ in range(150):
             curve = family(rng, grid)
             fn, calls = _recorded(curve)
@@ -287,14 +287,17 @@ class TestFindRootsMatchesLoopScan:
             scan = find_roots(fn, SCAN_LO, SCAN_HI, points)
             assert scan == loop_find_roots(ref_fn, SCAN_LO, SCAN_HI, points)
             assert calls == ref_calls
+            grid_zeros = set(grid[np.asarray(curve(grid)) == 0.0].tolist())
             seen["crossings"] += bool(scan.crossings)
-            seen["grid zeros"] += bool(np.any(np.asarray(curve(grid)) == 0.0))
+            seen["grid crossings"] += bool(set(scan.crossings) & set(grid.tolist()))
+            seen["grid touches"] += bool(set(scan.tangential) & grid_zeros)
             seen["tangential"] += bool(scan.tangential)
         if points > 3:
             # the family reaches each branch of the scan, so the match means something
-            wanted = {"crossings", "grid zeros", "tangential"}
-            if family is _roots_curve:
-                wanted -= {"tangential"}
+            wanted = {"crossings", "grid crossings", "grid touches", "tangential"}
+            if family is _lifted_square:
+                # its only grid zeros are double roots, which touch
+                wanted -= {"grid crossings"}
             assert all(seen[k] > 0 for k in wanted), seen
 
 
