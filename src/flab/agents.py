@@ -15,27 +15,23 @@ each column. The Monte Carlo oracle runs one noise-free agent per group
 and distinct signal weight through these calls.
 """
 
-import enum
 import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatch, Error, NegativeSigma, NonFinite
+from .errors import DimensionMismatch, Error, Label, NegativeSigma, NonFinite
 
 _HALF_STEP = 2.0**-54  # half the spacing of the 53-bit uniforms
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-class Metric(enum.Enum):
+class Metric(Label):
     """Which realized quantity a disparity compares; ``Metric(x)`` takes a member or its value, else raises Error."""
 
     SCORE = "score"
     UTILITY = "utility"
-
-    def __str__(self):
-        return self.value
 
     @classmethod
     def _missing_(cls, value):

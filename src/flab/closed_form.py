@@ -41,6 +41,7 @@ from .linalg_core import (
     CostMatrix,
     Definiteness,
     Projection,
+    _rounded,
     definiteness,
     jacobi_eigh,
     kahan_dot,
@@ -322,7 +323,8 @@ def noise_range(sc):
 
 def _noise_grid(lo, hi, points, spacing="log"):
     """Every noise grid flab builds: ``points`` levels from lo to hi, log-spaced, or evenly for "linear"."""
-    return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, points)
+    with np.errstate(over="ignore"):  # a power may overflow at the float maximum; geomspace pins both ends
+        return (np.geomspace if spacing == "log" else np.linspace)(lo, hi, points)
 
 
 def sigma_grid(sc, points=241):
@@ -389,12 +391,17 @@ def disparity_curve(sc, metric, sigmas=None, points=241):
     return DisparityCurve(grid, disparity_value(sc, metric, grid), *endpoints(sc, metric))
 
 
-def _to_float(x):
-    """The float nearest the Fraction x, or an infinity of its sign past the float range."""
+def _sqrt(x):
+    """The square root of an exact x >= 0: x is scaled by 4^-k into [1/2, 4), rounded by `_rounded` and its
+    root scaled back by 2^k. It equals math.sqrt(float(x)) wherever float(x) is normal, is 0 at 0, keeps 53
+    bits where float(x) would be subnormal or overflow, and is finite wherever the root fits, else inf."""
+    num, den = x.as_integer_ratio()
+    k = (num.bit_length() - den.bit_length()) // 2
+    scaled = _rounded(num << -2 * k, den) if k < 0 else _rounded(num, den << 2 * k)
     try:
-        return float(x)
+        return math.ldexp(math.sqrt(scaled), k)
     except OverflowError:
-        return math.copysign(math.inf, x)
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -428,7 +435,7 @@ class _Curve:
         return cls(mismatch / 2 - b, b, Fraction(c.cross) - Fraction(c.prior_sq) / 2, rule_sq / 2, g)
 
     def _sigma(self, u):
-        return (self.scale or 1.0) * math.sqrt(_to_float(u))
+        return (self.scale or 1.0) * _sqrt(u)
 
     @property
     def roots(self):
@@ -456,11 +463,12 @@ class _Curve:
         at w = -b / (2 a), so sigma = g sqrt((2 a + b) / -b) = g / sqrt(1 - 2 M / (g^2 T))."""
         if self.c1 >= 0:
             return None
-        return self._sigma((2 * self.c2 + self.c1) / -self.c1), _to_float(self.c0 - self.c1**2 / (4 * self.c2))
+        value = self.c0 - self.c1**2 / (4 * self.c2)
+        return self._sigma((2 * self.c2 + self.c1) / -self.c1), _rounded(*value.as_integer_ratio())
 
     @property
     def critical_scale(self):
         """A utility's sqrt(2 M / T) for T > 0, or 0 for M <= 0: the scale where b = 0, and the vertex leaves
         0 < w < 1 at w = 0. As a + b = M / 2 and 2 a + b = g^2 T / 2, 2 M / T = 2 g^2 (a + b) / (2 a + b)."""
         ratio = 2 * Fraction(self.scale) ** 2 * (self.c2 + self.c1) / (2 * self.c2 + self.c1)
-        return math.sqrt(max(_to_float(ratio), 0.0))
+        return _sqrt(max(ratio, 0))

@@ -1,10 +1,20 @@
-"""Typed exceptions shared across the package.
+"""Typed exceptions and the label base shared across the package.
 
 Every precondition failure raises one of these rather than a bare
 ValueError, so callers (and the command-line tool) can map failures
 to exit codes without string matching. An empty matrix, or an empty
-list of eigenvalues, is a `DimensionMismatch`.
+list of eigenvalues, is a `DimensionMismatch`. Every enumerated label
+the package reports is a `Label`, which prints as its value.
 """
+
+import enum
+
+
+class Label(enum.Enum):
+    """An enumeration whose members print as their values."""
+
+    def __str__(self):
+        return self.value
 
 
 class Error(Exception):

@@ -13,7 +13,6 @@ All functions are pure and all wrapper instances are immutable, so values
 can be shared freely between threads.
 """
 
-import enum
 import math
 import operator
 
@@ -23,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     Error,
     InvalidProjection,
+    Label,
     NotPD,
     NotSymmetric,
 )
@@ -62,12 +62,12 @@ def _scaled_integers(values):
     return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
 
 
-def _rounded(total, shift):
-    """The integer ``total`` over 2^shift, correctly rounded, or a signed inf where that overflows."""
+def _rounded(num, den):
+    """The integer ratio num / den, for den > 0, correctly rounded, or an infinity of its sign past the float range."""
     try:
-        return total / (1 << shift)  # int / int rounds correctly
+        return num / den  # int / int rounds correctly
     except OverflowError:
-        return math.inf if total > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def kahan_dot(x, y):
@@ -81,7 +81,7 @@ def kahan_dot(x, y):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         return math.nan
     (xs, kx), (ys, ky) = _scaled_integers(x.tolist()), _scaled_integers(y.tolist())
-    return _rounded(sum(map(operator.mul, xs, ys)), kx + ky)
+    return _rounded(sum(map(operator.mul, xs, ys)), 1 << (kx + ky))
 
 
 def quad_form(x, matrix, y=None):
@@ -98,7 +98,7 @@ def quad_form(x, matrix, y=None):
         return math.nan
     (xs, kx), (ms, km), (ys, ky) = (_scaled_integers(v.ravel().tolist()) for v in (x, a, y))
     outer = (xi * yj for xi in xs for yj in ys)  # row-major, as ms
-    return _rounded(sum(map(operator.mul, ms, outer)), kx + km + ky)
+    return _rounded(sum(map(operator.mul, ms, outer)), 1 << (kx + km + ky))
 
 
 def _rotate(x, y, c, s):
@@ -180,16 +180,13 @@ def jacobi_eigh(matrix):
     return w[order], v[:, order]
 
 
-class Definiteness(enum.Enum):
+class Definiteness(Label):
     PD = "PD"
     PSD = "PSD"
     ND = "ND"
     NSD = "NSD"
     INDEFINITE = "Indefinite"
     ZERO = "Zero"
-
-    def __str__(self):
-        return self.value
 
 
 def label_eigenvalues(w):

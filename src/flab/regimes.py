@@ -7,7 +7,6 @@ The classifiers report both and whether they agree, so a formula bug shows
 up as a disagreement instead of silently propagating.
 """
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from .closed_form import (
     neutrality_sigma_score_bayes,
     noise_range,
 )
-from .errors import AssumptionViolated, InvalidBracket, NonFinite
+from .errors import AssumptionViolated, InvalidBracket, Label, NonFinite
 from .linalg_core import Definiteness, label_eigenvalues, max_norm, span_within
 
 SIGN_TOL = 1e-10
@@ -41,13 +40,10 @@ _SEMI_POSITIVE = (Definiteness.PD, Definiteness.PSD, Definiteness.ZERO)
 _SEMI_NEGATIVE = (Definiteness.ND, Definiteness.NSD)
 
 
-class RegionLabel(enum.Enum):
+class RegionLabel(Label):
     EXPLOITATION = "Exploitation"
     NEUTRALITY = "Neutrality"
     BURDEN = "Burden"
-
-    def __str__(self):
-        return self.value
 
 
 def label_region(value):
@@ -131,13 +127,10 @@ def find_roots(curve_fn, sigma_lo, sigma_hi, points=2001):
     return RootScan(tuple(sorted(crossings)), tangential)
 
 
-class ScoreTrend(enum.Enum):
+class ScoreTrend(Label):
     DECREASING = "Decreasing"
     INCREASING = "Increasing"
     CONSTANT = "Constant"
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -173,12 +166,9 @@ def classify_score_bayes(sc):
     )
 
 
-class UtilityCase(enum.Enum):
+class UtilityCase(Label):
     MONOTONE_DECREASING = "MonotoneDecreasing"
     NON_MONOTONE = "NonMonotone"
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -361,13 +351,10 @@ def monotonicity_condition_projected(sc):
     ))
 
 
-class MatrixVerdict(enum.Enum):
+class MatrixVerdict(Label):
     MONOTONE_ALL = "MonotoneForEveryRule"
     NON_MONOTONE_ALL = "NonMonotoneForEveryRule"
     INDETERMINATE = "Indeterminate"
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True)

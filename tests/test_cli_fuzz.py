@@ -1,13 +1,14 @@
 """Property tests of the command line: a committed scenario with one key
-changed to any JSON value, or dropped, any valid sweep grid, or any text as
-the value of a count option, never crashes a subcommand, and a parse error
-or a violated assumption leaves no output behind. The command line and the
-library also admit the same prior scales."""
+changed to any JSON value, or dropped, or rescaled by powers of two, any
+valid sweep grid, or any text as the value of a count option, never crashes
+a subcommand, and a parse error or a violated assumption leaves no output
+behind. The command line and the library also admit the same prior scales."""
 
 import contextlib
 import io
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -133,6 +134,48 @@ def test_mutated_scenario_exits_cleanly(tmp_path_factory, mutation, command, fil
     exits_cleanly(tmp_path_factory.mktemp("fuzz"), body, command, COMMANDS[command], files, stdout=stdout)
 
 
+# no change, a power anywhere in the float range, or a moderate one
+EXPONENTS = st.just(0) | st.integers(-1074, 1023) | st.integers(-600, 600) | st.integers(-60, 60)
+
+
+@st.composite
+def rescalings(draw):
+    """A committed scenario's name and a power of two for each of its rule, costs, prior mean and prior scale."""
+    name = draw(st.sampled_from(sorted(COMMITTED)))
+    return name, {part: draw(EXPONENTS) for part in ("rule", "costs", "mean", "scale")}
+
+
+def rescaled(body, powers):
+    """A copy of ``body`` with each part times 2^k for its power k in ``powers``; past the float range, inf."""
+    body = json.loads(json.dumps(body))
+    factor = {part: 2.0**k for part, k in powers.items()}
+    body["rule"] = [factor["rule"] * x for x in body["rule"]]
+    for cost in ("cost1", "cost2"):
+        body[cost] = [[factor["costs"] * x for x in row] for row in body[cost]]
+    prior = body["prior"]
+    if "mean" in prior:
+        prior["mean"] = [factor["mean"] * x for x in prior["mean"]]
+    if "scale" in prior:
+        prior["scale"] *= factor["scale"]
+    return body
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(rescaling=rescalings(), command=st.sampled_from(sorted(COMMANDS)), files=st.booleans())
+# sigma^2 at the crossing overflows, though sigma does not
+@example(rescaling=("reference_naive", {"rule": 520, "costs": 400, "mean": 0, "scale": 0}), command="validate",
+         files=False)
+@example(rescaling=("reference_naive", {"rule": 520, "costs": 400, "mean": 0, "scale": 0}), command="classify",
+         files=False)
+# a subnormal prior mean: sigma^2 at the exact second crossing overflows
+@example(rescaling=("reference_common", {"rule": 0, "costs": 0, "mean": -1030, "scale": 0}), command="classify",
+         files=False)
+def test_rescaled_scenario_exits_cleanly(tmp_path_factory, rescaling, command, files):
+    name, powers = rescaling
+    body = rescaled(COMMITTED[name], powers)
+    exits_cleanly(tmp_path_factory.mktemp("fuzz"), body, command, COMMANDS[command], files)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(
     name=st.sampled_from(sorted(COMMITTED)),
@@ -151,7 +194,8 @@ def test_count_option_text_exits_cleanly(tmp_path_factory, name, count, text, fi
 
 @st.composite
 def sweep_blocks(draw):
-    """A valid `sweep` block of either spacing, from 2 to 50 points, as narrow as one ulp or up to 1e308."""
+    """A valid `sweep` block of either spacing, from 2 to 50 points, as narrow as one ulp or up to the largest
+    double."""
     spacing = draw(st.sampled_from(["log", "linear"]))
     starts = [5e-324, 1.0, 10.0] + ([0.0] if spacing == "linear" else [])
     lo = draw(st.floats(5e-324, 1e300) | st.sampled_from(starts))
@@ -159,7 +203,7 @@ def sweep_blocks(draw):
     hi = draw(
         st.integers(1, 8).map(lambda k: lo + k * ulp)
         | st.floats(lo + ulp, max(lo + ulp, lo * 1.001))
-        | st.floats(lo + ulp, 1e308)
+        | st.floats(lo + ulp, sys.float_info.max)
     )
     points = draw(st.integers(2, 50))
     return {"sigma_min": lo, "sigma_max": hi, "points": points, "spacing": spacing}
@@ -169,6 +213,8 @@ def sweep_blocks(draw):
 @given(name=st.sampled_from(sorted(COMMITTED)), sweep=sweep_blocks())
 # log10 of both ends rounds to one double, so the x axis spans nothing
 @example(name="reference_common", sweep={"sigma_min": 10.0, "sigma_max": 10.000000000000002, "points": 2})
+# a log grid to the largest double: its last power overflows before geomspace pins the end
+@example(name="reference_common", sweep={"sigma_min": 0.001, "sigma_max": sys.float_info.max, "points": 61})
 def test_any_sweep_grid_exits_cleanly(tmp_path_factory, name, sweep):
     tmp = tmp_path_factory.mktemp("fuzz")
     exits_cleanly(tmp, {**COMMITTED[name], "sweep": sweep}, "sweep", {}, files=True)

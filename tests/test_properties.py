@@ -5,13 +5,16 @@ and a second cost that dominates the first (or equals it, for the overlap
 bounds). Hypothesis runs derandomized with a fixed example count, so these
 tests draw the same scenarios on every run. The crossing properties draw a
 seed for the acceptance tests' own generator and keep every draw it makes,
-the far-root ones that acceptance test 06 skips included.
+the far-root ones that acceptance test 06 skips included. The change-of-units
+property also draws the committed scenarios.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from flab.agents import Metric
@@ -20,6 +23,7 @@ from flab.closed_form import (
     NaivePrior,
     ProjectedPrior,
     Scenario,
+    _Curve,
     disparity_value,
     endpoints,
     noise_range,
@@ -27,6 +31,8 @@ from flab.closed_form import (
     sigma_grid,
     utility_overlap_bound,
 )
+from flab.cli import load_scenario
+from flab.errors import Error
 from flab.linalg_core import CostMatrix, Projection
 from flab.regimes import classify_utility_bayes, classify_utility_projected, two_root_region_check
 from test_acceptance import draw_cost_pair_and_vectors, log_argmin
@@ -129,6 +135,69 @@ def test_overlap_bounds_never_undercut(sc):
         slack = bound(sc, sigmas) - np.abs(disparity_value(sc, metric, sigmas))
         # the slack `flab bounds` allows
         assert np.all(slack >= -1e-12), metric
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+COMMITTED = {p.stem: load_scenario(str(p)).scenario for p in sorted(SCENARIOS.glob("*.json"))}
+# each constant's powers of 2^a and 2^b under `in_units`
+UNITS = {"rule_sq": (-1, 2), "trace_gap": (-1, 0), "cross": (-1, 2), "prior_sq": (-1, 2), "mismatch": (-1, 2)}
+
+
+def in_units(sc, a, b):
+    """``sc`` in other units: both costs times 2^a, and the rule and a prior's mean and scale times 2^b."""
+    prior = sc.prior
+    if isinstance(prior, CommonPrior):
+        prior = CommonPrior(np.ldexp(prior.mean, b), math.ldexp(prior.scale, b))
+    elif isinstance(prior, ProjectedPrior):
+        prior = ProjectedPrior(prior.subspace1, prior.subspace2, math.ldexp(prior.scale, b))
+    costs = (CostMatrix(np.ldexp(cost.matrix, a)) for cost in (sc.cost1, sc.cost2))
+    return Scenario(np.ldexp(sc.rule, b), *costs, prior)
+
+
+def scaled_by(x, power):
+    """x times 2^power where x and that product are normal floats or zero, else None: only there does
+    rounding commute with a power-of-two scaling."""
+    if x == 0.0:
+        return 0.0
+    if not (math.isfinite(x) and abs(x) >= sys.float_info.min):
+        return None
+    return math.ldexp(x, power) if -1021 <= math.frexp(x)[1] + power <= 1024 else None
+
+
+def curve_facts(sc):
+    """Each `_Curve` fact of ``sc`` with its powers of 2^a and 2^b under `in_units`: every root, and a
+    belief-carrying utility's critical scale and vertex for a positive trace gap. A noise or prior scale
+    goes as 2^b, a value as 2^(2b - a)."""
+    facts = [(root, (0, 1)) for metric in Metric for root in _Curve.of(sc, metric).roots]
+    if not isinstance(sc.prior, NaivePrior) and sc.trace_gap > 0.0:
+        curve = _Curve.of(sc, Metric.UTILITY)
+        facts += [(curve.critical_scale, (0, 1)), *zip(curve.vertex or (), ((0, 1), (-1, 2)))]
+    return facts
+
+
+@PROPERTY
+@given(
+    sc=st.sampled_from(list(COMMITTED.values())) | st.sampled_from(["naive", "common", "projected"]).flatmap(scenarios),
+    a=st.integers(-600, 600),
+    b=st.integers(-600, 600),
+)
+@example(sc=COMMITTED["reference_naive"], a=400, b=520)  # sigma^2 at the crossing is past the float range
+@example(sc=COMMITTED["reference_projected"], a=-22, b=-518)  # the critical scale's square is subnormal
+def test_curve_facts_scale_with_their_units(sc, a, b):
+    # the model is free of units: with the costs times 2^a, and the rule, the prior and so the noise times 2^b,
+    # each noise scale goes as 2^b and each disparity as 2^(2b - a), wherever the constants scale exactly
+    try:
+        moved = in_units(sc, a, b)
+    except Error:
+        reject()
+    for name, (i, j) in UNITS.items():
+        value = getattr(sc.constants, name)
+        assume(value is None or scaled_by(value, i * a + j * b) == getattr(moved.constants, name))
+    facts, moved_facts = curve_facts(sc), curve_facts(moved)
+    assert [power for _, power in facts] == [power for _, power in moved_facts]
+    for (x, (i, j)), (y, _) in zip(facts, moved_facts):
+        want = scaled_by(x, i * a + j * b)
+        assert want is None or y == want, (x, y)
 
 
 def acceptance_scenario(rng, scale):
